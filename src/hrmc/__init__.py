@@ -50,6 +50,7 @@ from .codes import (
     enumerate_codewords,
     make_code,
     min_distance,
+    rank_counts,
     singleton_check,
     weight_distribution,
 )

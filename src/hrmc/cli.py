@@ -29,9 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (
+    WeightDistribution,
     code_from_jsonable,
     dual_code,
-    codeword_from_index,
+    make_code,
+    rank_counts,
+    standard_basis,
     weight_distribution,
 )
 from .errors import (
@@ -46,12 +49,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .fields import Field, make_field
-from .hermitian import (
-    DEFAULT_GUARD,
-    hermitian_from_index,
-    rank,
-    total_hermitian,
-)
+from .hermitian import DEFAULT_GUARD, enumeration_guard
 from .macwilliams import (
     build_eigen_table,
     full_space_distribution,
@@ -79,16 +77,21 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        if getattr(args, "guard", None) is not None:
-            guard = args.guard
-        else:
-            guard = int(os.environ.get("HRMC_GUARD") or DEFAULT_GUARD)
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ParseError(f"--workers must be at least 1, got {workers}")
         return cls(
-            enumeration_guard=guard,
+            enumeration_guard=enumeration_guard(args.guard),
             rng_seed=getattr(args, "seed", 0) or 0,
-            worker_count=max(1, getattr(args, "workers", 1) or 1),
+            worker_count=workers,
             output_format=getattr(args, "format", "table") or "table",
         )
+
+
+def _matrix_size(t: int) -> int:
+    if t < 1:
+        raise ParseError(f"--t must be at least 1, got {t}")
+    return t
 
 
 def _field_for_q(q: int) -> Field:
@@ -129,61 +132,43 @@ def emit(payload: dict, config: RunConfig, table_lines) -> None:
 
 # ------------------------------------------------------------- workers
 
-def _census_chunk(task: tuple) -> list[int]:
-    p, m, modulus, t, start, stop = task
-    field = make_field(p, m, modulus)
-    counts = [0] * (t + 1)
-    for index in range(start, stop):
-        counts[rank(hermitian_from_index(field, t, index))] += 1
-    return counts
-
-
-def _wd_chunk(task: tuple) -> list[int]:
-    code_json, start, stop = task
-    code = code_from_jsonable(code_json)
-    counts = [0] * (code.t + 1)
-    for index in range(start, stop):
-        counts[rank(codeword_from_index(code, index))] += 1
-    return counts
-
-
-def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    step = (total + workers - 1) // workers
+def _index_ranges(total: int, workers: int) -> list[tuple[int, int]]:
+    """Split [0, total) into one range per process worth starting: no more
+    than requested, than CPUs, or than there are indices."""
+    parts = max(1, min(workers, os.cpu_count() or 1, total))
+    step = -(-total // parts)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _run_partitioned(worker, tasks: list[tuple], workers: int,
-                     width: int) -> list[int]:
-    if workers <= 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
+def _count_range(task: tuple) -> list[int]:
+    return rank_counts(*task)
+
+
+def _weight_distribution(code, config: RunConfig) -> WeightDistribution:
+    """weight_distribution, split by index range over --workers processes."""
+    tasks = [(code, lo, hi, config.enumeration_guard)
+             for lo, hi in _index_ranges(code.size, config.worker_count)]
+    if len(tasks) == 1:
+        parts = [_count_range(tasks[0])]
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(worker, tasks)
-    combined = [0] * width
-    for part in results:
-        for i, c in enumerate(part):
-            combined[i] += c
-    return combined
+        with multiprocessing.Pool(processes=len(tasks)) as pool:
+            parts = pool.map(_count_range, tasks)
+    counts = tuple(sum(column) for column in zip(*parts))
+    return WeightDistribution(code.field.q, code.t, code.k, counts)
 
 
 # ------------------------------------------------------------- commands
 
 def cmd_count(args, config: RunConfig) -> int:
+    t = _matrix_size(args.t)
     field = _field_for_q(args.q)
-    t = args.t
-    total = total_hermitian(field, t)
-    if total > config.enumeration_guard:
-        raise EnumerationTooLarge(
-            f"{total} matrices exceed the enumeration guard "
-            f"{config.enumeration_guard}")
-    tasks = [(field.p, field.m, field.modulus_poly, t, lo, hi)
-             for lo, hi in _chunks(total, config.worker_count)]
-    counts = _run_partitioned(_census_chunk, tasks, config.worker_count, t + 1)
+    full_space = make_code(field, t, list(standard_basis(field, t)))
+    counts = list(_weight_distribution(full_space, config).counts)
     closed = list(full_space_distribution(NegQContext(field.q), t))
     match = counts == closed
     payload = {"q": field.q, "t": t, "counts": counts,
                "closed_form": closed, "match": match}
-    lines = [f"rank census, q={field.q} t={t} ({total} matrices)"]
+    lines = [f"rank census, q={field.q} t={t} ({full_space.size} matrices)"]
     lines += [f"  rank {r}: {c}" for r, c in enumerate(counts)]
     lines.append(f"closed form: {closed}")
     lines.append("MATCH" if match else "MISMATCH")
@@ -220,20 +205,7 @@ def _load_code(path: str):
 
 
 def cmd_wd(args, config: RunConfig) -> int:
-    code = _load_code(args.input)
-    if code.size > config.enumeration_guard:
-        raise EnumerationTooLarge(
-            f"{code.size} codewords exceed the enumeration guard "
-            f"{config.enumeration_guard}")
-    if config.worker_count > 1 and code.k > 0:
-        tasks = [(code.to_jsonable(), lo, hi)
-                 for lo, hi in _chunks(code.size, config.worker_count)]
-        counts = _run_partitioned(_wd_chunk, tasks, config.worker_count,
-                                  code.t + 1)
-        wd = {"q": code.field.q, "t": code.t, "k": code.k,
-              "counts": [str(c) for c in counts]}
-    else:
-        wd = weight_distribution(code, config.enumeration_guard).to_jsonable()
+    wd = _weight_distribution(_load_code(args.input), config).to_jsonable()
     lines = [f"weight distribution, q={wd['q']} t={wd['t']} k={wd['k']}",
              "  " + " ".join(str(c) for c in wd["counts"])]
     emit(wd, config, lines)
@@ -326,8 +298,9 @@ def cmd_mhrd(args, config: RunConfig) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
+    t = _matrix_size(args.t)
     field = _field_for_q(args.q)
-    results = run_verification(field, args.t, args.trials, config.rng_seed,
+    results = run_verification(field, t, args.trials, config.rng_seed,
                                config.enumeration_guard)
     all_ok = all(r.ok for r in results)
     payload = {
@@ -421,8 +394,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig.from_args(args)
     try:
+        config = RunConfig.from_args(args)
         return _COMMANDS[args.command](args, config)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,19 @@ canonical row-echelon basis -- two equal codes therefore compare equal.
 The dual is taken with respect to the trace form <H, J> = Tr(H^dagger J):
 solve the k x t^2 linear system that says "orthogonal to every generator"
 over the subfield and re-assemble the null-space basis into matrices.
+
+Enumeration has one kernel. Word ``index`` of a code is the combination
+of the generators whose coefficients are the base-q digits of the index,
+the first generator's digit most significant, each digit picking a
+subfield element in ascending index order. ``_words`` walks any index
+range [start, stop) of that order as flat row-major tuples of element
+indices, keeping the prefix sums of the scaled generators so that a step
+redoes only the sums behind the digits that changed. :func:`rank_counts`
+ranks those words with ``hermitian.rank_of_rows``; it is what
+:func:`weight_distribution`, :func:`min_distance` and the CLI (census,
+``wd`` and every ``--workers`` process) count with, and ranges split
+anywhere add up to the whole distribution. :func:`enumerate_codewords`
+and :func:`codeword_from_index` turn the same words into matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +36,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BoundViolated,
-    EnumerationTooLarge,
     MixedDimensions,
     NotHermitian,
     ZeroCode,
@@ -31,12 +43,11 @@ from .errors import (
 from .fields import Field
 from .hermitian import (
     HermitianMatrix,
-    enumeration_guard,
+    check_guard,
     inner_product,
     is_hermitian,
     matrix_from_jsonable,
-    rank,
-    zero_matrix,
+    rank_of_rows,
 )
 
 
@@ -212,73 +223,83 @@ def dual_code(code: LinearCode) -> LinearCode:
 
 # ----------------------------------------------------------- enumeration
 
-def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:
-    """Decode an index in [0, q^k) to its codeword; coefficient of the first
-    generator is the most significant digit."""
-    field = code.field
-    subfield = field.subfield_elements()
+def _words(code: LinearCode, start: int, stop: int):
+    """Words start..stop-1 in index order, as flat row-major index tuples."""
+    field, k = code.field, code.k
     q = field.q
+    add = field.add
+    scaled = [[tuple(field.mul(s, x.index) for row in g.entries for x in row)
+               for s in field.subfield_indices()] for g in code.generators]
     digits = []
-    for _ in range(code.k):
+    index = start
+    for _ in range(k):
         digits.append(index % q)
         index //= q
     digits.reverse()
-    word = zero_matrix(field, code.t)
-    for d, g in zip(digits, code.generators):
-        if d:
-            word = word + g.scale(subfield[d])
-    return word
-
-
-def enumerate_codewords(code: LinearCode, guard: int | None = None):
-    """All q^k codewords in index order, sharing work across the prefix."""
-    limit = enumeration_guard(guard)
-    if code.size > limit:
-        raise EnumerationTooLarge(
-            f"{code.size} codewords exceed the enumeration guard {limit}")
-    field, t, k = code.field, code.t, code.k
-    zero = zero_matrix(field, t)
-    if k == 0:
-        yield zero
-        return
-    subfield = field.subfield_elements()
-    scaled = [[g.scale(s) for s in subfield] for g in code.generators]
-    q = field.q
-    digits = [0] * k
-    partial = [zero] * (k + 1)  # partial[i] = sum of the first i scaled terms
-    yield zero
-    total = q ** k
-    for index in range(1, total):
-        # find lowest digit position that rolls over
+    partial = [(0,) * (code.t * code.t)]  # partial[i]: the first i terms
+    for j in range(k):
+        partial.append(tuple(map(add, partial[j], scaled[j][digits[j]])))
+    if start < stop:
+        yield partial[k]
+    for _ in range(start + 1, stop):
         pos = k - 1
         while digits[pos] == q - 1:
             digits[pos] = 0
             pos -= 1
         digits[pos] += 1
         for j in range(pos, k):
-            partial[j + 1] = partial[j] + scaled[j][digits[j]]
+            partial[j + 1] = tuple(map(add, partial[j], scaled[j][digits[j]]))
         yield partial[k]
 
 
+def _word_matrix(code: LinearCode, word: tuple[int, ...]) -> HermitianMatrix:
+    field, t = code.field, code.t
+    return HermitianMatrix(field, t, tuple(
+        tuple(field.from_index(x) for x in word[i:i + t])
+        for i in range(0, t * t, t)))
+
+
+def rank_counts(code: LinearCode, start: int, stop: int,
+                guard: int | None = None) -> list[int]:
+    """counts[r] = number of words of rank r among words start..stop-1.
+
+    The guard applies to the whole code, so every split of [0, q^k) into
+    ranges is refused or counted alike.
+    """
+    check_guard(code.size, "codewords", guard)
+    if not 0 <= start <= stop <= code.size:
+        raise ValueError(f"range [{start}, {stop}) outside [0, {code.size})")
+    field, t = code.field, code.t
+    cells = t * t
+    counts = [0] * (t + 1)
+    for word in _words(code, start, stop):
+        counts[rank_of_rows(field, [list(word[i:i + t])
+                                    for i in range(0, cells, t)])] += 1
+    return counts
+
+
+def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:
+    """Decode an index in [0, q^k) to its codeword; coefficient of the first
+    generator is the most significant digit."""
+    if not 0 <= index < code.size:
+        raise ValueError(f"codeword index {index} out of range")
+    return _word_matrix(code, next(_words(code, index, index + 1)))
+
+
+def enumerate_codewords(code: LinearCode, guard: int | None = None):
+    """All q^k codewords as matrices, in index order."""
+    check_guard(code.size, "codewords", guard)
+    for word in _words(code, 0, code.size):
+        yield _word_matrix(code, word)
+
+
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:
-    counts = [0] * (code.t + 1)
-    for word in enumerate_codewords(code, guard):
-        counts[rank(word)] += 1
-    return WeightDistribution(code.field.q, code.t, code.k, tuple(counts))
+    return WeightDistribution(code.field.q, code.t, code.k,
+                              tuple(rank_counts(code, 0, code.size, guard)))
 
 
 def min_distance(code: LinearCode, guard: int | None = None) -> int:
-    if code.k == 0:
-        raise ZeroCode("the zero code has no nonzero word")
-    best = code.t + 1
-    for word in enumerate_codewords(code, guard):
-        if not word.is_zero():
-            r = rank(word)
-            if r < best:
-                best = r
-                if best == 1:
-                    break
-    return best
+    return weight_distribution(code, guard).min_distance()
 
 
 def singleton_check(code: LinearCode, min_dist: int | None = None,

@@ -106,4 +106,4 @@ class UnsupportedField(HrmcError):
 
 
 class ParseError(HrmcError):
-    """Malformed input file or distribution string."""
+    """Malformed input file, distribution string or setting."""

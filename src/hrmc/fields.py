@@ -4,8 +4,12 @@ The field of order q^2 carries the involution x -> x^q whose fixed points
 form the subfield of order q. Elements are stored as integer indices: the
 index encodes the 2m base-p coefficients of the residue polynomial,
 little-endian, so index = c0 + c1*p + c2*p^2 + ... . Multiplication runs
-through exp/log tables built once per field from a generator of the
-multiplicative group; addition is digitwise mod p.
+through exp/log tables built once per field from a generator g of the
+multiplicative group. Addition runs through a Zech-logarithm table of the
+same size: zech[i] is the log of 1 + g^i (or -1 when that sum is zero),
+so g^a + g^b = g^(a + zech[b - a]). The table is built once from the
+digitwise addition of 1 mod p, and no table grows with the square of the
+order.
 
 Conjugation is computed as a genuine power x^q by square-and-multiply on
 purpose, so the Frobenius tests in the suite exercise real arithmetic
@@ -197,29 +201,34 @@ class Field:
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
+        p = self.p
+        zech = [-1] * n
+        for i, v in enumerate(exp):
+            # adding 1 raises the constant digit mod p and leaves the rest
+            s = v - (p - 1) if v % p == p - 1 else v + 1
+            if s:
+                zech[i] = log[s]
         self._exp = exp
         self._log = log
+        self._zech = zech
+        self._neg_one = log[p - 1]  # -1 is the constant digit p - 1
 
     # -- index-level arithmetic --
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = self._digits[a], self._digits[b]
-        out = 0
-        weight = 1
-        for x, y in zip(da, db):
-            out += ((x + y) % p) * weight
-            weight *= p
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        n = self.order - 1
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % n]
+        return 0 if z < 0 else self._exp[(la + z) % n]
 
     def neg(self, a: int) -> int:
-        p = self.p
-        out = 0
-        weight = 1
-        for x in self._digits[a]:
-            out += ((-x) % p) * weight
-            weight *= p
-        return out
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] + self._neg_one) % (self.order - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -302,6 +311,10 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, m={self.m}, order={self.order})"
+
+    def __reduce__(self):
+        # pickled by parameters, so a --workers task does not ship the tables
+        return make_field, (self.p, self.m, self.modulus_poly)
 
     def to_jsonable(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus_poly": list(self.modulus_poly)}

@@ -3,13 +3,18 @@
 A t x t matrix H is Hermitian when H equals its conjugate transpose:
 H[i][j] == conj(H[j][i]) for all i, j, which forces the diagonal into the
 conjugation-fixed subfield. The rank metric on these matrices is the
-ordinary column rank over GF(q^2).
+ordinary rank over GF(q^2). It is computed by one elimination on rows of
+element indices, :func:`rank_of_rows`: :func:`rank` wraps it for a
+:class:`HermitianMatrix`, and the enumeration kernel
+``codes.rank_counts`` calls it on the plain int words it generates.
 
-Matrices are enumerated in a fixed mixed-radix order so that independent
-workers can split the index range and produce identical aggregated output:
-the diagonal entries come first (base q, most significant first, running
-through the subfield in canonical ascending order), then the strictly
-upper entries row by row (base q^2 each).
+:func:`hermitian_from_index` decodes one matrix of a fixed mixed-radix
+order: the diagonal entries come first (base q, most significant first,
+running through the subfield in canonical ascending order), then the
+strictly upper entries row by row (base q^2 each).
+
+Every exhaustive enumeration is refused up front when it would visit more
+objects than the guard that :func:`enumeration_guard` resolves.
 """
 
 from __future__ import annotations
@@ -18,18 +23,35 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DimensionMismatch, EnumerationTooLarge
+from .errors import DimensionMismatch, EnumerationTooLarge, ParseError
 from .fields import Field, FieldElement
 
 DEFAULT_GUARD = 1 << 24
 
 
 def enumeration_guard(guard: int | None = None) -> int:
-    """Resolve the enumeration guard: explicit arg, else env, else default."""
-    if guard is not None:
-        return guard
-    env = os.environ.get("HRMC_GUARD")
-    return int(env) if env else DEFAULT_GUARD
+    """Resolve the enumeration guard: explicit arg, else env, else default.
+
+    Raises ParseError when HRMC_GUARD is not an integer or the guard is
+    negative.
+    """
+    if guard is None:
+        env = os.environ.get("HRMC_GUARD")
+        try:
+            guard = int(env) if env else DEFAULT_GUARD
+        except ValueError:
+            raise ParseError(f"HRMC_GUARD={env!r} is not an integer") from None
+    if guard < 0:
+        raise ParseError(f"the enumeration guard must be >= 0, got {guard}")
+    return guard
+
+
+def check_guard(count: int, what: str, guard: int | None = None) -> None:
+    """Refuse an enumeration of ``count`` objects above the guard."""
+    limit = enumeration_guard(guard)
+    if count > limit:
+        raise EnumerationTooLarge(
+            f"{count} {what} exceed the enumeration guard {limit}")
 
 
 @dataclass(frozen=True)
@@ -101,24 +123,41 @@ def is_hermitian(m: HermitianMatrix) -> bool:
                for i in range(m.t) for j in range(m.t))
 
 
-def rank(m: HermitianMatrix) -> int:
-    """Column rank over GF(q^2) by column-wise elimination."""
-    t = m.t
-    field = m.field
-    pivots: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
+def rank_of_rows(field: Field, rows: list[list[int]]) -> int:
+    """Rank over GF(q^2) of the matrix whose rows hold element indices.
+
+    Gaussian elimination that reduces ``rows`` in place.
+    """
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
     r = 0
-    for j in range(t):
-        col = [m.entries[i][j].index for i in range(t)]
-        for piv_row, piv_col in pivots:
-            if col[piv_row] != 0:
-                f = field.mul(col[piv_row], field.inv(piv_col[piv_row]))
-                for i in range(t):
-                    col[i] = field.sub(col[i], field.mul(f, piv_col[i]))
-        piv = next((i for i in range(t) if col[i] != 0), None)
-        if piv is not None:
-            pivots.append((piv, col))
-            r += 1
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        pivot = rows[i]
+        rows[i] = rows[r]
+        rows[r] = pivot
+        scale = neg(inv(pivot[c]))
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            if row[c]:
+                f = mul(row[c], scale)
+                for j in range(c + 1, ncols):
+                    if pivot[j]:
+                        row[j] = add(row[j], mul(f, pivot[j]))
+        r += 1
+        if r == nrows:
+            break
     return r
+
+
+def rank(m: HermitianMatrix) -> int:
+    """Rank over GF(q^2)."""
+    return rank_of_rows(m.field, [[x.index for x in row] for row in m.entries])
 
 
 def total_hermitian(field: Field, t: int) -> int:
@@ -184,10 +223,7 @@ def enumerate_hermitian(field: Field, t: int,
     q^(t^2) exceeds the guard.
     """
     total = total_hermitian(field, t)
-    limit = enumeration_guard(guard)
-    if total > limit:
-        raise EnumerationTooLarge(
-            f"{total} matrices exceed the enumeration guard {limit}")
+    check_guard(total, "matrices", guard)
     for index in range(total):
         yield hermitian_from_index(field, t, index)
 

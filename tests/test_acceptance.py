@@ -5,8 +5,10 @@ per criterion.  Every comparison is exact integer equality; the handful of
 runtime budgets are generous for any recent machine.
 """
 
+import json
 import time
 
+from hrmc.cli import main
 from hrmc.codes import (
     dual_code,
     enumerate_codewords,
@@ -45,7 +47,7 @@ from conftest import COMBOS, CORPUS_SEED
 CTX2, CTX3 = NegQContext(2), NegQContext(3)
 
 
-def test_criterion_01_rank_census(fields):
+def test_criterion_01_rank_census(fields, capsys):
     start = time.perf_counter()
     counts = [0, 0, 0, 0]
     for h in enumerate_hermitian(fields[2], 3):
@@ -55,6 +57,18 @@ def test_criterion_01_rank_census(fields):
     assert counts == [xi(CTX2, 3, h) for h in range(4)]
     assert sum(counts) == 512
     assert elapsed < 1.0
+    # `hrmc count` against the closed form for every census of at most
+    # 2^16 matrices
+    for q in (2, 3, 4, 5, 7, 13):
+        ctx = NegQContext(q)
+        t = 1
+        while q ** (t * t) <= 1 << 16:
+            assert main(["count", "--q", str(q), "--t", str(t),
+                         "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["counts"] == [str(xi(ctx, t, h))
+                                         for h in range(t + 1)]
+            t += 1
 
 
 def test_criterion_02_worked_example(example_code):

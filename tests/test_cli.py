@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hrmc.cli import main
+from hrmc.cli import _index_ranges, main
 
 
 def run(capsys, argv):
@@ -20,7 +20,13 @@ def write_code_file(tmp_path, code, name="code.json"):
     return str(path)
 
 
-def test_count_json_deterministic_across_workers(capsys):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let --workers 2 start a real pool of two on any host."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+
+
+def test_count_json_deterministic_across_workers(capsys, two_cpus):
     rc1, out1, _ = run(capsys, ["count", "--q", "2", "--t", "2",
                                 "--format", "json", "--workers", "1"])
     rc2, out2, _ = run(capsys, ["count", "--q", "2", "--t", "2",
@@ -62,6 +68,27 @@ def test_count_guard_env(capsys, monkeypatch):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["count", "--q", "2", "--t", "0"], None),
+    (["count", "--q", "2", "--t", "-1"], None),
+    (["verify", "--q", "2", "--t", "0"], None),
+    (["count", "--q", "2", "--t", "2", "--workers", "0"], None),
+    (["wd", "--input", "CODE", "--workers", "-3"], None),
+    (["count", "--q", "2", "--t", "2", "--guard", "-1"], None),
+    (["count", "--q", "2", "--t", "2"], "abc"),
+    (["verify", "--q", "2", "--t", "2"], "1e6"),
+])
+def test_unusable_input_exits_2(capsys, monkeypatch, tmp_path, example_code,
+                                argv, env):
+    if env is not None:
+        monkeypatch.setenv("HRMC_GUARD", env)
+    path = write_code_file(tmp_path, example_code)
+    rc, out, err = run(capsys, [path if a == "CODE" else a for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_eigen(capsys):
     rc, out, _ = run(capsys, ["eigen", "--q", "2", "--t", "3",
                               "--format", "json"])
@@ -74,7 +101,7 @@ def test_eigen(capsys):
     assert "both routes agree" in out
 
 
-def test_wd(capsys, tmp_path, example_code):
+def test_wd(capsys, tmp_path, example_code, code_corpus, two_cpus):
     path = write_code_file(tmp_path, example_code)
     rc, out, _ = run(capsys, ["wd", "--input", path, "--format", "json"])
     assert rc == 0
@@ -84,6 +111,31 @@ def test_wd(capsys, tmp_path, example_code):
     rc2, out2, _ = run(capsys, ["wd", "--input", path, "--format", "json",
                                 "--workers", "2"])
     assert rc2 == 0 and out2 == out
+    # q = 3: the two index ranges have different lengths
+    code3 = max((s.code for s in code_corpus[(3, 2)]), key=lambda c: c.k)
+    assert code3.size % 2 == 1
+    path3 = write_code_file(tmp_path, code3, "code3.json")
+    rc, out, _ = run(capsys, ["wd", "--input", path3, "--format", "json"])
+    rc2, out2, _ = run(capsys, ["wd", "--input", path3, "--format", "json",
+                                "--workers", "2"])
+    assert rc == rc2 == 0 and out2 == out
+    assert sum(map(int, json.loads(out)["counts"])) == code3.size
+
+
+@pytest.mark.parametrize("total,workers,cpus,parts", [
+    (10, 100000, 4, 4),      # capped by the CPU count
+    (3, 8, 16, 3),           # capped by the number of indices
+    (9, 2, 8, 2),            # as requested
+    (65536, 2, None, 1),     # CPU count unknown
+    (1, 1, 1, 1),
+])
+def test_index_ranges_cap(monkeypatch, total, workers, cpus, parts):
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    ranges = _index_ranges(total, workers)
+    assert len(ranges) == parts
+    assert ranges[0][0] == 0 and ranges[-1][1] == total
+    assert all(lo < hi for lo, hi in ranges)
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
 def test_wd_missing_file(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hrmc.codes import (
     enumerate_codewords,
     make_code,
     min_distance,
+    rank_counts,
     singleton_check,
     standard_basis,
     weight_distribution,
@@ -78,6 +79,27 @@ def test_corpus_dual_matches_filter(code_corpus, fields, combo):
         filtered = {m for m in enumerate_hermitian(field, t)
                     if all(inner_product(m, w).index == 0 for w in words)}
         assert set(enumerate_codewords(sample.dual)) == filtered
+
+
+@pytest.mark.parametrize("combo", [(2, 2), (2, 3), (3, 2)])
+def test_rank_counts_ranges_add_up(code_corpus, combo):
+    """Counts over [0, a) and [a, q^k) sum to the whole distribution, for
+    splits at 1, a third (uneven when q = 3) and one before the end."""
+    for sample in code_corpus[combo]:
+        for c in (sample.code, sample.dual):
+            whole = list(weight_distribution(c).counts)
+            for a in sorted({0, 1, c.size // 3, c.size - 1, c.size}):
+                halves = zip(rank_counts(c, 0, a), rank_counts(c, a, c.size))
+                assert [x + y for x, y in halves] == whole
+
+
+def test_rank_counts_rejects_bad_range(example_code):
+    with pytest.raises(ValueError):
+        rank_counts(example_code, 5, 4)
+    with pytest.raises(ValueError):
+        rank_counts(example_code, 0, 9)
+    with pytest.raises(EnumerationTooLarge):
+        rank_counts(example_code, 0, 1, guard=4)
 
 
 def test_zero_code(fields):

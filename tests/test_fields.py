@@ -1,5 +1,7 @@
 """Field construction, arithmetic axioms, and the conjugation."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,22 @@ def test_axioms_exhaustive(p, m):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@pytest.mark.parametrize("p,m", MEDIUM)
+def test_zech_addition_matches_digits(p, m):
+    """add, neg and sub through the Zech table equal digitwise mod-p
+    arithmetic on the coefficient vectors, for every pair."""
+    f = make_field(p, m)
+    elements = list(f.elements())
+    index_of = {x.coeffs: x.index for x in elements}
+    for x in elements:
+        assert f.neg(x.index) == index_of[tuple((-c) % p for c in x.coeffs)]
+        for y in elements:
+            total = tuple((c + d) % p for c, d in zip(x.coeffs, y.coeffs))
+            diff = tuple((c - d) % p for c, d in zip(x.coeffs, y.coeffs))
+            assert f.add(x.index, y.index) == index_of[total]
+            assert f.sub(x.index, y.index) == index_of[diff]
 
 
 @pytest.mark.parametrize("p,m", MEDIUM)
@@ -144,6 +162,8 @@ def test_json_roundtrip():
     again = field_from_jsonable(f.to_jsonable())
     assert again == f
     assert again is f  # cached
+    # pickling (as for --workers tasks) also goes through the cache
+    assert pickle.loads(pickle.dumps(f)) is f
 
 
 def test_pow_matches_repeated_multiplication():

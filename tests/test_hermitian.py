@@ -1,5 +1,7 @@
 """Hermitian matrices: predicate, rank, enumeration, trace form."""
 
+from itertools import product
+
 import pytest
 
 from hrmc.errors import DimensionMismatch, EnumerationTooLarge
@@ -51,6 +53,33 @@ def test_is_hermitian_rejects(fields):
     assert not is_hermitian(bad)
     good = _mat(f4, [[0, 2], [3, 0]])
     assert is_hermitian(good)
+
+
+def _kernel_size(m):
+    """|{v : m v = 0}| by trying every vector; sums are taken digitwise mod p
+    on coefficient vectors, so nothing here is shared with the elimination."""
+    field, t = m.field, m.t
+    p = field.p
+    size = 0
+    for v in product(range(field.order), repeat=t):
+        for row in m.entries:
+            digits = [0] * (2 * field.m)
+            for x, y in zip(row, v):
+                term = field.from_index(field.mul(x.index, y)).coeffs
+                digits = [(d + c) % p for d, c in zip(digits, term)]
+            if any(digits):
+                break
+        else:
+            size += 1
+    return size
+
+
+@pytest.mark.parametrize("q,t", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2)])
+def test_rank_is_codimension_of_kernel(fields, q, t):
+    """rank(H) = t - log_{q^2} |ker H| for every Hermitian H."""
+    order = fields[q].order
+    for m in enumerate_hermitian(fields[q], t):
+        assert order ** (t - rank(m)) == _kernel_size(m)
 
 
 def test_rank_spot_values(fields):
