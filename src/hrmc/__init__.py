@@ -8,7 +8,7 @@ identities those routes are built from.
 """
 
 from .errors import (
-    BoundViolated,
+    CheckFailed,
     ContextMismatch,
     DimensionMismatch,
     DivisionByZero,
@@ -19,16 +19,13 @@ from .errors import (
     IndexOutOfRange,
     LengthMismatch,
     MixedDimensions,
-    NonIntegralCount,
     NonIntegralDual,
     NonIntegralResult,
     NonPrimeModulus,
     NotHermitian,
-    ParseError,
     ReducibleModulus,
-    RouteMismatch,
-    UnsupportedField,
     UnsupportedSize,
+    UsageError,
     ZeroCode,
 )
 from .fields import Field, FieldElement, arith, conj, make_field

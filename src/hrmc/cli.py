@@ -11,11 +11,18 @@ Subcommands:
 * mhrd        -- closed-form distribution of a maximal code
 * verify      -- run the identity suites and report per-suite counts
 
-Exit codes: 0 on success, 1 when independently computed routes disagree
-(or a verification suite fails), 2 on unusable input or an enumeration
-that would exceed the guard. JSON output is canonical (sorted keys, no
-whitespace) with every integer rendered as a decimal string, so repeated
-runs and different worker counts produce byte-identical bytes.
+Exit codes: 0 on success; 1 when independently computed routes disagree,
+a verification suite fails or another ``CheckFailed`` is raised; 2 for
+every ``UsageError``, that is input that cannot be used: a q that is not
+a prime power, ``--t`` below 1, ``--d`` outside 1..t or even, ``--phi``
+outside 0..t, ``--size`` below 1, negative ``--trials``, a malformed code
+file or one with a non-Hermitian generator, a ``--dist`` that is not the
+distribution of any code, or an enumeration above the guard. The class
+of the error, fixed where it is raised, alone decides between 1 and 2;
+either way stderr gets one ``error:`` line. JSON output is canonical
+(sorted keys, no whitespace) with every integer rendered as a decimal
+string, so repeated runs and different worker counts produce
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -37,19 +44,9 @@ from .codes import (
     standard_basis,
     weight_distribution,
 )
-from .errors import (
-    EnumerationTooLarge,
-    EvenMinimumDistance,
-    HrmcError,
-    NonPrimeModulus,
-    ParseError,
-    ReducibleModulus,
-    RouteMismatch,
-    UnsupportedField,
-    UnsupportedSize,
-)
-from .fields import Field, make_field
-from .hermitian import DEFAULT_GUARD, enumeration_guard
+from .errors import CheckFailed, HrmcError, NonIntegralDual, UsageError
+from .fields import make_field
+from .hermitian import DEFAULT_GUARD, check_guard, enumeration_guard
 from .macwilliams import (
     build_eigen_table,
     full_space_distribution,
@@ -60,12 +57,8 @@ from .macwilliams import (
     moment_q,
     moment_qinv,
 )
-from .negq import NegQContext, _prime_power_parts
+from .negq import NegQContext
 from .verify import run_verification
-
-USAGE_ERRORS = (ParseError, EnumerationTooLarge, UnsupportedField,
-                UnsupportedSize, NonPrimeModulus, ReducibleModulus,
-                EvenMinimumDistance)
 
 
 @dataclass
@@ -79,7 +72,7 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         workers = getattr(args, "workers", 1)
         if workers < 1:
-            raise ParseError(f"--workers must be at least 1, got {workers}")
+            raise UsageError(f"--workers must be at least 1, got {workers}")
         return cls(
             enumeration_guard=enumeration_guard(args.guard),
             rng_seed=getattr(args, "seed", 0) or 0,
@@ -90,18 +83,8 @@ class RunConfig:
 
 def _matrix_size(t: int) -> int:
     if t < 1:
-        raise ParseError(f"--t must be at least 1, got {t}")
+        raise UsageError(f"--t must be at least 1, got {t}")
     return t
-
-
-def _field_for_q(q: int) -> Field:
-    parts = _prime_power_parts(q)
-    if parts is None:
-        raise UnsupportedField(f"q={q} is not a prime power")
-    try:
-        return make_field(*parts)
-    except UnsupportedSize as exc:
-        raise UnsupportedField(str(exc)) from exc
 
 
 # ------------------------------------------------------------- output
@@ -161,10 +144,13 @@ def _weight_distribution(code, config: RunConfig) -> WeightDistribution:
 
 def cmd_count(args, config: RunConfig) -> int:
     t = _matrix_size(args.t)
-    field = _field_for_q(args.q)
+    ctx = NegQContext(args.q)
+    field = make_field(*ctx.prime_parts)
+    # refuse before the t^2 basis matrices are built, not after
+    check_guard(field.q ** (t * t), "matrices", config.enumeration_guard)
     full_space = make_code(field, t, list(standard_basis(field, t)))
     counts = list(_weight_distribution(full_space, config).counts)
-    closed = list(full_space_distribution(NegQContext(field.q), t))
+    closed = list(full_space_distribution(ctx, t))
     match = counts == closed
     payload = {"q": field.q, "t": t, "counts": counts,
                "closed_form": closed, "match": match}
@@ -177,13 +163,14 @@ def cmd_count(args, config: RunConfig) -> int:
 
 
 def cmd_eigen(args, config: RunConfig) -> int:
+    t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
-    table = build_eigen_table(ctx, args.t)
-    for x in range(args.t + 1):
-        for k in range(args.t + 1):
-            alt = krawtchouk_C(ctx, k, x, args.t)
+    table = build_eigen_table(ctx, t)
+    for x in range(t + 1):
+        for k in range(t + 1):
+            alt = krawtchouk_C(ctx, k, x, t)
             if table.values[x][k] != alt:
-                raise RouteMismatch(
+                raise CheckFailed(
                     f"eigen routes differ at x={x} k={k}: "
                     f"{table.values[x][k]} vs {alt}")
     payload = table.to_jsonable()
@@ -198,10 +185,8 @@ def _load_code(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         return code_from_jsonable(obj)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, HrmcError):
-            raise
-        raise ParseError(f"cannot read code from {path}: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise UsageError(f"cannot read code from {path}: {exc}") from exc
 
 
 def cmd_wd(args, config: RunConfig) -> int:
@@ -264,19 +249,26 @@ def _parse_dist(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ParseError(f"bad distribution {text!r}: {exc}") from exc
+        raise UsageError(f"bad distribution {text!r}: {exc}") from exc
 
 
 def cmd_macwilliams(args, config: RunConfig) -> int:
+    t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
     counts = _parse_dist(args.dist)
-    if len(counts) != args.t + 1:
-        raise ParseError(
-            f"need {args.t + 1} comma-separated counts, got {len(counts)}")
-    eigen = macwilliams_eigen(ctx, counts, args.size, args.t)
-    transform = macwilliams_transform(ctx, counts, args.size, args.t)
+    if len(counts) != t + 1:
+        raise UsageError(
+            f"need {t + 1} comma-separated counts, got {len(counts)}")
+    try:
+        eigen = macwilliams_eigen(ctx, counts, args.size, t)
+    except NonIntegralDual as exc:
+        # the counts come from the caller, so no code has them: bad input
+        raise UsageError(
+            f"--dist {args.dist} with --size {args.size} is not the "
+            f"distribution of a code ({exc})") from exc
+    transform = macwilliams_transform(ctx, counts, args.size, t)
     if eigen != transform:
-        raise RouteMismatch(f"routes disagree: {eigen} vs {transform}")
+        raise CheckFailed(f"routes disagree: {eigen} vs {transform}")
     payload = {"q": args.q, "t": args.t, "size": args.size,
                "input": counts, "dual": list(eigen)}
     lines = [f"dual distribution, q={args.q} t={args.t} |C|={args.size}",
@@ -286,9 +278,12 @@ def cmd_macwilliams(args, config: RunConfig) -> int:
 
 
 def cmd_mhrd(args, config: RunConfig) -> int:
+    t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
-    dual_size = args.q ** (args.t * (args.d - 1))
-    counts = mhrd_distribution(ctx, args.t, args.d, dual_size)
+    if not 1 <= args.d <= t:  # before q^(t(d-1)) is computed for any d
+        raise UsageError(f"--d must be in 1..{t}, got {args.d}")
+    dual_size = args.q ** (t * (args.d - 1))
+    counts = mhrd_distribution(ctx, t, args.d, dual_size)
     payload = {"q": args.q, "t": args.t, "d": args.d,
                "dual_size": dual_size, "counts": list(counts)}
     lines = [f"maximal-code distribution, q={args.q} t={args.t} d={args.d}",
@@ -299,7 +294,7 @@ def cmd_mhrd(args, config: RunConfig) -> int:
 
 def cmd_verify(args, config: RunConfig) -> int:
     t = _matrix_size(args.t)
-    field = _field_for_q(args.q)
+    field = make_field(*NegQContext(args.q).prime_parts)
     results = run_verification(field, t, args.trials, config.rng_seed,
                                config.enumeration_guard)
     all_ok = all(r.ok for r in results)
@@ -397,12 +392,9 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.from_args(args)
         return _COMMANDS[args.command](args, config)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HrmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

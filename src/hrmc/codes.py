@@ -35,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BoundViolated,
+    CheckFailed,
     MixedDimensions,
     NotHermitian,
+    UsageError,
     ZeroCode,
 )
 from .fields import Field
@@ -78,11 +79,11 @@ class WeightDistribution:
 
     def __post_init__(self) -> None:
         if len(self.counts) != self.t + 1:
-            raise ValueError("need one count per rank 0..t")
+            raise UsageError("need one count per rank 0..t")
         if self.counts[0] < 1:
-            raise ValueError("the zero word is always present")
+            raise UsageError("the zero word is always present")
         if sum(self.counts) != self.q ** self.k:
-            raise ValueError("counts must sum to the code size")
+            raise UsageError("counts must sum to the code size")
 
     def min_distance(self) -> int:
         for r in range(1, self.t + 1):
@@ -172,6 +173,8 @@ def _rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[in
 
 def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> LinearCode:
     """Build a code from any generating set, reducing to a canonical basis."""
+    if t < 1:
+        raise UsageError(f"matrix size must be positive, got t={t}")
     for g in generators:
         if not isinstance(g, HermitianMatrix):
             raise NotHermitian(f"{g!r} is not a Hermitian matrix")
@@ -268,7 +271,7 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     """
     check_guard(code.size, "codewords", guard)
     if not 0 <= start <= stop <= code.size:
-        raise ValueError(f"range [{start}, {stop}) outside [0, {code.size})")
+        raise UsageError(f"range [{start}, {stop}) outside [0, {code.size})")
     field, t = code.field, code.t
     cells = t * t
     counts = [0] * (t + 1)
@@ -282,7 +285,7 @@ def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:
     """Decode an index in [0, q^k) to its codeword; coefficient of the first
     generator is the most significant digit."""
     if not 0 <= index < code.size:
-        raise ValueError(f"codeword index {index} out of range")
+        raise UsageError(f"codeword index {index} out of range")
     return _word_matrix(code, next(_words(code, index, index + 1)))
 
 
@@ -307,13 +310,13 @@ def singleton_check(code: LinearCode, min_dist: int | None = None,
     """Size bound q^(t(t-d+1)) for minimum distance d; flags extremal codes.
 
     Returns {"bound": int, "is_mhrd": bool}. A size above the bound means a
-    bug somewhere upstream and raises BoundViolated.
+    bug somewhere upstream and raises CheckFailed.
     """
     d = min_distance(code, guard) if min_dist is None else min_dist
     q, t = code.field.q, code.t
     bound = q ** (t * (t - d + 1))
     if code.size > bound:
-        raise BoundViolated(
+        raise CheckFailed(
             f"code of size {code.size} exceeds the bound {bound} for d={d}")
     return {"bound": bound, "is_mhrd": code.size == bound}
 

@@ -1,9 +1,21 @@
 """Exception types raised across the package.
 
-Every error the library raises deliberately derives from :class:`HrmcError`,
-so callers (including the CLI) can catch one base class and map it to an
-exit code. Programming mistakes (wrong argument types, contract violations
-that indicate a bug in the caller) still surface as ValueError/TypeError.
+Every error the library raises on purpose derives from :class:`HrmcError`
+through exactly one of two bases, and the base says what the caller
+should do about it:
+
+* :class:`UsageError` -- fix the input. An argument, file, setting or
+  parameter cannot be used (not a prime power, out of range, not
+  Hermitian, too large to enumerate, ...). It is also a ``ValueError``.
+  The CLI exits with 2.
+* :class:`CheckFailed` -- two computations that must agree did not, or an
+  exact quantity that must be an integer came out fractional. With valid
+  input that points at a bug. The CLI exits with 1.
+
+The class is fixed where the error is raised. The leaves below exist
+because callers catch them by name; anywhere else a site raises one of
+the two bases directly. ``AssertionError`` is kept for internal
+invariants that no input can break.
 """
 
 
@@ -11,99 +23,79 @@ class HrmcError(Exception):
     """Base class for all library-specific errors."""
 
 
-# --- finite field construction and arithmetic ---
+class UsageError(HrmcError, ValueError):
+    """The input cannot be used; the caller has to change it."""
 
-class NonPrimeModulus(HrmcError):
+
+class CheckFailed(HrmcError):
+    """Two computations that must agree did not."""
+
+
+# --- finite fields ---
+
+class NonPrimeModulus(UsageError):
     """The requested characteristic p is not a prime number."""
 
 
-class ReducibleModulus(HrmcError):
+class ReducibleModulus(UsageError):
     """A supplied modulus polynomial factors over the prime field."""
 
 
-class UnsupportedSize(HrmcError):
+class UnsupportedSize(UsageError):
     """The requested field is larger than the supported table sizes."""
 
 
-class DivisionByZero(HrmcError):
+class DivisionByZero(UsageError):
     """Multiplicative inverse of the zero element was requested."""
 
 
-class FieldMismatch(HrmcError):
+class FieldMismatch(UsageError):
     """Two elements from different fields were combined."""
 
 
-# --- matrices ---
+# --- matrices and codes ---
 
-class DimensionMismatch(HrmcError):
+class DimensionMismatch(UsageError):
     """Matrices of different sizes (or over different fields) were mixed."""
 
 
-class EnumerationTooLarge(HrmcError):
+class EnumerationTooLarge(UsageError):
     """An exhaustive enumeration would exceed the configured guard."""
 
 
-# --- codes ---
-
-class NotHermitian(HrmcError):
+class NotHermitian(UsageError):
     """A generator matrix is not equal to its conjugate transpose."""
 
 
-class MixedDimensions(HrmcError):
+class MixedDimensions(UsageError):
     """Code generators disagree on matrix size or base field."""
 
 
-class ZeroCode(HrmcError):
+class ZeroCode(UsageError):
     """The zero code has no nonzero word, so no minimum distance."""
 
 
-class BoundViolated(HrmcError):
-    """A code exceeded the size bound; indicates an internal bug."""
+# --- exact combinatorics and dual distributions ---
 
-
-# --- exact combinatorics ---
-
-class NonIntegralResult(HrmcError):
-    """A quantity that must be an integer came out fractional."""
-
-
-class LengthMismatch(HrmcError):
+class LengthMismatch(UsageError):
     """A sequence argument has the wrong number of entries."""
 
 
-# --- polynomial algebra ---
-
-class ContextMismatch(HrmcError):
+class ContextMismatch(UsageError):
     """Two polynomials built over different base parameters were combined."""
 
 
-# --- dual-distribution computations ---
-
-class IndexOutOfRange(HrmcError):
-    """An eigenvalue index lies outside the valid 0..t range."""
+class IndexOutOfRange(UsageError):
+    """An index such as x, k or phi lies outside the valid 0..t range."""
 
 
-class NonIntegralDual(HrmcError):
-    """A transformed weight distribution has a fractional entry."""
-
-
-class NonIntegralCount(HrmcError):
-    """A closed-form rank count came out fractional or negative."""
-
-
-class EvenMinimumDistance(HrmcError):
+class EvenMinimumDistance(UsageError):
     """The closed-form distribution only covers odd minimum distance."""
 
 
-# --- command line ---
-
-class RouteMismatch(HrmcError):
-    """Two independent computation routes disagreed."""
+class NonIntegralResult(CheckFailed):
+    """A quantity that must be an integer came out fractional."""
 
 
-class UnsupportedField(HrmcError):
-    """The requested field order cannot be realised by this build."""
-
-
-class ParseError(HrmcError):
-    """Malformed input file, distribution string or setting."""
+class NonIntegralDual(CheckFailed):
+    """A transformed weight distribution has a fractional or negative entry."""

@@ -28,7 +28,9 @@ from .errors import (
     NonPrimeModulus,
     ReducibleModulus,
     UnsupportedSize,
+    UsageError,
 )
+from .negq import prime_factors
 
 MAX_EXTENSION_DEGREE = 8     # 2m may not exceed this
 MAX_FIELD_ORDER = 1 << 16    # p^(2m) may not exceed this
@@ -43,17 +45,6 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (5, 1): (2, 0, 1),                # z^2 + 2
     (7, 1): (1, 0, 1),                # z^2 + 1
 }
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -131,20 +122,6 @@ def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
 # ----------------------------------------------------------------------
 
-def _factor_distinct(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class Field:
     """GF(p^(2m)) together with its conjugation-fixed subfield GF(p^m).
 
@@ -178,7 +155,7 @@ class Field:
 
     def _build_tables(self) -> None:
         n = self.order - 1
-        factors = _factor_distinct(n)
+        factors = prime_factors(n)
 
         def pow_poly(a: int, e: int) -> int:
             acc, base = 1, a
@@ -262,10 +239,15 @@ class Field:
         return self.pow(a, self.q)
 
     def subfield_indices(self) -> tuple[int, ...]:
-        """Indices fixed by conjugation, ascending. Exactly q of them."""
+        """Indices fixed by conjugation, ascending. Exactly q of them.
+
+        The fixed points of x -> x^q are 0 and the powers g^(j(q+1)) of the
+        generator, which form the subgroup of order q - 1.
+        """
         if self._subfield is None:
-            fixed = tuple(i for i in range(self.order) if self.conj_index(i) == i)
+            fixed = tuple(sorted([0, *self._exp[::self.q + 1]]))
             assert len(fixed) == self.q
+            assert all(self.conj_index(i) == i for i in fixed)
             self._subfield = fixed
         return self._subfield
 
@@ -273,12 +255,12 @@ class Field:
 
     def from_index(self, index: int) -> "FieldElement":
         if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range")
+            raise UsageError(f"element index {index} out of range")
         return FieldElement(self, index)
 
     def element(self, coeffs: list[int] | tuple[int, ...]) -> "FieldElement":
         if len(coeffs) > 2 * self.m:
-            raise ValueError(f"at most {2 * self.m} coefficients expected")
+            raise UsageError(f"at most {2 * self.m} coefficients expected")
         index = 0
         weight = 1
         for c in coeffs:
@@ -396,9 +378,9 @@ def arith(op: str, x: FieldElement, y: FieldElement | None = None) -> FieldEleme
         return unary[op](x)
     if op in binary:
         if y is None:
-            raise ValueError(f"operation {op!r} needs two operands")
+            raise UsageError(f"operation {op!r} needs two operands")
         return binary[op](x, y)
-    raise ValueError(f"unknown operation {op!r}")
+    raise UsageError(f"unknown operation {op!r}")
 
 
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...]], Field] = {}
@@ -412,8 +394,8 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
     is used, falling back to the lexicographically smallest irreducible.
     """
     if not isinstance(p, int) or not isinstance(m, int) or m < 1:
-        raise ValueError("p and m must be integers with m >= 1")
-    if not _is_prime(p):
+        raise UsageError("p and m must be integers with m >= 1")
+    if prime_factors(p) != [p]:
         raise NonPrimeModulus(f"{p} is not prime")
     degree = 2 * m
     if degree > MAX_EXTENSION_DEGREE or p ** degree > MAX_FIELD_ORDER:
@@ -425,7 +407,7 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
     else:
         modulus = tuple(int(c) % p for c in modulus_poly)
         if len(modulus) != degree + 1 or modulus[-1] != 1:
-            raise ValueError(
+            raise UsageError(
                 f"modulus must be monic of degree {degree} "
                 f"({degree + 1} little-endian coefficients)")
         if not _is_irreducible(modulus, p):
@@ -442,5 +424,5 @@ def field_from_jsonable(obj: dict) -> Field:
         m = int(obj["m"])
         modulus = [int(c) for c in obj["modulus_poly"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed field description: {exc}") from exc
+        raise UsageError(f"malformed field description: {exc}") from exc
     return make_field(p, m, modulus)

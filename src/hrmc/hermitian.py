@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DimensionMismatch, EnumerationTooLarge, ParseError
+from .errors import DimensionMismatch, EnumerationTooLarge, UsageError
 from .fields import Field, FieldElement
 
 DEFAULT_GUARD = 1 << 24
@@ -32,7 +32,7 @@ DEFAULT_GUARD = 1 << 24
 def enumeration_guard(guard: int | None = None) -> int:
     """Resolve the enumeration guard: explicit arg, else env, else default.
 
-    Raises ParseError when HRMC_GUARD is not an integer or the guard is
+    Raises UsageError when HRMC_GUARD is not an integer or the guard is
     negative.
     """
     if guard is None:
@@ -40,9 +40,9 @@ def enumeration_guard(guard: int | None = None) -> int:
         try:
             guard = int(env) if env else DEFAULT_GUARD
         except ValueError:
-            raise ParseError(f"HRMC_GUARD={env!r} is not an integer") from None
+            raise UsageError(f"HRMC_GUARD={env!r} is not an integer") from None
     if guard < 0:
-        raise ParseError(f"the enumeration guard must be >= 0, got {guard}")
+        raise UsageError(f"the enumeration guard must be >= 0, got {guard}")
     return guard
 
 
@@ -50,8 +50,11 @@ def check_guard(count: int, what: str, guard: int | None = None) -> None:
     """Refuse an enumeration of ``count`` objects above the guard."""
     limit = enumeration_guard(guard)
     if count > limit:
+        # str() refuses ints of over 4300 digits, so name a power of two
+        shown = (count if count < 1 << 64
+                 else f"at least 2^{count.bit_length() - 1}")
         raise EnumerationTooLarge(
-            f"{count} {what} exceed the enumeration guard {limit}")
+            f"{shown} {what} exceed the enumeration guard {limit}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,9 @@ class HermitianMatrix:
 
     def __post_init__(self) -> None:
         if self.t < 1:
-            raise ValueError(f"matrix size must be positive, got t={self.t}")
+            raise UsageError(f"matrix size must be positive, got t={self.t}")
         if len(self.entries) != self.t or any(len(r) != self.t for r in self.entries):
-            raise ValueError("entries must form a t x t grid")
+            raise UsageError("entries must form a t x t grid")
         for row in self.entries:
             for x in row:
                 if x.field != self.field:
@@ -169,9 +172,9 @@ def total_hermitian(field: Field, t: int) -> int:
 def hermitian_from_index(field: Field, t: int, index: int) -> HermitianMatrix:
     """Decode the index into the canonical enumeration's index-th matrix."""
     if t < 1:
-        raise ValueError(f"matrix size must be positive, got t={t}")
+        raise UsageError(f"matrix size must be positive, got t={t}")
     if not 0 <= index < total_hermitian(field, t):
-        raise ValueError(f"index {index} out of range")
+        raise UsageError(f"index {index} out of range")
     q = field.q
     order = field.order
     upper_slots = t * (t - 1) // 2

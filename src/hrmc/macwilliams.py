@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CheckFailed,
     EvenMinimumDistance,
     IndexOutOfRange,
-    NonIntegralCount,
     NonIntegralDual,
+    UsageError,
 )
 from .negq import (
     NegQContext,
@@ -89,11 +90,17 @@ def build_eigen_table(ctx: NegQContext, t: int) -> EigenTable:
     return EigenTable(ctx.q, t, values)
 
 
+def _check_distribution(counts, code_size: int, t: int) -> None:
+    if len(counts) != t + 1:
+        raise UsageError(f"need {t + 1} counts")
+    if code_size < 1:
+        raise UsageError(f"code size must be at least 1, got {code_size}")
+
+
 def macwilliams_eigen(ctx: NegQContext, counts, code_size: int,
                       t: int) -> tuple[int, ...]:
     """Dual distribution via the eigenvalue table."""
-    if len(counts) != t + 1:
-        raise ValueError(f"need {t + 1} counts")
+    _check_distribution(counts, code_size, t)
     out = []
     for k in range(t + 1):
         v = Fraction(sum(counts[x] * krawtchouk_Q(ctx, k, x, t)
@@ -112,8 +119,7 @@ def macwilliams_transform(ctx: NegQContext, counts, code_size: int,
     degree-one seeds, deliberately avoiding the closed-form power
     coefficients used elsewhere.
     """
-    if len(counts) != t + 1:
-        raise ValueError(f"need {t + 1} counts")
+    _check_distribution(counts, code_size, t)
     image = negq_transform(list(counts), nu_poly(ctx), mu_poly(ctx))
     frozen = concretize(image, t)
     out = []
@@ -132,6 +138,11 @@ def _signed_power(ctx: NegQContext, t: int, e: int) -> int:
     return (-(ctx.b ** t)) ** e
 
 
+def _check_phi(t: int, phi: int) -> None:
+    if not 0 <= phi <= t:
+        raise IndexOutOfRange(f"need 0 <= phi <= t, got phi={phi} t={t}")
+
+
 def moment_q(ctx: NegQContext, counts, dual_counts,
              code_sizes: tuple[int, int], t: int, phi: int) -> dict:
     """Both sides of the phi-th binomial moment identity.
@@ -139,6 +150,7 @@ def moment_q(ctx: NegQContext, counts, dual_counts,
     Returns {"lhs", "rhs"} exactly; the caller asserts equality so a test
     failure shows both values.
     """
+    _check_phi(t, phi)
     _, dual_size = code_sizes
     lhs = sum(gauss(ctx, t - i, phi) * counts[i] for i in range(t - phi + 1))
     rhs = Fraction(_signed_power(ctx, t, t - phi), dual_size) * sum(
@@ -155,6 +167,7 @@ def moment_q_low(ctx: NegQContext, dual_size: int, t: int, phi: int) -> Fraction
 def moment_qinv(ctx: NegQContext, counts, dual_counts,
                 code_sizes: tuple[int, int], t: int, phi: int) -> dict:
     """Both sides of the phi-th moment identity in the reciprocal base."""
+    _check_phi(t, phi)
     _, dual_size = code_sizes
     b = ctx.b
     lhs = sum(b ** (phi * (t - i)) * gauss(ctx, i, phi) * counts[i]
@@ -223,13 +236,13 @@ def mhrd_distribution(ctx: NegQContext, t: int, d: int,
     taken explicitly so the caller states what it believes.
     """
     if not 1 <= d <= t:
-        raise ValueError(f"need 1 <= d <= t, got d={d} t={t}")
+        raise UsageError(f"need 1 <= d <= t, got d={d} t={t}")
     if d % 2 == 0:
         raise EvenMinimumDistance(
             f"closed form requires odd minimum distance, got d={d}")
     expected_dual = ctx.q ** (t * (d - 1))
     if dual_size != expected_dual:
-        raise ValueError(f"dual size must be {expected_dual}, got {dual_size}")
+        raise UsageError(f"dual size must be {expected_dual}, got {dual_size}")
     b = ctx.b
     counts = [0] * (t + 1)
     counts[0] = 1
@@ -240,12 +253,12 @@ def mhrd_distribution(ctx: NegQContext, t: int, d: int,
                     * gauss(ctx, d + r, d + i) * gauss(ctx, t, d + r)
                     * (Fraction(_signed_power(ctx, t, d + i), dual_size) - 1))
         if acc.denominator != 1 or acc < 0:
-            raise NonIntegralCount(f"count at rank {d + r} came out {acc}")
+            raise CheckFailed(f"count at rank {d + r} came out {acc}")
         counts[d + r] = int(acc)
     total = sum(counts)
     expected_total = ctx.q ** (t * (t - d + 1))
     if total != expected_total:
-        raise NonIntegralCount(
+        raise CheckFailed(
             f"counts sum to {total}, expected {expected_total}")
     return tuple(counts)
 

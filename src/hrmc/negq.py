@@ -17,25 +17,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import LengthMismatch, NonIntegralResult
+from .errors import LengthMismatch, NonIntegralResult, UsageError
 
 
-def _prime_power_parts(n: int) -> tuple[int, int] | None:
-    """Return (p, m) with n == p**m for prime p, or None."""
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)  # n itself is prime
-        if n % p:
-            continue
-        m = 0
-        rest = n
-        while rest % p == 0:
-            rest //= p
-            m += 1
-        return (p, m) if rest == 1 else None
-    return None
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division.
+
+    Empty for n < 2; ``[n]`` exactly when n is prime.
+    """
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class NegQContext:
     q: int
 
     def __post_init__(self) -> None:
-        if _prime_power_parts(self.q) is None:
-            raise ValueError(f"q must be a prime power >= 2, got {self.q}")
+        if len(prime_factors(self.q)) != 1:
+            raise UsageError(f"q must be a prime power >= 2, got {self.q}")
 
     @property
     def b(self) -> int:
@@ -54,9 +54,12 @@ class NegQContext:
 
     @property
     def prime_parts(self) -> tuple[int, int]:
-        parts = _prime_power_parts(self.q)
-        assert parts is not None
-        return parts
+        """(p, m) with q == p**m."""
+        (p,) = prime_factors(self.q)
+        m = 1
+        while p ** m < self.q:
+            m += 1
+        return p, m
 
 
 def triangle(i: int) -> int:
@@ -115,14 +118,14 @@ def gauss(ctx: NegQContext, x: int, k: int) -> int:
     (e.g. q=2 gives gauss(2, 1) == -1) because the base is negative.
     """
     if x < 0:
-        raise ValueError(f"gauss requires x >= 0, got x={x}")
+        raise UsageError(f"gauss requires x >= 0, got x={x}")
     return _as_int(_gauss_frac(ctx.q, x, k), f"gauss({x},{k})")
 
 
 def gamma_fn(ctx: NegQContext, x: int, k: int) -> int:
     """prod_{i=0}^{k-1} (-b**x - b**i); the empty product (k <= 0) is 1."""
     if x < 0:
-        raise ValueError(f"gamma_fn requires x >= 0, got x={x}")
+        raise UsageError(f"gamma_fn requires x >= 0, got x={x}")
     return _as_int(_gamma_frac(ctx.q, x, k), f"gamma({x},{k})")
 
 
@@ -134,7 +137,7 @@ def beta_fn(ctx: NegQContext, x: int, k: int) -> int:
     argument.
     """
     if x < 0:
-        raise ValueError(f"beta_fn requires x >= 0, got x={x}")
+        raise UsageError(f"beta_fn requires x >= 0, got x={x}")
     out = 1
     for i in range(k):
         f = gauss(ctx, x - i, 1)
@@ -151,7 +154,7 @@ def xi(ctx: NegQContext, t: int, h: int) -> int:
     multiply out to a non-negative integer.
     """
     if t < 0:
-        raise ValueError(f"xi requires t >= 0, got t={t}")
+        raise UsageError(f"xi requires t >= 0, got t={t}")
     value = gauss(ctx, t, h) * gamma_fn(ctx, t, h)
     assert value >= 0
     return value

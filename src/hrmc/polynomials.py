@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ContextMismatch, NonIntegralResult
+from .errors import ContextMismatch, NonIntegralResult, UsageError
 from .negq import NegQContext, beta_fn, bpow, triangle
 
 Number = int | Fraction
@@ -57,7 +57,7 @@ class ConcretePoly:
 
     def __post_init__(self) -> None:
         if len(self.coefficients) != self.degree + 1:
-            raise ValueError("need degree+1 coefficients")
+            raise UsageError("need degree+1 coefficients")
 
     def coefficient(self, i: int) -> Number:
         if i < 0 or i > self.degree:
@@ -127,7 +127,7 @@ def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
 def negq_power(a: LambdaPoly, k: int) -> LambdaPoly:
     """k-fold twisted power, multiplying by a on the left each step."""
     if k < 0:
-        raise ValueError("power must be non-negative")
+        raise UsageError("power must be non-negative")
     out = one_poly(a.ctx)
     for _ in range(k):
         out = negq_product(a, out)
@@ -157,9 +157,9 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
     """
     ctx = _check_ctx(y_sub, x_sub)
     if y_sub.degree != 1 or x_sub.degree != 1:
-        raise ValueError("substituends must have degree 1")
+        raise UsageError("substituends must have degree 1")
     if not counts:
-        raise ValueError("need at least one coefficient")
+        raise UsageError("need at least one coefficient")
     t = len(counts) - 1
     out: LambdaPoly | None = None
     for i, c in enumerate(counts):
@@ -194,7 +194,7 @@ def negq_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
     degree drops by phi. Differentiating past the degree gives the zero
     polynomial."""
     if phi < 0:
-        raise ValueError("phi must be non-negative")
+        raise UsageError("phi must be non-negative")
     r = a.degree
     if phi == 0:
         return a
@@ -215,7 +215,7 @@ def negq_inv_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
     integrality is only asserted where a *consumer* requires it.
     """
     if phi < 0:
-        raise ValueError("phi must be non-negative")
+        raise UsageError("phi must be non-negative")
     r = a.degree
     if phi == 0:
         return a
@@ -239,7 +239,7 @@ def div_x(a: LambdaPoly) -> LambdaPoly:
     """Strip one factor of X. Only meaningful when the pure-Y^r coefficient
     vanishes identically; the caller is responsible for that."""
     if a.degree < 1:
-        raise ValueError("cannot divide a degree-0 polynomial by X")
+        raise UsageError("cannot divide a degree-0 polynomial by X")
     return LambdaPoly(a.ctx, a.degree - 1,
                       lambda i, lam: a.coefficient(i, lam)
                       if 0 <= i <= a.degree - 1 else 0)
@@ -249,7 +249,7 @@ def div_y(a: LambdaPoly) -> LambdaPoly:
     """Strip one factor of Y. Only meaningful when the pure-X^r coefficient
     (index 0) vanishes identically."""
     if a.degree < 1:
-        raise ValueError("cannot divide a degree-0 polynomial by Y")
+        raise UsageError("cannot divide a degree-0 polynomial by Y")
     return LambdaPoly(a.ctx, a.degree - 1,
                       lambda i, lam: a.coefficient(i + 1, lam)
                       if 0 <= i <= a.degree - 1 else 0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .codes import LinearCode, dual_code, make_code, weight_distribution
-from .errors import NonIntegralDual
+from .errors import NonIntegralDual, UsageError
 from .fields import Field
 from .hermitian import HermitianMatrix
 from .macwilliams import (
@@ -473,6 +473,8 @@ def suite_mhrd(ctx: NegQContext, t: int, samples: list[CodeSample]) -> SuiteResu
 
 def run_verification(field: Field, t: int, trials: int, seed: int,
                      guard: int | None = None) -> list[SuiteResult]:
+    if trials < 0:
+        raise UsageError(f"trials must be at least 0, got {trials}")
     ctx = NegQContext(field.q)
     samples = sample_codes(field, t, trials, seed, guard)
     return [

@@ -1,9 +1,13 @@
 """End-to-end runs of the command-line interface through main(argv)."""
 
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hrmc.cli import _index_ranges, main
 
@@ -14,10 +18,19 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-def write_code_file(tmp_path, code, name="code.json"):
+def write_json(tmp_path, obj, name="code.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(code.to_jsonable()))
+    path.write_text(json.dumps(obj))
     return str(path)
+
+
+def write_code_file(tmp_path, code, name="code.json"):
+    return write_json(tmp_path, code.to_jsonable(), name)
+
+
+def assert_one_error_line(out, err):
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.fixture
@@ -58,6 +71,20 @@ def test_count_guard_flag(capsys):
     assert "guard" in err
 
 
+def test_count_refuses_before_building_the_space(capsys, monkeypatch):
+    def unreachable(field, t):
+        raise AssertionError("basis built before the guard check")
+    monkeypatch.setattr("hrmc.cli.standard_basis", unreachable)
+    rc, out, err = run(capsys, ["count", "--q", "2", "--t", "100"])
+    assert rc == 2
+    assert "guard" in err
+    # q^(t^2) has more digits than str() converts
+    rc, out, err = run(capsys, ["count", "--q", "2", "--t", "120"])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "at least 2^14400 matrices" in err
+
+
 def test_count_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("HRMC_GUARD", "10")
     rc, _, err = run(capsys, ["count", "--q", "2", "--t", "2"])
@@ -66,6 +93,30 @@ def test_count_guard_env(capsys, monkeypatch):
     # an explicit flag overrides the environment
     rc, _, _ = run(capsys, ["count", "--q", "2", "--t", "2", "--guard", "100"])
     assert rc == 0
+
+
+def _non_hermitian(obj):
+    obj["generators"][0]["rows"][0][1] = [1, 0]  # its mirror stays 1 + a
+    return obj
+
+
+def _generator_t_differs(obj):
+    obj["t"] = 2
+    return obj
+
+
+def _infinite_t(obj):
+    obj["t"] = float("inf")  # written as Infinity, which json.load accepts
+    return obj
+
+
+def _empty_with_t_0(obj):
+    return {**obj, "t": 0, "generators": []}
+
+
+FILES = {"CODE": lambda obj: obj, "NONHERM": _non_hermitian,
+         "BADT": _generator_t_differs, "INFT": _infinite_t,
+         "T0": _empty_with_t_0}
 
 
 @pytest.mark.parametrize("argv,env", [
@@ -77,16 +128,120 @@ def test_count_guard_env(capsys, monkeypatch):
     (["count", "--q", "2", "--t", "2", "--guard", "-1"], None),
     (["count", "--q", "2", "--t", "2"], "abc"),
     (["verify", "--q", "2", "--t", "2"], "1e6"),
+    (["eigen", "--q", "2", "--t", "-1"], None),
+    (["eigen", "--q", "2", "--t", "0"], None),
+    (["macwilliams", "--q", "2", "--t", "0", "--dist", "1", "--size", "1"],
+     None),
+    (["mhrd", "--q", "2", "--t", "-2", "--d", "1"], None),
+    (["eigen", "--q", "6", "--t", "2"], None),
+    (["macwilliams", "--q", "6", "--t", "1", "--dist", "1,1", "--size", "2"],
+     None),
+    (["mhrd", "--q", "6", "--t", "3", "--d", "3"], None),
+    (["mhrd", "--q", "2", "--t", "3", "--d", "0"], None),
+    (["mhrd", "--q", "2", "--t", "3", "--d", "5"], None),
+    (["macwilliams", "--q", "2", "--t", "1", "--dist", "1,1", "--size", "0"],
+     None),
+    (["dual", "--input", "CODE", "--phi", "99"], None),
+    (["dual", "--input", "CODE", "--phi", "-1"], None),
+    (["verify", "--q", "2", "--t", "2", "--trials", "-1"], None),
+    (["wd", "--input", "NONHERM"], None),
+    (["wd", "--input", "BADT"], None),
+    (["wd", "--input", "INFT"], None),
+    (["wd", "--input", "T0"], None),
 ])
 def test_unusable_input_exits_2(capsys, monkeypatch, tmp_path, example_code,
                                 argv, env):
     if env is not None:
         monkeypatch.setenv("HRMC_GUARD", env)
-    path = write_code_file(tmp_path, example_code)
-    rc, out, err = run(capsys, [path if a == "CODE" else a for a in argv])
+    argv = [write_json(tmp_path, FILES[a](example_code.to_jsonable()))
+            if a in FILES else a for a in argv]
+    rc, out, err = run(capsys, argv)
     assert rc == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert_one_error_line(out, err)
+
+
+def _command(name, **flags):
+    # --flag=value, so that values such as -1 or -3,4 reach the flag
+    return [name] + [f"--{k}={v}" for k, v in flags.items()]
+
+
+_Q, _T = st.integers(-2, 20), st.integers(-3, 4)
+_CASES = st.one_of(   # (argv, mutation of the example code or None)
+    st.tuples(st.builds(lambda q, t: _command("eigen", q=q, t=t), _Q, _T),
+              st.none()),
+    st.tuples(st.builds(lambda q, t, size, dist: _command(
+        "macwilliams", q=q, t=t, size=size, dist=",".join(map(str, dist))),
+        _Q, _T, st.integers(-2, 70),
+        st.lists(st.integers(-3, 40), min_size=1, max_size=6)), st.none()),
+    st.tuples(st.builds(lambda q, t, d: _command("mhrd", q=q, t=t, d=d),
+                        _Q, _T, st.integers(-2, 6)), st.none()),
+    st.tuples(st.builds(lambda phi: _command("dual", input="CODE", phi=phi),
+                        st.integers(-3, 6)), st.none()),
+    st.tuples(st.just(_command("wd", input="CODE")), st.tuples(
+        st.sampled_from(["drop", "retype", "flip", "t"]),
+        st.integers(0, 1000),
+        st.sampled_from(["x", None, [], {}, 1.5, True, -1, 65537]),
+        st.integers(-2, 6))),
+)
+
+
+def _paths(obj, path=()):
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _mutate(obj, op, pick, junk, number):
+    """Drop one key or entry, give one value a wrong type, change one int,
+    or change the code's t."""
+    if op == "t":
+        obj["t"] = number
+        return obj
+    paths = list(_paths(obj))
+    if op == "flip":
+        paths = [p for p in paths if type(_at(obj, p)) is int]
+    elif op == "drop":
+        paths = paths[1:]
+    path = paths[pick % len(paths)]
+    if not path:
+        return copy.deepcopy(junk)
+    parent = _at(obj, path[:-1])
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = number if op == "flip" else copy.deepcopy(junk)
+    return obj
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_CASES)
+def test_main_exits_0_or_2_with_one_error_line(case, example_code,
+                                               scratch_dir):
+    argv, mutation = case
+    code = example_code.to_jsonable()
+    if mutation is not None:
+        code = _mutate(code, *mutation)
+    path = write_json(scratch_dir, code)
+    argv = [a.replace("=CODE", "=" + path) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())
+    if rc == 2:
+        assert_one_error_line(out.getvalue(), err.getvalue())
 
 
 def test_eigen(capsys):
@@ -198,10 +353,13 @@ def test_macwilliams_bad_dist(capsys):
 
 
 def test_macwilliams_non_integral_dual(capsys):
-    # not the distribution of any code, so the routes produce fractions
-    rc, _, err = run(capsys, ["macwilliams", "--q", "2", "--t", "3",
-                              "--dist", "1,1,0,0", "--size", "8"])
-    assert rc == 1
+    # not the distribution of any code, so the routes produce fractions:
+    # the input is at fault, not a route
+    rc, out, err = run(capsys, ["macwilliams", "--q", "2", "--t", "3",
+                                "--dist", "1,1,0,0", "--size", "8"])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "--dist" in err
 
 
 def test_mhrd(capsys):

@@ -9,6 +9,7 @@ from hrmc.negq import (
     beta_fn,
     gamma_fn,
     gauss,
+    prime_factors,
     sequence_forward,
     sequence_inversion,
     triangle,
@@ -24,6 +25,15 @@ def test_context_validation():
     for q in (0, 1, 6, 10, 12):
         with pytest.raises(ValueError):
             NegQContext(q)
+    assert [NegQContext(q).prime_parts for q in (2, 4, 9, 27, 49)] \
+        == [(2, 1), (2, 2), (3, 2), (3, 3), (7, 2)]
+
+
+def test_prime_factors_match_trial_division():
+    primes = [p for p in range(2, 500) if all(p % d for d in range(2, p))]
+    for n in range(-3, 500):
+        expected = [p for p in primes if n > 0 and n % p == 0]
+        assert prime_factors(n) == expected, n
 
 
 def test_gauss_spot_values():
