@@ -28,6 +28,7 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -104,13 +105,31 @@ def _stringify(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's limit on the digits of an int-to-str conversion while
+    output is rendered; input parsing (``--dist``, code files) keeps it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.11
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def emit(payload: dict, config: RunConfig, table_lines) -> None:
-    if config.output_format == "json":
-        print(json.dumps(_stringify(payload), sort_keys=True,
-                         separators=(",", ":")))
-    else:
-        for line in table_lines:
-            print(line)
+    """Print the payload as canonical JSON, or the table lines (which may
+    be a lazy iterable), with every integer rendered in full."""
+    with _all_digits():
+        if config.output_format == "json":
+            print(json.dumps(_stringify(payload), sort_keys=True,
+                             separators=(",", ":")))
+        else:
+            for line in table_lines:
+                print(line)
 
 
 # ------------------------------------------------------------- workers
@@ -173,9 +192,11 @@ def cmd_eigen(args, config: RunConfig) -> int:
                 raise CheckFailed(
                     f"eigen routes differ at x={x} k={k}: "
                     f"{table.values[x][k]} vs {alt}")
-    payload = table.to_jsonable()
-    lines = [f"eigenvalue table, q={args.q} t={args.t} (both routes agree)"]
-    lines += ["  " + " ".join(f"{v:>10}" for v in row) for row in table.values]
+    with _all_digits():  # entries pass 4300 digits from about q=2, t=120
+        payload = table.to_jsonable()
+        lines = [f"eigenvalue table, q={args.q} t={args.t} (both routes agree)"]
+        lines += ["  " + " ".join(f"{v:>10}" for v in row)
+                  for row in table.values]
     emit(payload, config, lines)
     return 0
 
@@ -271,8 +292,9 @@ def cmd_macwilliams(args, config: RunConfig) -> int:
         raise CheckFailed(f"routes disagree: {eigen} vs {transform}")
     payload = {"q": args.q, "t": args.t, "size": args.size,
                "input": counts, "dual": list(eigen)}
-    lines = [f"dual distribution, q={args.q} t={args.t} |C|={args.size}",
-             f"  {list(eigen)} (both routes agree)"]
+    with _all_digits():
+        lines = [f"dual distribution, q={args.q} t={args.t} |C|={args.size}",
+                 f"  {list(eigen)} (both routes agree)"]
     emit(payload, config, lines)
     return 0
 
@@ -286,8 +308,9 @@ def cmd_mhrd(args, config: RunConfig) -> int:
     counts = mhrd_distribution(ctx, t, args.d, dual_size)
     payload = {"q": args.q, "t": args.t, "d": args.d,
                "dual_size": dual_size, "counts": list(counts)}
-    lines = [f"maximal-code distribution, q={args.q} t={args.t} d={args.d}",
-             f"  {list(counts)}"]
+    with _all_digits():
+        lines = [f"maximal-code distribution, q={args.q} t={args.t} d={args.d}",
+                 f"  {list(counts)}"]
     emit(payload, config, lines)
     return 0
 

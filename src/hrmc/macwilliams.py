@@ -32,10 +32,10 @@ from .errors import (
 )
 from .negq import (
     NegQContext,
-    _gamma_frac,
-    _gauss_frac,
-    gauss,
+    gamma_ext,
     gamma_fn,
+    gauss,
+    gauss_ext,
     triangle,
     xi,
 )
@@ -197,11 +197,10 @@ def delta_fn(ctx: NegQContext, lam: int, phi: int, j: int):
     computation runs over exact rationals; the value itself may be a
     Fraction for some arguments.
     """
-    q = ctx.q
     acc = Fraction(0)
     for i in range(j + 1):
-        acc += (_gauss_frac(q, j, i) * (-1) ** i * ctx.b ** triangle(i)
-                * _gamma_frac(q, lam - i, phi))
+        acc += (gauss_ext(ctx, j, i) * (-1) ** i * ctx.b ** triangle(i)
+                * gamma_ext(ctx, lam - i, phi))
     return int(acc) if acc.denominator == 1 else acc
 
 
@@ -212,14 +211,13 @@ def epsilon_fn(ctx: NegQContext, big_lam: int, phi: int, i: int):
     whenever i <= big_lam; beyond that the two sides genuinely differ, so
     callers should stay in that range.
     """
-    q = ctx.q
     b = ctx.b
     acc = Fraction(0)
     for ell in range(i + 1):
         prod = Fraction(1)
         for j in range(i - ell):
             prod *= Fraction(b) ** (phi - ell) - b ** j
-        acc += (_gauss_frac(q, i, ell) * _gauss_frac(q, big_lam - i, phi - ell)
+        acc += (gauss_ext(ctx, i, ell) * gauss_ext(ctx, big_lam - i, phi - ell)
                 * Fraction(b) ** (ell * (big_lam - phi))
                 * (-1) ** ell * b ** triangle(ell) * prod)
     return int(acc) if acc.denominator == 1 else acc

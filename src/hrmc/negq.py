@@ -3,10 +3,14 @@
 All the combinatorial quantities in this package live over a *negative*
 base: for a prime power q we work with b = -q and form analogues of the
 Gaussian binomial coefficient and its companion products. Everything is
-computed with exact integers (internally exact rationals), never floats.
+computed with exact integers, never floats: each defining product is
+accumulated as an integer numerator and denominator, divided once, and
+cached per (q, x, k).
 
 The public entry points take a :class:`NegQContext` and integer arguments
-and return Python ints. A quantity that should be integral but is not
+and return Python ints; only ``gauss_ext`` and ``gamma_ext``, which extend
+the first argument to x < 0, return a Fraction where the value is not
+whole. A quantity that should be integral but is not
 raises :class:`~hrmc.errors.NonIntegralResult` instead of silently
 truncating; with correct formulas that never fires and acts as a tripwire.
 """
@@ -74,41 +78,68 @@ def bpow(ctx: NegQContext, e: int) -> int | Fraction:
     return Fraction(1, ctx.b ** (-e))
 
 
+def _bx(q: int, x: int) -> tuple[int, int]:
+    """b**x as (numerator, denominator) ints with b = -q, for any integer x.
+
+    The denominator is 1 for x >= 0 and b**(-x) (which may be negative)
+    otherwise.
+    """
+    b = -q
+    return (b ** x, 1) if x >= 0 else (1, b ** (-x))
+
+
+def _exact(num: int, den: int) -> int | Fraction:
+    """num/den as an int when den divides num, else as a Fraction."""
+    quo, rem = divmod(num, den)
+    return quo if rem == 0 else Fraction(num, den)
+
+
+# The caches behind gauss_ext/gauss and gamma_ext/gamma_fn are keyed on q,
+# not on the context: gauss is called about 10^5 times per eigen table and
+# hashing the frozen dataclass costs a Python-level call each time.
 @lru_cache(maxsize=None)
-def _gauss_frac(q: int, x: int, k: int) -> Fraction:
+def _gauss_q(q: int, x: int, k: int) -> int | Fraction:
+    if k < 0:
+        return 0
+    b = -q
+    bn, bd = _bx(q, x)
+    num = den = 1
+    for i in range(k):
+        num *= bn - b ** i * bd
+        den *= (b ** k - b ** i) * bd
+    return _exact(num, den)
+
+
+@lru_cache(maxsize=None)
+def _gamma_q(q: int, x: int, k: int) -> int | Fraction:
+    b = -q
+    bn, bd = _bx(q, x)
+    num = den = 1
+    for i in range(k):
+        num *= -bn - b ** i * bd
+        den *= bd
+    return _exact(num, den)
+
+
+def gauss_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
     """Gaussian coefficient over b = -q, extended to any integer x.
 
     For k < 0 the value is 0 by convention (this is what makes the
     triangular recurrences close at the k = 0 boundary). For x < 0 the
-    defining product is evaluated with b**x as an exact rational.
+    defining product prod_{i<k} (b**x - b**i) / (b**k - b**i) is evaluated
+    with b**x as an exact rational. An int when the value is whole, else a
+    Fraction; computed once per (q, x, k).
     """
-    if k < 0:
-        return Fraction(0)
-    b = -q
-    bx = Fraction(b) ** x if x >= 0 else Fraction(1, b ** (-x))
-    num = Fraction(1)
-    den = 1
-    for i in range(k):
-        num *= bx - b ** i
-        den *= b ** k - b ** i
-    return num / den
+    return _gauss_q(ctx.q, x, k)
 
 
-@lru_cache(maxsize=None)
-def _gamma_frac(q: int, x: int, k: int) -> Fraction:
-    """prod_{i=0}^{k-1} (-b**x - b**i), extended to x < 0; 1 for k <= 0."""
-    b = -q
-    bx = Fraction(b) ** x if x >= 0 else Fraction(1, b ** (-x))
-    out = Fraction(1)
-    for i in range(k):
-        out *= -bx - b ** i
-    return out
+def gamma_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
+    """prod_{i=0}^{k-1} (-b**x - b**i), extended to x < 0; 1 for k <= 0.
 
-
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegralResult(f"{what} evaluated to non-integer {value}")
-    return int(value)
+    An int when the value is whole, else a Fraction; computed once per
+    (q, x, k).
+    """
+    return _gamma_q(ctx.q, x, k)
 
 
 def gauss(ctx: NegQContext, x: int, k: int) -> int:
@@ -119,14 +150,22 @@ def gauss(ctx: NegQContext, x: int, k: int) -> int:
     """
     if x < 0:
         raise UsageError(f"gauss requires x >= 0, got x={x}")
-    return _as_int(_gauss_frac(ctx.q, x, k), f"gauss({x},{k})")
+    value = _gauss_q(ctx.q, x, k)
+    if not isinstance(value, int):  # a Fraction; int checks skip the ABC
+        raise NonIntegralResult(
+            f"gauss({x},{k}) evaluated to non-integer {value}")
+    return value
 
 
 def gamma_fn(ctx: NegQContext, x: int, k: int) -> int:
     """prod_{i=0}^{k-1} (-b**x - b**i); the empty product (k <= 0) is 1."""
     if x < 0:
         raise UsageError(f"gamma_fn requires x >= 0, got x={x}")
-    return _as_int(_gamma_frac(ctx.q, x, k), f"gamma({x},{k})")
+    value = _gamma_q(ctx.q, x, k)
+    if not isinstance(value, int):  # a Fraction; int checks skip the ABC
+        raise NonIntegralResult(
+            f"gamma({x},{k}) evaluated to non-integer {value}")
+    return value
 
 
 def beta_fn(ctx: NegQContext, x: int, k: int) -> int:

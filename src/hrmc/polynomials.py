@@ -13,6 +13,12 @@ power of the base b = -q and shifts its parameter. The product is
 associative (the suite checks this rather than assuming it) but not
 commutative.
 
+A product memoises its coefficients, so powers are built as one chain
+a^[0], a^[1], ..., a^[k], each the product of a with the one before:
+``negq_power`` returns the last link, and ``negq_transform`` shares one
+chain per substituend across all the terms of the enumerator instead of
+rebuilding a power for each term.
+
 Coefficients are exact: ints, or Fractions where a construction genuinely
 produces them (negative lambda arguments, or the inverse derivative whose
 b-power twist has negative exponent).
@@ -124,14 +130,20 @@ def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     return LambdaPoly(ctx, r + s, coeff)
 
 
+def _power_chain(a: LambdaPoly, k: int) -> list[LambdaPoly]:
+    """[a^[0], a^[1], ..., a^[k]], each power the twisted product of a with
+    the one before, so all of them share one set of memoised coefficients."""
+    chain = [one_poly(a.ctx)]
+    for _ in range(k):
+        chain.append(negq_product(a, chain[-1]))
+    return chain
+
+
 def negq_power(a: LambdaPoly, k: int) -> LambdaPoly:
     """k-fold twisted power, multiplying by a on the left each step."""
     if k < 0:
         raise UsageError("power must be non-negative")
-    out = one_poly(a.ctx)
-    for _ in range(k):
-        out = negq_product(a, out)
-    return out
+    return _power_chain(a, k)[-1]
 
 
 def poly_add(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
@@ -154,6 +166,10 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
     returns sum_i counts[i] * y_sub^[i] * x_sub^[t-i] under the twisted
     product. Both substituends must be degree 1 so the result is again
     homogeneous of degree t.
+
+    The powers come from two shared chains, y_sub^[0..t] and x_sub^[0..t],
+    so the t + 1 terms reuse each other's memoised coefficients: at most
+    3t + 1 twisted products in all, instead of a fresh chain per term.
     """
     ctx = _check_ctx(y_sub, x_sub)
     if y_sub.degree != 1 or x_sub.degree != 1:
@@ -161,14 +177,11 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
     if not counts:
         raise UsageError("need at least one coefficient")
     t = len(counts) - 1
-    out: LambdaPoly | None = None
-    for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        term = poly_scale(
-            negq_product(negq_power(y_sub, i), negq_power(x_sub, t - i)), c)
-        out = term if out is None else poly_add(out, term)
-    return out if out is not None else poly_scale(negq_power(x_sub, t), 0)
+    y_pows, x_pows = _power_chain(y_sub, t), _power_chain(x_sub, t)
+    terms = [(c, negq_product(y_pows[i], x_pows[t - i]))
+             for i, c in enumerate(counts) if c != 0]
+    return LambdaPoly(ctx, t, lambda u, lam: sum(
+        c * term.coefficient(u, lam) for c, term in terms))
 
 
 def evaluate(a: LambdaPoly, x: Number, y: Number, lam: int) -> Number:

@@ -36,12 +36,12 @@ from .macwilliams import (
 )
 from .negq import (
     NegQContext,
-    _gamma_frac,
-    _gauss_frac,
     beta_fn,
     bpow,
+    gamma_ext,
     gamma_fn,
     gauss,
+    gauss_ext,
     sequence_forward,
     sequence_inversion,
     triangle,
@@ -89,9 +89,10 @@ class SuiteResult:
 
 # ------------------------------------------------ closed-form comparators
 
-def mu_power_coeff(ctx: NegQContext, k: int, u: int, lam: int) -> Fraction:
+def mu_power_coeff(ctx: NegQContext, k: int, u: int,
+                   lam: int) -> int | Fraction:
     """Closed form for coefficient u of the k-fold mu power."""
-    return _gauss_frac(ctx.q, k, u) * _gamma_frac(ctx.q, lam, u)
+    return gauss_ext(ctx, k, u) * gamma_ext(ctx, lam, u)
 
 
 def nu_power_coeff(ctx: NegQContext, k: int, u: int) -> int:
@@ -105,14 +106,14 @@ def delta_closed(ctx: NegQContext, lam: int, phi: int, j: int):
         prefactor *= Fraction(ctx.b) ** phi - ctx.b ** i
     if prefactor == 0:
         return 0
-    v = ((-1) ** j * prefactor * _gamma_frac(ctx.q, lam - j, phi - j)
+    v = ((-1) ** j * prefactor * gamma_ext(ctx, lam - j, phi - j)
          * bpow(ctx, j * (lam - j)))
     return int(v) if v.denominator == 1 else v
 
 
 def epsilon_closed(ctx: NegQContext, big_lam: int, phi: int, i: int):
-    v = (-1) ** i * ctx.b ** triangle(i) * _gauss_frac(ctx.q, big_lam - i,
-                                                       big_lam - phi)
+    v = (-1) ** i * ctx.b ** triangle(i) * gauss_ext(ctx, big_lam - i,
+                                                     big_lam - phi)
     return int(v) if v.denominator == 1 else v
 
 

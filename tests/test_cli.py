@@ -4,12 +4,15 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc.cli import _index_ranges, main
+from hrmc import cli
+from hrmc.cli import RunConfig, _all_digits, _index_ranges, emit, main
+from hrmc.macwilliams import EigenTable
 
 
 def run(capsys, argv):
@@ -275,6 +278,53 @@ def test_wd(capsys, tmp_path, example_code, code_corpus, two_cpus):
                                 "--workers", "2"])
     assert rc == rc2 == 0 and out2 == out
     assert sum(map(int, json.loads(out)["counts"])) == code3.size
+
+
+BIG = 10 ** 5000  # past Python's 4300-digit int-to-str limit
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _str_big(value):
+    with _all_digits():
+        return str(value)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_emit_renders_integers_past_the_str_limit(capsys, fmt):
+    """The limit is lifted while output is rendered, then put back, so
+    input parsing keeps Python's guard."""
+    before = _digit_limit()
+    emit({"n": BIG, "rows": [[BIG, -BIG]]}, RunConfig(output_format=fmt),
+         (f"n = {v}" for v in (BIG,)))
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == {"n": _str_big(BIG),
+                                   "rows": [[_str_big(BIG), _str_big(-BIG)]]}
+    else:
+        assert out == f"n = {_str_big(BIG)}\n"
+    assert _digit_limit() == before
+    if before:
+        with pytest.raises(ValueError):
+            int("1" * (before + 1))
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
+    """eigen renders its table (to_jsonable and the table lines) with the
+    limit lifted; before, q=2 t=120 ended in a ValueError traceback."""
+    table = EigenTable(2, 1, ((1, BIG), (1, -BIG)))
+    monkeypatch.setattr(cli, "build_eigen_table", lambda ctx, t: table)
+    monkeypatch.setattr(cli, "krawtchouk_C",
+                        lambda ctx, k, x, t: table.values[x][k])
+    before = _digit_limit()
+    rc, out, err = run(capsys, ["eigen", "--q", "2", "--t", "1",
+                                "--format", fmt])
+    assert (rc, err) == (0, "")
+    assert _str_big(-BIG) in out
+    assert _digit_limit() == before
 
 
 @pytest.mark.parametrize("total,workers,cpus,parts", [

@@ -1,5 +1,7 @@
 """Eigenvalue tables, dual-distribution routes, moments, closed forms."""
 
+import sys
+
 import pytest
 
 from hrmc.errors import (
@@ -186,3 +188,40 @@ def test_eigen_table_json():
     js = table.to_jsonable()
     assert js["rows"][1][1] == "-11"
     assert js["q"] == 2 and js["t"] == 3
+
+
+class ClosedFormReached(Exception):
+    pass
+
+
+def test_transform_route_needs_no_closed_form(monkeypatch):
+    """macwilliams_transform is built from twisted products of the nu/mu
+    seeds alone: with the closed-form Gaussian and gamma functions (plain
+    and x-extended) and the eigenvalue formula made to raise, it still
+    gives the eigen route's answer, computed before the patch."""
+    cases = []
+    for ctx in (CTX2, CTX3):
+        for t in range(1, 7):
+            full = ctx.q ** (t * t)
+            dists = [((1,) + (0,) * t, 1)]
+            for d in range(1, t + 1, 2):
+                dual_size = ctx.q ** (t * (d - 1))
+                dists.append((mhrd_distribution(ctx, t, d, dual_size),
+                              full // dual_size))
+            for counts, size in dists:
+                cases.append((ctx, t, counts, size,
+                              macwilliams_eigen(ctx, counts, size, t)))
+
+    def closed_form(*args):
+        raise ClosedFormReached(args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hrmc" or name.startswith("hrmc."):
+            for fn in ("gauss", "gamma_fn", "gauss_ext", "gamma_ext",
+                       "_gauss_q", "_gamma_q", "krawtchouk_Q"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, closed_form)
+    with pytest.raises(ClosedFormReached):
+        macwilliams_eigen(CTX2, (1, 0), 1, 1)
+    for ctx, t, counts, size, want in cases:
+        assert macwilliams_transform(ctx, counts, size, t) == want

@@ -1,14 +1,18 @@
 """Base -q combinatorics: spot values, identities, inversion."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc.errors import LengthMismatch
+from hrmc.errors import LengthMismatch, UsageError
 from hrmc.negq import (
     NegQContext,
     beta_fn,
+    gamma_ext,
     gamma_fn,
     gauss,
+    gauss_ext,
     prime_factors,
     sequence_forward,
     sequence_inversion,
@@ -119,6 +123,47 @@ def test_symmetry_and_exchange(q, x, data):
     assert gauss(ctx, x, k) == gauss(ctx, x, x - k)
     assert (gauss(ctx, x, i) * gauss(ctx, x - i, k)
             == gauss(ctx, x, k) * gauss(ctx, x - k, i))
+
+
+def _gauss_reference(q, x, k):
+    """prod_{i<k} (b^x - b^i) / (b^k - b^i) over Fractions; 0 for k < 0."""
+    if k < 0:
+        return Fraction(0)
+    b = Fraction(-q)
+    out = Fraction(1)
+    for i in range(k):
+        out *= (b ** x - b ** i) / (b ** k - b ** i)
+    return out
+
+
+def _gamma_reference(q, x, k):
+    """prod_{i<k} (-b^x - b^i) over Fractions; 1 for k <= 0."""
+    b = Fraction(-q)
+    out = Fraction(1)
+    for i in range(k):
+        out *= -(b ** x) - b ** i
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), x=st.integers(-6, 14),
+       k=st.integers(-1, 14))
+def test_extended_products_match_fraction_reference(q, x, k):
+    """The int numerator/denominator accumulation equals the defining
+    Fraction product, for x < 0 too; whole values come back as ints."""
+    ctx = NegQContext(q)
+    for got, want in ((gauss_ext(ctx, x, k), _gauss_reference(q, x, k)),
+                      (gamma_ext(ctx, x, k), _gamma_reference(q, x, k))):
+        assert got == want
+        assert isinstance(got, int) == (want.denominator == 1)
+    if x >= 0:
+        assert gauss(ctx, x, k) == gauss_ext(ctx, x, k)
+        assert gamma_fn(ctx, x, k) == gamma_ext(ctx, x, k)
+    else:
+        with pytest.raises(UsageError):
+            gauss(ctx, x, k)
+        with pytest.raises(UsageError):
+            gamma_fn(ctx, x, k)
 
 
 def test_inversion_roundtrip_explicit():

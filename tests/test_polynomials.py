@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hrmc.errors import ContextMismatch, NonIntegralResult
+from hrmc import polynomials
 from hrmc.negq import NegQContext, beta_fn
 from hrmc.polynomials import (
     ConcretePoly,
@@ -100,6 +101,33 @@ def test_transform_shape(example_code):
     assert tuple(c // 8 for c in frozen.coefficients) == (1, 3, 24, 36)
 
 
+@pytest.mark.parametrize("t", [1, 5, 12])
+def test_transform_shares_power_chains(monkeypatch, t):
+    """t + 1 nonzero counts take at most 3t + 1 twisted products (two
+    shared power chains of t products each, one product per term), and
+    give the same coefficients as a fresh pair of powers per term."""
+    counts = list(range(1, t + 2))
+    nu, mu = nu_poly(CTX3), mu_poly(CTX3)
+    calls = []
+    real_product = polynomials.negq_product
+
+    def counting_product(a, b):
+        calls.append((a.degree, b.degree))
+        return real_product(a, b)
+
+    monkeypatch.setattr(polynomials, "negq_product", counting_product)
+    image = negq_transform(counts, nu, mu)
+    got = [[image.coefficient(u, lam) for u in range(t + 1)]
+           for lam in (t, 1, -1)]
+    assert len(calls) <= 3 * t + 1
+    monkeypatch.undo()
+    if t <= 5:
+        terms = [(c, negq_product(negq_power(nu, i), negq_power(mu, t - i)))
+                 for i, c in enumerate(counts)]
+        assert got == [[sum(c * term.coefficient(u, lam) for c, term in terms)
+                        for u in range(t + 1)] for lam in (t, 1, -1)]
+
+
 def test_derivative_reduces_powers():
     for ctx in (CTX2, CTX3):
         for k in range(6):
@@ -138,7 +166,7 @@ def test_inverse_derivative_is_legitimately_rational():
 def test_inverse_derivative_power_rules():
     """mu powers differentiate to scaled, parameter-shifted lower powers; nu
     powers stay integral with an alternating sign."""
-    from hrmc.negq import _gamma_frac, bpow, triangle
+    from hrmc.negq import bpow, gamma_ext, triangle
     for ctx in (CTX2, CTX3):
         for k in range(6):
             for phi in range(k + 1):
@@ -146,7 +174,7 @@ def test_inverse_derivative_power_rules():
                 base = shift_lambda(negq_power(mu_poly(ctx), k - phi), phi)
                 for lam in range(-2, 7):
                     scale = (bpow(ctx, -triangle(phi)) * beta_fn(ctx, k, phi)
-                             * _gamma_frac(ctx.q, lam, phi))
+                             * gamma_ext(ctx, lam, phi))
                     for i in range(k - phi + 1):
                         assert got.coefficient(i, lam) \
                             == scale * base.coefficient(i, lam)
