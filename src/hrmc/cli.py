@@ -5,7 +5,8 @@ Subcommands:
 * count       -- enumerate Hermitian matrices, census by rank, compare to
                  the closed form
 * eigen       -- print the eigenvalue table, cross-checking both routes
-* wd          -- rank-weight distribution of a code given as JSON
+* wd          -- rank-weight distribution of a code given as JSON, counted
+                 on whichever of the code and its dual has fewer words
 * dual        -- all dual-distribution routes for a code, plus moments
 * macwilliams -- transform a raw distribution by both routes
 * mhrd        -- closed-form distribution of a maximal code
@@ -210,8 +211,26 @@ def _load_code(path: str):
         raise UsageError(f"cannot read code from {path}: {exc}") from exc
 
 
+def _weight_distribution_via_dual(code, config: RunConfig) -> WeightDistribution:
+    """Count the words of the trace dual and map the counts back: the dual
+    of the dual is the code, so one MacWilliams step gives its distribution.
+    The eigen and transform routes must agree on it."""
+    dual = dual_code(code)
+    dual_counts = _weight_distribution(dual, config).counts
+    ctx = NegQContext(code.field.q)
+    eigen = macwilliams_eigen(ctx, dual_counts, dual.size, code.t)
+    transform = macwilliams_transform(ctx, dual_counts, dual.size, code.t)
+    if eigen != transform:
+        raise CheckFailed(f"routes disagree: {eigen} vs {transform}")
+    return WeightDistribution(code.field.q, code.t, code.k, eigen)
+
+
 def cmd_wd(args, config: RunConfig) -> int:
-    wd = _weight_distribution(_load_code(args.input), config).to_jsonable()
+    code = _load_code(args.input)
+    # enumerate whichever of C and its dual has fewer words
+    count = (_weight_distribution_via_dual if code.t * code.t - code.k < code.k
+             else _weight_distribution)
+    wd = count(code, config).to_jsonable()
     lines = [f"weight distribution, q={wd['q']} t={wd['t']} k={wd['k']}",
              "  " + " ".join(str(c) for c in wd["counts"])]
     emit(wd, config, lines)
@@ -223,6 +242,9 @@ def cmd_dual(args, config: RunConfig) -> int:
     guard = config.enumeration_guard
     ctx = NegQContext(code.field.q)
     t = code.t
+    # refuse before the t^2 basis matrices of the dual are built, not after
+    check_guard(code.size, "codewords", guard)
+    check_guard(ctx.q ** (t * t - code.k), "dual codewords", guard)
     primal = weight_distribution(code, guard)
     dual = dual_code(code)
     brute = weight_distribution(dual, guard)

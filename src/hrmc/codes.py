@@ -262,6 +262,14 @@ def _word_matrix(code: LinearCode, word: tuple[int, ...]) -> HermitianMatrix:
         for i in range(0, t * t, t)))
 
 
+def _check_enumeration(code: LinearCode, guard: int | None) -> None:
+    """Refuse before any word is built: more words than the guard, or
+    words of more cells than the guard (a code file without generators
+    may name any t)."""
+    check_guard(code.size, "codewords", guard)
+    check_guard(code.t * code.t, "cells per codeword", guard)
+
+
 def rank_counts(code: LinearCode, start: int, stop: int,
                 guard: int | None = None) -> list[int]:
     """counts[r] = number of words of rank r among words start..stop-1.
@@ -269,7 +277,7 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     The guard applies to the whole code, so every split of [0, q^k) into
     ranges is refused or counted alike.
     """
-    check_guard(code.size, "codewords", guard)
+    _check_enumeration(code, guard)
     if not 0 <= start <= stop <= code.size:
         raise UsageError(f"range [{start}, {stop}) outside [0, {code.size})")
     field, t = code.field, code.t
@@ -291,7 +299,7 @@ def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:
 
 def enumerate_codewords(code: LinearCode, guard: int | None = None):
     """All q^k codewords as matrices, in index order."""
-    check_guard(code.size, "codewords", guard)
+    _check_enumeration(code, guard)
     for word in _words(code, 0, code.size):
         yield _word_matrix(code, word)
 

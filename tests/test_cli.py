@@ -10,9 +10,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc import cli
+from hrmc import cli, codes
 from hrmc.cli import RunConfig, _all_digits, _index_ranges, emit, main
+from hrmc.codes import dual_code, weight_distribution
+from hrmc.errors import EnumerationTooLarge
 from hrmc.macwilliams import EigenTable
+from hrmc.verify import sample_codes
 
 
 def run(capsys, argv):
@@ -86,6 +89,19 @@ def test_count_refuses_before_building_the_space(capsys, monkeypatch):
     assert rc == 2
     assert_one_error_line(out, err)
     assert "at least 2^14400 matrices" in err
+
+
+def test_dual_refuses_before_building_the_dual(capsys, tmp_path,
+                                               monkeypatch, example_code):
+    def unreachable(code):
+        raise AssertionError("dual built before the guard check")
+    monkeypatch.setattr("hrmc.cli.dual_code", unreachable)
+    path = write_json(tmp_path, {**example_code.to_jsonable(), "t": 30,
+                                 "generators": []})
+    rc, out, err = run(capsys, ["dual", "--input", path])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "at least 2^900 dual codewords" in err
 
 
 def test_count_guard_env(capsys, monkeypatch):
@@ -259,7 +275,13 @@ def test_eigen(capsys):
     assert "both routes agree" in out
 
 
+def _via_dual(code):
+    """Whether ``wd`` counts the words of the dual rather than the code."""
+    return code.t * code.t - code.k < code.k
+
+
 def test_wd(capsys, tmp_path, example_code, code_corpus, two_cpus):
+    assert not _via_dual(example_code)
     path = write_code_file(tmp_path, example_code)
     rc, out, _ = run(capsys, ["wd", "--input", path, "--format", "json"])
     assert rc == 0
@@ -269,15 +291,156 @@ def test_wd(capsys, tmp_path, example_code, code_corpus, two_cpus):
     rc2, out2, _ = run(capsys, ["wd", "--input", path, "--format", "json",
                                 "--workers", "2"])
     assert rc2 == 0 and out2 == out
-    # q = 3: the two index ranges have different lengths
-    code3 = max((s.code for s in code_corpus[(3, 2)]), key=lambda c: c.k)
-    assert code3.size % 2 == 1
-    path3 = write_code_file(tmp_path, code3, "code3.json")
-    rc, out, _ = run(capsys, ["wd", "--input", path3, "--format", "json"])
-    rc2, out2, _ = run(capsys, ["wd", "--input", path3, "--format", "json",
-                                "--workers", "2"])
-    assert rc == rc2 == 0 and out2 == out
-    assert sum(map(int, json.loads(out)["counts"])) == code3.size
+    # q = 3: the two index ranges have different lengths, on the code
+    # itself (k = 2, a tie) and on its 3-word dual (k = 3)
+    for k, via_dual in ((2, False), (3, True)):
+        code3 = next(s.code for s in code_corpus[(3, 2)] if s.code.k == k)
+        assert _via_dual(code3) is via_dual
+        path3 = write_code_file(tmp_path, code3, "code3.json")
+        rc, out, _ = run(capsys, ["wd", "--input", path3, "--format", "json"])
+        rc2, out2, _ = run(capsys, ["wd", "--input", path3, "--format",
+                                    "json", "--workers", "2"])
+        assert rc == rc2 == 0 and out2 == out
+        assert sum(map(int, json.loads(out)["counts"])) == code3.size
+
+
+def _canonical(payload):
+    return json.dumps(cli._stringify(payload), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+def test_wd_equals_enumeration_on_both_sides(capsys, tmp_path, code_corpus):
+    """Counted directly or through the dual, ``wd`` prints the enumerated
+    distribution byte for byte."""
+    routes = set()
+    for samples in code_corpus.values():
+        for s in samples:
+            for code in (s.code, s.dual):
+                path = write_code_file(tmp_path, code)
+                rc, out, _ = run(capsys, ["wd", "--input", path,
+                                          "--format", "json"])
+                assert rc == 0
+                assert out == _canonical(
+                    weight_distribution(code).to_jsonable())
+                routes.add(_via_dual(code))
+    assert routes == {False, True}
+
+
+def test_wd_guard_applies_to_the_enumerated_side(capsys, tmp_path,
+                                                  example_code):
+    code = dual_code(example_code)  # 64 words whose dual has 8
+    guard = code.t * code.t  # no fewer than the cells of one word
+    assert _via_dual(code) and example_code.size <= guard < code.size
+    path = write_code_file(tmp_path, code)
+    rc, out, _ = run(capsys, ["wd", "--input", path, "--format", "json",
+                              "--guard", str(guard)])
+    assert rc == 0
+    assert json.loads(out)["counts"] == ["1", "3", "24", "36"]
+    with pytest.raises(EnumerationTooLarge):
+        weight_distribution(code, guard=guard)
+    rc, out, err = run(capsys, ["wd", "--input", path,
+                                "--guard", str(example_code.size - 1)])
+    assert rc == 2
+    assert_one_error_line(out, err)
+
+
+def _diagonal_off_subfield(obj):
+    obj["generators"][0]["rows"][0][0] = [0, 1]  # a, moved by conjugation
+    return obj
+
+
+def _generator_without_rows(obj):
+    del obj["generators"][-1]["rows"]
+    return obj
+
+
+@pytest.mark.parametrize("mutate", [_diagonal_off_subfield,
+                                    _generator_without_rows,
+                                    _generator_t_differs])
+def test_wd_refuses_unusable_files_on_the_dual_path(capsys, tmp_path,
+                                                    example_code, mutate):
+    code = dual_code(example_code)
+    assert _via_dual(code)
+    path = write_json(tmp_path, mutate(code.to_jsonable()))
+    rc, out, err = run(capsys, ["wd", "--input", path])
+    assert rc == 2
+    assert_one_error_line(out, err)
+
+
+def test_wd_refuses_words_of_more_cells_than_the_guard(capsys, tmp_path,
+                                                       example_code):
+    path = write_json(tmp_path, {**example_code.to_jsonable(), "t": 11,
+                                 "generators": []})
+    rc, out, err = run(capsys, ["wd", "--input", path, "--guard", "100"])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "121 cells per codeword" in err
+    rc, out, _ = run(capsys, ["wd", "--input", path, "--guard", "121",
+                              "--format", "json"])
+    assert rc == 0
+    assert json.loads(out)["counts"] == ["1"] + ["0"] * 11
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The (code, start, stop) of every call of the counting kernel."""
+    calls = []
+    kernel = codes.rank_counts
+
+    def recording(code, start, stop, *rest):
+        calls.append((code, start, stop))
+        return kernel(code, start, stop, *rest)
+
+    monkeypatch.setattr("hrmc.codes.rank_counts", recording)
+    monkeypatch.setattr("hrmc.cli.rank_counts", recording)
+    return calls
+
+
+def _words_counted(calls):
+    return sum(stop - start for _, start, stop in calls)
+
+
+def test_shortcut_stays_out_of_the_cross_checks(capsys, tmp_path,
+                                                example_code, enumerated):
+    """``count``, ``dual`` and ``verify`` enumerate every side they compare
+    with a closed form; only ``wd`` takes the smaller side."""
+    rc, _, _ = run(capsys, ["count", "--q", "2", "--t", "3"])
+    assert rc == 0 and _words_counted(enumerated) == 2 ** 9
+
+    dual = dual_code(example_code)
+    enumerated.clear()
+    path = write_code_file(tmp_path, example_code)
+    rc, _, _ = run(capsys, ["dual", "--input", path])
+    assert rc == 0
+    assert enumerated == [(example_code, 0, 8), (dual, 0, 64)]
+    enumerated.clear()
+    path = write_code_file(tmp_path, dual)  # the larger side first
+    rc, _, _ = run(capsys, ["dual", "--input", path])
+    assert rc == 0
+    assert enumerated == [(dual, 0, 64), (example_code, 0, 8)]
+
+    samples = sample_codes(example_code.field, 2, 20, 0)
+    enumerated.clear()
+    rc, _, _ = run(capsys, ["verify", "--q", "2", "--t", "2"])
+    assert rc == 0
+    assert enumerated == [side for s in samples
+                          for side in ((s.code, 0, s.code.size),
+                                       (s.dual, 0, s.dual.size))]
+
+    enumerated.clear()
+    rc, _, _ = run(capsys, ["wd", "--input", path])
+    assert rc == 0 and enumerated == [(example_code, 0, 8)]
+
+
+def test_wd_via_dual_needs_both_routes_to_agree(capsys, tmp_path,
+                                                 monkeypatch, example_code):
+    monkeypatch.setattr("hrmc.cli.macwilliams_transform",
+                        lambda ctx, counts, size, t: (1, 1, 24, 38))
+    path = write_code_file(tmp_path, dual_code(example_code))
+    rc, out, err = run(capsys, ["wd", "--input", path])
+    assert rc == 1
+    assert_one_error_line(out, err)
+    assert "routes disagree" in err
 
 
 BIG = 10 ** 5000  # past Python's 4300-digit int-to-str limit

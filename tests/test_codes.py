@@ -154,9 +154,17 @@ def test_codeword_enumeration_order(example_code):
         assert words[i] == codeword_from_index(example_code, i)
 
 
-def test_enumeration_guard(example_code):
+def test_enumeration_guard(example_code, fields):
     with pytest.raises(EnumerationTooLarge):
         weight_distribution(example_code, guard=4)
+    # a code without generators may name any t: its one word is refused
+    # when it has more cells than the guard, before it is built
+    empty = make_code(fields[2], 11, [])
+    with pytest.raises(EnumerationTooLarge, match="121 cells"):
+        rank_counts(empty, 0, 1, guard=100)
+    with pytest.raises(EnumerationTooLarge, match="121 cells"):
+        next(enumerate_codewords(empty, guard=100))
+    assert rank_counts(empty, 0, 1, guard=121) == [1] + [0] * 11
 
 
 def test_min_distance_and_singleton(example_code, extremal_d3_code,
