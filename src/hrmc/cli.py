@@ -18,12 +18,13 @@ every ``UsageError``, that is input that cannot be used: a q that is not
 a prime power, ``--t`` below 1, ``--d`` outside 1..t or even, ``--phi``
 outside 0..t, ``--size`` below 1, negative ``--trials``, a malformed code
 file or one with a non-Hermitian generator, a ``--dist`` that is not the
-distribution of any code, or an enumeration above the guard. The class
-of the error, fixed where it is raised, alone decides between 1 and 2;
-either way stderr gets one ``error:`` line. JSON output is canonical
-(sorted keys, no whitespace) with every integer rendered as a decimal
-string, so repeated runs and different worker counts produce
-byte-identical bytes.
+distribution of any code, an enumeration above the guard, or an
+``eigen``, ``macwilliams`` or ``mhrd`` output estimated at more decimal
+digits than the guard. The class of the error, fixed where it is raised,
+alone decides between 1 and 2; either way stderr gets one ``error:``
+line. JSON output is canonical (sorted keys, no whitespace) with every
+integer rendered as a decimal string, so repeated runs and different
+worker counts produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -87,6 +88,17 @@ def _matrix_size(t: int) -> int:
     if t < 1:
         raise UsageError(f"--t must be at least 1, got {t}")
     return t
+
+
+def _check_output_digits(q: int, t: int, entries: int,
+                         config: RunConfig) -> None:
+    """Refuse a closed-form command before it computes, when its output
+    would hold more decimal digits than the guard: ``entries`` values of
+    about as many digits as q^(t^2), which bounds every eigenvalue and
+    count. q^64 has d digits, so q^n has at most n*d/64 + 1."""
+    digits = t * t * len(str(q ** 64)) // 64 + 1
+    check_guard(entries * digits, "estimated output digits",
+                config.enumeration_guard)
 
 
 # ------------------------------------------------------------- output
@@ -185,6 +197,7 @@ def cmd_count(args, config: RunConfig) -> int:
 def cmd_eigen(args, config: RunConfig) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
+    _check_output_digits(ctx.q, t, (t + 1) ** 2, config)
     table = build_eigen_table(ctx, t)
     for x in range(t + 1):
         for k in range(t + 1):
@@ -298,6 +311,7 @@ def _parse_dist(text: str) -> list[int]:
 def cmd_macwilliams(args, config: RunConfig) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
+    _check_output_digits(ctx.q, t, t + 1, config)
     counts = _parse_dist(args.dist)
     if len(counts) != t + 1:
         raise UsageError(
@@ -324,6 +338,7 @@ def cmd_macwilliams(args, config: RunConfig) -> int:
 def cmd_mhrd(args, config: RunConfig) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
+    _check_output_digits(ctx.q, t, t + 1, config)
     if not 1 <= args.d <= t:  # before q^(t(d-1)) is computed for any d
         raise UsageError(f"--d must be in 1..{t}, got {args.d}")
     dual_size = args.q ** (t * (args.d - 1))
@@ -371,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, seed=False, workers=True):
         p.add_argument("--guard", type=int, default=None,
-                       help="enumeration guard (default: HRMC_GUARD or 2^24)")
+                       help="cap on objects enumerated, cells per word and "
+                            "estimated output digits (default: HRMC_GUARD "
+                            "or 2^24)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         if workers:
             p.add_argument("--workers", type=int, default=1)

@@ -347,9 +347,6 @@ class FieldElement:
     def conj(self) -> "FieldElement":
         return FieldElement(self.field, self.field.conj_index(self.index))
 
-    def is_conj_fixed(self) -> bool:
-        return self.field.conj_index(self.index) == self.index
-
     def inv(self) -> "FieldElement":
         return FieldElement(self.field, self.field.inv(self.index))
 

@@ -3,10 +3,12 @@
 A t x t matrix H is Hermitian when H equals its conjugate transpose:
 H[i][j] == conj(H[j][i]) for all i, j, which forces the diagonal into the
 conjugation-fixed subfield. The rank metric on these matrices is the
-ordinary rank over GF(q^2). It is computed by one elimination on rows of
-element indices, :func:`rank_of_rows`: :func:`rank` wraps it for a
-:class:`HermitianMatrix`, and the enumeration kernel
-``codes.rank_counts`` calls it on the plain int words it generates.
+ordinary rank over GF(q^2). :func:`rank` computes it for a
+:class:`HermitianMatrix` by :func:`rank_of_rows`, an elimination on rows
+of element indices through the field's own arithmetic. The enumeration
+kernel ``codes.rank_counts`` ranks packed words with an elimination of
+its own and does not call this one, so each can be tested against the
+other.
 
 :func:`hermitian_from_index` decodes one matrix of a fixed mixed-radix
 order: the diagonal entries come first (base q, most significant first,

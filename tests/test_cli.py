@@ -58,6 +58,19 @@ def test_count_json_deterministic_across_workers(capsys, two_cpus):
     assert payload["match"] is True
 
 
+@pytest.mark.parametrize("q,t", [(3, 2), (13, 1)])
+def test_count_workers_split_projective_groups(capsys, two_cpus, q, t):
+    """Two workers split the kernel's index range inside a group of q - 1
+    multiples (13 words at q=13, t=1 split 7 + 6); the output is the same
+    bytes as one worker's."""
+    argv = ["count", "--q", str(q), "--t", str(t), "--format", "json"]
+    rc1, out1, _ = run(capsys, argv + ["--workers", "1"])
+    rc2, out2, _ = run(capsys, argv + ["--workers", "2"])
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["match"] is True
+
+
 def test_count_table_output(capsys):
     rc, out, _ = run(capsys, ["count", "--q", "3", "--t", "2"])
     assert rc == 0
@@ -544,6 +557,44 @@ def test_dual_single_phi(capsys, tmp_path, example_code):
     assert len(payload["moments"]) == 1
     assert payload["moments"][0]["phi"] == "2"
     assert payload["moments"][0]["q_lhs"] == "3"
+
+
+# Closed-form commands at q=2, t=5: what computes their output, the
+# payload key holding it, and its estimate: q^25 has at most
+# 25*20/64 + 1 = 8 digits (2^64 has 20), times (t+1)^2 eigenvalues or t+1
+# counts.
+_CLOSED_FORMS = [
+    (["eigen", "--q", "2", "--t", "5"], "build_eigen_table", "rows", 36 * 8),
+    (["macwilliams", "--q", "2", "--t", "5", "--dist", "1,0,0,0,0,0",
+      "--size", "1"], "macwilliams_eigen", "dual", 6 * 8),
+    (["mhrd", "--q", "2", "--t", "5", "--d", "3"], "mhrd_distribution",
+     "counts", 6 * 8),
+]
+
+
+@pytest.mark.parametrize("argv,compute,key,estimate", _CLOSED_FORMS)
+def test_closed_forms_refuse_outputs_over_the_guard(capsys, monkeypatch, argv,
+                                                     compute, key, estimate):
+    """The output estimate is refused one below, before anything is
+    computed, and accepted at it; the real output is no longer."""
+    rc, out, _ = run(capsys, argv + ["--guard", str(estimate),
+                                     "--format", "json"])
+    assert rc == 0
+    values = json.loads(out)[key]
+    flat = [v for row in values for v in row] if key == "rows" else values
+    assert sum(len(v.lstrip("-")) for v in flat) <= estimate
+
+    def unreachable(*args):
+        raise AssertionError("computed before the guard check")
+    monkeypatch.setattr(f"hrmc.cli.{compute}", unreachable)
+    rc, out, err = run(capsys, argv + ["--guard", str(estimate - 1)])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert f"{estimate} estimated output digits" in err
+    monkeypatch.setenv("HRMC_GUARD", "10")
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert_one_error_line(out, err)
 
 
 def test_macwilliams(capsys):

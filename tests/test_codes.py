@@ -1,5 +1,7 @@
 """Code construction, weight distributions, and trace-form duality."""
 
+import sys
+
 import pytest
 
 from hrmc.codes import (
@@ -21,12 +23,15 @@ from hrmc.errors import (
     NotHermitian,
     ZeroCode,
 )
+from hrmc.fields import make_field
 from hrmc.hermitian import (
     HermitianMatrix,
     enumerate_hermitian,
     inner_product,
+    rank,
     zero_matrix,
 )
+from hrmc.verify import sample_codes
 
 
 def _mat(field, rows):
@@ -91,6 +96,57 @@ def test_rank_counts_ranges_add_up(code_corpus, combo):
             for a in sorted({0, 1, c.size // 3, c.size - 1, c.size}):
                 halves = zip(rank_counts(c, 0, a), rank_counts(c, a, c.size))
                 assert [x + y for x, y in halves] == whole
+
+
+def _counts_by_rank(code):
+    """Distribution through enumerate_codewords and hermitian.rank, an
+    elimination apart from the kernel's."""
+    counts = [0] * (code.t + 1)
+    for word in enumerate_codewords(code):
+        counts[rank(word)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (5, 1)])
+def test_rank_counts_split_inside_projective_groups(p, m):
+    """At q = 4 and q = 5 the kernel ranks one word for each group of 3 or
+    4 nonzero multiples; a split at every a in [0, q^k], inside a group or
+    not, still counts every multiple on exactly one side."""
+    field = make_field(p, m)
+    code = next(c for s in sample_codes(field, 2, 10, 0)
+                for c in (s.code, s.dual) if c.k == 3)
+    whole = _counts_by_rank(code)
+    assert list(weight_distribution(code).counts) == whole
+    for a in range(code.size + 1):
+        halves = zip(rank_counts(code, 0, a), rank_counts(code, a, code.size))
+        assert [x + y for x, y in halves] == whole
+
+
+class RankOfRowsReached(Exception):
+    pass
+
+
+def test_weight_distribution_needs_no_rank_of_rows(monkeypatch, code_corpus,
+                                                   example_code):
+    """The kernel ranks with its own packed elimination: with
+    hermitian.rank_of_rows made to raise in every hrmc module, weight
+    distributions still equal those counted through hermitian.rank before
+    the patch."""
+    cases = [example_code] + [c for samples in code_corpus.values()
+                              for s in samples[:4] for c in (s.code, s.dual)]
+    want = [_counts_by_rank(c) for c in cases]
+
+    def raising(*args):
+        raise RankOfRowsReached(args)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "hrmc" or name.startswith("hrmc.")) and hasattr(
+                module, "rank_of_rows"):
+            monkeypatch.setattr(module, "rank_of_rows", raising)
+    with pytest.raises(RankOfRowsReached):
+        rank(codeword_from_index(example_code, 1))
+    for code, counts in zip(cases, want):
+        assert list(weight_distribution(code).counts) == counts
 
 
 def test_rank_counts_rejects_bad_range(example_code):

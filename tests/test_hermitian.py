@@ -3,8 +3,11 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hrmc.codes import _Packing
 from hrmc.errors import DimensionMismatch, EnumerationTooLarge
+from hrmc.fields import make_field
 from hrmc.hermitian import (
     HermitianMatrix,
     enumerate_hermitian,
@@ -14,6 +17,7 @@ from hrmc.hermitian import (
     matrix_from_jsonable,
     matrix_to_index,
     rank,
+    rank_of_rows,
     total_hermitian,
     zero_matrix,
 )
@@ -80,6 +84,40 @@ def test_rank_is_codimension_of_kernel(fields, q, t):
     order = fields[q].order
     for m in enumerate_hermitian(fields[q], t):
         assert order ** (t - rank(m)) == _kernel_size(m)
+
+
+# q -> (p, m) for every field the packed rank is compared on
+PACKED_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+                 8: (2, 3), 9: (3, 2)}
+
+
+@settings(max_examples=250, deadline=None)
+@given(q=st.sampled_from(sorted(PACKED_FIELDS)), t=st.integers(1, 4),
+       data=st.data())
+def test_packed_rank_matches_elimination_and_kernel(q, t, data):
+    """The enumeration kernel's packed rank equals rank_of_rows on any
+    t x t matrix (Hermitian or not) and, where q^(2t) is small enough to
+    try every vector, t - log_{q^2} |ker|. Rows are random combinations of
+    r random rows, so every rank up to t turns up."""
+    field = make_field(*PACKED_FIELDS[q])
+    elements = st.integers(0, field.order - 1)
+    r = data.draw(st.integers(0, t))
+    spans = [data.draw(st.lists(elements, min_size=t, max_size=t))
+             for _ in range(r)]
+    rows = []
+    for _ in range(t):
+        row = [0] * t
+        for span in spans:
+            c = data.draw(elements)
+            row = [field.add(x, field.mul(c, y)) for x, y in zip(row, span)]
+        rows.append(row)
+    pk = _Packing(field, t)
+    got = pk.rank(pk.pack(x for row in rows for x in row))
+    assert got == rank_of_rows(field, [row[:] for row in rows])
+    if field.order ** t <= 4096:
+        m = HermitianMatrix(field, t, tuple(
+            tuple(field.from_index(x) for x in row) for row in rows))
+        assert field.order ** (t - got) == _kernel_size(m)
 
 
 def test_rank_spot_values(fields):
