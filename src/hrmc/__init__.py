@@ -76,6 +76,7 @@ from .polynomials import (
 from .macwilliams import (
     EigenTable,
     build_eigen_table,
+    build_eigen_table_C,
     delta_fn,
     epsilon_fn,
     full_space_distribution,

@@ -3,8 +3,9 @@
 The rank-weight distribution of the trace-dual code is a linear image of
 the primal distribution. Two independent routes compute it:
 
-* the *eigen* route multiplies by the association-scheme eigenvalue table
-  Q[x][k] (each entry a closed-form double sum), and
+* the *eigen* route multiplies by the association-scheme eigenvalues
+  Q_k(x), each a closed-form sum (the sum over x is taken first, so no
+  table is built), and
 * the *functional* route substitutes the degree-one polynomials nu and mu
   into the enumerator under the twisted product and reads coefficients at
   parameter t.
@@ -14,6 +15,10 @@ is compared against both in the tests and the CLI. Keeping the routes
 independent is the point: a bug in any one of them shows up as a mismatch
 rather than cancelling silently.
 
+The eigenvalues themselves have two closed forms, Q and C, each with a
+table builder of its own (``build_eigen_table``, ``build_eigen_table_C``);
+``hrmc eigen`` and verify's eigen suite require the tables to agree.
+
 Closed-form rank counts for extremal codes and the two families of moment
 identities round out the module.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import (
     CheckFailed,
@@ -84,10 +90,81 @@ class EigenTable:
                 "rows": [[str(v) for v in row] for row in self.values]}
 
 
+# The two tables below are the formulas of krawtchouk_Q and krawtchouk_C
+# evaluated for a whole table at once: each Gaussian and gamma row is read
+# once and each b-power built by one multiplication from the previous one.
+# The routes share nothing beyond gauss (and the C route gamma_fn), so a
+# slip in one still shows as a mismatch against the other.
+
+def _q_weights(ctx: NegQContext, t: int) -> tuple[list, Iterator[list]]:
+    """The parts of the Q closed form for the rank-t scheme.
+
+    Returns the Gaussian rows, rows[m][j] = gauss(m, j) for j <= m <= t,
+    and the x-independent weights w[k][j] = b^(tri(k-j) + t*j) *
+    gauss(t-j, t-k) for j <= k, one list per k in turn, so that
+
+        Q_k(x) = (-1)^k sum_{j <= min(k, t-x)} w[k][j] * rows[t-x][j];
+
+    the sum stops at j = t - x because gauss(t - x, j) is 0 beyond it.
+    The weights are made as they are read, one k at a time.
+    """
+    b = ctx.b
+    rows = [[gauss(ctx, m, j) for j in range(m + 1)] for m in range(t + 1)]
+    btri = [1]  # b^tri(m), tri(m) - tri(m - 1) = m - 1
+    btj = [1]   # b^(t*j)
+    for m in range(1, t + 1):
+        btri.append(btri[-1] * b ** (m - 1))
+        btj.append(btj[-1] * b ** t)
+    weights = ([btri[k - j] * btj[j] * rows[t - j][t - k] for j in range(k + 1)]
+               for k in range(t + 1))
+    return rows, weights
+
+
 def build_eigen_table(ctx: NegQContext, t: int) -> EigenTable:
-    values = tuple(tuple(krawtchouk_Q(ctx, k, x, t) for k in range(t + 1))
-                   for x in range(t + 1))
-    return EigenTable(ctx.q, t, values)
+    """The table of krawtchouk_Q, every entry of the same closed form."""
+    rows, weights = _q_weights(ctx, t)
+    columns = []
+    for k, w in enumerate(weights):
+        column = []
+        for x in range(t + 1):
+            g = rows[t - x]
+            acc = sum(w[j] * g[j] for j in range(min(k, t - x) + 1))
+            column.append(-acc if k & 1 else acc)
+        columns.append(column)
+    return EigenTable(ctx.q, t, tuple(zip(*columns)))
+
+
+def build_eigen_table_C(ctx: NegQContext, t: int) -> EigenTable:
+    """The table of krawtchouk_C, built independently of the Q route.
+
+    With y = t - x, entry (x, k) is sum_l (-1)^l (b^y)^l b^tri(l)
+    gauss(x, l) gauss(y, k - l) gamma(t - l, k - l) over
+    max(0, k - y) <= l <= min(k, x), where both Gaussian factors are
+    nonzero.
+    """
+    b = ctx.b
+    rows = [[gauss(ctx, m, n) for n in range(m + 1)] for m in range(t + 1)]
+    gammas = [[gamma_fn(ctx, m, n) for n in range(m + 1)]
+              for m in range(t + 1)]
+    btri = [1]  # b^tri(l)
+    for ell in range(1, t + 1):
+        btri.append(btri[-1] * b ** (ell - 1))
+    values = []
+    for x in range(t + 1):
+        y = t - x
+        by = b ** y
+        lead = []  # the x-dependent part of term l, sign included
+        power = 1  # (b^y)^l
+        for ell in range(x + 1):
+            term = power * btri[ell] * rows[x][ell]
+            lead.append(-term if ell & 1 else term)
+            power *= by
+        g = rows[y]
+        values.append(tuple(
+            sum(lead[ell] * g[k - ell] * gammas[t - ell][k - ell]
+                for ell in range(max(0, k - y), min(k, x) + 1))
+            for k in range(t + 1)))
+    return EigenTable(ctx.q, t, tuple(values))
 
 
 def _check_distribution(counts, code_size: int, t: int) -> None:
@@ -99,12 +176,21 @@ def _check_distribution(counts, code_size: int, t: int) -> None:
 
 def macwilliams_eigen(ctx: NegQContext, counts, code_size: int,
                       t: int) -> tuple[int, ...]:
-    """Dual distribution via the eigenvalue table."""
+    """Dual distribution via the eigenvalues Q_k(x).
+
+    Count k is sum_x counts[x] * Q_k(x) / code_size. With the Q closed
+    form the sum over x is taken first: s[j] = sum_x counts[x] *
+    gauss(t - x, j), then the count is (-1)^k sum_{j <= k} w[k][j] * s[j]
+    with the weights of ``_q_weights``; O(t^2) products, no table.
+    """
     _check_distribution(counts, code_size, t)
+    rows, weights = _q_weights(ctx, t)
+    sums = [sum(counts[x] * rows[t - x][j] for x in range(t - j + 1))
+            for j in range(t + 1)]
     out = []
-    for k in range(t + 1):
-        v = Fraction(sum(counts[x] * krawtchouk_Q(ctx, k, x, t)
-                         for x in range(t + 1)), code_size)
+    for k, w in enumerate(weights):
+        acc = sum(w[j] * sums[j] for j in range(k + 1))
+        v = Fraction(-acc if k & 1 else acc, code_size)
         if v.denominator != 1 or v < 0:
             raise NonIntegralDual(f"dual count {k} came out {v}")
         out.append(int(v))

@@ -114,7 +114,7 @@ def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     """Twisted product; see the module docstring for the exact twist."""
     ctx = _check_ctx(a, b)
     r, s = a.degree, b.degree
-    base = ctx.b
+    twist = [ctx.b ** (i * s) for i in range(r + 1)]
     cache: dict[tuple[int, int], Number] = {}
 
     def coeff(u: int, lam: int) -> Number:
@@ -122,7 +122,7 @@ def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
         if key not in cache:
             acc: Number = 0
             for i in range(max(0, u - s), min(r, u) + 1):
-                acc += base ** (i * s) * a.coefficient(i, lam) \
+                acc += twist[i] * a.coefficient(i, lam) \
                     * b.coefficient(u - i, lam - i)
             cache[key] = acc
         return cache[key]
@@ -213,9 +213,9 @@ def negq_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
         return a
     if phi > r:
         return constant_poly(a.ctx, 0)
-    ctx = a.ctx
-    return LambdaPoly(ctx, r - phi,
-                      lambda i, lam: a.coefficient(i, lam) * beta_fn(ctx, r - i, phi)
+    betas = [beta_fn(a.ctx, r - i, phi) for i in range(r - phi + 1)]
+    return LambdaPoly(a.ctx, r - phi,
+                      lambda i, lam: a.coefficient(i, lam) * betas[i]
                       if 0 <= i <= r - phi else 0)
 
 
@@ -235,13 +235,14 @@ def negq_inv_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
     if phi > r:
         return constant_poly(a.ctx, 0)
     ctx = a.ctx
+    # factors[j] belongs to input term i = j + phi
+    factors = [bpow(ctx, phi * (1 - i) + triangle(phi)) * beta_fn(ctx, i, phi)
+               for i in range(phi, r + 1)]
 
     def coeff(j: int, lam: int) -> Number:
         if j < 0 or j > r - phi:
             return 0
-        i = j + phi
-        return (a.coefficient(i, lam) * bpow(ctx, phi * (1 - i) + triangle(phi))
-                * beta_fn(ctx, i, phi))
+        return a.coefficient(j + phi, lam) * factors[j]
 
     return LambdaPoly(ctx, r - phi, coeff)
 

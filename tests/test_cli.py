@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import multiprocessing
 import sys
 import time
 
@@ -40,7 +41,14 @@ def assert_one_error_line(out, err):
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
+def one_word_per_process(monkeypatch):
+    """Let a range of any size have a process of its own, so tiny codes
+    still exercise the pool."""
+    monkeypatch.setattr(cli, "MIN_WORDS_PER_PROCESS", 1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch, one_word_per_process):
     """Let --workers 2 start a real pool of two on any host."""
     monkeypatch.setattr("os.cpu_count", lambda: 2)
 
@@ -493,8 +501,7 @@ def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
     limit lifted; before, q=2 t=120 ended in a ValueError traceback."""
     table = EigenTable(2, 1, ((1, BIG), (1, -BIG)))
     monkeypatch.setattr(cli, "build_eigen_table", lambda ctx, t: table)
-    monkeypatch.setattr(cli, "krawtchouk_C",
-                        lambda ctx, k, x, t: table.values[x][k])
+    monkeypatch.setattr(cli, "build_eigen_table_C", lambda ctx, t: table)
     before = _digit_limit()
     rc, out, err = run(capsys, ["eigen", "--q", "2", "--t", "1",
                                 "--format", fmt])
@@ -510,13 +517,46 @@ def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
     (65536, 2, None, 1),     # CPU count unknown
     (1, 1, 1, 1),
 ])
-def test_index_ranges_cap(monkeypatch, total, workers, cpus, parts):
+def test_index_ranges_cap(monkeypatch, one_word_per_process, total, workers,
+                          cpus, parts):
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     ranges = _index_ranges(total, workers)
     assert len(ranges) == parts
     assert ranges[0][0] == 0 and ranges[-1][1] == total
     assert all(lo < hi for lo, hi in ranges)
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+def test_tiny_enumerations_start_no_pool(capsys, monkeypatch, tmp_path,
+                                        example_code):
+    """Under the default MIN_WORDS_PER_PROCESS, a code too small to pay for
+    a process of its own is counted in-process, with the one-worker bytes;
+    the 65536 matrices of q=2, t=4 still split over two processes."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    words = cli.MIN_WORDS_PER_PROCESS
+    assert len(_index_ranges(2 * words - 1, 2)) == 1
+    assert len(_index_ranges(2 * words, 2)) == 2
+    path = write_code_file(tmp_path, example_code)
+    argv = ["wd", "--input", path, "--format", "json"]
+    rc1, out1, _ = run(capsys, argv)
+    real_pool = multiprocessing.Pool
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    rc2, out2, err2 = run(capsys, argv + ["--workers", "2"])
+    assert (rc1, rc2, err2) == (0, 0, "")
+    assert out2 == out1
+    started = []
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes=processes)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    rc, out, _ = run(capsys, ["count", "--q", "2", "--t", "4", "--workers",
+                              "2", "--format", "json"])
+    assert rc == 0 and started == [2]
+    assert json.loads(out)["match"] is True
 
 
 def test_wd_missing_file(capsys, tmp_path):

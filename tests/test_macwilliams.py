@@ -1,9 +1,12 @@
 """Eigenvalue tables, dual-distribution routes, moments, closed forms."""
 
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hrmc import macwilliams
 from hrmc.errors import (
     EvenMinimumDistance,
     IndexOutOfRange,
@@ -11,6 +14,7 @@ from hrmc.errors import (
 )
 from hrmc.macwilliams import (
     build_eigen_table,
+    build_eigen_table_C,
     delta_fn,
     epsilon_fn,
     full_space_distribution,
@@ -70,6 +74,56 @@ def test_eigen_recurrence(ctx):
                 assert krawtchouk_Q(ctx, k + 1, x + 1, t + 1) == (
                     krawtchouk_Q(ctx, k + 1, x, t + 1)
                     + ctx.b ** (2 * t + 1 - x) * krawtchouk_Q(ctx, k, x, t))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_tables_equal_their_definitions(q):
+    """Every entry of both tables is its per-entry closed form."""
+    ctx = NegQContext(q)
+    for t in range(9):
+        want_q = tuple(tuple(krawtchouk_Q(ctx, k, x, t) for k in range(t + 1))
+                       for x in range(t + 1))
+        want_c = tuple(tuple(krawtchouk_C(ctx, k, x, t) for k in range(t + 1))
+                       for x in range(t + 1))
+        assert build_eigen_table(ctx, t).values == want_q
+        assert build_eigen_table_C(ctx, t).values == want_c
+
+
+def _dual_by_definition(ctx, counts, size, t):
+    """sum_x counts[x] * Q_k(x) / size for each k, or, at the first k where
+    that is not a non-negative integer, the NonIntegralDual message."""
+    out = []
+    for k in range(t + 1):
+        v = Fraction(sum(c * krawtchouk_Q(ctx, k, x, t)
+                         for x, c in enumerate(counts)), size)
+        if v.denominator != 1 or v < 0:
+            return f"dual count {k} came out {v}"
+        out.append(int(v))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5]), data=st.data())
+def test_macwilliams_eigen_matches_the_eigenvalue_sum(q, data):
+    """On random count vectors, zeros included, macwilliams_eigen gives
+    the sum over the eigenvalues, or raises NonIntegralDual at the same k
+    with the same value. The Q-image of a vector, divided by q^(t^2), gives
+    the vector back, so those inputs are distributions and must succeed."""
+    ctx = NegQContext(q)
+    t = data.draw(st.integers(0, 6), label="t")
+    vec = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 10 ** 6)),
+                             min_size=t + 1, max_size=t + 1), label="vec")
+    size = data.draw(st.integers(1, 10 ** 4), label="size")
+    image = [sum(v * krawtchouk_Q(ctx, k, x, t) for x, v in enumerate(vec))
+             for k in range(t + 1)]
+    assert macwilliams_eigen(ctx, image, q ** (t * t), t) == tuple(vec)
+    want = _dual_by_definition(ctx, vec, size, t)
+    if isinstance(want, tuple):
+        assert macwilliams_eigen(ctx, vec, size, t) == want
+    else:
+        with pytest.raises(NonIntegralDual) as exc:
+            macwilliams_eigen(ctx, vec, size, t)
+        assert str(exc.value) == want
 
 
 def test_eigen_index_errors():
@@ -225,3 +279,93 @@ def test_transform_route_needs_no_closed_form(monkeypatch):
         macwilliams_eigen(CTX2, (1, 0), 1, 1)
     for ctx, t, counts, size, want in cases:
         assert macwilliams_transform(ctx, counts, size, t) == want
+
+
+class RouteCrossed(Exception):
+    pass
+
+
+def _make_raise(monkeypatch, names):
+    def crossed(*args):
+        raise RouteCrossed(args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hrmc" or name.startswith("hrmc."):
+            for fn in names:
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, crossed)
+
+
+_Q_ROUTE = ("build_eigen_table", "_q_weights", "krawtchouk_Q")
+_C_ROUTE = ("build_eigen_table_C", "krawtchouk_C")
+
+
+def test_eigen_routes_stay_independent(monkeypatch):
+    """The Q route (build_eigen_table and macwilliams_eigen) and the C
+    table share nothing beyond gauss and gamma_fn: with either route made
+    to raise, the other still gives its values from before the patch."""
+    cases = []
+    for ctx in (CTX2, CTX3):
+        for t in range(7):
+            full = ctx.q ** (t * t)
+            dists = [((1,) + (0,) * t, 1)]
+            for d in range(1, t + 1, 2):
+                dual_size = ctx.q ** (t * (d - 1))
+                dists.append((mhrd_distribution(ctx, t, d, dual_size),
+                              full // dual_size))
+            duals = [(counts, size, macwilliams_eigen(ctx, counts, size, t))
+                     for counts, size in dists]
+            cases.append((ctx, t, build_eigen_table(ctx, t),
+                          build_eigen_table_C(ctx, t), duals))
+
+    with monkeypatch.context() as patch:
+        _make_raise(patch, _C_ROUTE)
+        with pytest.raises(RouteCrossed):
+            macwilliams.build_eigen_table_C(CTX2, 1)
+        for ctx, t, q_table, _, duals in cases:
+            assert macwilliams.build_eigen_table(ctx, t) == q_table
+            for counts, size, want in duals:
+                assert macwilliams.macwilliams_eigen(ctx, counts, size,
+                                                     t) == want
+    with monkeypatch.context() as patch:
+        _make_raise(patch, _Q_ROUTE)
+        with pytest.raises(RouteCrossed):
+            macwilliams.build_eigen_table(CTX2, 1)
+        with pytest.raises(RouteCrossed):
+            macwilliams.macwilliams_eigen(CTX2, (1, 0), 1, 1)
+        for ctx, t, _, c_table, _ in cases:
+            assert macwilliams.build_eigen_table_C(ctx, t) == c_table
+
+
+def test_eigen_routes_use_no_other_t(monkeypatch):
+    """A table for t is built from no table for another t (so neither
+    route runs the three-term recurrence that verify's eigen suite
+    checks), by no per-entry eigenvalue call, and macwilliams_eigen builds
+    no table."""
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(ctx, *args):
+            calls.append((name, args[-1]))  # t is the last argument
+            return fn(ctx, *args)
+        return wrapper
+
+    names = _Q_ROUTE + _C_ROUTE
+    originals = {fn: getattr(macwilliams, fn) for fn in names}
+    for name, module in list(sys.modules.items()):
+        if name == "hrmc" or name.startswith("hrmc."):
+            for fn in names:
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn,
+                                        recording(fn, originals[fn]))
+    for ctx in (CTX2, CTX3):
+        for t in range(7):
+            calls.clear()
+            macwilliams.build_eigen_table(ctx, t)
+            assert calls == [("build_eigen_table", t), ("_q_weights", t)]
+            calls.clear()
+            macwilliams.build_eigen_table_C(ctx, t)
+            assert calls == [("build_eigen_table_C", t)]
+            calls.clear()
+            macwilliams.macwilliams_eigen(ctx, (1,) + (0,) * t, 1, t)
+            assert calls == [("_q_weights", t)]
