@@ -18,11 +18,12 @@ every ``UsageError``, that is input that cannot be used: a q that is not
 a prime power, ``--t`` below 1, ``--d`` outside 1..t or even, ``--phi``
 outside 0..t, ``--size`` below 1, negative ``--trials``, a malformed code
 file or one with a non-Hermitian generator, a ``--dist`` that is not the
-distribution of any code, an enumeration above the guard, or an
+distribution of any code, an enumeration above the guard, an
 ``eigen``, ``macwilliams`` or ``mhrd`` output estimated at more decimal
-digits than the guard. The class of the error, fixed where it is raised,
-alone decides between 1 and 2; either way stderr gets one ``error:``
-line. JSON output is canonical (sorted keys, no whitespace) with every
+digits than the guard, or a ``macwilliams`` transform estimated to
+memoise more words than the guard. The class of the error, fixed where
+it is raised, alone decides between 1 and 2; either way stderr gets one
+``error:`` line. JSON output is canonical (sorted keys, no whitespace) with every
 integer rendered as a decimal string, so repeated runs and different
 worker counts produce byte-identical bytes.
 """
@@ -32,10 +33,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (
@@ -61,15 +60,27 @@ from .macwilliams import (
     moment_qinv,
 )
 from .negq import NegQContext
-from .verify import run_verification
 
 
-@dataclass
 class RunConfig:
-    enumeration_guard: int = DEFAULT_GUARD
-    rng_seed: int = 0
-    worker_count: int = 1
-    output_format: str = "table"
+    __slots__ = ("enumeration_guard", "rng_seed", "worker_count",
+                 "output_format")
+
+    def __init__(self, enumeration_guard: int = DEFAULT_GUARD,
+                 rng_seed: int = 0, worker_count: int = 1,
+                 output_format: str = "table") -> None:
+        self.enumeration_guard = enumeration_guard
+        self.rng_seed = rng_seed
+        self.worker_count = worker_count
+        self.output_format = output_format
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.enumeration_guard, self.rng_seed, self.worker_count,
+                 self.output_format)
+                == (other.enumeration_guard, other.rng_seed,
+                    other.worker_count, other.output_format))
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -98,6 +109,20 @@ def _check_output_digits(q: int, t: int, entries: int,
     count. q^64 has d digits, so q^n has at most n*d/64 + 1."""
     digits = t * t * len(str(q ** 64)) // 64 + 1
     check_guard(entries * digits, "estimated output digits",
+                config.enumeration_guard)
+
+
+def _check_transform_words(q: int, t: int, config: RunConfig) -> None:
+    """Refuse ``macwilliams`` before its transform builds a product, when
+    the coefficients it memoises would be too large: (t+1)^2 values as
+    long as q^(t^2), counted in 30-bit words (CPython's int digits). The
+    memo holds about t^3/6 values, most of them shorter, so the estimate
+    follows the growth of its size rather than bounding it; at q=2 the
+    default guard accepts t up to 148. q^64 has c bits, so q^n has at
+    most n*c/64 + 1."""
+    bits = t * t * (q ** 64).bit_length() // 64 + 1
+    check_guard((t + 1) ** 2 * -(-bits // 30),
+                "estimated words memoised by the transform",
                 config.enumeration_guard)
 
 
@@ -176,6 +201,7 @@ def _weight_distribution(code, config: RunConfig) -> WeightDistribution:
     if len(tasks) == 1:
         parts = [_count_range(tasks[0])]
     else:
+        import multiprocessing  # loaded only when a pool is started
         with multiprocessing.Pool(processes=len(tasks)) as pool:
             parts = pool.map(_count_range, tasks)
     counts = tuple(sum(column) for column in zip(*parts))
@@ -322,6 +348,7 @@ def cmd_macwilliams(args, config: RunConfig) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
     _check_output_digits(ctx.q, t, t + 1, config)
+    _check_transform_words(ctx.q, t, config)
     counts = _parse_dist(args.dist)
     if len(counts) != t + 1:
         raise UsageError(
@@ -363,6 +390,7 @@ def cmd_mhrd(args, config: RunConfig) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
+    from .verify import run_verification  # only this command needs it
     t = _matrix_size(args.t)
     field = make_field(*NegQContext(args.q).prime_parts)
     results = run_verification(field, t, args.trials, config.rng_seed,
@@ -396,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, seed=False, workers=True):
         p.add_argument("--guard", type=int, default=None,
-                       help="cap on objects enumerated, cells per word and "
-                            "estimated output digits (default: HRMC_GUARD "
-                            "or 2^24)")
+                       help="cap on objects enumerated, cells per word, "
+                            "estimated output digits and transform words "
+                            "(default: HRMC_GUARD or 2^24)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         if workers:
             p.add_argument("--workers", type=int, default=1)

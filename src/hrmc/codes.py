@@ -39,7 +39,6 @@ same walker's words to matrices, in index order.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     CheckFailed,
@@ -58,12 +57,24 @@ from .hermitian import (
 )
 
 
-@dataclass(frozen=True)
 class LinearCode:
-    field: Field
-    t: int
-    generators: tuple[HermitianMatrix, ...]  # canonical echelon basis
-    k: int
+    __slots__ = ("field", "t", "generators", "k")
+
+    def __init__(self, field: Field, t: int,
+                 generators: tuple[HermitianMatrix, ...], k: int) -> None:
+        self.field = field
+        self.t = t
+        self.generators = generators  # canonical echelon basis
+        self.k = k
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.t, self.generators, self.k)
+                == (other.field, other.t, other.generators, other.k))
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.t, self.generators, self.k))
 
     @property
     def size(self) -> int:
@@ -74,22 +85,31 @@ class LinearCode:
                 "generators": [g.to_jsonable() for g in self.generators]}
 
 
-@dataclass(frozen=True)
 class WeightDistribution:
     """Counts of codewords by rank: counts[r] = number of words of rank r."""
 
-    q: int
-    t: int
-    k: int
-    counts: tuple[int, ...]
+    __slots__ = ("q", "t", "k", "counts")
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.t + 1:
+    def __init__(self, q: int, t: int, k: int, counts: tuple[int, ...]) -> None:
+        self.q = q
+        self.t = t
+        self.k = k
+        self.counts = counts
+        if len(counts) != t + 1:
             raise UsageError("need one count per rank 0..t")
-        if self.counts[0] < 1:
+        if counts[0] < 1:
             raise UsageError("the zero word is always present")
-        if sum(self.counts) != self.q ** self.k:
+        if sum(counts) != q ** k:
             raise UsageError("counts must sum to the code size")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.q, self.t, self.k, self.counts)
+                == (other.q, other.t, other.k, other.counts))
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.t, self.k, self.counts))
 
     def min_distance(self) -> int:
         for r in range(1, self.t + 1):

@@ -18,7 +18,6 @@ rather than a second table that could hide a table-building bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -302,12 +301,22 @@ class Field:
         return {"p": self.p, "m": self.m, "modulus_poly": list(self.modulus_poly)}
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """One element of a :class:`Field`, identified by its integer index."""
 
-    field: Field
-    index: int
+    __slots__ = ("field", "index")
+
+    def __init__(self, field: Field, index: int) -> None:
+        self.field = field
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.index) == (other.field, other.index)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.index))
 
     @property
     def coeffs(self) -> tuple[int, ...]:

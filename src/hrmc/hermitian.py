@@ -22,7 +22,6 @@ objects than the guard that :func:`enumeration_guard` resolves.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DimensionMismatch, EnumerationTooLarge, UsageError
@@ -59,23 +58,34 @@ def check_guard(count: int, what: str, guard: int | None = None) -> None:
             f"{shown} {what} exceed the enumeration guard {limit}")
 
 
-@dataclass(frozen=True)
 class HermitianMatrix:
-    """Immutable t x t matrix over GF(q^2); hashable, usable in sets."""
+    """t x t matrix over GF(q^2), compared and hashed by value, usable in
+    sets; nothing in the package changes one after it is built."""
 
-    field: Field
-    t: int
-    entries: tuple[tuple[FieldElement, ...], ...]
+    __slots__ = ("field", "t", "entries")
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise UsageError(f"matrix size must be positive, got t={self.t}")
-        if len(self.entries) != self.t or any(len(r) != self.t for r in self.entries):
+    def __init__(self, field: Field, t: int,
+                 entries: tuple[tuple[FieldElement, ...], ...]) -> None:
+        self.field = field
+        self.t = t
+        self.entries = entries
+        if t < 1:
+            raise UsageError(f"matrix size must be positive, got t={t}")
+        if len(entries) != t or any(len(r) != t for r in entries):
             raise UsageError("entries must form a t x t grid")
-        for row in self.entries:
+        for row in entries:
             for x in row:
-                if x.field != self.field:
+                if x.field != field:
                     raise DimensionMismatch("entry from a different field")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.t, self.entries)
+                == (other.field, other.t, other.entries))
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.t, self.entries))
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         _check_compatible(self, other)

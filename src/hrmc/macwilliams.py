@@ -25,7 +25,6 @@ identities round out the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -76,14 +75,26 @@ def krawtchouk_C(ctx: NegQContext, k: int, x: int, t: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
 class EigenTable:
     """values[x][k] = Q_k(x) for the rank-t scheme; row 0 is the full-space
     distribution and column 0 is all ones."""
 
-    q: int
-    t: int
-    values: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "t", "values")
+
+    def __init__(self, q: int, t: int,
+                 values: tuple[tuple[int, ...], ...]) -> None:
+        self.q = q
+        self.t = t
+        self.values = values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.q, self.t, self.values)
+                == (other.q, other.t, other.values))
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.t, self.values))
 
     def to_jsonable(self) -> dict:
         return {"q": self.q, "t": self.t,

@@ -17,7 +17,6 @@ truncating; with correct formulas that never fires and acts as a tripwire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,15 +41,26 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class NegQContext:
     """Fixes the prime power q; all arithmetic uses base b = -q."""
 
-    q: int
+    __slots__ = ("q",)
 
-    def __post_init__(self) -> None:
-        if len(prime_factors(self.q)) != 1:
-            raise UsageError(f"q must be a prime power >= 2, got {self.q}")
+    def __init__(self, q: int) -> None:
+        self.q = q
+        if len(prime_factors(q)) != 1:
+            raise UsageError(f"q must be a prime power >= 2, got {q}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.q,))
+
+    def __repr__(self) -> str:  # shown in ContextMismatch messages
+        return f"NegQContext(q={self.q!r})"
 
     @property
     def b(self) -> int:
@@ -96,7 +106,7 @@ def _exact(num: int, den: int) -> int | Fraction:
 
 # The caches behind gauss_ext/gauss and gamma_ext/gamma_fn are keyed on q,
 # not on the context: gauss is called about 10^5 times per eigen table and
-# hashing the frozen dataclass costs a Python-level call each time.
+# hashing a NegQContext calls its Python-level __hash__ each time.
 @lru_cache(maxsize=None)
 def _gauss_q(q: int, x: int, k: int) -> int | Fraction:
     if k < 0:

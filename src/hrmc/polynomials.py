@@ -26,7 +26,6 @@ b-power twist has negative exponent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -37,15 +36,19 @@ Number = int | Fraction
 CoeffFn = Callable[[int, int], Number]
 
 
-@dataclass(frozen=True, eq=False)
 class LambdaPoly:
     """Homogeneous polynomial of the given degree with lambda-dependent
     coefficients. coefficient(i, lam) is the Y^i X^(degree-i) coefficient
-    and is 0 outside 0 <= i <= degree."""
+    and is 0 outside 0 <= i <= degree. Equal only to itself, since the
+    coefficient functions cannot be compared; ``verify.polys_equal``
+    compares two over a window of lambdas."""
 
-    ctx: NegQContext
-    degree: int
-    coeff: CoeffFn
+    __slots__ = ("ctx", "degree", "coeff")
+
+    def __init__(self, ctx: NegQContext, degree: int, coeff: CoeffFn) -> None:
+        self.ctx = ctx
+        self.degree = degree
+        self.coeff = coeff
 
     def coefficient(self, i: int, lam: int) -> Number:
         if i < 0 or i > self.degree:
@@ -53,17 +56,27 @@ class LambdaPoly:
         return self.coeff(i, lam)
 
 
-@dataclass(frozen=True)
 class ConcretePoly:
     """Homogeneous polynomial with fixed numeric coefficients."""
 
-    ctx: NegQContext
-    degree: int
-    coefficients: tuple[Number, ...]
+    __slots__ = ("ctx", "degree", "coefficients")
 
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.degree + 1:
+    def __init__(self, ctx: NegQContext, degree: int,
+                 coefficients: tuple[Number, ...]) -> None:
+        self.ctx = ctx
+        self.degree = degree
+        self.coefficients = coefficients
+        if len(coefficients) != degree + 1:
             raise UsageError("need degree+1 coefficients")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ctx, self.degree, self.coefficients)
+                == (other.ctx, other.degree, other.coefficients))
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.degree, self.coefficients))
 
     def coefficient(self, i: int) -> Number:
         if i < 0 or i > self.degree:

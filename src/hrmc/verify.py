@@ -12,7 +12,6 @@ quadruple produces byte-identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .codes import LinearCode, dual_code, make_code, weight_distribution
@@ -67,12 +66,21 @@ from .polynomials import (
 LAMBDA_RANGE = range(-3, 9)  # default window for comparing parameterised polys
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "passed", "failed", "failures")
+
+    def __init__(self, name: str, passed: int = 0, failed: int = 0,
+                 failures: list[str] | None = None) -> None:
+        self.name = name
+        self.passed = passed
+        self.failed = failed
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.passed, self.failed, self.failures)
+                == (other.name, other.passed, other.failed, other.failures))
 
     def check(self, ok: bool, label: str) -> None:
         if ok:
@@ -406,12 +414,21 @@ def suite_inversion(ctx: NegQContext, trials: int, seed: int) -> SuiteResult:
 
 # ----------------------------------------------- code-level (needs a field)
 
-@dataclass
 class CodeSample:
-    code: LinearCode
-    counts: tuple[int, ...]
-    dual: LinearCode
-    dual_counts: tuple[int, ...]
+    __slots__ = ("code", "counts", "dual", "dual_counts")
+
+    def __init__(self, code: LinearCode, counts: tuple[int, ...],
+                 dual: LinearCode, dual_counts: tuple[int, ...]) -> None:
+        self.code = code
+        self.counts = counts
+        self.dual = dual
+        self.dual_counts = dual_counts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.code, self.counts, self.dual, self.dual_counts)
+                == (other.code, other.counts, other.dual, other.dual_counts))
 
 
 def sample_codes(field: Field, t: int, trials: int, seed: int,

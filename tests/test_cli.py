@@ -5,8 +5,11 @@ import copy
 import io
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,8 @@ from hrmc import cli, codes
 from hrmc.cli import RunConfig, _all_digits, _index_ranges, emit, main
 from hrmc.codes import dual_code, weight_distribution
 from hrmc.errors import EnumerationTooLarge
-from hrmc.macwilliams import EigenTable
+from hrmc.macwilliams import EigenTable, full_space_distribution
+from hrmc.negq import NegQContext
 from hrmc.verify import sample_codes
 
 
@@ -637,6 +641,39 @@ def test_closed_forms_refuse_outputs_over_the_guard(capsys, monkeypatch, argv,
     assert_one_error_line(out, err)
 
 
+def test_macwilliams_refuses_transforms_over_the_guard(capsys, monkeypatch):
+    """The transform's memo is estimated as (t+1)^2 values as long as
+    q^(t^2), in 30-bit words, and refused one below the estimate before
+    any product is built. At q=2, t=10: q^100 has at most 100*65/64 + 1 =
+    102 bits, 4 words, so 121 * 4 = 484 words, above the 11 * 32 = 352
+    estimated output digits."""
+    argv = ["macwilliams", "--q", "2", "--t", "10",
+            "--dist", "1" + ",0" * 10, "--size", "1"]
+    rc, out, _ = run(capsys, argv + ["--guard", "484", "--format", "json"])
+    assert rc == 0
+    # the zero code's dual is the whole space
+    assert json.loads(out)["dual"] == [
+        str(c) for c in full_space_distribution(NegQContext(2), 10)]
+
+    def unreachable(*args):
+        raise AssertionError("computed before the guard check")
+    for name in ("hrmc.cli.macwilliams_eigen", "hrmc.cli.macwilliams_transform",
+                 "hrmc.polynomials.negq_product"):
+        monkeypatch.setattr(name, unreachable)
+    rc, out, err = run(capsys, argv + ["--guard", "483"])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "484 estimated words memoised by the transform" in err
+    # the default guard refuses q=2, t=160 and accepts the bench's q=3, t=40
+    monkeypatch.delenv("HRMC_GUARD", raising=False)
+    rc, out, err = run(capsys, ["macwilliams", "--q", "2", "--t", "160",
+                                "--dist", "1" + ",0" * 160, "--size", "1"])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "estimated words memoised by the transform" in err
+    cli._check_transform_words(3, 40, RunConfig())
+
+
 def test_macwilliams(capsys):
     rc, out, _ = run(capsys, ["macwilliams", "--q", "2", "--t", "3",
                               "--dist", "1,0,3,4", "--size", "8",
@@ -705,3 +742,58 @@ def test_verify_table_lines(capsys):
     assert rc == 0
     assert "ALL SUITES PASSED" in out
     assert len([ln for ln in out.splitlines() if " passed " in ln]) == 12
+
+
+# Runs hrmc.cli.main on each argv list in a fresh interpreter and reports
+# which of the watched modules the package loaded; "1" as the second
+# argument does in-process what the two_cpus fixture does.
+_IMPORT_PROBE = """
+import contextlib, io, json, os, sys
+before = set(sys.modules)
+from hrmc import cli
+if sys.argv[2] == "1":
+    os.cpu_count = lambda: 2
+    cli.MIN_WORDS_PER_PROCESS = 1
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+watched = ("dataclasses", "multiprocessing", "hrmc.verify")
+print(json.dumps({"rc": codes, "loaded": [
+    m for m in watched if m in sys.modules and m not in before]}))
+"""
+
+
+def _modules_loaded_by(argvs, two_cpus=False):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs),
+         "1" if two_cpus else "0"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    report = json.loads(proc.stdout)
+    assert report["rc"] == [0] * len(argvs)
+    return report["loaded"]
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
+    """Start-up is most of a small command's time, so no command loads
+    dataclasses, and only the commands that use them load multiprocessing
+    (a pool of workers) or hrmc.verify (the verify suites)."""
+    code = write_code_file(tmp_path, example_code)
+    dual = write_code_file(tmp_path, dual_code(example_code), "dual.json")
+    assert _modules_loaded_by([
+        ["count", "--q", "2", "--t", "2"],
+        ["wd", "--input", code],
+        ["wd", "--input", dual, "--workers", "2"],
+        ["dual", "--input", code],
+        ["eigen", "--q", "2", "--t", "3"],
+        ["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
+         "--size", "8"],
+        ["mhrd", "--q", "2", "--t", "3", "--d", "3"],
+    ]) == []
+    assert _modules_loaded_by(
+        [["verify", "--q", "2", "--t", "2", "--trials", "2"]]) \
+        == ["hrmc.verify"]
+    assert _modules_loaded_by(
+        [["count", "--q", "2", "--t", "4", "--workers", "2"]],
+        two_cpus=True) == ["multiprocessing"]
