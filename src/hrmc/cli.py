@@ -344,6 +344,24 @@ def _parse_dist(text: str) -> list[int]:
         raise UsageError(f"bad distribution {text!r}: {exc}") from exc
 
 
+def _check_dist(args, counts: list[int]) -> None:
+    """Refuse counts that no code has: a negative count, a zero word
+    counted other than once, or counts that do not sum to --size. A
+    --size below 1 is left to macwilliams_eigen, which names it."""
+    if args.size < 1:
+        return
+    if any(c < 0 for c in counts):
+        fault = "a count is negative"
+    elif counts[0] != 1:
+        fault = f"the zero word is counted {counts[0]} times, not once"
+    elif sum(counts) != args.size:
+        fault = f"the counts sum to {sum(counts)}"
+    else:
+        return
+    raise UsageError(f"--dist {args.dist} with --size {args.size} is not "
+                     f"the distribution of a code ({fault})")
+
+
 def cmd_macwilliams(args, config: RunConfig) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
@@ -353,6 +371,7 @@ def cmd_macwilliams(args, config: RunConfig) -> int:
     if len(counts) != t + 1:
         raise UsageError(
             f"need {t + 1} comma-separated counts, got {len(counts)}")
+    _check_dist(args, counts)
     try:
         eigen = macwilliams_eigen(ctx, counts, args.size, t)
     except NonIntegralDual as exc:

@@ -290,15 +290,20 @@ def moment_qinv_high(ctx: NegQContext, counts, t: int, phi: int) -> int:
 def delta_fn(ctx: NegQContext, lam: int, phi: int, j: int):
     """Alternating gamma sum sum_i gauss(j,i) (-1)^i b^tri(i) gamma(lam-i, phi).
 
-    The first argument of gamma may go negative inside the sum, so the
-    computation runs over exact rationals; the value itself may be a
-    Fraction for some arguments.
+    The first argument of gamma may go negative inside the sum, where it
+    is an integer over a power of b, so the value itself may be a Fraction
+    for some arguments. The sum is kept as one integer numerator over one
+    denominator, a product of powers of b, and divided once.
     """
-    acc = Fraction(0)
+    b = ctx.b
+    num, den = 0, 1
     for i in range(j + 1):
-        acc += (gauss_ext(ctx, j, i) * (-1) ** i * ctx.b ** triangle(i)
-                * gamma_ext(ctx, lam - i, phi))
-    return int(acc) if acc.denominator == 1 else acc
+        g = gamma_ext(ctx, lam - i, phi)
+        n = gauss_ext(ctx, j, i) * (-1) ** i * b ** triangle(i) * g.numerator
+        d = g.denominator
+        num, den = num * d + n * den, den * d
+    v = Fraction(num, den)
+    return int(v) if v.denominator == 1 else v
 
 
 def epsilon_fn(ctx: NegQContext, big_lam: int, phi: int, i: int):
@@ -307,17 +312,35 @@ def epsilon_fn(ctx: NegQContext, big_lam: int, phi: int, i: int):
     Matches the closed form (-1)^i b^tri(i) gauss(big_lam - i, big_lam - phi)
     whenever i <= big_lam; beyond that the two sides genuinely differ, so
     callers should stay in that range.
+
+    A term is an integer over a power of b: b^(ell(big_lam - phi)) and the
+    factors b^(phi - ell) - b^j may have negative b-exponents, and past
+    i = big_lam so may the Gaussian's first argument. The sum is kept as
+    one integer numerator over one denominator and divided once.
     """
     b = ctx.b
-    acc = Fraction(0)
+    num, den = 0, 1
     for ell in range(i + 1):
-        prod = Fraction(1)
-        for j in range(i - ell):
-            prod *= Fraction(b) ** (phi - ell) - b ** j
-        acc += (gauss_ext(ctx, i, ell) * gauss_ext(ctx, big_lam - i, phi - ell)
-                * Fraction(b) ** (ell * (big_lam - phi))
-                * (-1) ** ell * b ** triangle(ell) * prod)
-    return int(acc) if acc.denominator == 1 else acc
+        g = gauss_ext(ctx, big_lam - i, phi - ell)
+        if g == 0:
+            continue
+        n = gauss_ext(ctx, i, ell) * (-1) ** ell * b ** triangle(ell) \
+            * g.numerator
+        d = g.denominator
+        e = ell * (big_lam - phi)
+        if e >= 0:
+            n *= b ** e
+        else:
+            d *= b ** -e
+        # b^(phi - ell) = top / bottom: each factor is an integer over bottom
+        top, bottom = ((b ** (phi - ell), 1) if phi >= ell
+                       else (1, b ** (ell - phi)))
+        for k in range(i - ell):
+            n *= top - b ** k * bottom
+            d *= bottom
+        num, den = num * d + n * den, den * d
+    v = Fraction(num, den)
+    return int(v) if v.denominator == 1 else v
 
 
 # ------------------------------------------------- extremal distributions

@@ -13,11 +13,15 @@ power of the base b = -q and shifts its parameter. The product is
 associative (the suite checks this rather than assuming it) but not
 commutative.
 
-A product memoises its coefficients, so powers are built as one chain
-a^[0], a^[1], ..., a^[k], each the product of a with the one before:
-``negq_power`` returns the last link, and ``negq_transform`` shares one
-chain per substituend across all the terms of the enumerator instead of
-rebuilding a power for each term.
+A polynomial is evaluated a row at a time: ``row(lam)`` is the tuple of
+all degree + 1 coefficients at one lambda, computed once and memoised on
+the polynomial. Every combinator builds its rows from whole rows of its
+operands (a product convolves a.row(lam) with b.row(lam - i)), so a
+coefficient read twice, or by two consumers, is computed once. Powers are
+built as one chain a^[0], a^[1], ..., a^[k], each the product of a with the
+one before: ``negq_power`` returns the last link, and ``negq_transform``
+shares one chain per substituend across all the terms of the enumerator
+instead of rebuilding a power for each term.
 
 Coefficients are exact: ints, or Fractions where a construction genuinely
 produces them (negative lambda arguments, or the inverse derivative whose
@@ -34,26 +38,58 @@ from .negq import NegQContext, beta_fn, bpow, triangle
 
 Number = int | Fraction
 CoeffFn = Callable[[int, int], Number]
+Row = tuple[Number, ...]
 
 
 class LambdaPoly:
     """Homogeneous polynomial of the given degree with lambda-dependent
     coefficients. coefficient(i, lam) is the Y^i X^(degree-i) coefficient
-    and is 0 outside 0 <= i <= degree. Equal only to itself, since the
+    and is 0 outside 0 <= i <= degree; row(lam) holds all of them at one
+    lambda and is computed once. The constructor's coeff(i, lam) fills a
+    row one i at a time; the combinators below fill theirs from their
+    operands' rows (``_from_rows``). Equal only to itself, since the
     coefficient functions cannot be compared; ``verify.polys_equal``
     compares two over a window of lambdas."""
 
-    __slots__ = ("ctx", "degree", "coeff")
+    __slots__ = ("ctx", "degree", "_coeff", "_fill", "_rows")
 
     def __init__(self, ctx: NegQContext, degree: int, coeff: CoeffFn) -> None:
         self.ctx = ctx
         self.degree = degree
-        self.coeff = coeff
+        self._coeff = coeff
+        self._fill = lambda lam: tuple([coeff(i, lam)
+                                        for i in range(degree + 1)])
+        self._rows: dict[int, Row] = {}
+
+    @property
+    def coeff(self) -> CoeffFn:
+        """The function given to the constructor; ``coefficient`` for a
+        polynomial built by a combinator."""
+        return self.coefficient if self._coeff is None else self._coeff
+
+    def row(self, lam: int) -> Row:
+        """The degree + 1 coefficients at lam, from the memo if present."""
+        row = self._rows.get(lam)
+        if row is None:
+            row = self._rows[lam] = self._fill(lam)
+        return row
 
     def coefficient(self, i: int, lam: int) -> Number:
         if i < 0 or i > self.degree:
             return 0
-        return self.coeff(i, lam)
+        return self.row(lam)[i]
+
+
+def _from_rows(ctx: NegQContext, degree: int,
+               fill: Callable[[int], Row]) -> LambdaPoly:
+    """The polynomial whose row at lam is fill(lam)."""
+    poly = LambdaPoly.__new__(LambdaPoly)
+    poly.ctx = ctx
+    poly.degree = degree
+    poly._coeff = None
+    poly._fill = fill
+    poly._rows = {}
+    return poly
 
 
 class ConcretePoly:
@@ -102,25 +138,21 @@ def _check_ctx(a: LambdaPoly, b: LambdaPoly) -> NegQContext:
 
 
 def one_poly(ctx: NegQContext) -> LambdaPoly:
-    return LambdaPoly(ctx, 0, lambda i, lam: 1)
+    return constant_poly(ctx, 1)
 
 
 def constant_poly(ctx: NegQContext, value: Number) -> LambdaPoly:
-    return LambdaPoly(ctx, 0, lambda i, lam: value)
+    return _from_rows(ctx, 0, lambda lam: (value,))
 
 
 def mu_poly(ctx: NegQContext) -> LambdaPoly:
     """X + (-b^lambda - 1) Y, the rank-one enumerator seed."""
-    def coeff(i: int, lam: int) -> Number:
-        if i == 0:
-            return 1
-        return -bpow(ctx, lam) - 1
-    return LambdaPoly(ctx, 1, coeff)
+    return _from_rows(ctx, 1, lambda lam: (1, -bpow(ctx, lam) - 1))
 
 
 def nu_poly(ctx: NegQContext) -> LambdaPoly:
     """X - Y; its coefficients do not involve lambda."""
-    return LambdaPoly(ctx, 1, lambda i, lam: 1 if i == 0 else -1)
+    return _from_rows(ctx, 1, lambda lam: (1, -1))
 
 
 def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
@@ -128,24 +160,21 @@ def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     ctx = _check_ctx(a, b)
     r, s = a.degree, b.degree
     twist = [ctx.b ** (i * s) for i in range(r + 1)]
-    cache: dict[tuple[int, int], Number] = {}
 
-    def coeff(u: int, lam: int) -> Number:
-        key = (u, lam)
-        if key not in cache:
-            acc: Number = 0
-            for i in range(max(0, u - s), min(r, u) + 1):
-                acc += twist[i] * a.coefficient(i, lam) \
-                    * b.coefficient(u - i, lam - i)
-            cache[key] = acc
-        return cache[key]
+    def fill(lam: int) -> Row:
+        out: list[Number] = [0] * (r + s + 1)
+        for i, (w, a_i) in enumerate(zip(twist, a.row(lam))):
+            wa = w * a_i
+            for u, b_j in enumerate(b.row(lam - i), i):
+                out[u] += wa * b_j
+        return tuple(out)
 
-    return LambdaPoly(ctx, r + s, coeff)
+    return _from_rows(ctx, r + s, fill)
 
 
 def _power_chain(a: LambdaPoly, k: int) -> list[LambdaPoly]:
     """[a^[0], a^[1], ..., a^[k]], each power the twisted product of a with
-    the one before, so all of them share one set of memoised coefficients."""
+    the one before, so all of them share one set of memoised rows."""
     chain = [one_poly(a.ctx)]
     for _ in range(k):
         chain.append(negq_product(a, chain[-1]))
@@ -162,13 +191,14 @@ def negq_power(a: LambdaPoly, k: int) -> LambdaPoly:
 def poly_add(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     ctx = _check_ctx(a, b)
     deg = max(a.degree, b.degree)
-    return LambdaPoly(ctx, deg,
-                      lambda i, lam: a.coefficient(i, lam) + b.coefficient(i, lam))
+    pad_a, pad_b = (0,) * (deg - a.degree), (0,) * (deg - b.degree)
+    return _from_rows(ctx, deg, lambda lam: tuple(
+        x + y for x, y in zip(a.row(lam) + pad_a, b.row(lam) + pad_b)))
 
 
 def poly_scale(a: LambdaPoly, factor: Number) -> LambdaPoly:
-    return LambdaPoly(a.ctx, a.degree,
-                      lambda i, lam: factor * a.coefficient(i, lam))
+    return _from_rows(a.ctx, a.degree,
+                      lambda lam: tuple(factor * c for c in a.row(lam)))
 
 
 def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
@@ -181,8 +211,8 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
     homogeneous of degree t.
 
     The powers come from two shared chains, y_sub^[0..t] and x_sub^[0..t],
-    so the t + 1 terms reuse each other's memoised coefficients: at most
-    3t + 1 twisted products in all, instead of a fresh chain per term.
+    so the t + 1 terms reuse each other's memoised rows: at most 3t + 1
+    twisted products in all, instead of a fresh chain per term.
     """
     ctx = _check_ctx(y_sub, x_sub)
     if y_sub.degree != 1 or x_sub.degree != 1:
@@ -193,24 +223,27 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
     y_pows, x_pows = _power_chain(y_sub, t), _power_chain(x_sub, t)
     terms = [(c, negq_product(y_pows[i], x_pows[t - i]))
              for i, c in enumerate(counts) if c != 0]
-    return LambdaPoly(ctx, t, lambda u, lam: sum(
-        c * term.coefficient(u, lam) for c, term in terms))
+
+    def fill(lam: int) -> Row:
+        out: list[Number] = [0] * (t + 1)
+        for c, term in terms:
+            for u, v in enumerate(term.row(lam)):
+                out[u] += c * v
+        return tuple(out)
+
+    return _from_rows(ctx, t, fill)
 
 
 def evaluate(a: LambdaPoly, x: Number, y: Number, lam: int) -> Number:
-    return sum(a.coefficient(i, lam) * y ** i * x ** (a.degree - i)
-               for i in range(a.degree + 1))
+    return sum(c * y ** i * x ** (a.degree - i)
+               for i, c in enumerate(a.row(lam)))
 
 
 def concretize(a: LambdaPoly, lam: int) -> ConcretePoly:
     """Freeze the parameter; Fractions that are whole numbers become ints."""
-    vals = []
-    for i in range(a.degree + 1):
-        v = a.coefficient(i, lam)
-        if isinstance(v, Fraction) and v.denominator == 1:
-            v = int(v)
-        vals.append(v)
-    return ConcretePoly(a.ctx, a.degree, tuple(vals))
+    return ConcretePoly(a.ctx, a.degree, tuple(
+        int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
+        for v in a.row(lam)))
 
 
 # --------------------------------------------------------------- calculus
@@ -227,9 +260,8 @@ def negq_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
     if phi > r:
         return constant_poly(a.ctx, 0)
     betas = [beta_fn(a.ctx, r - i, phi) for i in range(r - phi + 1)]
-    return LambdaPoly(a.ctx, r - phi,
-                      lambda i, lam: a.coefficient(i, lam) * betas[i]
-                      if 0 <= i <= r - phi else 0)
+    return _from_rows(a.ctx, r - phi, lambda lam: tuple(
+        c * beta for c, beta in zip(a.row(lam), betas)))
 
 
 def negq_inv_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
@@ -251,13 +283,8 @@ def negq_inv_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
     # factors[j] belongs to input term i = j + phi
     factors = [bpow(ctx, phi * (1 - i) + triangle(phi)) * beta_fn(ctx, i, phi)
                for i in range(phi, r + 1)]
-
-    def coeff(j: int, lam: int) -> Number:
-        if j < 0 or j > r - phi:
-            return 0
-        return a.coefficient(j + phi, lam) * factors[j]
-
-    return LambdaPoly(ctx, r - phi, coeff)
+    return _from_rows(ctx, r - phi, lambda lam: tuple(
+        c * f for c, f in zip(a.row(lam)[phi:], factors)))
 
 
 # ------------------------------------------------- structural combinators
@@ -267,9 +294,7 @@ def div_x(a: LambdaPoly) -> LambdaPoly:
     vanishes identically; the caller is responsible for that."""
     if a.degree < 1:
         raise UsageError("cannot divide a degree-0 polynomial by X")
-    return LambdaPoly(a.ctx, a.degree - 1,
-                      lambda i, lam: a.coefficient(i, lam)
-                      if 0 <= i <= a.degree - 1 else 0)
+    return _from_rows(a.ctx, a.degree - 1, lambda lam: a.row(lam)[:-1])
 
 
 def div_y(a: LambdaPoly) -> LambdaPoly:
@@ -277,23 +302,19 @@ def div_y(a: LambdaPoly) -> LambdaPoly:
     (index 0) vanishes identically."""
     if a.degree < 1:
         raise UsageError("cannot divide a degree-0 polynomial by Y")
-    return LambdaPoly(a.ctx, a.degree - 1,
-                      lambda i, lam: a.coefficient(i + 1, lam)
-                      if 0 <= i <= a.degree - 1 else 0)
+    return _from_rows(a.ctx, a.degree - 1, lambda lam: a.row(lam)[1:])
 
 
 def scale_y(a: LambdaPoly) -> LambdaPoly:
     """Substitute Y -> b*Y, i.e. coefficient i gains a factor b^i."""
-    base = a.ctx.b
-    return LambdaPoly(a.ctx, a.degree,
-                      lambda i, lam: base ** i * a.coefficient(i, lam)
-                      if 0 <= i <= a.degree else 0)
+    powers = [a.ctx.b ** i for i in range(a.degree + 1)]
+    return _from_rows(a.ctx, a.degree, lambda lam: tuple(
+        p * c for p, c in zip(powers, a.row(lam))))
 
 
 def shift_lambda(a: LambdaPoly, delta: int) -> LambdaPoly:
     """Replace the parameter lambda by lambda - delta."""
-    return LambdaPoly(a.ctx, a.degree,
-                      lambda i, lam: a.coefficient(i, lam - delta))
+    return _from_rows(a.ctx, a.degree, lambda lam: a.row(lam - delta))
 
 
 def poly_from_jsonable(ctx: NegQContext, obj: dict) -> ConcretePoly:

@@ -47,7 +47,6 @@ from .negq import (
 )
 from .polynomials import (
     LambdaPoly,
-    concretize,
     div_x,
     div_y,
     evaluate,
@@ -127,12 +126,9 @@ def epsilon_closed(ctx: NegQContext, big_lam: int, phi: int, i: int):
 
 def polys_equal(a: LambdaPoly, b: LambdaPoly,
                 lams=LAMBDA_RANGE) -> bool:
-    if a.degree != b.degree:
-        deg = max(a.degree, b.degree)
-        return all(a.coefficient(i, lam) == b.coefficient(i, lam)
-                   for lam in lams for i in range(deg + 1))
-    return all(concretize(a, lam).coefficients == concretize(b, lam).coefficients
-               for lam in lams)
+    deg = max(a.degree, b.degree)
+    pad_a, pad_b = (0,) * (deg - a.degree), (0,) * (deg - b.degree)
+    return all(a.row(lam) + pad_a == b.row(lam) + pad_b for lam in lams)
 
 
 def random_lambda_poly(ctx: NegQContext, rng: random.Random,

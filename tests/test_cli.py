@@ -703,6 +703,29 @@ def test_macwilliams_non_integral_dual(capsys):
     assert "--dist" in err
 
 
+@pytest.mark.parametrize("dist, size, fault", [
+    ("0,0", 1, "the zero word is counted 0 times, not once"),
+    ("1,-1,4", 4, "a count is negative"),
+    ("2,0", 2, "the zero word is counted 2 times, not once"),
+    ("1,0,3", 3, "the counts sum to 4"),
+])
+def test_macwilliams_refuses_a_dist_no_code_has(capsys, monkeypatch, dist,
+                                                size, fault):
+    """Counts that no code has are refused before either route runs, even
+    where both routes would give an integral dual."""
+    def unreachable(*args):
+        raise AssertionError("transformed a --dist that no code has")
+    for name in ("hrmc.cli.macwilliams_eigen",
+                 "hrmc.cli.macwilliams_transform"):
+        monkeypatch.setattr(name, unreachable)
+    t = dist.count(",")
+    rc, out, err = run(capsys, ["macwilliams", "--q", "2", "--t", str(t),
+                                "--dist", dist, "--size", str(size)])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert f"--dist {dist} with --size {size}" in err and fault in err
+
+
 def test_mhrd(capsys):
     rc, out, _ = run(capsys, ["mhrd", "--q", "2", "--t", "3", "--d", "3",
                               "--format", "json"])

@@ -1,6 +1,7 @@
 """The twisted product, powers, transforms, and both derivative kinds."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,45 @@ def test_transform_shares_power_chains(monkeypatch, t):
                  for i, c in enumerate(counts)]
         assert got == [[sum(c * term.coefficient(u, lam) for c, term in terms)
                         for u in range(t + 1)] for lam in (t, 1, -1)]
+
+
+def _counting_coeff(calls, tag):
+    def coeff(i, lam):
+        calls[tag, lam] += 1
+        return i * lam + 1
+    return coeff
+
+
+def test_rows_are_computed_once_per_lambda():
+    """A polynomial fills its row at a lambda once: a user coefficient
+    function is called degree + 1 times per distinct lambda however often
+    coefficient and concretize read it, and a twisted product computes
+    each operand row it needs once per lambda, sharing rows between the
+    lambdas it is read at."""
+    calls = Counter()
+    f = LambdaPoly(CTX3, 3, _counting_coeff(calls, "f"))
+    for _ in range(3):
+        for lam in (0, 2, -1):
+            assert concretize(f, lam).coefficients == tuple(
+                i * lam + 1 for i in range(4))
+            assert [f.coefficient(i, lam) for i in range(-1, 5)] \
+                == [0] + [i * lam + 1 for i in range(4)] + [0]
+    assert calls == {("f", lam): 4 for lam in (0, 2, -1)}
+
+    calls.clear()
+    a = LambdaPoly(CTX3, 2, _counting_coeff(calls, "a"))
+    b = LambdaPoly(CTX3, 3, _counting_coeff(calls, "b"))
+    prod = negq_product(a, b)
+    for _ in range(2):
+        for lam in (5, 6):
+            frozen = concretize(prod, lam)
+            assert [prod.coefficient(u, lam) for u in range(6)] \
+                == list(frozen.coefficients)
+            assert prod.row(lam) is prod.row(lam)
+    # row lam of the product reads a at lam and b at lam, lam-1, lam-2
+    assert calls == {**{("a", lam): 3 for lam in (5, 6)},
+                     **{("b", lam): 4 for lam in (3, 4, 5, 6)}}
+    assert f.coeff(2, 3) == 7 and prod.coeff(1, 5) == prod.coefficient(1, 5)
 
 
 def test_derivative_reduces_powers():
