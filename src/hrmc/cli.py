@@ -48,7 +48,7 @@ from .codes import (
 )
 from .errors import CheckFailed, HrmcError, NonIntegralDual, UsageError
 from .fields import make_field
-from .hermitian import DEFAULT_GUARD, check_guard, enumeration_guard
+from .hermitian import check_guard, check_power_guard, enumeration_guard
 from .macwilliams import (
     build_eigen_table,
     build_eigen_table_C,
@@ -62,57 +62,22 @@ from .macwilliams import (
 from .negq import NegQContext
 
 
-class RunConfig:
-    __slots__ = ("enumeration_guard", "rng_seed", "worker_count",
-                 "output_format")
-
-    def __init__(self, enumeration_guard: int = DEFAULT_GUARD,
-                 rng_seed: int = 0, worker_count: int = 1,
-                 output_format: str = "table") -> None:
-        self.enumeration_guard = enumeration_guard
-        self.rng_seed = rng_seed
-        self.worker_count = worker_count
-        self.output_format = output_format
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.enumeration_guard, self.rng_seed, self.worker_count,
-                 self.output_format)
-                == (other.enumeration_guard, other.rng_seed,
-                    other.worker_count, other.output_format))
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        workers = getattr(args, "workers", 1)
-        if workers < 1:
-            raise UsageError(f"--workers must be at least 1, got {workers}")
-        return cls(
-            enumeration_guard=enumeration_guard(args.guard),
-            rng_seed=getattr(args, "seed", 0) or 0,
-            worker_count=workers,
-            output_format=getattr(args, "format", "table") or "table",
-        )
-
-
 def _matrix_size(t: int) -> int:
     if t < 1:
         raise UsageError(f"--t must be at least 1, got {t}")
     return t
 
 
-def _check_output_digits(q: int, t: int, entries: int,
-                         config: RunConfig) -> None:
+def _check_output_digits(q: int, t: int, entries: int, guard: int) -> None:
     """Refuse a closed-form command before it computes, when its output
     would hold more decimal digits than the guard: ``entries`` values of
     about as many digits as q^(t^2), which bounds every eigenvalue and
     count. q^64 has d digits, so q^n has at most n*d/64 + 1."""
     digits = t * t * len(str(q ** 64)) // 64 + 1
-    check_guard(entries * digits, "estimated output digits",
-                config.enumeration_guard)
+    check_guard(entries * digits, "estimated output digits", guard)
 
 
-def _check_transform_words(q: int, t: int, config: RunConfig) -> None:
+def _check_transform_words(q: int, t: int, guard: int) -> None:
     """Refuse ``macwilliams`` before its transform builds a product, when
     the coefficients it memoises would be too large: (t+1)^2 values as
     long as q^(t^2), counted in 30-bit words (CPython's int digits). The
@@ -122,8 +87,7 @@ def _check_transform_words(q: int, t: int, config: RunConfig) -> None:
     most n*c/64 + 1."""
     bits = t * t * (q ** 64).bit_length() // 64 + 1
     check_guard((t + 1) ** 2 * -(-bits // 30),
-                "estimated words memoised by the transform",
-                config.enumeration_guard)
+                "estimated words memoised by the transform", guard)
 
 
 # ------------------------------------------------------------- output
@@ -158,11 +122,11 @@ def _all_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def emit(payload: dict, config: RunConfig, table_lines) -> None:
+def emit(payload: dict, output_format: str, table_lines) -> None:
     """Print the payload as canonical JSON, or the table lines (which may
     be a lazy iterable), with every integer rendered in full."""
     with _all_digits():
-        if config.output_format == "json":
+        if output_format == "json":
             print(json.dumps(_stringify(payload), sort_keys=True,
                              separators=(",", ":")))
         else:
@@ -194,10 +158,10 @@ def _count_range(task: tuple) -> list[int]:
     return rank_counts(*task)
 
 
-def _weight_distribution(code, config: RunConfig) -> WeightDistribution:
+def _weight_distribution(code, args) -> WeightDistribution:
     """weight_distribution, split by index range over --workers processes."""
-    tasks = [(code, lo, hi, config.enumeration_guard)
-             for lo, hi in _index_ranges(code.size, config.worker_count)]
+    tasks = [(code, lo, hi, args.guard)
+             for lo, hi in _index_ranges(code.size, args.workers)]
     if len(tasks) == 1:
         parts = [_count_range(tasks[0])]
     else:
@@ -210,14 +174,14 @@ def _weight_distribution(code, config: RunConfig) -> WeightDistribution:
 
 # ------------------------------------------------------------- commands
 
-def cmd_count(args, config: RunConfig) -> int:
+def cmd_count(args) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
     field = make_field(*ctx.prime_parts)
     # refuse before the t^2 basis matrices are built, not after
-    check_guard(field.q ** (t * t), "matrices", config.enumeration_guard)
+    check_power_guard(field.q, t * t, "matrices", args.guard)
     full_space = make_code(field, t, list(standard_basis(field, t)))
-    counts = list(_weight_distribution(full_space, config).counts)
+    counts = list(_weight_distribution(full_space, args).counts)
     closed = list(full_space_distribution(ctx, t))
     match = counts == closed
     payload = {"q": field.q, "t": t, "counts": counts,
@@ -226,14 +190,14 @@ def cmd_count(args, config: RunConfig) -> int:
     lines += [f"  rank {r}: {c}" for r, c in enumerate(counts)]
     lines.append(f"closed form: {closed}")
     lines.append("MATCH" if match else "MISMATCH")
-    emit(payload, config, lines)
+    emit(payload, args.format, lines)
     return 0 if match else 1
 
 
-def cmd_eigen(args, config: RunConfig) -> int:
+def cmd_eigen(args) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
-    _check_output_digits(ctx.q, t, (t + 1) ** 2, config)
+    _check_output_digits(ctx.q, t, (t + 1) ** 2, args.guard)
     table = build_eigen_table(ctx, t)
     alt = build_eigen_table_C(ctx, t)
     for x in range(t + 1):
@@ -247,7 +211,7 @@ def cmd_eigen(args, config: RunConfig) -> int:
         lines = [f"eigenvalue table, q={args.q} t={args.t} (both routes agree)"]
         lines += ["  " + " ".join(f"{v:>10}" for v in row)
                   for row in table.values]
-    emit(payload, config, lines)
+    emit(payload, args.format, lines)
     return 0
 
 
@@ -260,12 +224,12 @@ def _load_code(path: str):
         raise UsageError(f"cannot read code from {path}: {exc}") from exc
 
 
-def _weight_distribution_via_dual(code, config: RunConfig) -> WeightDistribution:
+def _weight_distribution_via_dual(code, args) -> WeightDistribution:
     """Count the words of the trace dual and map the counts back: the dual
     of the dual is the code, so one MacWilliams step gives its distribution.
     The eigen and transform routes must agree on it."""
     dual = dual_code(code)
-    dual_counts = _weight_distribution(dual, config).counts
+    dual_counts = _weight_distribution(dual, args).counts
     ctx = NegQContext(code.field.q)
     eigen = macwilliams_eigen(ctx, dual_counts, dual.size, code.t)
     transform = macwilliams_transform(ctx, dual_counts, dual.size, code.t)
@@ -274,26 +238,26 @@ def _weight_distribution_via_dual(code, config: RunConfig) -> WeightDistribution
     return WeightDistribution(code.field.q, code.t, code.k, eigen)
 
 
-def cmd_wd(args, config: RunConfig) -> int:
+def cmd_wd(args) -> int:
     code = _load_code(args.input)
     # enumerate whichever of C and its dual has fewer words
     count = (_weight_distribution_via_dual if code.t * code.t - code.k < code.k
              else _weight_distribution)
-    wd = count(code, config).to_jsonable()
+    wd = count(code, args).to_jsonable()
     lines = [f"weight distribution, q={wd['q']} t={wd['t']} k={wd['k']}",
              "  " + " ".join(str(c) for c in wd["counts"])]
-    emit(wd, config, lines)
+    emit(wd, args.format, lines)
     return 0
 
 
-def cmd_dual(args, config: RunConfig) -> int:
+def cmd_dual(args) -> int:
     code = _load_code(args.input)
-    guard = config.enumeration_guard
+    guard = args.guard
     ctx = NegQContext(code.field.q)
     t = code.t
     # refuse before the t^2 basis matrices of the dual are built, not after
-    check_guard(code.size, "codewords", guard)
-    check_guard(ctx.q ** (t * t - code.k), "dual codewords", guard)
+    check_power_guard(ctx.q, code.k, "codewords", guard)
+    check_power_guard(ctx.q, t * t - code.k, "dual codewords", guard)
     primal = weight_distribution(code, guard)
     dual = dual_code(code)
     brute = weight_distribution(dual, guard)
@@ -333,7 +297,7 @@ def cmd_dual(args, config: RunConfig) -> int:
             f"moment phi={m['phi']}: q {m['q_lhs']} = {m['q_rhs']}, "
             f"reciprocal {m['qinv_lhs']} = {m['qinv_rhs']} "
             f"[{'ok' if m['match'] else 'MISMATCH'}]")
-    emit(payload, config, lines)
+    emit(payload, args.format, lines)
     return 0 if match and moments_ok else 1
 
 
@@ -362,11 +326,11 @@ def _check_dist(args, counts: list[int]) -> None:
                      f"the distribution of a code ({fault})")
 
 
-def cmd_macwilliams(args, config: RunConfig) -> int:
+def cmd_macwilliams(args) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
-    _check_output_digits(ctx.q, t, t + 1, config)
-    _check_transform_words(ctx.q, t, config)
+    _check_output_digits(ctx.q, t, t + 1, args.guard)
+    _check_transform_words(ctx.q, t, args.guard)
     counts = _parse_dist(args.dist)
     if len(counts) != t + 1:
         raise UsageError(
@@ -387,14 +351,14 @@ def cmd_macwilliams(args, config: RunConfig) -> int:
     with _all_digits():
         lines = [f"dual distribution, q={args.q} t={args.t} |C|={args.size}",
                  f"  {list(eigen)} (both routes agree)"]
-    emit(payload, config, lines)
+    emit(payload, args.format, lines)
     return 0
 
 
-def cmd_mhrd(args, config: RunConfig) -> int:
+def cmd_mhrd(args) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q)
-    _check_output_digits(ctx.q, t, t + 1, config)
+    _check_output_digits(ctx.q, t, t + 1, args.guard)
     if not 1 <= args.d <= t:  # before q^(t(d-1)) is computed for any d
         raise UsageError(f"--d must be in 1..{t}, got {args.d}")
     dual_size = args.q ** (t * (args.d - 1))
@@ -404,20 +368,19 @@ def cmd_mhrd(args, config: RunConfig) -> int:
     with _all_digits():
         lines = [f"maximal-code distribution, q={args.q} t={args.t} d={args.d}",
                  f"  {list(counts)}"]
-    emit(payload, config, lines)
+    emit(payload, args.format, lines)
     return 0
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     from .verify import run_verification  # only this command needs it
     t = _matrix_size(args.t)
     field = make_field(*NegQContext(args.q).prime_parts)
-    results = run_verification(field, t, args.trials, config.rng_seed,
-                               config.enumeration_guard)
+    results = run_verification(field, t, args.trials, args.seed, args.guard)
     all_ok = all(r.ok for r in results)
     payload = {
         "q": args.q, "t": args.t, "trials": args.trials,
-        "seed": config.rng_seed,
+        "seed": args.seed,
         "suites": [{"name": r.name, "passed": r.passed, "failed": r.failed,
                     "failures": r.failures} for r in results],
         "ok": all_ok,
@@ -429,7 +392,7 @@ def cmd_verify(args, config: RunConfig) -> int:
         for f in r.failures:
             lines.append(f"    {f}")
     lines.append("ALL SUITES PASSED" if all_ok else "SUITE FAILURES")
-    emit(payload, config, lines)
+    emit(payload, args.format, lines)
     return 0 if all_ok else 1
 
 
@@ -441,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations for Hermitian rank-metric codes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=False, workers=True):
+    def common(p, *, seed=False, workers=False):
         p.add_argument("--guard", type=int, default=None,
                        help="cap on objects enumerated, cells per word, "
                             "estimated output digits and transform words "
@@ -455,35 +418,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="rank census of all Hermitian matrices")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    common(p)
+    common(p, workers=True)
 
     p = sub.add_parser("eigen", help="eigenvalue table by two routes")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    common(p, workers=False)
+    common(p)
 
     p = sub.add_parser("wd", help="weight distribution of a code")
     p.add_argument("--input", required=True, help="code JSON file")
-    common(p)
+    common(p, workers=True)
 
     p = sub.add_parser("dual", help="dual distribution by three routes")
     p.add_argument("--input", required=True, help="code JSON file")
     p.add_argument("--phi", type=int, default=None,
                    help="restrict the moment table to one phi")
-    common(p, workers=False)
+    common(p)
 
     p = sub.add_parser("macwilliams", help="transform a raw distribution")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--dist", required=True, help="comma-separated counts")
     p.add_argument("--size", type=int, required=True, help="code size")
-    common(p, workers=False)
+    common(p)
 
     p = sub.add_parser("mhrd", help="closed-form maximal-code distribution")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True, help="minimum distance (odd)")
-    common(p, workers=False)
+    common(p)
 
     p = sub.add_parser("verify", help="run the identity suites")
     p.add_argument("--q", type=int, required=True)
@@ -506,11 +469,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-        return _COMMANDS[args.command](args, config)
+        args.guard = enumeration_guard(args.guard)
+        if "workers" in args and args.workers < 1:
+            raise UsageError(
+                f"--workers must be at least 1, got {args.workers}")
+        return _COMMANDS[args.command](args)
     except HrmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

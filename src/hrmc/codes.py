@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import operator
 
+from ._value import Value
 from .errors import (
     CheckFailed,
     MixedDimensions,
@@ -57,7 +58,7 @@ from .hermitian import (
 )
 
 
-class LinearCode:
+class LinearCode(Value):
     __slots__ = ("field", "t", "generators", "k")
 
     def __init__(self, field: Field, t: int,
@@ -66,15 +67,6 @@ class LinearCode:
         self.t = t
         self.generators = generators  # canonical echelon basis
         self.k = k
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.field, self.t, self.generators, self.k)
-                == (other.field, other.t, other.generators, other.k))
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.t, self.generators, self.k))
 
     @property
     def size(self) -> int:
@@ -85,7 +77,7 @@ class LinearCode:
                 "generators": [g.to_jsonable() for g in self.generators]}
 
 
-class WeightDistribution:
+class WeightDistribution(Value):
     """Counts of codewords by rank: counts[r] = number of words of rank r."""
 
     __slots__ = ("q", "t", "k", "counts")
@@ -101,15 +93,6 @@ class WeightDistribution:
             raise UsageError("the zero word is always present")
         if sum(counts) != q ** k:
             raise UsageError("counts must sum to the code size")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.q, self.t, self.k, self.counts)
-                == (other.q, other.t, other.k, other.counts))
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.t, self.k, self.counts))
 
     def min_distance(self) -> int:
         for r in range(1, self.t + 1):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
+from ._value import Value
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -33,17 +34,6 @@ from .negq import prime_factors
 
 MAX_EXTENSION_DEGREE = 8     # 2m may not exceed this
 MAX_FIELD_ORDER = 1 << 16    # p^(2m) may not exceed this
-
-# Default modulus polynomials (little-endian, monic) for the sizes the
-# test-suite exercises most. Anything absent falls back to the search below;
-# a regression test pins these entries to the search result.
-_DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 1): (1, 1, 1),                # z^2 + z + 1
-    (3, 1): (1, 0, 1),                # z^2 + 1
-    (2, 2): (1, 1, 0, 0, 1),          # z^4 + z + 1
-    (5, 1): (2, 0, 1),                # z^2 + 2
-    (7, 1): (1, 0, 1),                # z^2 + 1
-}
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +291,7 @@ class Field:
         return {"p": self.p, "m": self.m, "modulus_poly": list(self.modulus_poly)}
 
 
-class FieldElement:
+class FieldElement(Value):
     """One element of a :class:`Field`, identified by its integer index."""
 
     __slots__ = ("field", "index")
@@ -309,14 +299,6 @@ class FieldElement:
     def __init__(self, field: Field, index: int) -> None:
         self.field = field
         self.index = index
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.index) == (other.field, other.index)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.index))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -396,8 +378,8 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
     """Construct (or fetch from cache) GF(p^(2m)).
 
     The modulus must be a monic irreducible of degree 2m over GF(p), given
-    little-endian with 2m+1 coefficients. When omitted, a built-in default
-    is used, falling back to the lexicographically smallest irreducible.
+    little-endian with 2m+1 coefficients. When omitted, the monic
+    irreducible of that degree with the smallest digit value is used.
     """
     if not isinstance(p, int) or not isinstance(m, int) or m < 1:
         raise UsageError("p and m must be integers with m >= 1")
@@ -409,7 +391,7 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
             f"GF({p}^{degree}) exceeds the supported size "
             f"(degree <= {MAX_EXTENSION_DEGREE}, order <= {MAX_FIELD_ORDER})")
     if modulus_poly is None:
-        modulus = _DEFAULT_MODULI.get((p, m)) or _smallest_irreducible(p, degree)
+        modulus = _smallest_irreducible(p, degree)
     else:
         modulus = tuple(int(c) % p for c in modulus_poly)
         if len(modulus) != degree + 1 or modulus[-1] != 1:

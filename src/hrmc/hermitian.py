@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from typing import Iterator
 
+from ._value import Value
 from .errors import DimensionMismatch, EnumerationTooLarge, UsageError
 from .fields import Field, FieldElement
 
@@ -58,7 +59,22 @@ def check_guard(count: int, what: str, guard: int | None = None) -> None:
             f"{shown} {what} exceed the enumeration guard {limit}")
 
 
-class HermitianMatrix:
+def check_power_guard(q: int, n: int, what: str,
+                      guard: int | None = None) -> None:
+    """Refuse an enumeration of q^n objects above the guard. Once
+    n * floor(log2 q) reaches 64 and the guard's bit length, q^n is
+    refused without being built, naming that power of two: exact when q
+    is a power of two, a lower bound otherwise. Below that, check_guard
+    decides on q^n, so the message is the same as its own."""
+    limit = enumeration_guard(guard)
+    low = n * (q.bit_length() - 1)  # q^n >= 2^low
+    if low >= max(64, limit.bit_length()):
+        raise EnumerationTooLarge(
+            f"at least 2^{low} {what} exceed the enumeration guard {limit}")
+    check_guard(q ** n, what, limit)
+
+
+class HermitianMatrix(Value):
     """t x t matrix over GF(q^2), compared and hashed by value, usable in
     sets; nothing in the package changes one after it is built."""
 
@@ -77,15 +93,6 @@ class HermitianMatrix:
             for x in row:
                 if x.field != field:
                     raise DimensionMismatch("entry from a different field")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.field, self.t, self.entries)
-                == (other.field, other.t, other.entries))
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.t, self.entries))
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         _check_compatible(self, other)
@@ -237,9 +244,8 @@ def enumerate_hermitian(field: Field, t: int,
     Raises EnumerationTooLarge before yielding anything if the count
     q^(t^2) exceeds the guard.
     """
-    total = total_hermitian(field, t)
-    check_guard(total, "matrices", guard)
-    for index in range(total):
+    check_power_guard(field.q, t * t, "matrices", guard)
+    for index in range(total_hermitian(field, t)):
         yield hermitian_from_index(field, t, index)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
+from ._value import Value
 from .errors import (
     CheckFailed,
     EvenMinimumDistance,
@@ -75,7 +76,7 @@ def krawtchouk_C(ctx: NegQContext, k: int, x: int, t: int) -> int:
     return acc
 
 
-class EigenTable:
+class EigenTable(Value):
     """values[x][k] = Q_k(x) for the rank-t scheme; row 0 is the full-space
     distribution and column 0 is all ones."""
 
@@ -86,15 +87,6 @@ class EigenTable:
         self.q = q
         self.t = t
         self.values = values
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.q, self.t, self.values)
-                == (other.q, other.t, other.values))
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.t, self.values))
 
     def to_jsonable(self) -> dict:
         return {"q": self.q, "t": self.t,
@@ -362,17 +354,22 @@ def mhrd_distribution(ctx: NegQContext, t: int, d: int,
     if dual_size != expected_dual:
         raise UsageError(f"dual size must be {expected_dual}, got {dual_size}")
     b = ctx.b
+    # With s = -b^t, the closed form's factor s^(d+i) / dual_size - 1 is
+    # s^(i+1) - 1: s^(d-1) = b^(t(d-1)) = dual_size, as d - 1 is even.
+    s = -(b ** t)
+    span = range(t - d + 1)
+    twists = [(-1) ** j * b ** triangle(j) for j in span]
+    factors = [s ** (i + 1) - 1 for i in span]
     counts = [0] * (t + 1)
     counts[0] = 1
-    for r in range(t - d + 1):
-        acc = Fraction(0)
+    for r in span:
+        acc = 0
         for i in range(r + 1):
-            acc += ((-1) ** (r - i) * b ** triangle(r - i)
-                    * gauss(ctx, d + r, d + i) * gauss(ctx, t, d + r)
-                    * (Fraction(_signed_power(ctx, t, d + i), dual_size) - 1))
-        if acc.denominator != 1 or acc < 0:
+            acc += twists[r - i] * gauss(ctx, d + r, d + i) * factors[i]
+        acc *= gauss(ctx, t, d + r)
+        if acc < 0:
             raise CheckFailed(f"count at rank {d + r} came out {acc}")
-        counts[d + r] = int(acc)
+        counts[d + r] = acc
     total = sum(counts)
     expected_total = ctx.q ** (t * (t - d + 1))
     if total != expected_total:

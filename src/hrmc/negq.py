@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value
 from .errors import LengthMismatch, NonIntegralResult, UsageError
 
 
@@ -41,7 +42,7 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-class NegQContext:
+class NegQContext(Value):
     """Fixes the prime power q; all arithmetic uses base b = -q."""
 
     __slots__ = ("q",)
@@ -50,14 +51,6 @@ class NegQContext:
         self.q = q
         if len(prime_factors(q)) != 1:
             raise UsageError(f"q must be a prime power >= 2, got {q}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash((self.q,))
 
     def __repr__(self) -> str:  # shown in ContextMismatch messages
         return f"NegQContext(q={self.q!r})"

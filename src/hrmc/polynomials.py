@@ -33,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from ._value import Value
 from .errors import ContextMismatch, NonIntegralResult, UsageError
 from .negq import NegQContext, beta_fn, bpow, triangle
 
@@ -92,7 +93,7 @@ def _from_rows(ctx: NegQContext, degree: int,
     return poly
 
 
-class ConcretePoly:
+class ConcretePoly(Value):
     """Homogeneous polynomial with fixed numeric coefficients."""
 
     __slots__ = ("ctx", "degree", "coefficients")
@@ -104,15 +105,6 @@ class ConcretePoly:
         self.coefficients = coefficients
         if len(coefficients) != degree + 1:
             raise UsageError("need degree+1 coefficients")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ctx, self.degree, self.coefficients)
-                == (other.ctx, other.degree, other.coefficients))
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.degree, self.coefficients))
 
     def coefficient(self, i: int) -> Number:
         if i < 0 or i > self.degree:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ._value import Value
 from .codes import LinearCode, dual_code, make_code, weight_distribution
 from .errors import NonIntegralDual, UsageError
 from .fields import Field
-from .hermitian import HermitianMatrix
+from .hermitian import HermitianMatrix, check_power_guard
 from .macwilliams import (
     build_eigen_table,
     build_eigen_table_C,
@@ -65,8 +66,9 @@ from .polynomials import (
 LAMBDA_RANGE = range(-3, 9)  # default window for comparing parameterised polys
 
 
-class SuiteResult:
+class SuiteResult(Value):
     __slots__ = ("name", "passed", "failed", "failures")
+    __hash__ = None  # check() changes the counts
 
     def __init__(self, name: str, passed: int = 0, failed: int = 0,
                  failures: list[str] | None = None) -> None:
@@ -74,12 +76,6 @@ class SuiteResult:
         self.passed = passed
         self.failed = failed
         self.failures = [] if failures is None else failures
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.passed, self.failed, self.failures)
-                == (other.name, other.passed, other.failed, other.failures))
 
     def check(self, ok: bool, label: str) -> None:
         if ok:
@@ -410,8 +406,9 @@ def suite_inversion(ctx: NegQContext, trials: int, seed: int) -> SuiteResult:
 
 # ----------------------------------------------- code-level (needs a field)
 
-class CodeSample:
+class CodeSample(Value):
     __slots__ = ("code", "counts", "dual", "dual_counts")
+    __hash__ = None
 
     def __init__(self, code: LinearCode, counts: tuple[int, ...],
                  dual: LinearCode, dual_counts: tuple[int, ...]) -> None:
@@ -420,15 +417,13 @@ class CodeSample:
         self.dual = dual
         self.dual_counts = dual_counts
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.code, self.counts, self.dual, self.dual_counts)
-                == (other.code, other.counts, other.dual, other.dual_counts))
-
 
 def sample_codes(field: Field, t: int, trials: int, seed: int,
                  guard: int | None = None) -> list[CodeSample]:
+    if trials > 0:
+        # a code or its dual has at least q^ceil(t^2/2) words, and both
+        # are enumerated, so refuse here when every sample would be refused
+        check_power_guard(field.q, (t * t + 1) // 2, "codewords", guard)
     out = []
     for i in range(trials):
         rng = random.Random(f"{seed}:{field.q}:{t}:{i}")

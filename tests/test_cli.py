@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hrmc import cli, codes
-from hrmc.cli import RunConfig, _all_digits, _index_ranges, emit, main
+from hrmc.cli import _all_digits, _index_ranges, emit, main
 from hrmc.codes import dual_code, weight_distribution
 from hrmc.errors import EnumerationTooLarge
+from hrmc.hermitian import DEFAULT_GUARD
 from hrmc.macwilliams import EigenTable, full_space_distribution
 from hrmc.negq import NegQContext
 from hrmc.verify import sample_codes
@@ -114,6 +115,13 @@ def test_count_refuses_before_building_the_space(capsys, monkeypatch):
     assert rc == 2
     assert_one_error_line(out, err)
     assert "at least 2^14400 matrices" in err
+    # refused from the exponent: building 3^(3000^2) alone takes seconds
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["count", "--q", "3", "--t", "3000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "at least 2^9000000 matrices" in err
 
 
 def test_dual_refuses_before_building_the_dual(capsys, tmp_path,
@@ -127,6 +135,16 @@ def test_dual_refuses_before_building_the_dual(capsys, tmp_path,
     assert rc == 2
     assert_one_error_line(out, err)
     assert "at least 2^900 dual codewords" in err
+    # refused from the exponent: building 3^(3000^2) alone takes seconds
+    path = write_json(tmp_path, {"field": {"p": 3, "m": 1,
+                                           "modulus_poly": [1, 0, 1]},
+                                 "t": 3000, "generators": []})
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["dual", "--input", path])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "at least 2^9000000 dual codewords" in err
 
 
 def test_count_guard_env(capsys, monkeypatch):
@@ -485,7 +503,7 @@ def test_emit_renders_integers_past_the_str_limit(capsys, fmt):
     """The limit is lifted while output is rendered, then put back, so
     input parsing keeps Python's guard."""
     before = _digit_limit()
-    emit({"n": BIG, "rows": [[BIG, -BIG]]}, RunConfig(output_format=fmt),
+    emit({"n": BIG, "rows": [[BIG, -BIG]]}, fmt,
          (f"n = {v}" for v in (BIG,)))
     out = capsys.readouterr().out
     if fmt == "json":
@@ -671,7 +689,7 @@ def test_macwilliams_refuses_transforms_over_the_guard(capsys, monkeypatch):
     assert rc == 2
     assert_one_error_line(out, err)
     assert "estimated words memoised by the transform" in err
-    cli._check_transform_words(3, 40, RunConfig())
+    cli._check_transform_words(3, 40, DEFAULT_GUARD)
 
 
 def test_macwilliams(capsys):
@@ -757,6 +775,28 @@ def test_verify_runs_and_is_deterministic(capsys):
                                "--trials", "20", "--seed", "7",
                                "--format", "json"])
     assert out2 == out1
+
+
+def test_verify_refuses_before_drawing_a_code(capsys, monkeypatch):
+    """A code or its dual has at least q^ceil(t^2/2) words, so above the
+    guard every sample would be refused."""
+    def unreachable(field, t, rng):
+        raise AssertionError("a code was drawn")
+    monkeypatch.setattr("hrmc.verify.random_code", unreachable)
+    for argv, shown in [(["--t", "12"], "at least 2^72 codewords"),
+                        (["--t", "2", "--guard", "3"], "4 codewords")]:
+        rc, out, err = run(capsys, ["verify", "--q", "2", "--trials", "1",
+                                    *argv])
+        assert rc == 2
+        assert_one_error_line(out, err)
+        assert f"{shown} exceed the enumeration guard" in err
+
+
+def test_verify_takes_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--q", "2", "--t", "2", "--workers", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_verify_table_lines(capsys):

@@ -1,6 +1,7 @@
 """Hermitian matrices: predicate, rank, enumeration, trace form."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from hrmc.errors import DimensionMismatch, EnumerationTooLarge
 from hrmc.fields import make_field
 from hrmc.hermitian import (
     HermitianMatrix,
+    check_guard,
+    check_power_guard,
     enumerate_hermitian,
     hermitian_from_index,
     inner_product,
@@ -150,6 +153,49 @@ def test_enumeration_guard(fields):
         list(enumerate_hermitian(fields[2], 3, guard=100))
     with pytest.raises(ValueError):
         hermitian_from_index(fields[2], 0, 0)
+
+
+class _NoLargePowers(int):
+    """An int that fails when raised to a power large enough to be slow."""
+
+    def __pow__(self, n):
+        assert n < 1000, f"q^{n} was built"
+        return int(self) ** n
+
+
+def test_enumeration_guard_does_not_build_the_count():
+    field = SimpleNamespace(q=_NoLargePowers(3))
+    with pytest.raises(EnumerationTooLarge) as info:
+        next(enumerate_hermitian(field, 3000, guard=100))
+    assert str(info.value) == \
+        "at least 2^9000000 matrices exceed the enumeration guard 100"
+
+
+def _refusal(check, *args):
+    """The message check(*args) refuses with, or None if it accepts."""
+    try:
+        check(*args)
+    except EnumerationTooLarge as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 13])
+def test_power_guard_refuses_as_check_guard_does(q):
+    """Same decision as check_guard on q^n, and the same message unless
+    q^n >= 2^64 and q is no power of two: then the power of two it names
+    is a lower bound."""
+    for n in range(70):
+        for guard in (0, 100, 2 ** 24, 2 ** 70):
+            exact = _refusal(check_guard, q ** n, "x", guard)
+            power = _refusal(check_power_guard, q, n, "x", guard)
+            if exact == power:
+                continue
+            assert q & (q - 1) and q ** n >= 2 ** 64 and exact and power
+            shown = int(power.split()[2][2:])
+            assert 2 ** shown <= q ** n
+            assert power.replace(f"2^{shown}", "") == \
+                exact.replace(f"2^{(q ** n).bit_length() - 1}", "")
 
 
 def test_inner_product_properties(fields):

@@ -5,11 +5,10 @@ import pickle
 
 import pytest
 
-from hrmc.cli import RunConfig
 from hrmc.codes import LinearCode, WeightDistribution
 from hrmc.errors import ContextMismatch, DimensionMismatch, UsageError
 from hrmc.fields import FieldElement
-from hrmc.hermitian import DEFAULT_GUARD, HermitianMatrix
+from hrmc.hermitian import HermitianMatrix
 from hrmc.macwilliams import EigenTable
 from hrmc.negq import NegQContext
 from hrmc.polynomials import ConcretePoly, LambdaPoly, poly_add
@@ -47,9 +46,6 @@ def values(fields, example_code):
         "ConcretePoly": (ConcretePoly, (ctx, 1, (1, -3)),
                          ("ctx", "degree", "coefficients"),
                          (NegQContext(3), 1, (1, -3))),
-        "RunConfig": (RunConfig, (100, 7, 2, "json"),
-                      ("enumeration_guard", "rng_seed", "worker_count",
-                       "output_format"), (100, 7, 2, "table")),
         "SuiteResult": (SuiteResult, ("leibniz", 3, 1, ["q-rule"]),
                         ("name", "passed", "failed", "failures"),
                         ("leibniz", 3, 1, [])),
@@ -64,8 +60,8 @@ def values(fields, example_code):
 
 _VALUE_CLASSES = ["FieldElement", "HermitianMatrix", "LinearCode",
                   "WeightDistribution", "EigenTable", "NegQContext",
-                  "ConcretePoly", "RunConfig", "SuiteResult", "CodeSample"]
-_MUTABLE = {"RunConfig", "SuiteResult", "CodeSample"}
+                  "ConcretePoly", "SuiteResult", "CodeSample"]
+_MUTABLE = {"SuiteResult", "CodeSample"}
 
 
 @pytest.mark.parametrize("name", _VALUE_CLASSES)
@@ -106,7 +102,6 @@ def test_lambda_polys_are_equal_only_to_themselves():
 
 
 def test_defaults():
-    assert RunConfig() == RunConfig(DEFAULT_GUARD, 0, 1, "table")
     first, second = SuiteResult("a"), SuiteResult("a")
     assert (first.passed, first.failed, first.failures) == (0, 0, [])
     first.check(False, "x")
