@@ -81,10 +81,11 @@ def _check_transform_words(q: int, t: int, guard: int) -> None:
     """Refuse ``macwilliams`` before its transform builds a product, when
     the coefficients it memoises would be too large: (t+1)^2 values as
     long as q^(t^2), counted in 30-bit words (CPython's int digits). The
-    memo holds about t^3/6 values, most of them shorter, so the estimate
-    follows the growth of its size rather than bounding it; at q=2 the
-    default guard accepts t up to 148. q^64 has c bits, so q^n has at
-    most n*c/64 + 1."""
+    memo holds O(t^2) values, most of them shorter: one row per link of
+    the lambda-free nu chain, the rows of two links of the mu chain at a
+    time, and one row per term. So the estimate follows the growth of its
+    size rather than bounding it; at q=2 the default guard accepts t up
+    to 148. q^64 has c bits, so q^n has at most n*c/64 + 1."""
     bits = t * t * (q ** 64).bit_length() // 64 + 1
     check_guard((t + 1) ** 2 * -(-bits // 30),
                 "estimated words memoised by the transform", guard)
@@ -124,11 +125,13 @@ def _all_digits():
 
 def emit(payload: dict, output_format: str, table_lines) -> None:
     """Print the payload as canonical JSON, or the table lines (which may
-    be a lazy iterable), with every integer rendered in full."""
+    be a lazy iterable), with every integer rendered in full. The JSON is
+    written as it is encoded, never held as one string."""
     with _all_digits():
         if output_format == "json":
-            print(json.dumps(_stringify(payload), sort_keys=True,
-                             separators=(",", ":")))
+            json.dump(_stringify(payload), sys.stdout, sort_keys=True,
+                      separators=(",", ":"))
+            sys.stdout.write("\n")
         else:
             for line in table_lines:
                 print(line)
@@ -206,13 +209,22 @@ def cmd_eigen(args) -> int:
                 raise CheckFailed(
                     f"eigen routes differ at x={x} k={k}: "
                     f"{table.values[x][k]} vs {alt.values[x][k]}")
-    with _all_digits():  # entries pass 4300 digits from about q=2, t=120
-        payload = table.to_jsonable()
-        lines = [f"eigenvalue table, q={args.q} t={args.t} (both routes agree)"]
-        lines += ["  " + " ".join(f"{v:>10}" for v in row)
-                  for row in table.values]
-    emit(payload, args.format, lines)
+    del alt
+    # Only the chosen format is rendered; the lines are made as emit prints
+    # them. Entries pass 4300 digits from about q=2, t=120.
+    if args.format == "json":
+        with _all_digits():
+            payload = table.to_jsonable()
+    else:
+        payload = None
+    emit(payload, args.format, _eigen_lines(table))
     return 0
+
+
+def _eigen_lines(table):
+    yield f"eigenvalue table, q={table.q} t={table.t} (both routes agree)"
+    for row in table.values:
+        yield "  " + " ".join(f"{v:>10}" for v in row)
 
 
 def _load_code(path: str):

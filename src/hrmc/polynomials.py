@@ -23,6 +23,15 @@ one before: ``negq_power`` returns the last link, and ``negq_transform``
 shares one chain per substituend across all the terms of the enumerator
 instead of rebuilding a power for each term.
 
+Some polynomials do not depend on lambda: constants, ``nu_poly``, and
+whatever the combinators build from lambda-free operands alone. That is
+known from how a polynomial was built, never from its coefficients (a
+polynomial given by a coefficient function is never taken to be
+lambda-free), and such a polynomial memoises one row, served for every
+lambda. The nu chain of a transform is then one row per link, and
+``negq_transform`` keeps only two links of its other chain at a time, so
+a transform of degree t holds O(t^2) coefficients rather than O(t^3).
+
 Coefficients are exact: ints, or Fractions where a construction genuinely
 produces them (negative lambda arguments, or the inverse derivative whose
 b-power twist has negative exponent).
@@ -48,15 +57,17 @@ class LambdaPoly:
     and is 0 outside 0 <= i <= degree; row(lam) holds all of them at one
     lambda and is computed once. The constructor's coeff(i, lam) fills a
     row one i at a time; the combinators below fill theirs from their
-    operands' rows (``_from_rows``). Equal only to itself, since the
-    coefficient functions cannot be compared; ``verify.polys_equal``
-    compares two over a window of lambdas."""
+    operands' rows (``_from_rows``). A lambda-free polynomial (``_free``)
+    keeps one row, under lambda 0, for every lambda. Equal only to itself,
+    since the coefficient functions cannot be compared;
+    ``verify.polys_equal`` compares two over a window of lambdas."""
 
-    __slots__ = ("ctx", "degree", "_coeff", "_fill", "_rows")
+    __slots__ = ("ctx", "degree", "_free", "_coeff", "_fill", "_rows")
 
     def __init__(self, ctx: NegQContext, degree: int, coeff: CoeffFn) -> None:
         self.ctx = ctx
         self.degree = degree
+        self._free = False
         self._coeff = coeff
         self._fill = lambda lam: tuple([coeff(i, lam)
                                         for i in range(degree + 1)])
@@ -70,6 +81,8 @@ class LambdaPoly:
 
     def row(self, lam: int) -> Row:
         """The degree + 1 coefficients at lam, from the memo if present."""
+        if self._free:
+            lam = 0
         row = self._rows.get(lam)
         if row is None:
             row = self._rows[lam] = self._fill(lam)
@@ -81,12 +94,14 @@ class LambdaPoly:
         return self.row(lam)[i]
 
 
-def _from_rows(ctx: NegQContext, degree: int,
-               fill: Callable[[int], Row]) -> LambdaPoly:
-    """The polynomial whose row at lam is fill(lam)."""
+def _from_rows(ctx: NegQContext, degree: int, fill: Callable[[int], Row],
+               free: bool) -> LambdaPoly:
+    """The polynomial whose row at lam is fill(lam); free when fill(lam)
+    does not depend on lam."""
     poly = LambdaPoly.__new__(LambdaPoly)
     poly.ctx = ctx
     poly.degree = degree
+    poly._free = free
     poly._coeff = None
     poly._fill = fill
     poly._rows = {}
@@ -134,17 +149,17 @@ def one_poly(ctx: NegQContext) -> LambdaPoly:
 
 
 def constant_poly(ctx: NegQContext, value: Number) -> LambdaPoly:
-    return _from_rows(ctx, 0, lambda lam: (value,))
+    return _from_rows(ctx, 0, lambda lam: (value,), True)
 
 
 def mu_poly(ctx: NegQContext) -> LambdaPoly:
     """X + (-b^lambda - 1) Y, the rank-one enumerator seed."""
-    return _from_rows(ctx, 1, lambda lam: (1, -bpow(ctx, lam) - 1))
+    return _from_rows(ctx, 1, lambda lam: (1, -bpow(ctx, lam) - 1), False)
 
 
 def nu_poly(ctx: NegQContext) -> LambdaPoly:
     """X - Y; its coefficients do not involve lambda."""
-    return _from_rows(ctx, 1, lambda lam: (1, -1))
+    return _from_rows(ctx, 1, lambda lam: (1, -1), True)
 
 
 def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
@@ -161,7 +176,7 @@ def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
                 out[u] += wa * b_j
         return tuple(out)
 
-    return _from_rows(ctx, r + s, fill)
+    return _from_rows(ctx, r + s, fill, a._free and b._free)
 
 
 def _power_chain(a: LambdaPoly, k: int) -> list[LambdaPoly]:
@@ -185,12 +200,14 @@ def poly_add(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     deg = max(a.degree, b.degree)
     pad_a, pad_b = (0,) * (deg - a.degree), (0,) * (deg - b.degree)
     return _from_rows(ctx, deg, lambda lam: tuple(
-        x + y for x, y in zip(a.row(lam) + pad_a, b.row(lam) + pad_b)))
+        x + y for x, y in zip(a.row(lam) + pad_a, b.row(lam) + pad_b)),
+        a._free and b._free)
 
 
 def poly_scale(a: LambdaPoly, factor: Number) -> LambdaPoly:
     return _from_rows(a.ctx, a.degree,
-                      lambda lam: tuple(factor * c for c in a.row(lam)))
+                      lambda lam: tuple(factor * c for c in a.row(lam)),
+                      a._free)
 
 
 def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
@@ -205,6 +222,14 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
     The powers come from two shared chains, y_sub^[0..t] and x_sub^[0..t],
     so the t + 1 terms reuse each other's memoised rows: at most 3t + 1
     twisted products in all, instead of a fresh chain per term.
+
+    A row at lam sweeps the x chain bottom-up. The term with x_sub^[k]
+    reads that link at lam - (t - k) .. lam, and so does link k + 1;
+    link k fills those rows from link k - 1, whose memo is then dropped.
+    Every link is filled, whatever its count: a link filled on demand from
+    a dropped one would recompute the whole chain below it. With two
+    links held at a time and a lambda-free y_sub (one row per link), a
+    row costs O(t^2) memoised coefficients.
     """
     ctx = _check_ctx(y_sub, x_sub)
     if y_sub.degree != 1 or x_sub.degree != 1:
@@ -213,17 +238,25 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
         raise UsageError("need at least one coefficient")
     t = len(counts) - 1
     y_pows, x_pows = _power_chain(y_sub, t), _power_chain(x_sub, t)
-    terms = [(c, negq_product(y_pows[i], x_pows[t - i]))
-             for i, c in enumerate(counts) if c != 0]
+    # terms[k] pairs x_sub^[k] with y_sub^[t - k], or is None for count 0
+    terms = [(counts[t - k], negq_product(y_pows[t - k], x_pows[k]))
+             if counts[t - k] != 0 else None for k in range(t + 1)]
 
     def fill(lam: int) -> Row:
         out: list[Number] = [0] * (t + 1)
-        for c, term in terms:
-            for u, v in enumerate(term.row(lam)):
-                out[u] += c * v
+        for k, link in enumerate(x_pows):
+            for m in range(lam - t + k, lam + 1):
+                link.row(m)
+            if terms[k] is not None:
+                c, term = terms[k]
+                for u, v in enumerate(term.row(lam)):
+                    out[u] += c * v
+            if k:
+                x_pows[k - 1]._rows.clear()
+        x_pows[t]._rows.clear()
         return tuple(out)
 
-    return _from_rows(ctx, t, fill)
+    return _from_rows(ctx, t, fill, y_sub._free and x_sub._free)
 
 
 def evaluate(a: LambdaPoly, x: Number, y: Number, lam: int) -> Number:
@@ -253,7 +286,7 @@ def negq_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
         return constant_poly(a.ctx, 0)
     betas = [beta_fn(a.ctx, r - i, phi) for i in range(r - phi + 1)]
     return _from_rows(a.ctx, r - phi, lambda lam: tuple(
-        c * beta for c, beta in zip(a.row(lam), betas)))
+        c * beta for c, beta in zip(a.row(lam), betas)), a._free)
 
 
 def negq_inv_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
@@ -276,7 +309,7 @@ def negq_inv_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
     factors = [bpow(ctx, phi * (1 - i) + triangle(phi)) * beta_fn(ctx, i, phi)
                for i in range(phi, r + 1)]
     return _from_rows(ctx, r - phi, lambda lam: tuple(
-        c * f for c, f in zip(a.row(lam)[phi:], factors)))
+        c * f for c, f in zip(a.row(lam)[phi:], factors)), a._free)
 
 
 # ------------------------------------------------- structural combinators
@@ -286,7 +319,8 @@ def div_x(a: LambdaPoly) -> LambdaPoly:
     vanishes identically; the caller is responsible for that."""
     if a.degree < 1:
         raise UsageError("cannot divide a degree-0 polynomial by X")
-    return _from_rows(a.ctx, a.degree - 1, lambda lam: a.row(lam)[:-1])
+    return _from_rows(a.ctx, a.degree - 1, lambda lam: a.row(lam)[:-1],
+                      a._free)
 
 
 def div_y(a: LambdaPoly) -> LambdaPoly:
@@ -294,19 +328,21 @@ def div_y(a: LambdaPoly) -> LambdaPoly:
     (index 0) vanishes identically."""
     if a.degree < 1:
         raise UsageError("cannot divide a degree-0 polynomial by Y")
-    return _from_rows(a.ctx, a.degree - 1, lambda lam: a.row(lam)[1:])
+    return _from_rows(a.ctx, a.degree - 1, lambda lam: a.row(lam)[1:],
+                      a._free)
 
 
 def scale_y(a: LambdaPoly) -> LambdaPoly:
     """Substitute Y -> b*Y, i.e. coefficient i gains a factor b^i."""
     powers = [a.ctx.b ** i for i in range(a.degree + 1)]
     return _from_rows(a.ctx, a.degree, lambda lam: tuple(
-        p * c for p, c in zip(powers, a.row(lam))))
+        p * c for p, c in zip(powers, a.row(lam))), a._free)
 
 
 def shift_lambda(a: LambdaPoly, delta: int) -> LambdaPoly:
     """Replace the parameter lambda by lambda - delta."""
-    return _from_rows(a.ctx, a.degree, lambda lam: a.row(lam - delta))
+    return _from_rows(a.ctx, a.degree, lambda lam: a.row(lam - delta),
+                      a._free)
 
 
 def poly_from_jsonable(ctx: NegQContext, obj: dict) -> ConcretePoly:

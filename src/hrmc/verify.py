@@ -301,7 +301,7 @@ def suite_leibniz(ctx: NegQContext, trials: int, seed: int) -> SuiteResult:
             lhs = negq_derivative(prod, phi)
             rhs = None
             for ell in range(phi + 1):
-                w = gauss(ctx, phi, ell) * ctx.b ** ((phi - ell) * (rf - ell))
+                w = gauss(ctx, phi, ell) * bpow(ctx, (phi - ell) * (rf - ell))
                 term = poly_scale(negq_product(negq_derivative(f, ell),
                                                negq_derivative(g, phi - ell)), w)
                 rhs = term if rhs is None else poly_add(rhs, term)

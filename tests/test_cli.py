@@ -517,6 +517,21 @@ def test_emit_renders_integers_past_the_str_limit(capsys, fmt):
             int("1" * (before + 1))
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": BIG, "rows": [[BIG, -BIG], []], "ok": True, "none": None},
+    {"z": [{"b": 1, "a": [2, (3, BIG)]}], "a": "text", "f": "1/2"},
+    {},
+])
+def test_emit_json_equals_json_dumps(capsys, payload):
+    """emit writes the JSON as it encodes it; the bytes are those of one
+    json.dumps of the stringified payload, plus a newline."""
+    emit(payload, "json", ())
+    with _all_digits():
+        want = json.dumps(cli._stringify(payload), sort_keys=True,
+                          separators=(",", ":"))
+    assert capsys.readouterr().out == want + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
     """eigen renders its table (to_jsonable and the table lines) with the
@@ -690,6 +705,10 @@ def test_macwilliams_refuses_transforms_over_the_guard(capsys, monkeypatch):
     assert_one_error_line(out, err)
     assert "estimated words memoised by the transform" in err
     cli._check_transform_words(3, 40, DEFAULT_GUARD)
+    # q=2, t=148 is the largest t the default guard accepts
+    cli._check_transform_words(2, 148, DEFAULT_GUARD)
+    with pytest.raises(EnumerationTooLarge):
+        cli._check_transform_words(2, 149, DEFAULT_GUARD)
 
 
 def test_macwilliams(capsys):
@@ -797,6 +816,18 @@ def test_verify_takes_no_workers_flag(capsys):
         main(["verify", "--q", "2", "--t", "2", "--workers", "2"])
     assert info.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_verify_leibniz_weights_stay_exact(capsys):
+    """The q-rule weight b^((phi - l)(r_f - l)) has a negative exponent
+    when l > r_f; as a float it made leibniz fail twice at q=251."""
+    rc, out, _ = run(capsys, ["verify", "--q", "251", "--t", "1",
+                              "--trials", "5", "--seed", "0",
+                              "--format", "json"])
+    assert rc == 0
+    suites = {s["name"]: s for s in json.loads(out)["suites"]}
+    assert (suites["leibniz"]["passed"], suites["leibniz"]["failed"]) \
+        == ("50", "0")
 
 
 def test_verify_table_lines(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hrmc.errors import ContextMismatch, NonIntegralResult
-from hrmc import polynomials
+from hrmc import polynomials, verify
 from hrmc.negq import NegQContext, beta_fn
 from hrmc.polynomials import (
     ConcretePoly,
@@ -166,6 +166,76 @@ def test_rows_are_computed_once_per_lambda():
     assert calls == {**{("a", lam): 3 for lam in (5, 6)},
                      **{("b", lam): 4 for lam in (3, 4, 5, 6)}}
     assert f.coeff(2, 3) == 7 and prod.coeff(1, 5) == prod.coefficient(1, 5)
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_nu_power_holds_one_row(ctx):
+    """nu and its powers do not depend on lambda, so a power memoises one
+    row, whatever lambdas it is read at, and each link of its chain holds
+    one too."""
+    for k in (0, 1, 4, 7):
+        nu_k = negq_power(nu_poly(ctx), k)
+        for lam in (0, 5, -3, 11):
+            assert nu_k.row(lam) == tuple(nu_power_coeff(ctx, k, u)
+                                          for u in range(k + 1))
+        assert len(nu_k._rows) == 1
+
+
+def test_lambda_free_is_set_by_construction():
+    """Constants, nu and what the combinators build from them alone are
+    lambda-free; a polynomial given by a coefficient function never is,
+    even when its coefficients ignore lambda."""
+    nu, mu = nu_poly(CTX2), mu_poly(CTX2)
+    free = [one_poly(CTX2), nu, negq_power(nu, 3), shift_lambda(nu, 2),
+            polynomials.poly_add(nu, one_poly(CTX2)),
+            polynomials.poly_scale(nu, 3), negq_derivative(negq_power(nu, 2), 1),
+            negq_transform([1, 2], nu, nu)]
+    assert all(p._free for p in free)
+    user = LambdaPoly(CTX2, 1, lambda i, lam: (1, -1)[i])
+    dependent = [mu, user, negq_product(nu, mu), negq_product(user, nu),
+                 polynomials.poly_add(nu, mu), negq_transform([1, 2], nu, mu)]
+    assert not any(p._free for p in dependent)
+    for lam in (0, 3):
+        user.row(lam)
+    assert len(user._rows) == 2
+
+
+def test_transform_sweep_matches_fresh_powers_at_any_lambda():
+    """The sweep drops each link of the mu chain once the next has read
+    it; rows read at several lambdas, in any order, and again after, match
+    powers built fresh for each term, zero counts included."""
+    counts = [3, 0, 0, 5, 0, 2, 0]
+    t = len(counts) - 1
+    image = negq_transform(counts, nu_poly(CTX3), mu_poly(CTX3))
+    nu, mu = nu_poly(CTX3), mu_poly(CTX3)
+    terms = [(c, negq_product(negq_power(nu, i), negq_power(mu, t - i)))
+             for i, c in enumerate(counts)]
+    for lam in (t, -2, 1, t + 3, t):
+        assert list(image.row(lam)) == [
+            sum(c * term.coefficient(u, lam) for c, term in terms)
+            for u in range(t + 1)]
+
+
+def test_no_suite_polynomial_row_holds_a_float(monkeypatch):
+    """Every row that the polynomial suites of verify compute is exact:
+    ints and Fractions, never a float."""
+    floats = []
+    real_row = LambdaPoly.row
+
+    def checked_row(self, lam):
+        row = real_row(self, lam)
+        if any(isinstance(c, float) for c in row):
+            floats.append((self.degree, lam, row))
+        return row
+
+    monkeypatch.setattr(LambdaPoly, "row", checked_row)
+    for q in (2, 3, 251):
+        ctx = NegQContext(q)
+        verify.suite_powers(ctx)
+        for suite in (verify.suite_leibniz, verify.suite_evaluation,
+                      verify.suite_product_lemmas, verify.suite_inversion):
+            assert suite(ctx, 5, 0).ok
+    assert floats == []
 
 
 def test_derivative_reduces_powers():
