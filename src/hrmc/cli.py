@@ -18,14 +18,12 @@ every ``UsageError``, that is input that cannot be used: a q that is not
 a prime power, ``--t`` below 1, ``--d`` outside 1..t or even, ``--phi``
 outside 0..t, ``--size`` below 1, negative ``--trials``, a malformed code
 file or one with a non-Hermitian generator, a ``--dist`` that is not the
-distribution of any code, an enumeration above the guard, an
-``eigen``, ``macwilliams`` or ``mhrd`` output estimated at more decimal
-digits than the guard, or a ``macwilliams`` transform estimated to
-memoise more words than the guard. The class of the error, fixed where
-it is raised, alone decides between 1 and 2; either way stderr gets one
-``error:`` line. JSON output is canonical (sorted keys, no whitespace) with every
-integer rendered as a decimal string, so repeated runs and different
-worker counts produce byte-identical bytes.
+distribution of any code, or work or output that :mod:`hrmc.cost`
+estimates above the guard. The class of the error, fixed where it is
+raised, alone decides between 1 and 2; either way stderr gets one
+``error:`` line. JSON output is canonical (sorted keys, no whitespace)
+with every integer rendered as a decimal string, so repeated runs and
+different worker counts produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -46,9 +44,15 @@ from .codes import (
     standard_basis,
     weight_distribution,
 )
+from .cost import (
+    check_guard,
+    check_power_guard,
+    enumeration_guard,
+    output_digits,
+    value_words,
+)
 from .errors import CheckFailed, HrmcError, NonIntegralDual, UsageError
 from .fields import make_field
-from .hermitian import check_guard, check_power_guard, enumeration_guard
 from .macwilliams import (
     build_eigen_table,
     build_eigen_table_C,
@@ -66,29 +70,6 @@ def _matrix_size(t: int) -> int:
     if t < 1:
         raise UsageError(f"--t must be at least 1, got {t}")
     return t
-
-
-def _check_output_digits(q: int, t: int, entries: int, guard: int) -> None:
-    """Refuse a closed-form command before it computes, when its output
-    would hold more decimal digits than the guard: ``entries`` values of
-    about as many digits as q^(t^2), which bounds every eigenvalue and
-    count. q^64 has d digits, so q^n has at most n*d/64 + 1."""
-    digits = t * t * len(str(q ** 64)) // 64 + 1
-    check_guard(entries * digits, "estimated output digits", guard)
-
-
-def _check_transform_words(q: int, t: int, guard: int) -> None:
-    """Refuse ``macwilliams`` before its transform builds a product, when
-    the coefficients it memoises would be too large: (t+1)^2 values as
-    long as q^(t^2), counted in 30-bit words (CPython's int digits). The
-    memo holds O(t^2) values, most of them shorter: one row per link of
-    the lambda-free nu chain, the rows of two links of the mu chain at a
-    time, and one row per term. So the estimate follows the growth of its
-    size rather than bounding it; at q=2 the default guard accepts t up
-    to 148. q^64 has c bits, so q^n has at most n*c/64 + 1."""
-    bits = t * t * (q ** 64).bit_length() // 64 + 1
-    check_guard((t + 1) ** 2 * -(-bits // 30),
-                "estimated words memoised by the transform", guard)
 
 
 # ------------------------------------------------------------- output
@@ -179,7 +160,7 @@ def _weight_distribution(code, args) -> WeightDistribution:
 
 def cmd_count(args) -> int:
     t = _matrix_size(args.t)
-    ctx = NegQContext(args.q)
+    ctx = NegQContext(args.q, args.guard)
     field = make_field(*ctx.prime_parts)
     # refuse before the t^2 basis matrices are built, not after
     check_power_guard(field.q, t * t, "matrices", args.guard)
@@ -199,8 +180,9 @@ def cmd_count(args) -> int:
 
 def cmd_eigen(args) -> int:
     t = _matrix_size(args.t)
-    ctx = NegQContext(args.q)
-    _check_output_digits(ctx.q, t, (t + 1) ** 2, args.guard)
+    ctx = NegQContext(args.q, args.guard)
+    check_guard(output_digits(ctx.q, t, (t + 1) ** 2),
+                "estimated output digits", args.guard)
     table = build_eigen_table(ctx, t)
     alt = build_eigen_table_C(ctx, t)
     for x in range(t + 1):
@@ -340,9 +322,11 @@ def _check_dist(args, counts: list[int]) -> None:
 
 def cmd_macwilliams(args) -> int:
     t = _matrix_size(args.t)
-    ctx = NegQContext(args.q)
-    _check_output_digits(ctx.q, t, t + 1, args.guard)
-    _check_transform_words(ctx.q, t, args.guard)
+    ctx = NegQContext(args.q, args.guard)
+    check_guard(output_digits(ctx.q, t, t + 1), "estimated output digits",
+                args.guard)
+    check_guard(value_words(ctx.q, t, (t + 1) ** 2),
+                "estimated words memoised by the transform", args.guard)
     counts = _parse_dist(args.dist)
     if len(counts) != t + 1:
         raise UsageError(
@@ -369,10 +353,15 @@ def cmd_macwilliams(args) -> int:
 
 def cmd_mhrd(args) -> int:
     t = _matrix_size(args.t)
-    ctx = NegQContext(args.q)
-    _check_output_digits(ctx.q, t, t + 1, args.guard)
+    ctx = NegQContext(args.q, args.guard)
+    check_guard(output_digits(ctx.q, t, t + 1), "estimated output digits",
+                args.guard)
     if not 1 <= args.d <= t:  # before q^(t(d-1)) is computed for any d
         raise UsageError(f"--d must be in 1..{t}, got {args.d}")
+    # Gaussian rows and terms of the sum: at d = 1 as many values as the
+    # transform's (t + 1)^2, so q=2 accepts the t that macwilliams does
+    check_guard(value_words(ctx.q, t, (t - args.d + 2) * (t + 1)),
+                "estimated words summed by the closed form", args.guard)
     dual_size = args.q ** (t * (args.d - 1))
     counts = mhrd_distribution(ctx, t, args.d, dual_size)
     payload = {"q": args.q, "t": args.t, "d": args.d,
@@ -387,7 +376,7 @@ def cmd_mhrd(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification  # only this command needs it
     t = _matrix_size(args.t)
-    field = make_field(*NegQContext(args.q).prime_parts)
+    field = make_field(*NegQContext(args.q, args.guard).prime_parts)
     results = run_verification(field, t, args.trials, args.seed, args.guard)
     all_ok = all(r.ok for r in results)
     payload = {
@@ -419,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, seed=False, workers=False):
         p.add_argument("--guard", type=int, default=None,
                        help="cap on objects enumerated, cells per word, "
-                            "estimated output digits and transform words "
-                            "(default: HRMC_GUARD or 2^24)")
+                            "trial divisions, and estimated output digits "
+                            "and big-int words (default: HRMC_GUARD or 2^24)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         if workers:
             p.add_argument("--workers", type=int, default=1)

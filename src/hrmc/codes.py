@@ -48,10 +48,10 @@ from .errors import (
     UsageError,
     ZeroCode,
 )
+from .cost import check_guard
 from .fields import Field
 from .hermitian import (
     HermitianMatrix,
-    check_guard,
     inner_product,
     is_hermitian,
     matrix_from_jsonable,

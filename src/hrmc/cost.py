@@ -1,0 +1,85 @@
+"""The refusal policy: the guard, and the estimates compared with it.
+
+Work or output estimated above the guard is refused before any of it is
+built, with :class:`~hrmc.errors.EnumerationTooLarge`, a ``UsageError``
+(exit 2 in the CLI). The guard is an explicit value, else the
+``HRMC_GUARD`` environment variable, else :data:`DEFAULT_GUARD`.
+"""
+
+from __future__ import annotations
+
+import os
+
+from .errors import EnumerationTooLarge, UsageError
+
+DEFAULT_GUARD = 1 << 24
+
+
+def enumeration_guard(guard: int | None = None) -> int:
+    """Resolve the guard: explicit arg, else env, else default.
+
+    Raises UsageError when HRMC_GUARD is not an integer or the guard is
+    negative.
+    """
+    if guard is None:
+        env = os.environ.get("HRMC_GUARD")
+        try:
+            guard = int(env) if env else DEFAULT_GUARD
+        except ValueError:
+            raise UsageError(f"HRMC_GUARD={env!r} is not an integer") from None
+    if guard < 0:
+        raise UsageError(f"the enumeration guard must be >= 0, got {guard}")
+    return guard
+
+
+def check_guard(count: int, what: str, guard: int | None = None) -> None:
+    """Refuse ``count`` of ``what`` above the guard."""
+    limit = enumeration_guard(guard)
+    if count > limit:
+        # str() refuses ints of over 4300 digits, so name a power of two
+        shown = (count if count < 1 << 64
+                 else f"at least 2^{count.bit_length() - 1}")
+        raise EnumerationTooLarge(
+            f"{shown} {what} exceed the enumeration guard {limit}")
+
+
+def check_power_guard(q: int, n: int, what: str,
+                      guard: int | None = None) -> None:
+    """Refuse q^n objects above the guard. Once n * floor(log2 q) reaches
+    64 and the guard's bit length, q^n is refused without being built,
+    naming that power of two: exact when q is a power of two, a lower
+    bound otherwise. Below that, check_guard decides on q^n, so the
+    message is the same as its own."""
+    limit = enumeration_guard(guard)
+    low = n * (q.bit_length() - 1)  # q^n >= 2^low
+    if low >= max(64, limit.bit_length()):
+        raise EnumerationTooLarge(
+            f"at least 2^{low} {what} exceed the enumeration guard {limit}")
+    check_guard(q ** n, what, limit)
+
+
+# Closed-form values (eigenvalues, counts, transform coefficients) are
+# taken to be as long as q^(t^2), which bounds every eigenvalue and count.
+# q^64 has d digits and c bits, so q^(t^2) has at most t^2*d/64 + 1
+# digits and t^2*c/64 + 1 bits.
+
+def output_digits(q: int, t: int, values: int) -> int:
+    """Decimal digits of ``values`` closed-form values."""
+    return values * (t * t * _decimal_digits(q ** 64) // 64 + 1)
+
+
+def value_words(q: int, t: int, values: int) -> int:
+    """30-bit words (CPython's int digits) of ``values`` closed-form
+    values. The transform memoises O(t^2) values, most of them shorter,
+    so for its (t+1)^2 this follows the growth of the memo rather than
+    bounding it."""
+    bits = t * t * (q ** 64).bit_length() // 64 + 1
+    return values * -(-bits // 30)
+
+
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, which str() refuses past 4300 digits."""
+    digits = (n.bit_length() - 1) * 30102 // 100000 + 1  # never too many
+    while n >= 10 ** digits:
+        digits += 1
+    return digits

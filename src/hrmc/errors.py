@@ -6,7 +6,7 @@ should do about it:
 
 * :class:`UsageError` -- fix the input. An argument, file, setting or
   parameter cannot be used (not a prime power, out of range, not
-  Hermitian, too large to enumerate, ...). It is also a ``ValueError``.
+  Hermitian, estimated above the guard, ...). It is also a ``ValueError``.
   The CLI exits with 2.
 * :class:`CheckFailed` -- two computations that must agree did not, or an
   exact quantity that must be an integer came out fractional. With valid
@@ -60,7 +60,8 @@ class DimensionMismatch(UsageError):
 
 
 class EnumerationTooLarge(UsageError):
-    """An exhaustive enumeration would exceed the configured guard."""
+    """Work or output estimated above the guard: an enumeration, trial
+    divisions, or a closed form's output or big-int words."""
 
 
 class NotHermitian(UsageError):

@@ -383,13 +383,14 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
     """
     if not isinstance(p, int) or not isinstance(m, int) or m < 1:
         raise UsageError("p and m must be integers with m >= 1")
-    if prime_factors(p) != [p]:
-        raise NonPrimeModulus(f"{p} is not prime")
     degree = 2 * m
+    # the size first, so that p is trial-divided only up to 2^8
     if degree > MAX_EXTENSION_DEGREE or p ** degree > MAX_FIELD_ORDER:
         raise UnsupportedSize(
             f"GF({p}^{degree}) exceeds the supported size "
             f"(degree <= {MAX_EXTENSION_DEGREE}, order <= {MAX_FIELD_ORDER})")
+    if prime_factors(p) != [p]:
+        raise NonPrimeModulus(f"{p} is not prime")
     if modulus_poly is None:
         modulus = _smallest_irreducible(p, degree)
     else:

@@ -14,64 +14,16 @@ other.
 order: the diagonal entries come first (base q, most significant first,
 running through the subfield in canonical ascending order), then the
 strictly upper entries row by row (base q^2 each).
-
-Every exhaustive enumeration is refused up front when it would visit more
-objects than the guard that :func:`enumeration_guard` resolves.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 from ._value import Value
-from .errors import DimensionMismatch, EnumerationTooLarge, UsageError
+from .cost import check_power_guard
+from .errors import DimensionMismatch, UsageError
 from .fields import Field, FieldElement
-
-DEFAULT_GUARD = 1 << 24
-
-
-def enumeration_guard(guard: int | None = None) -> int:
-    """Resolve the enumeration guard: explicit arg, else env, else default.
-
-    Raises UsageError when HRMC_GUARD is not an integer or the guard is
-    negative.
-    """
-    if guard is None:
-        env = os.environ.get("HRMC_GUARD")
-        try:
-            guard = int(env) if env else DEFAULT_GUARD
-        except ValueError:
-            raise UsageError(f"HRMC_GUARD={env!r} is not an integer") from None
-    if guard < 0:
-        raise UsageError(f"the enumeration guard must be >= 0, got {guard}")
-    return guard
-
-
-def check_guard(count: int, what: str, guard: int | None = None) -> None:
-    """Refuse an enumeration of ``count`` objects above the guard."""
-    limit = enumeration_guard(guard)
-    if count > limit:
-        # str() refuses ints of over 4300 digits, so name a power of two
-        shown = (count if count < 1 << 64
-                 else f"at least 2^{count.bit_length() - 1}")
-        raise EnumerationTooLarge(
-            f"{shown} {what} exceed the enumeration guard {limit}")
-
-
-def check_power_guard(q: int, n: int, what: str,
-                      guard: int | None = None) -> None:
-    """Refuse an enumeration of q^n objects above the guard. Once
-    n * floor(log2 q) reaches 64 and the guard's bit length, q^n is
-    refused without being built, naming that power of two: exact when q
-    is a power of two, a lower bound otherwise. Below that, check_guard
-    decides on q^n, so the message is the same as its own."""
-    limit = enumeration_guard(guard)
-    low = n * (q.bit_length() - 1)  # q^n >= 2^low
-    if low >= max(64, limit.bit_length()):
-        raise EnumerationTooLarge(
-            f"at least 2^{low} {what} exceed the enumeration guard {limit}")
-    check_guard(q ** n, what, limit)
 
 
 class HermitianMatrix(Value):

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, log2
 
 from ._value import Value
+from .cost import check_guard
 from .errors import LengthMismatch, NonIntegralResult, UsageError
 
 
@@ -42,14 +44,46 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, m) with r ** m == n and m as large as possible, for n >= 2, so
+    n is a prime power exactly when r is prime.
+
+    Each m-th root is estimated from log2(n) in floating point. For n
+    below 2^(2^22) the estimate is within 2^-30 of a long root, which
+    Newton's step from just above makes exact, and within 1/2 of a short
+    one, which rounding makes exact. A root is tested on the low 64 bits
+    of n before the whole of it."""
+    shift = max(n.bit_length() - 64, 0)
+    log = log2(n >> shift) + shift
+    low = n & ((1 << 64) - 1)
+    for m in range(n.bit_length() - 1, 1, -1):
+        e = log / m
+        lead = max(int(e) - 52, 0)
+        x = round(2.0 ** (e - lead)) << lead
+        if x >> 32:  # descend to floor(n^(1/m)) from just above it
+            x += (x >> 30) + 1
+            while (y := ((m - 1) * x + n // x ** (m - 1)) // m) < x:
+                x = y
+        if pow(x, m, 1 << 64) == low and x ** m == n:
+            return x, m
+    return n, 1
+
+
 class NegQContext(Value):
-    """Fixes the prime power q; all arithmetic uses base b = -q."""
+    """Fixes the prime power q; all arithmetic uses base b = -q.
+
+    q is a prime power when its largest exact root is prime. That root is
+    trial-divided only once the divisions it needs, up to its square root,
+    are within the guard (resolved as :mod:`hrmc.cost` does)."""
 
     __slots__ = ("q",)
 
-    def __init__(self, q: int) -> None:
+    def __init__(self, q: int, guard: int | None = None) -> None:
         self.q = q
-        if len(prime_factors(q)) != 1:
+        root = _perfect_power(q)[0] if q >= 2 else 0
+        check_guard(isqrt(root) - 1,
+                    "trial divisions to test q for a prime power", guard)
+        if prime_factors(root) != [root]:
             raise UsageError(f"q must be a prime power >= 2, got {q}")
 
     def __repr__(self) -> str:  # shown in ContextMismatch messages
@@ -62,11 +96,7 @@ class NegQContext(Value):
     @property
     def prime_parts(self) -> tuple[int, int]:
         """(p, m) with q == p**m."""
-        (p,) = prime_factors(self.q)
-        m = 1
-        while p ** m < self.q:
-            m += 1
-        return p, m
+        return _perfect_power(self.q)
 
 
 def triangle(i: int) -> int:

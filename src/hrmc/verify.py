@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from ._value import Value
 from .codes import LinearCode, dual_code, make_code, weight_distribution
+from .cost import check_power_guard
 from .errors import NonIntegralDual, UsageError
 from .fields import Field
-from .hermitian import HermitianMatrix, check_power_guard
+from .hermitian import HermitianMatrix
 from .macwilliams import (
     build_eigen_table,
     build_eigen_table_C,

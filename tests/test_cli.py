@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc import cli, codes
+from hrmc import cli, codes, negq
 from hrmc.cli import _all_digits, _index_ranges, emit, main
 from hrmc.codes import dual_code, weight_distribution
+from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
 from hrmc.errors import EnumerationTooLarge
-from hrmc.hermitian import DEFAULT_GUARD
 from hrmc.macwilliams import EigenTable, full_space_distribution
 from hrmc.negq import NegQContext
 from hrmc.verify import sample_codes
@@ -176,9 +176,24 @@ def _empty_with_t_0(obj):
     return {**obj, "t": 0, "generators": []}
 
 
+# 2^61 - 1 is prime, so trial division would take 1.5e9 steps: a --q or a
+# field p this large is refused before any of them
+_PRIME_2_61 = 2 ** 61 - 1
+
+
+def _large_prime_p(obj):
+    return {**obj, "field": {**obj["field"], "p": _PRIME_2_61}}
+
+
+def _small_prime_factors(n, _factors=negq.prime_factors):
+    assert n < 2 ** 32, f"trial division of {n}"
+    return _factors(n)
+
+
 FILES = {"CODE": lambda obj: obj, "NONHERM": _non_hermitian,
          "BADT": _generator_t_differs, "INFT": _infinite_t,
-         "T0": _empty_with_t_0}
+         "T0": _empty_with_t_0, "BIGP": _large_prime_p}
+_BIGQ = str(_PRIME_2_61)
 
 
 @pytest.mark.parametrize("argv,env", [
@@ -210,6 +225,14 @@ FILES = {"CODE": lambda obj: obj, "NONHERM": _non_hermitian,
     (["wd", "--input", "BADT"], None),
     (["wd", "--input", "INFT"], None),
     (["wd", "--input", "T0"], None),
+    (["count", "--q", _BIGQ, "--t", "1"], None),
+    (["eigen", "--q", _BIGQ, "--t", "1"], None),
+    (["macwilliams", "--q", _BIGQ, "--t", "1", "--dist", "1,0", "--size",
+      "1"], None),
+    (["mhrd", "--q", _BIGQ, "--t", "1", "--d", "1"], None),
+    (["verify", "--q", _BIGQ, "--t", "1"], None),
+    (["wd", "--input", "BIGP"], None),
+    (["dual", "--input", "BIGP"], None),
 ])
 def test_unusable_input_exits_2(capsys, monkeypatch, tmp_path, example_code,
                                 argv, env):
@@ -217,7 +240,11 @@ def test_unusable_input_exits_2(capsys, monkeypatch, tmp_path, example_code,
         monkeypatch.setenv("HRMC_GUARD", env)
     argv = [write_json(tmp_path, FILES[a](example_code.to_jsonable()))
             if a in FILES else a for a in argv]
+    monkeypatch.setattr("hrmc.negq.prime_factors", _small_prime_factors)
+    monkeypatch.setattr("hrmc.fields.prime_factors", _small_prime_factors)
+    start = time.perf_counter()
     rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert_one_error_line(out, err)
 
@@ -646,6 +673,9 @@ _CLOSED_FORMS = [
       "--size", "1"], "macwilliams_eigen", "dual", 6 * 8),
     (["mhrd", "--q", "2", "--t", "5", "--d", "3"], "mhrd_distribution",
      "counts", 6 * 8),
+    # q^64 = 2^14336 has 4316 digits, more than str() converts
+    (["eigen", "--q", str(2 ** 224), "--t", "1"], "build_eigen_table", "rows",
+     4 * 68),
 ]
 
 
@@ -674,41 +704,91 @@ def test_closed_forms_refuse_outputs_over_the_guard(capsys, monkeypatch, argv,
     assert_one_error_line(out, err)
 
 
-def test_macwilliams_refuses_transforms_over_the_guard(capsys, monkeypatch):
-    """The transform's memo is estimated as (t+1)^2 values as long as
-    q^(t^2), in 30-bit words, and refused one below the estimate before
-    any product is built. At q=2, t=10: q^100 has at most 100*65/64 + 1 =
-    102 bits, 4 words, so 121 * 4 = 484 words, above the 11 * 32 = 352
-    estimated output digits."""
-    argv = ["macwilliams", "--q", "2", "--t", "10",
-            "--dist", "1" + ",0" * 10, "--size", "1"]
-    rc, out, _ = run(capsys, argv + ["--guard", "484", "--format", "json"])
-    assert rc == 0
-    # the zero code's dual is the whole space
-    assert json.loads(out)["dual"] == [
-        str(c) for c in full_space_distribution(NegQContext(2), 10)]
+# Closed-form commands whose big-int work is estimated as values as long
+# as q^(t^2), in 30-bit words: what computes it, the estimate and its
+# name. At q=2, t=10, q^100 has at most 100*65/64 + 1 = 102 bits, 4
+# words. The transform memoises (t+1)^2 = 121 values, 484 words, and mhrd
+# at d=3 sums (t-d+2)(t+1) = 99 values, 396 words; both are above the
+# 11 * 32 = 352 estimated output digits.
+_CLOSED_FORM_WORK = [
+    (["macwilliams", "--q", "2", "--t", "10", "--dist", "1" + ",0" * 10,
+      "--size", "1"], ("macwilliams_eigen", "macwilliams_transform"), 484,
+     "estimated words memoised by the transform"),
+    (["mhrd", "--q", "2", "--t", "10", "--d", "3"], ("mhrd_distribution",),
+     396, "estimated words summed by the closed form"),
+]
 
-    def unreachable(*args):
-        raise AssertionError("computed before the guard check")
-    for name in ("hrmc.cli.macwilliams_eigen", "hrmc.cli.macwilliams_transform",
-                 "hrmc.polynomials.negq_product"):
-        monkeypatch.setattr(name, unreachable)
-    rc, out, err = run(capsys, argv + ["--guard", "483"])
+
+def _unreachable(*args):
+    raise AssertionError("computed before the guard check")
+
+
+@pytest.mark.parametrize("argv,computes,estimate,what", _CLOSED_FORM_WORK)
+def test_closed_forms_refuse_work_over_the_guard(capsys, monkeypatch, argv,
+                                                 computes, estimate, what):
+    """Refused one below the estimate, before any product is built, and
+    accepted at it."""
+    rc, out, _ = run(capsys, argv + ["--guard", str(estimate),
+                                     "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    if argv[0] == "macwilliams":  # the zero code's dual is the whole space
+        assert payload["dual"] == [
+            str(c) for c in full_space_distribution(NegQContext(2), 10)]
+    else:  # a maximal code of distance 3 has q^(t(t-2)) words
+        assert sum(map(int, payload["counts"])) == 2 ** 80
+
+    for name in computes:
+        monkeypatch.setattr(f"hrmc.cli.{name}", _unreachable)
+    monkeypatch.setattr("hrmc.polynomials.negq_product", _unreachable)
+    monkeypatch.setattr("hrmc.negq._gauss_q", _unreachable)
+    rc, out, err = run(capsys, argv + ["--guard", str(estimate - 1)])
     assert rc == 2
     assert_one_error_line(out, err)
-    assert "484 estimated words memoised by the transform" in err
-    # the default guard refuses q=2, t=160 and accepts the bench's q=3, t=40
+    assert f"{estimate} {what}" in err
+
+
+def test_macwilliams_refuses_transforms_over_the_guard(capsys, monkeypatch):
+    """The default guard refuses q=2, t=160 and accepts the bench's q=3,
+    t=40; at q=2, t=148 is the largest t it accepts."""
     monkeypatch.delenv("HRMC_GUARD", raising=False)
+    what = "estimated words memoised by the transform"
     rc, out, err = run(capsys, ["macwilliams", "--q", "2", "--t", "160",
                                 "--dist", "1" + ",0" * 160, "--size", "1"])
     assert rc == 2
     assert_one_error_line(out, err)
-    assert "estimated words memoised by the transform" in err
-    cli._check_transform_words(3, 40, DEFAULT_GUARD)
-    # q=2, t=148 is the largest t the default guard accepts
-    cli._check_transform_words(2, 148, DEFAULT_GUARD)
+    assert what in err
+    check_guard(value_words(3, 40, 41 ** 2), what, DEFAULT_GUARD)
+    check_guard(value_words(2, 148, 149 ** 2), what, DEFAULT_GUARD)
     with pytest.raises(EnumerationTooLarge):
-        cli._check_transform_words(2, 149, DEFAULT_GUARD)
+        check_guard(value_words(2, 149, 150 ** 2), what, DEFAULT_GUARD)
+
+
+def test_mhrd_refuses_sums_over_the_default_guard(capsys, monkeypatch):
+    """At d=1 mhrd estimates the transform's (t+1)^2 values, so q=2
+    accepts t up to 148 as macwilliams does. Runs that took 14 s to over
+    300 s are refused at once; t=300, d=299 still runs."""
+    monkeypatch.delenv("HRMC_GUARD", raising=False)
+    rc, out, _ = run(capsys, ["mhrd", "--q", "2", "--t", "300", "--d", "299",
+                              "--format", "json"])
+    assert rc == 0
+    assert sum(map(int, json.loads(out)["counts"])) == 2 ** 600
+    monkeypatch.setattr("hrmc.cli.mhrd_distribution",
+                        lambda ctx, t, d, dual_size: (1,) + (0,) * t)
+    for q, t, d in [(2, 148, 1), (3, 40, 5)]:
+        rc, out, _ = run(capsys, ["mhrd", "--q", str(q), "--t", str(t),
+                                  "--d", str(d)])
+        assert rc == 0
+    monkeypatch.setattr("hrmc.cli.mhrd_distribution", _unreachable)
+    for q, t, d in [(2, 149, 1), (2, 300, 1), (2, 376, 319), (2, 250, 151),
+                    (2147483647, 121, 1)]:
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["mhrd", "--q", str(q), "--t", str(t),
+                                    "--d", str(d)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert_one_error_line(out, err)
+        assert "estimated words summed by the closed form" in err
 
 
 def test_macwilliams(capsys):

@@ -46,3 +46,19 @@ def test_library_raises_only_hrmc_errors():
                 f"{path.name}:{line} raises {name}"
             seen += 1
     assert seen > 50
+
+
+def test_refusal_policy_lives_in_cost():
+    """Only cost.py reads HRMC_GUARD or refuses work above the guard;
+    every other module calls it."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        keys = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)}
+        raised = {name for _, name in _raised_names(tree)}
+        owner = path.name == "cost.py"
+        assert ("HRMC_GUARD" in keys) == owner, path.name
+        assert ("EnumerationTooLarge" in raised) == owner, path.name
+    hermitian = ast.parse((SRC / "hermitian.py").read_text())
+    assert not any(alias.name == "os" for node in ast.walk(hermitian)
+                   if isinstance(node, ast.Import) for alias in node.names)

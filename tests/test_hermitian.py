@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hrmc.codes import _Packing
+from hrmc.cost import check_guard, check_power_guard
 from hrmc.errors import DimensionMismatch, EnumerationTooLarge
 from hrmc.fields import make_field
 from hrmc.hermitian import (
     HermitianMatrix,
-    check_guard,
-    check_power_guard,
     enumerate_hermitian,
     hermitian_from_index,
     inner_product,

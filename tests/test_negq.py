@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc.errors import LengthMismatch, UsageError
+from hrmc.errors import EnumerationTooLarge, LengthMismatch, UsageError
 from hrmc.negq import (
     NegQContext,
     beta_fn,
@@ -31,6 +31,21 @@ def test_context_validation():
             NegQContext(q)
     assert [NegQContext(q).prime_parts for q in (2, 4, 9, 27, 49)] \
         == [(2, 1), (2, 2), (3, 2), (3, 3), (7, 2)]
+    # the largest exact root decides, with trial division only up to its
+    # square root: 46339 divisions for (2^31 - 1)^2
+    assert [NegQContext(q).prime_parts
+            for q in (2 ** 64, 3 ** 40, 2 ** 31 - 1, (2 ** 31 - 1) ** 2)] \
+        == [(2, 64), (3, 40), (2 ** 31 - 1, 1), (2 ** 31 - 1, 2)]
+    NegQContext((2 ** 31 - 1) ** 2, guard=46339)
+    with pytest.raises(EnumerationTooLarge, match="^46339 trial divisions"):
+        NegQContext((2 ** 31 - 1) ** 2, guard=46338)
+    for q in range(-3, 5000):
+        if len(prime_factors(q)) == 1:
+            p, m = NegQContext(q).prime_parts
+            assert [p] == prime_factors(q) and p ** m == q
+        else:
+            with pytest.raises(UsageError):
+                NegQContext(q)
 
 
 def test_prime_factors_match_trial_division():
