@@ -7,6 +7,8 @@ in exact integer arithmetic, along with the base -q combinatorial
 identities those routes are built from.
 """
 
+import sys
+
 from .errors import (
     CheckFailed,
     ContextMismatch,
@@ -60,19 +62,6 @@ from .negq import (
     sequence_inversion,
     xi,
 )
-from .polynomials import (
-    ConcretePoly,
-    LambdaPoly,
-    concretize,
-    evaluate,
-    mu_poly,
-    negq_derivative,
-    negq_inv_derivative,
-    negq_power,
-    negq_product,
-    negq_transform,
-    nu_poly,
-)
 from .macwilliams import (
     EigenTable,
     build_eigen_table,
@@ -90,3 +79,28 @@ from .macwilliams import (
 )
 
 __version__ = "0.1.0"
+
+# Names of hrmc.polynomials, resolved on first access by __getattr__: only
+# the transform route and verify run the algebra, and the other commands
+# start faster without compiling it.
+_POLYNOMIAL_NAMES = frozenset({
+    "ConcretePoly",
+    "LambdaPoly",
+    "concretize",
+    "evaluate",
+    "mu_poly",
+    "negq_derivative",
+    "negq_inv_derivative",
+    "negq_power",
+    "negq_product",
+    "negq_transform",
+    "nu_poly",
+})
+
+
+def __getattr__(name: str):
+    if name not in _POLYNOMIAL_NAMES:
+        # the plain lookup again, which raises the usual AttributeError
+        return object.__getattribute__(sys.modules[__name__], name)
+    from . import polynomials
+    return getattr(polynomials, name)

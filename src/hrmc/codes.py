@@ -23,12 +23,20 @@ otherwise, and a row is a shift-and-mask slice. Word ``index`` of a code
 is the combination of the generators whose coefficients are the base-q
 digits of the index, the first generator's digit most significant, each
 digit picking a subfield element in ascending index order. ``_words``
-walks any index range of that order over any base word, summing each
-prefix of generator terms once. :func:`rank_counts` ranks words with the
-packed elimination ``_Packing.rank``, written apart from
+walks any index range of that order over any base word: it adds each
+prefix of the leading generators, summed once, to every word of a list
+of the span of the trailing generators. :func:`rank_counts` ranks words
+with the packed elimination ``_Packing.rank``, written apart from
 ``hermitian.rank_of_rows``, and visits only the words whose first nonzero
 coefficient is 1: scaling by GF(q)* keeps the rank, so each such word
-stands for its q - 1 nonzero multiples. It is what
+stands for its q - 1 nonzero multiples.
+
+An enumeration builds one packing, the q multiples of each generator and
+one list of at most ``_RUN_LIMIT`` words (or q, if more), shared by every
+projective block. The packing builds nothing up front: its memos (lead
+rows, head states, lane conversions) fill as words need them and each
+starts over at ``_CACHE_LIMIT`` entries, so nothing grows with the field
+order. :func:`rank_counts` is what
 :func:`weight_distribution`, :func:`min_distance` and the CLI (census,
 ``wd`` and every ``--workers`` process) count with, and ranges of
 [0, q^k) split anywhere add up to the whole distribution.
@@ -39,6 +47,8 @@ same walker's words to matrices, in index order.
 from __future__ import annotations
 
 import operator
+from collections import Counter
+from itertools import chain, count, repeat
 
 from ._value import Value
 from .errors import (
@@ -49,7 +59,7 @@ from .errors import (
     ZeroCode,
 )
 from .cost import check_guard
-from .fields import Field
+from .fields import Field, field_from_jsonable, json_int
 from .hermitian import (
     HermitianMatrix,
     inner_product,
@@ -235,7 +245,8 @@ def dual_code(code: LinearCode) -> LinearCode:
 
 # ---------------------------------------------------------- packed words
 
-_CACHE_LIMIT = 1 << 16  # rows the lead cache holds before it starts over
+_CACHE_LIMIT = 1 << 16  # entries a packing's memo holds before it starts over
+_RUN_LIMIT = 1 << 10  # words of the listed span of the trailing generators
 
 
 class _Packing:
@@ -247,18 +258,23 @@ class _Packing:
     offset i*t + j, so row i is a shift-and-mask slice of the word. Adding
     words is ``^`` in characteristic 2 and otherwise one SWAR add: sum the
     lanes, then take p from every lane whose sum reached p, found as the
-    top bit of the lane after adding 2^(w-1) - p.
+    top bit of the lane after adding 2^(w-1) - p. In characteristic 2 a
+    cell's lanes are its element index.
 
     :attr:`rank` inserts rows into a basis keyed by lead column. A row is
     first scaled to lead 1; if that column already has a basis row, the
     difference of the two replaces the row (same span, that column
-    cleared), else the scaled row joins the basis. The lead column, the
-    scaled row and its negative are cached per row in a dict filled on
-    first use. Nothing is built up front, and the dict starts over when it
-    reaches ``_CACHE_LIMIT`` rows, so memory stays bounded in every field.
-    Each enumeration makes its own packing and drops it at the end; none
-    is kept on the field, so pickling a field for a ``--workers`` task
-    ships none of it.
+    cleared), else the scaled row joins the basis. The lead column is the
+    lowest set bit of the row; the scaled row and its negative are cached
+    per row in a dict filled on first use, as are, for odd p, the
+    conversions between a cell's lanes and its element index. The basis
+    and rank after the first t // 2 rows are memoised per value of those
+    rows, one shared tuple for equal states, so a word reduces only its
+    other rows. Nothing is built up front, and each memo starts over when
+    it reaches ``_CACHE_LIMIT`` entries, so memory stays bounded in every
+    field. Each enumeration makes its own packing and drops it at the end;
+    none is kept on the field, so pickling a field for a ``--workers``
+    task ships none of it.
     """
 
     def __init__(self, field: Field, t: int):
@@ -267,12 +283,15 @@ class _Packing:
         lanes = 2 * field.m
         self.field, self.t, self.p, self.w = field, t, p, w
         self.cell_bits = lanes * w
+        self.cell_mask = (1 << self.cell_bits) - 1
         self.row_bits = t * self.cell_bits
         ones = sum(1 << (i * w) for i in range(lanes * t * t))
         self.lane_p = p * ones
         self.carry = ((1 << (w - 1)) - p) * ones
         self.top = ones << (w - 1)
         self.add = operator.xor if p == 2 else self._make_swar_add()
+        self._lanes: dict[int, int] = {}  # element index -> lanes, odd p
+        self._indices: dict[int, int] = {}  # lanes -> element index, odd p
         self._lead: dict[int, tuple[int, int, int]] = {}
         self.rank = self._make_rank()
 
@@ -280,23 +299,40 @@ class _Packing:
 
     def cell(self, index: int) -> int:
         """Lanes of an element index."""
-        p, w = self.p, self.w
-        value = shift = 0
-        while index:
-            index, digit = divmod(index, p)
-            value |= digit << shift
-            shift += w
+        if self.p == 2:
+            return index
+        memo = self._lanes
+        value = memo.get(index)
+        if value is None:
+            if len(memo) >= _CACHE_LIMIT:
+                memo.clear()
+            p, w = self.p, self.w
+            value = shift = 0
+            rest = index
+            while rest:
+                rest, digit = divmod(rest, p)
+                value |= digit << shift
+                shift += w
+            memo[index] = value
         return value
 
     def index(self, cell: int) -> int:
         """Element index of a cell's lanes."""
-        p, w = self.p, self.w
-        lane = (1 << w) - 1
-        index, place = 0, 1
-        while cell:
-            index += (cell & lane) * place
-            cell >>= w
-            place *= p
+        if self.p == 2:
+            return cell
+        memo = self._indices
+        index = memo.get(cell)
+        if index is None:
+            if len(memo) >= _CACHE_LIMIT:
+                memo.clear()
+            p, w = self.p, self.w
+            lane = (1 << w) - 1
+            index, place, rest = 0, 1, cell
+            while rest:
+                index += (rest & lane) * place
+                rest >>= w
+                place *= p
+            memo[cell] = index
         return index
 
     def pack(self, indices) -> int:
@@ -307,8 +343,7 @@ class _Packing:
     def _cells(self, word: int):
         """(offset, element index) of every cell up to the word's last
         nonzero one."""
-        bits = self.cell_bits
-        mask = (1 << bits) - 1
+        bits, mask = self.cell_bits, self.cell_mask
         offset = 0
         while word:
             yield offset, self.index(word & mask)
@@ -328,12 +363,6 @@ class _Packing:
         # lanes p - d lie in 1..p, and the add takes p from those at p
         return a if self.p == 2 else self.add(self.lane_p - a, 0)
 
-    def scale(self, word: int, s: int) -> int:
-        """s * word, for an element index s."""
-        mul, bits = self.field.mul, self.cell_bits
-        return sum(self.cell(mul(s, x)) << (offset * bits)
-                   for offset, x in self._cells(word))
-
     def matrix(self, word: int) -> HermitianMatrix:
         field, t = self.field, self.t
         grid = [field.zero()] * (t * t)
@@ -347,9 +376,15 @@ class _Packing:
         ascending index order, so scaled[j][0] is zero and scaled[j][1]
         the generator itself."""
         others = self.field.subfield_indices()[2:]
-        return [[0, word, *(self.scale(word, s) for s in others)]
-                for word in (self.pack(x.index for row in g.entries for x in row)
-                             for g in code.generators)]
+        mul, cell, bits = self.field.mul, self.cell, self.cell_bits
+        scaled = []
+        for g in code.generators:
+            cells = [(pos * bits, x) for pos, x in enumerate(
+                x.index for row in g.entries for x in row) if x]
+            scaled.append([0, sum(cell(x) << shift for shift, x in cells),
+                           *(sum(cell(mul(s, x)) << shift for shift, x in cells)
+                             for s in others)])
+        return scaled
 
     # -- rank --
 
@@ -358,23 +393,58 @@ class _Packing:
         cache = self._lead
         if len(cache) >= _CACHE_LIMIT:
             cache.clear()
-        col, value = next((c, x) for c, x in self._cells(row) if x)
-        scaled = self.scale(row, self.field.inv(value))
+        bits, mask = self.cell_bits, self.cell_mask
+        col = ((row & -row).bit_length() - 1) // bits
+        shift = col * bits
+        rest = row >> shift  # the lead cell and those after it
+        s = self.field.inv(self.index(rest & mask))
+        mul, cell, index = self.field.mul, self.cell, self.index
+        scaled = 0
+        while rest:
+            lanes = rest & mask
+            if lanes:
+                scaled |= cell(mul(s, index(lanes))) << shift
+            rest >>= bits
+            shift += bits
         found = cache[row] = (col, scaled, self.neg(scaled))
         return found
 
     def _make_rank(self):
         t, p, w1 = self.t, self.p, self.w - 1
         carry, top = self.carry, self.top
-        row_mask = (1 << self.row_bits) - 1
-        shifts = [i * self.row_bits for i in range(t)]
+        row_bits = self.row_bits
+        row_mask = (1 << row_bits) - 1
+        half = t // 2
+        head_mask = (1 << (half * row_bits)) - 1
+        head_shifts = [i * row_bits for i in range(half)]
+        tail_shifts = [i * row_bits for i in range(half, t)]
         leads, lead_of = self._lead, self._lead_of
+        states: dict[int, tuple[int, ...]] = {}  # head rows -> (rank, *basis)
+        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         xor = p == 2
 
-        def rank(word: int) -> int:
-            """Rank over GF(q^2) of a packed t x t matrix."""
-            basis = [0] * t  # basis[c]: minus the basis row with lead c
-            r = 0
+        def head_state(head: int) -> tuple[int, ...]:
+            if len(states) >= _CACHE_LIMIT:
+                states.clear()
+                interned.clear()
+            basis = [0] * t
+            state = (rank(head, head_shifts, basis), *basis)
+            state = states[head] = interned.setdefault(state, state)
+            return state
+
+        def rank(word: int, shifts=tail_shifts, basis=None) -> int:
+            """Rank over GF(q^2) of a packed t x t matrix. Given a basis
+            (basis[c]: minus the basis row with lead c), the rows at
+            ``shifts`` join it instead, and the count that joined is
+            returned."""
+            if basis is None:
+                head = word & head_mask
+                try:
+                    r, *basis = states[head]
+                except KeyError:
+                    r, *basis = head_state(head)
+            else:
+                r = 0
             for shift in shifts:
                 row = (word >> shift) & row_mask
                 while row:
@@ -399,31 +469,46 @@ class _Packing:
 
 # ----------------------------------------------------------- enumeration
 
-def _words(scaled: list[list[int]], base: int, start: int, stop: int, add):
+def _run(scaled: list[list[int]], add) -> tuple[int, list[int]]:
+    """(n, words): the span of the last n generators listed in index
+    order, for the largest n >= 1 whose q^n words fit ``_RUN_LIMIT``
+    (one generator's span is its multiples, listed already)."""
+    n, words = (1, scaled[-1]) if scaled else (0, [0])
+    for multiples in reversed(scaled[:-1]):
+        if len(words) * len(multiples) > _RUN_LIMIT:
+            break
+        words = [add(x, w) for x in multiples for w in words]
+        n += 1
+    return n, words
+
+
+def _words(scaled: list[list[int]], base: int, start: int, stop: int, add,
+           run: tuple[int, list[int]] | None = None):
     """Words start..stop-1 of base + span(generators), in index order.
 
     Word ``index`` adds to ``base`` the combination of the generators whose
     coefficients are the base-q digits of the index, the first generator's
     digit most significant; ``scaled[j][d]`` is generator j times the d-th
-    subfield element. Each prefix of all digits but the last is summed
-    once, by the same walk over the generators before the last, and serves
-    q words.
+    subfield element. ``run`` (see :func:`_run`) lists the span of the
+    last n generators of the enumeration that ``scaled`` ends, in which
+    the span of fewer trailing generators is a leading slice; ``None``
+    stands for the last generator's multiples. Each prefix of the other
+    generators is summed once, by the same walk without a run, and added
+    to every listed word it serves.
     """
     if not scaled:
-        if start < stop:
-            yield base
-        return
-    *head, last = scaled
-    q = len(last)
-    first = start // q
-    for i, prefix in enumerate(_words(head, base, first, -(-stop // q), add),
-                               first):
-        pos = i * q  # index of the word prefix + last[0]
-        for x in last[max(start - pos, 0):stop - pos]:
-            yield add(prefix, x)
+        return iter([base] if start < stop else [])
+    n, listed = run or (1, scaled[-1])
+    n = min(n, len(scaled))
+    size = len(scaled[-1]) ** n  # words per prefix
+    first = start // size
+    prefixes = _words(scaled[:-n], base, first, -(-stop // size), add)
+    return chain.from_iterable(
+        map(add, repeat(prefix), listed[max(start - pos, 0):stop - pos])
+        for pos, prefix in zip(count(first * size, size), prefixes))
 
 
-def _points(scaled: list[list[int]], lo: int, hi: int, add):
+def _points(scaled: list[list[int]], lo: int, hi: int, add, run):
     """Words lo..hi-1 of those whose first nonzero coefficient is 1.
 
     Block j of them is generator j plus every word of the span of the
@@ -431,14 +516,16 @@ def _points(scaled: list[list[int]], lo: int, hi: int, add):
     """
     k = len(scaled)
     q = len(scaled[0]) if k else 1
+    blocks = []
     first = 0
     for j in range(k):
         size = q ** (k - 1 - j)
         a, b = max(lo, first), min(hi, first + size)
         if a < b:
-            yield from _words(scaled[j + 1:], scaled[j][1],
-                              a - first, b - first, add)
+            blocks.append(_words(scaled[j + 1:], scaled[j][1],
+                                 a - first, b - first, add, run))
         first += size
+    return chain.from_iterable(blocks)
 
 
 def _check_enumeration(code: LinearCode, guard: int | None) -> None:
@@ -473,13 +560,13 @@ def rank_counts(code: LinearCode, start: int, stop: int,
         return counts
     pk = _Packing(code.field, t)
     scaled = pk.generators(code)
-    rank = pk.rank
+    rank, add, run = pk.rank, pk.add, _run(scaled, pk.add)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
-    for word in _points(scaled, lo, hi, pk.add):
-        counts[rank(word)] += m
+    for r, n in Counter(map(rank, _points(scaled, lo, hi, add, run))).items():
+        counts[r] += n * m
     # the first and last points touched may have multiples outside the range
-    counts[rank(next(_points(scaled, lo, lo + 1, pk.add)))] -= first - 1 - lo * m
-    counts[rank(next(_points(scaled, hi - 1, hi, pk.add)))] -= hi * m - (stop - 1)
+    counts[rank(next(_points(scaled, lo, lo + 1, add, run)))] -= first - 1 - lo * m
+    counts[rank(next(_points(scaled, hi - 1, hi, add, run)))] -= hi * m - (stop - 1)
     return counts
 
 
@@ -497,7 +584,8 @@ def enumerate_codewords(code: LinearCode, guard: int | None = None):
     """All q^k codewords as matrices, in index order."""
     _check_enumeration(code, guard)
     pk = _Packing(code.field, code.t)
-    for word in _words(pk.generators(code), 0, 0, code.size, pk.add):
+    scaled = pk.generators(code)
+    for word in _words(scaled, 0, 0, code.size, pk.add, _run(scaled, pk.add)):
         yield pk.matrix(word)
 
 
@@ -527,8 +615,7 @@ def singleton_check(code: LinearCode, min_dist: int | None = None,
 
 
 def code_from_jsonable(obj: dict) -> LinearCode:
-    from .fields import field_from_jsonable
     field = field_from_jsonable(obj["field"])
-    t = int(obj["t"])
+    t = json_int(obj["t"], "code t")
     gens = [matrix_from_jsonable(field, g) for g in obj["generators"]]
     return make_code(field, t, gens)

@@ -407,11 +407,21 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
     return _FIELD_CACHE[key]
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON: an int or a decimal string. A float or a
+    bool is refused, since int() would truncate it or read it as 0 or 1
+    and so load a different code."""
+    if isinstance(value, (bool, float)):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def field_from_jsonable(obj: dict) -> Field:
     try:
-        p = int(obj["p"])
-        m = int(obj["m"])
-        modulus = [int(c) for c in obj["modulus_poly"]]
+        p = json_int(obj["p"], "field p")
+        m = json_int(obj["m"], "field m")
+        modulus = [json_int(c, "modulus coefficient")
+                   for c in obj["modulus_poly"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed field description: {exc}") from exc
     return make_field(p, m, modulus)

@@ -23,7 +23,7 @@ from typing import Iterator
 from ._value import Value
 from .cost import check_power_guard
 from .errors import DimensionMismatch, UsageError
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, json_int
 
 
 class HermitianMatrix(Value):
@@ -74,8 +74,9 @@ class HermitianMatrix(Value):
 
 
 def matrix_from_jsonable(field: Field, obj: dict) -> HermitianMatrix:
-    t = int(obj["t"])
-    rows = tuple(tuple(field.element([int(c) for c in cell]) for cell in row)
+    t = json_int(obj["t"], "matrix t")
+    rows = tuple(tuple(field.element([json_int(c, "entry digit") for c in cell])
+                       for cell in row)
                  for row in obj["rows"])
     return HermitianMatrix(field, t, rows)
 

@@ -45,7 +45,6 @@ from .negq import (
     triangle,
     xi,
 )
-from .polynomials import concretize, mu_poly, negq_transform, nu_poly
 
 
 def krawtchouk_Q(ctx: NegQContext, k: int, x: int, t: int) -> int:
@@ -208,6 +207,8 @@ def macwilliams_transform(ctx: NegQContext, counts, code_size: int,
     degree-one seeds, deliberately avoiding the closed-form power
     coefficients used elsewhere.
     """
+    # only this route runs the polynomial algebra, so only it loads it
+    from .polynomials import concretize, mu_poly, negq_transform, nu_poly
     _check_distribution(counts, code_size, t)
     image = negq_transform(list(counts), nu_poly(ctx), mu_poly(ctx))
     frozen = concretize(image, t)

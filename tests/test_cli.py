@@ -190,9 +190,29 @@ def _small_prime_factors(n, _factors=negq.prime_factors):
     return _factors(n)
 
 
+def _with(value, *path):
+    """Put the value at the path of the code file."""
+    def mutate(obj):
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return obj
+    return mutate
+
+
+# int() would read each of these as the integer of the example code, so
+# the file loaded as that code: a float or a bool where an integer belongs
+_DIGIT = ("generators", 0, "rows", 0, 0, 0)
+NOT_INTS = {"TFLOAT": _with(3.7, "t"), "PFLOAT": _with(2.5, "field", "p"),
+            "MFLOAT": _with(1.0, "field", "m"),
+            "MODFLOAT": _with(1.0, "field", "modulus_poly", 2),
+            "DIGITFLOAT": _with(1.5, *_DIGIT),
+            "DIGITBOOL": _with(True, *_DIGIT),
+            "GENTFLOAT": _with(3.2, "generators", 0, "t")}
 FILES = {"CODE": lambda obj: obj, "NONHERM": _non_hermitian,
          "BADT": _generator_t_differs, "INFT": _infinite_t,
-         "T0": _empty_with_t_0, "BIGP": _large_prime_p}
+         "T0": _empty_with_t_0, "BIGP": _large_prime_p, **NOT_INTS}
 _BIGQ = str(_PRIME_2_61)
 
 
@@ -233,6 +253,7 @@ _BIGQ = str(_PRIME_2_61)
     (["verify", "--q", _BIGQ, "--t", "1"], None),
     (["wd", "--input", "BIGP"], None),
     (["dual", "--input", "BIGP"], None),
+    *((["wd", "--input", name], None) for name in NOT_INTS),
 ])
 def test_unusable_input_exits_2(capsys, monkeypatch, tmp_path, example_code,
                                 argv, env):
@@ -930,7 +951,7 @@ if sys.argv[2] == "1":
     cli.MIN_WORDS_PER_PROCESS = 1
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-watched = ("dataclasses", "multiprocessing", "hrmc.verify")
+watched = ("dataclasses", "multiprocessing", "hrmc.polynomials", "hrmc.verify")
 print(json.dumps({"rc": codes, "loaded": [
     m for m in watched if m in sys.modules and m not in before]}))
 """
@@ -952,22 +973,24 @@ def _modules_loaded_by(argvs, two_cpus=False):
 def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
     """Start-up is most of a small command's time, so no command loads
     dataclasses, and only the commands that use them load multiprocessing
-    (a pool of workers) or hrmc.verify (the verify suites)."""
+    (a pool of workers), hrmc.polynomials (the transform route) or
+    hrmc.verify (the verify suites)."""
     code = write_code_file(tmp_path, example_code)
     dual = write_code_file(tmp_path, dual_code(example_code), "dual.json")
     assert _modules_loaded_by([
         ["count", "--q", "2", "--t", "2"],
         ["wd", "--input", code],
-        ["wd", "--input", dual, "--workers", "2"],
-        ["dual", "--input", code],
         ["eigen", "--q", "2", "--t", "3"],
-        ["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
-         "--size", "8"],
         ["mhrd", "--q", "2", "--t", "3", "--d", "3"],
     ]) == []
+    for argv in (["wd", "--input", dual, "--workers", "2"],
+                 ["dual", "--input", code],
+                 ["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
+                  "--size", "8"]):
+        assert _modules_loaded_by([argv]) == ["hrmc.polynomials"], argv
     assert _modules_loaded_by(
         [["verify", "--q", "2", "--t", "2", "--trials", "2"]]) \
-        == ["hrmc.verify"]
+        == ["hrmc.polynomials", "hrmc.verify"]
     assert _modules_loaded_by(
         [["count", "--q", "2", "--t", "4", "--workers", "2"]],
         two_cpus=True) == ["multiprocessing"]

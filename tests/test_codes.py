@@ -1,9 +1,11 @@
 """Code construction, weight distributions, and trace-form duality."""
 
+import random
 import sys
 
 import pytest
 
+from hrmc import codes
 from hrmc.codes import (
     WeightDistribution,
     code_from_jsonable,
@@ -27,8 +29,10 @@ from hrmc.fields import make_field
 from hrmc.hermitian import (
     HermitianMatrix,
     enumerate_hermitian,
+    hermitian_from_index,
     inner_product,
     rank,
+    total_hermitian,
     zero_matrix,
 )
 from hrmc.verify import sample_codes
@@ -120,6 +124,71 @@ def test_rank_counts_split_inside_projective_groups(p, m):
     for a in range(code.size + 1):
         halves = zip(rank_counts(code, 0, a), rank_counts(code, a, code.size))
         assert [x + y for x, y in halves] == whole
+
+
+def _random_code(field, t, k, seed):
+    rng = random.Random(seed)
+    code = make_code(field, t, [])
+    while code.k < k:
+        extra = hermitian_from_index(field, t,
+                                     rng.randrange(total_hermitian(field, t)))
+        code = make_code(field, t, [*code.generators, extra])
+    return code
+
+
+def _run_splits(code, run):
+    """Kernel indices at the start, the middle and the end of every listed
+    run of ``run`` points in every projective block, one index either
+    side of each start, and one inside its group of q - 1 multiples."""
+    q, k, m = code.field.q, code.k, code.field.q - 1
+    splits, first = set(), 0
+    for j in range(k):
+        block = q ** (k - 1 - j)
+        for point in range(first, first + block, min(block, run)):
+            splits.update(1 + point * m + d for d in (-1, 0, 1, m // 2))
+            splits.add(1 + (point + min(block, run) // 2) * m)
+        first += block
+    return sorted(a for a in splits if 0 < a < code.size)
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2),
+                                   (5, 1, 2)])
+def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
+    """With every memo of a packing starting over at 2 entries, and the
+    listed run cut to the span of two generators, rank_counts equals a
+    count through hermitian.rank on a code the run spans (k = 2) and on
+    one it does not, whole and cut into ranges at the start, middle and
+    end of every run."""
+    monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
+    field = make_field(p, m)
+    q = field.q
+    monkeypatch.setattr(codes, "_RUN_LIMIT", q * q)
+    above = max(4, max(k for k in range(t * t + 1) if q ** k <= 256))
+    for k in (2, above):
+        code = _random_code(field, t, k, seed=k)
+        whole = _counts_by_rank(code)
+        assert rank_counts(code, 0, code.size) == whole
+        cuts = [0, *_run_splits(code, q * q), code.size]
+        parts = [rank_counts(code, a, b) for a, b in zip(cuts, cuts[1:])]
+        assert [sum(column) for column in zip(*parts)] == whole
+
+
+def test_packing_setup_does_not_grow_with_the_field(monkeypatch):
+    """A packing converts no element and fills no memo when it is built,
+    so its set-up over GF(251^2) is the size of its set-up over GF(4)."""
+    converted = []
+    for name in ("cell", "index"):
+        method = getattr(codes._Packing, name)
+        monkeypatch.setattr(
+            codes._Packing, name,
+            lambda self, x, method=method: converted.append(x) or method(self, x))
+    held = []
+    for p in (2, 251):
+        pk = codes._Packing(make_field(p, 1), 3)
+        held.append(sorted(len(v) for v in vars(pk).values()
+                           if isinstance(v, (dict, list, tuple))))
+    assert converted == []
+    assert held[0] == held[1] == [0, 0, 0]
 
 
 class RankOfRowsReached(Exception):

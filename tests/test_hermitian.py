@@ -100,22 +100,28 @@ def test_packed_rank_matches_elimination_and_kernel(q, t, data):
     """The enumeration kernel's packed rank equals rank_of_rows on any
     t x t matrix (Hermitian or not) and, where q^(2t) is small enough to
     try every vector, t - log_{q^2} |ker|. Rows are random combinations of
-    r random rows, so every rank up to t turns up."""
+    r random rows, so every rank up to t turns up. Each matrix is ranked
+    right after one sharing its top t // 2 rows, through one packing, so
+    its head state comes from the memo."""
     field = make_field(*PACKED_FIELDS[q])
     elements = st.integers(0, field.order - 1)
     r = data.draw(st.integers(0, t))
     spans = [data.draw(st.lists(elements, min_size=t, max_size=t))
              for _ in range(r)]
-    rows = []
-    for _ in range(t):
+
+    def combination():
         row = [0] * t
         for span in spans:
             c = data.draw(elements)
             row = [field.add(x, field.mul(c, y)) for x, y in zip(row, span)]
-        rows.append(row)
+        return row
+
+    rows = [combination() for _ in range(t)]
+    twin = rows[:t // 2] + [combination() for _ in range(t - t // 2)]
     pk = _Packing(field, t)
-    got = pk.rank(pk.pack(x for row in rows for x in row))
-    assert got == rank_of_rows(field, [row[:] for row in rows])
+    for matrix in (twin, rows):
+        got = pk.rank(pk.pack(x for row in matrix for x in row))
+        assert got == rank_of_rows(field, [row[:] for row in matrix])
     if field.order ** t <= 4096:
         m = HermitianMatrix(field, t, tuple(
             tuple(field.from_index(x) for x in row) for row in rows))
