@@ -31,8 +31,10 @@ with the packed elimination ``_Packing.rank``, written apart from
 coefficient is 1: scaling by GF(q)* keeps the rank, so each such word
 stands for its q - 1 nonzero multiples.
 
-An enumeration builds one packing, the q multiples of each generator and
-one list of at most ``_RUN_LIMIT`` words (or q, if more), shared by every
+An enumeration builds one packing, the q multiples of each generator its
+walk lists (:func:`rank_counts` reads only the word of a block's leading
+generator, and no generator before the first block it counts) and one
+list of at most ``_RUN_LIMIT`` words (or q, if more), shared by every
 projective block. The packing builds nothing up front: its memos (lead
 rows, head states, lane conversions) fill as words need them and each
 starts over at ``_CACHE_LIMIT`` entries, so nothing grows with the field
@@ -371,19 +373,20 @@ class _Packing:
         return HermitianMatrix(field, t, tuple(
             tuple(grid[i:i + t]) for i in range(0, t * t, t)))
 
-    def generators(self, code: "LinearCode") -> list[list[int]]:
+    def generators(self, code: "LinearCode", start: int = 0) -> list[list[int]]:
         """scaled[j][d]: generator j times the d-th subfield element, in
         ascending index order, so scaled[j][0] is zero and scaled[j][1]
-        the generator itself."""
+        the generator itself. A generator before ``start`` gets only those
+        two, for a walk that never lists its other multiples."""
         others = self.field.subfield_indices()[2:]
         mul, cell, bits = self.field.mul, self.cell, self.cell_bits
         scaled = []
-        for g in code.generators:
+        for j, g in enumerate(code.generators):
             cells = [(pos * bits, x) for pos, x in enumerate(
                 x.index for row in g.entries for x in row) if x]
             scaled.append([0, sum(cell(x) << shift for shift, x in cells),
                            *(sum(cell(mul(s, x)) << shift for shift, x in cells)
-                             for s in others)])
+                             for s in (others if j >= start else ()))])
         return scaled
 
     # -- rank --
@@ -508,14 +511,24 @@ def _words(scaled: list[list[int]], base: int, start: int, stop: int, add,
         for pos, prefix in zip(count(first * size, size), prefixes))
 
 
-def _points(scaled: list[list[int]], lo: int, hi: int, add, run):
+def _block_of(q: int, k: int, point: int) -> int:
+    """The block (see :func:`_points`) that holds a point."""
+    j, end = 0, q ** (k - 1)
+    while end <= point:
+        j += 1
+        end += q ** (k - 1 - j)
+    return j
+
+
+def _points(scaled: list[list[int]], q: int, lo: int, hi: int, add, run):
     """Words lo..hi-1 of those whose first nonzero coefficient is 1.
 
     Block j of them is generator j plus every word of the span of the
     generators after it, in index order; the blocks follow each other.
+    A walk from block j on reads generator j's word alone, and lists
+    the multiples of the generators after it only.
     """
     k = len(scaled)
-    q = len(scaled[0]) if k else 1
     blocks = []
     first = 0
     for j in range(k):
@@ -551,7 +564,8 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     _check_enumeration(code, guard)
     if not 0 <= start <= stop <= code.size:
         raise UsageError(f"range [{start}, {stop}) outside [0, {code.size})")
-    t, m = code.t, code.field.q - 1
+    t, q = code.t, code.field.q
+    m = q - 1
     counts = [0] * (t + 1)
     if start == 0 < stop:
         counts[0] = 1
@@ -559,14 +573,18 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     if first >= stop:
         return counts
     pk = _Packing(code.field, t)
-    scaled = pk.generators(code)
-    rank, add, run = pk.rank, pk.add, _run(scaled, pk.add)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
-    for r, n in Counter(map(rank, _points(scaled, lo, hi, add, run))).items():
+    listed = _block_of(q, code.k, lo) + 1  # the first generator listed
+    scaled = pk.generators(code, listed)
+    rank, add, run = pk.rank, pk.add, _run(scaled[listed:], pk.add)
+    for r, n in Counter(map(rank, _points(scaled, q, lo, hi, add,
+                                          run))).items():
         counts[r] += n * m
     # the first and last points touched may have multiples outside the range
-    counts[rank(next(_points(scaled, lo, lo + 1, add, run)))] -= first - 1 - lo * m
-    counts[rank(next(_points(scaled, hi - 1, hi, add, run)))] -= hi * m - (stop - 1)
+    first_point = next(_points(scaled, q, lo, lo + 1, add, run))
+    last_point = next(_points(scaled, q, hi - 1, hi, add, run))
+    counts[rank(first_point)] -= first - 1 - lo * m
+    counts[rank(last_point)] -= hi * m - (stop - 1)
     return counts
 
 

@@ -356,18 +356,21 @@ def mhrd_distribution(ctx: NegQContext, t: int, d: int,
         raise UsageError(f"dual size must be {expected_dual}, got {dual_size}")
     b = ctx.b
     # With s = -b^t, the closed form's factor s^(d+i) / dual_size - 1 is
-    # s^(i+1) - 1: s^(d-1) = b^(t(d-1)) = dual_size, as d - 1 is even.
+    # s^(i+1) - 1: s^(d-1) = b^(t(d-1)) = dual_size, as d - 1 is even. So
+    # the sum over i of g_i (s^(i+1) - 1) is s * sum_i g_i s^i - sum_i g_i,
+    # and the first sum is taken by Horner's rule in s.
     s = -(b ** t)
     span = range(t - d + 1)
     twists = [(-1) ** j * b ** triangle(j) for j in span]
-    factors = [s ** (i + 1) - 1 for i in span]
     counts = [0] * (t + 1)
     counts[0] = 1
     for r in span:
-        acc = 0
-        for i in range(r + 1):
-            acc += twists[r - i] * gauss(ctx, d + r, d + i) * factors[i]
-        acc *= gauss(ctx, t, d + r)
+        horner = plain = 0
+        for i in range(r, -1, -1):
+            g = twists[r - i] * gauss(ctx, d + r, d + i)
+            horner = horner * s + g
+            plain += g
+        acc = (horner * s - plain) * gauss(ctx, t, d + r)
         if acc < 0:
             raise CheckFailed(f"count at rank {d + r} came out {acc}")
         counts[d + r] = acc

@@ -3,9 +3,13 @@
 All the combinatorial quantities in this package live over a *negative*
 base: for a prime power q we work with b = -q and form analogues of the
 Gaussian binomial coefficient and its companion products. Everything is
-computed with exact integers, never floats: each defining product is
-accumulated as an integer numerator and denominator, divided once, and
-cached per (q, x, k).
+computed with exact integers, never floats. For x >= 0 the Gaussian
+coefficients [x, 0..x] are filled as one row per (q, x), each from the one
+before by one factor and one exact division,
+[x, k] = [x, k - 1] (b^(x-k+1) - 1) / (b^k - 1), and gamma(x, k) likewise
+takes one factor per step in k. For x < 0 the defining product is
+accumulated as an integer numerator and denominator and divided once.
+Every value is cached per (q, x, k).
 
 The public entry points take a :class:`NegQContext` and integer arguments
 and return Python ints; only ``gauss_ext`` and ``gamma_ext``, which extend
@@ -131,9 +135,39 @@ def _exact(num: int, den: int) -> int | Fraction:
 # not on the context: gauss is called about 10^5 times per eigen table and
 # hashing a NegQContext calls its Python-level __hash__ each time.
 @lru_cache(maxsize=None)
+def _gauss_row(q: int, x: int) -> tuple[int, ...]:
+    """[x, k] over b = -q for k = 0..x, x >= 0: each entry the one before
+    times b^(x-k+1) - 1, divided exactly by b^k - 1."""
+    b = -q
+    row = [1]
+    top, bottom = b ** x, 1  # b^(x-k+1) and b^(k-1) at step k
+    for _ in range(x):
+        bottom *= b
+        row.append(row[-1] * (top - 1) // (bottom - 1))
+        top //= b
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _gamma_row(q: int, x: int) -> tuple[int, ...]:
+    """gamma(x, k) over b = -q for k = 0..x, x >= 0: each entry the one
+    before times -b^x - b^(k-1)."""
+    b = -q
+    lead = -b ** x
+    row = [1]
+    power = 1  # b^(k-1) at step k
+    for _ in range(x):
+        row.append(row[-1] * (lead - power))
+        power *= b
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
 def _gauss_q(q: int, x: int, k: int) -> int | Fraction:
     if k < 0:
         return 0
+    if x >= 0:
+        return _gauss_row(q, x)[k] if k <= x else 0
     b = -q
     bn, bd = _bx(q, x)
     num = den = 1
@@ -146,6 +180,13 @@ def _gauss_q(q: int, x: int, k: int) -> int | Fraction:
 @lru_cache(maxsize=None)
 def _gamma_q(q: int, x: int, k: int) -> int | Fraction:
     b = -q
+    if x >= 0:
+        if k <= x:
+            return _gamma_row(q, x)[max(k, 0)]
+        value = _gamma_row(q, x)[x]
+        for i in range(x, k):  # past the row, one factor per step
+            value *= -b ** x - b ** i
+        return value
     bn, bd = _bx(q, x)
     num = den = 1
     for i in range(k):

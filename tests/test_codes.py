@@ -191,6 +191,45 @@ def test_packing_setup_does_not_grow_with_the_field(monkeypatch):
     assert held[0] == held[1] == [0, 0, 0]
 
 
+def test_rank_counts_builds_only_the_multiples_it_lists(monkeypatch):
+    """rank_counts scales a generator by the other subfield elements only
+    where its walk lists them: a k = 1 code over GF(251^2) scales nothing
+    (its one point is ranked with fewer field products than the q - 2
+    that one cell's multiples take), and a k = 2 code,
+    whose span is longer than the listed run, lists no multiple of
+    generator 0, nor of generator 1 in a range past block 0."""
+    field = make_field(251, 1)
+    t, q = 2, field.q
+    one = _random_code(field, t, 1, seed=3)
+    two = _random_code(field, t, 2, seed=4)
+    lead = rank(one.generators[0])
+    whole = list(weight_distribution(two).counts)
+    block_1 = 1 + q ** (two.k - 1) * (q - 1)  # first word of block 1
+    built = []
+    real_generators = codes._Packing.generators
+
+    def recording(self, code, *args):
+        scaled = real_generators(self, code, *args)
+        built.append([len(s) for s in scaled])
+        return scaled
+
+    monkeypatch.setattr(codes._Packing, "generators", recording)
+    products = []
+    real_mul = type(field).mul
+    monkeypatch.setattr(type(field), "mul", lambda self, a, b:
+                        products.append(a) or real_mul(self, a, b))
+    assert rank_counts(one, 0, one.size) == [1 if r == 0 else
+                                             q - 1 if r == lead else 0
+                                             for r in range(t + 1)]
+    assert built == [[2]] and len(products) < q - 2
+    built.clear()
+    assert rank_counts(two, 0, two.size) == whole
+    tail = rank_counts(two, block_1, two.size)
+    head = rank_counts(two, 0, block_1)
+    assert [x + y for x, y in zip(head, tail)] == whole
+    assert built == [[2, q], [2, 2], [2, q]]
+
+
 class RankOfRowsReached(Exception):
     pass
 

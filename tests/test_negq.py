@@ -164,8 +164,9 @@ def _gamma_reference(q, x, k):
 @given(q=st.sampled_from([2, 3, 4, 5]), x=st.integers(-6, 14),
        k=st.integers(-1, 14))
 def test_extended_products_match_fraction_reference(q, x, k):
-    """The int numerator/denominator accumulation equals the defining
-    Fraction product, for x < 0 too; whole values come back as ints."""
+    """The Gaussian and gamma rows (x >= 0) and the int
+    numerator/denominator accumulation (x < 0) equal the defining Fraction
+    product; whole values come back as ints."""
     ctx = NegQContext(q)
     for got, want in ((gauss_ext(ctx, x, k), _gauss_reference(q, x, k)),
                       (gamma_ext(ctx, x, k), _gamma_reference(q, x, k))):

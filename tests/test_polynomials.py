@@ -1,18 +1,22 @@
 """The twisted product, powers, transforms, and both derivative kinds."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from hrmc.errors import ContextMismatch, NonIntegralResult
+from hrmc.errors import ContextMismatch, NonIntegralResult, UsageError
 from hrmc import polynomials, verify
-from hrmc.negq import NegQContext, beta_fn
+from hrmc.negq import NegQContext, beta_fn, triangle
 from hrmc.polynomials import (
     ConcretePoly,
     LambdaPoly,
     concretize,
+    div_x,
+    div_y,
     evaluate,
     mu_poly,
     negq_derivative,
@@ -22,7 +26,10 @@ from hrmc.polynomials import (
     negq_transform,
     nu_poly,
     one_poly,
+    poly_add,
     poly_from_jsonable,
+    poly_scale,
+    scale_y,
     shift_lambda,
 )
 from hrmc.verify import (
@@ -42,6 +49,8 @@ def test_mu_seed_values():
     assert concretize(mu, 1).coefficients == (1, 1)
     # negative parameter gives an exact rational, not an error
     assert mu.coefficient(1, -1) == Fraction(-1, 2)
+    # a row divided out of b^2 is memoised like any other
+    assert mu.row(-2) == (1, Fraction(-5, 4)) and mu.row(-2) is mu.row(-2)
 
 
 def test_nu_squared():
@@ -309,6 +318,13 @@ def test_concrete_poly_json():
     bad = ConcretePoly(CTX2, 1, (1, Fraction(1, 2)))
     with pytest.raises(NonIntegralResult):
         bad.to_jsonable()
+    # a float or a bool is refused, not truncated to another polynomial
+    for obj in ({"degree": 1.9, "coefficients": [2, 1]},
+                {"degree": 1, "coefficients": [2.7, 1]},
+                {"degree": 1, "coefficients": ["2", True]},
+                {"degree": False, "coefficients": [2]}):
+        with pytest.raises(UsageError):
+            poly_from_jsonable(CTX2, obj)
 
 
 def test_transform_rejects_bad_substituends():
@@ -316,3 +332,176 @@ def test_transform_rejects_bad_substituends():
         negq_transform([1, 1], negq_power(nu_poly(CTX2), 2), mu_poly(CTX2))
     with pytest.raises(ValueError):
         negq_transform([], nu_poly(CTX2), mu_poly(CTX2))
+
+
+# ------------------------------------------- scaled rows against Fractions
+#
+# A plain reference: a polynomial is (degree, f) with f(i, lam) a Fraction,
+# 0 outside 0..degree, and each operator is its defining formula over
+# Fractions, with b = -q as a Fraction so that negative powers are exact.
+# Each coefficient function is memoised, so nested powers stay cheap.
+
+def _ref(degree, f):
+    @cache
+    def coefficient(i, lam):
+        return f(i, lam) if 0 <= i <= degree else Fraction(0)
+    return degree, coefficient
+
+
+def _ref_product(b, x, y):
+    (r, f), (s, g) = x, y
+    return _ref(r + s, lambda u, lam: sum(
+        b ** (i * s) * f(i, lam) * g(u - i, lam - i) for i in range(r + 1)))
+
+
+def _ref_power(b, x, k):
+    out = _ref(0, lambda i, lam: Fraction(1))
+    for _ in range(k):
+        out = _ref_product(b, x, out)
+    return out
+
+
+def _ref_add(x, y):
+    (r, f), (s, g) = x, y
+    return _ref(max(r, s), lambda i, lam: f(i, lam) + g(i, lam))
+
+
+def _ref_transform(b, counts, y_sub, x_sub):
+    t = len(counts) - 1
+    out = _ref(t, lambda i, lam: Fraction(0))
+    for i, c in enumerate(counts):
+        term = _ref_product(b, _ref_power(b, y_sub, i), _ref_power(b, x_sub, t - i))
+        out = _ref_add(out, _ref(t, lambda u, lam, c=c, f=term[1]: c * f(u, lam)))
+    return out
+
+
+def _user_poly(ctx, rng, degree, den):
+    """A LambdaPoly whose coefficient i is a quadratic in lambda with
+    coefficients n / den(), returned as Fractions (ints when den gives
+    1), and its reference."""
+    table = [[Fraction(rng.randint(-4, 4), den()) for _ in range(3)]
+             for _ in range(degree + 1)]
+
+    def value(i, lam):
+        c0, c1, c2 = table[i]
+        return c0 + c1 * lam + c2 * lam * lam
+
+    def coeff(i, lam):
+        v = value(i, lam)
+        return v.numerator if all(c.denominator == 1 for c in table[i]) else v
+
+    return LambdaPoly(ctx, degree, coeff), _ref(degree, value)
+
+
+def _scaled_cases(q):
+    """(name, polynomial, reference) for every operator, on user inputs
+    with int, b-adic and 1/3-style Fraction coefficients and on the seeds."""
+    ctx, b = NegQContext(q), Fraction(-q)
+    rng = random.Random(q)
+    other = 3 if q % 3 else 5  # a denominator prime to q
+    inputs = {
+        "int": _user_poly(ctx, rng, 2, lambda: 1),
+        "badic": _user_poly(ctx, rng, 2, lambda: q ** rng.randint(0, 3)),
+        "third": _user_poly(ctx, rng, 1, lambda: other ** rng.randint(0, 1)),
+        "mu": (mu_poly(ctx), _ref(1, lambda i, lam: (1, -b ** lam - 1)[i])),
+        "nu": (nu_poly(ctx), _ref(1, lambda i, lam: Fraction((1, -1)[i]))),
+    }
+    # an input whose rows are held over a power of b at every lambda
+    badic, (r, f) = inputs["badic"]
+    inputs["inv"] = (negq_inv_derivative(badic, 1), _ref(r - 1, lambda j, lam, f=f: (
+        b ** (1 - (j + 1)) * beta_fn(ctx, j + 1, 1) * f(j + 1, lam))))
+    cases = [(name, p, ref) for name, (p, ref) in inputs.items()]
+    for (na, (a, ra)), (nb, (bb, rb)) in ((x, y) for x in inputs.items()
+                                         for y in inputs.items()):
+        cases.append((f"{na}*{nb}", negq_product(a, bb), _ref_product(b, ra, rb)))
+        cases.append((f"{na}+{nb}", poly_add(a, bb), _ref_add(ra, rb)))
+    for name, (a, (r, f)) in inputs.items():
+        for k in range(4):
+            cases.append((f"{name}^{k}", negq_power(a, k), _ref_power(b, (r, f), k)))
+        for c in (3, Fraction(5, q ** 2), Fraction(-2, q), Fraction(2, other)):
+            cases.append((f"{c}*{name}", poly_scale(a, c),
+                          _ref(r, lambda i, lam, c=c, f=f: c * f(i, lam))))
+        for phi in range(1, r + 1):
+            cases.append((f"d{phi} {name}", negq_derivative(a, phi), _ref(
+                r - phi, lambda i, lam, phi=phi, r=r, f=f:
+                    beta_fn(ctx, r - i, phi) * f(i, lam))))
+            cases.append((f"dinv{phi} {name}", negq_inv_derivative(a, phi), _ref(
+                r - phi, lambda j, lam, phi=phi, f=f:
+                    b ** (phi * (1 - j - phi) + triangle(phi))
+                    * beta_fn(ctx, j + phi, phi) * f(j + phi, lam))))
+        if r >= 1:
+            cases.append((f"{name}/X", div_x(a), _ref(r - 1, f)))
+            cases.append((f"{name}/Y", div_y(a),
+                          _ref(r - 1, lambda i, lam, f=f: f(i + 1, lam))))
+        cases.append((f"bY {name}", scale_y(a),
+                       _ref(r, lambda i, lam, f=f: b ** i * f(i, lam))))
+        for delta in (-2, 1):
+            cases.append((f"{name}(lam-{delta})", shift_lambda(a, delta),
+                          _ref(r, lambda i, lam, f=f, d=delta: f(i, lam - d))))
+    subs = [inputs["nu"], inputs["mu"], (shift_lambda(inputs["mu"][0], 2),
+            _ref(1, lambda i, lam: (1, -b ** (lam - 2) - 1)[i]))]
+    for counts in ([1, 0, 2, 5], [0, 3, Fraction(1, q)]):
+        for (y, ry), (x, rx) in ((y, x) for y in subs for x in subs):
+            cases.append((f"T{counts}", negq_transform(counts, y, x),
+                          _ref_transform(b, counts, ry, rx)))
+    return cases
+
+
+def _exact_type(value, want):
+    return type(value) is (int if want.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_scaled_rows_match_a_fraction_reference(q):
+    """Every operator on scaled rows gives the values of its defining
+    formula over Fractions at lambda -4..7: on int inputs, on b-adic and
+    1/3-style Fraction inputs and on the seeds. Rows, concretize and
+    evaluate give an int wherever the value is whole, else a Fraction."""
+    points = [(1, 1), (2, -1), (Fraction(1, 2), 3)]
+    for name, poly, (degree, f) in _scaled_cases(q):
+        assert poly.degree == degree, name
+        for lam in range(-4, 8):
+            want = [f(i, lam) for i in range(degree + 1)]
+            row = poly.row(lam)
+            assert list(row) == want, (name, lam)
+            assert all(map(_exact_type, row, want)), (name, lam, row)
+            assert concretize(poly, lam).coefficients is row
+            for x, y in points:
+                got = evaluate(poly, x, y, lam)
+                value = sum(c * Fraction(y) ** i * Fraction(x) ** (degree - i)
+                            for i, c in enumerate(want))
+                assert got == value and _exact_type(got, value), (name, lam)
+
+
+def test_leibniz_builds_fractions_only_in_output_functions():
+    """While leibniz trials run (both rules, phi 0..4, q 2 and 3), the
+    operators of hrmc.polynomials build no Fraction: they work on ints
+    over a power of b, and only row, evaluate and concretize divide.
+    A construction is charged to the innermost hrmc.polynomials frame
+    that is not a comprehension or the shared division ``_quotient``."""
+    built = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        built.add(Fraction._from_coprime_ints.__func__.__code__)
+    here = polynomials.__file__
+    passed = {"<listcomp>", "<genexpr>", "_quotient"}
+    charged = Counter()
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code not in built:
+            return
+        frame = frame.f_back
+        while frame is not None and (frame.f_code.co_filename != here
+                                     or frame.f_code.co_name in passed):
+            frame = frame.f_back
+        charged[frame and frame.f_code.co_name] += 1
+
+    results = []
+    sys.setprofile(profile)
+    try:
+        for q in (2, 3):
+            results.append(verify.suite_leibniz(NegQContext(q), 2, 0))
+    finally:
+        sys.setprofile(None)
+    assert all(r.ok and r.passed == 20 for r in results)
+    assert charged["row"] > 0  # the qinv rule's rows are not all whole
+    assert set(charged) <= {None, "row", "evaluate", "concretize"}, charged
