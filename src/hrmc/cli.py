@@ -41,7 +41,6 @@ from .codes import (
     dual_code,
     make_code,
     rank_counts,
-    standard_basis,
     weight_distribution,
 )
 from .cost import (
@@ -162,9 +161,9 @@ def cmd_count(args) -> int:
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q, args.guard)
     field = make_field(*ctx.prime_parts)
-    # refuse before the t^2 basis matrices are built, not after
+    # refuse before the t^2 unit matrices, the zero code's dual, are built
     check_power_guard(field.q, t * t, "matrices", args.guard)
-    full_space = make_code(field, t, list(standard_basis(field, t)))
+    full_space = dual_code(make_code(field, t, []))
     counts = list(_weight_distribution(full_space, args).counts)
     closed = list(full_space_distribution(ctx, t))
     match = counts == closed
@@ -249,7 +248,7 @@ def cmd_dual(args) -> int:
     guard = args.guard
     ctx = NegQContext(code.field.q)
     t = code.t
-    # refuse before the t^2 basis matrices of the dual are built, not after
+    # refuse before the dual's t^2 - k generators are built, not after
     check_power_guard(ctx.q, code.k, "codewords", guard)
     check_power_guard(ctx.q, t * t - code.k, "dual codewords", guard)
     primal = weight_distribution(code, guard)

@@ -13,8 +13,8 @@ GF(q)^(t^2) which make_code uses to reduce any generating set to a
 canonical row-echelon basis -- two equal codes therefore compare equal.
 
 The dual is taken with respect to the trace form <H, J> = Tr(H^dagger J):
-solve the k x t^2 linear system that says "orthogonal to every generator"
-over the subfield and re-assemble the null-space basis into matrices.
+each generator's row of the system over the subfield is read off its
+cells, and the null space, reduced once, is the dual's canonical basis.
 
 Enumeration has one kernel, on packed words: a whole t x t word is one
 int with a lane per base-p digit of each cell (see ``_Packing``), so
@@ -64,7 +64,6 @@ from .cost import check_guard
 from .fields import Field, field_from_jsonable, json_int
 from .hermitian import (
     HermitianMatrix,
-    inner_product,
     is_hermitian,
     matrix_from_jsonable,
 )
@@ -131,10 +130,9 @@ def _theta_index(field: Field) -> int:
     raise AssertionError("conjugation cannot fix the whole field")
 
 
-def vectorize(m: HermitianMatrix) -> tuple[int, ...]:
+def vectorize(m: HermitianMatrix, theta: int) -> list[int]:
     """Subfield coordinates of a Hermitian matrix, as element indices."""
     field, t = m.field, m.t
-    theta = _theta_index(field)
     denom = field.inv(field.sub(theta, field.conj_index(theta)))
     coords = [m.entries[i][i].index for i in range(t)]
     for i in range(t):
@@ -144,11 +142,11 @@ def vectorize(m: HermitianMatrix) -> tuple[int, ...]:
             u = field.sub(h, field.mul(v, theta))
             coords.append(u)
             coords.append(v)
-    return tuple(coords)
+    return coords
 
 
-def devectorize(field: Field, t: int, coords: tuple[int, ...]) -> HermitianMatrix:
-    theta = _theta_index(field)
+def devectorize(field: Field, t: int, coords: list[int],
+                theta: int) -> HermitianMatrix:
     grid = [[0] * t for _ in range(t)]
     for i in range(t):
         grid[i][i] = coords[i]
@@ -203,46 +201,47 @@ def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> Linear
             raise MixedDimensions("generator size or field does not match")
         if not is_hermitian(g):
             raise NotHermitian("generator differs from its conjugate transpose")
-    vecs = [list(vectorize(g)) for g in generators]
-    if not vecs:
-        return LinearCode(field, t, (), 0)
-    basis_rows, _ = _rref(field, vecs)
-    basis = tuple(devectorize(field, t, tuple(r)) for r in basis_rows)
+    theta = _theta_index(field)
+    basis_rows, _ = _rref(field, [vectorize(g, theta) for g in generators])
+    basis = tuple(devectorize(field, t, r, theta) for r in basis_rows)
     return LinearCode(field, t, basis, len(basis))
 
 
-def standard_basis(field: Field, t: int) -> tuple[HermitianMatrix, ...]:
-    """Hermitian matrices dual to the vectorisation coordinates."""
-    out = []
-    dim = t * t
-    for pos in range(dim):
-        coords = tuple(1 if i == pos else 0 for i in range(dim))
-        out.append(devectorize(field, t, coords))
-    return tuple(out)
-
-
 def dual_code(code: LinearCode) -> LinearCode:
-    """All Hermitian matrices orthogonal to the code under the trace form."""
+    """All Hermitian matrices orthogonal to the code under the trace form.
+
+    Entry c of a generator G's row in the system is <E_c, G>, E_c the
+    matrix of unit coordinate c: g_ii for a diagonal coordinate and, for
+    an upper entry h, Tr(h) for its u and Tr(conj(theta) h) for its v,
+    where Tr(x) = x + conj(x).
+    """
     field, t = code.field, code.t
-    dim = t * t
-    basis = standard_basis(field, t)
-    if code.k == 0:
-        return make_code(field, t, list(basis))
-    system = [[inner_product(e, g).index for e in basis] for g in code.generators]
+    add, mul, conj, neg = field.add, field.mul, field.conj_index, field.neg
+    theta = _theta_index(field)
+    theta_bar = conj(theta)
+    system = []
+    for g in code.generators:
+        cells = [[x.index for x in row] for row in g.entries]
+        row = [cells[i][i] for i in range(t)]
+        for i in range(t):
+            for h in cells[i][i + 1:]:
+                w = mul(theta_bar, h)
+                row += (add(h, conj(h)), add(w, conj(w)))
+        system.append(row)
     reduced, pivots = _rref(field, system)
-    assert len(pivots) == code.k, "trace form must be non-degenerate"
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(dim) if c not in pivot_set]
+    if len(pivots) != code.k:
+        raise CheckFailed(f"trace form system has rank {len(pivots)}, "
+                          f"not k={code.k}")
     null_vectors = []
-    for f in free_cols:
-        coords = [0] * dim
+    for f in sorted(set(range(t * t)) - set(pivots)):
+        coords = [0] * (t * t)
         coords[f] = 1
-        for r, p in enumerate(pivots):
-            coords[p] = field.neg(reduced[r][f])
-        null_vectors.append(tuple(coords))
-    dual = make_code(field, t, [devectorize(field, t, v) for v in null_vectors])
-    assert dual.k == dim - code.k
-    return dual
+        for r, p in zip(reduced, pivots):
+            coords[p] = neg(r[f])
+        null_vectors.append(coords)
+    basis_rows, _ = _rref(field, null_vectors)
+    basis = tuple(devectorize(field, t, r, theta) for r in basis_rows)
+    return LinearCode(field, t, basis, len(basis))
 
 
 # ---------------------------------------------------------- packed words

@@ -123,9 +123,18 @@ def epsilon_closed(ctx: NegQContext, big_lam: int, phi: int, i: int):
 
 def polys_equal(a: LambdaPoly, b: LambdaPoly,
                 lams=LAMBDA_RANGE) -> bool:
-    deg = max(a.degree, b.degree)
-    pad_a, pad_b = (0,) * (deg - a.degree), (0,) * (deg - b.degree)
-    return all(a.row(lam) + pad_a == b.row(lam) + pad_b for lam in lams)
+    """Equal coefficients at every lambda of lams, compared on the scaled
+    rows brought to the larger power of b, so nothing is divided."""
+    size, base = max(a.degree, b.degree) + 1, a.ctx.b
+
+    def same(lam: int) -> bool:
+        (ea, na), (eb, nb) = a._row(lam), b._row(lam)
+        e = max(ea, eb)
+        fa, fb = base ** (e - ea), base ** (e - eb)
+        return ([x * fa for x in na] + [0] * (size - len(na))
+                == [y * fb for y in nb] + [0] * (size - len(nb)))
+
+    return all(map(same, lams))
 
 
 def random_lambda_poly(ctx: NegQContext, rng: random.Random,

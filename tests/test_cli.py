@@ -104,9 +104,9 @@ def test_count_guard_flag(capsys):
 
 
 def test_count_refuses_before_building_the_space(capsys, monkeypatch):
-    def unreachable(field, t):
-        raise AssertionError("basis built before the guard check")
-    monkeypatch.setattr("hrmc.cli.standard_basis", unreachable)
+    def unreachable(code):
+        raise AssertionError("space built before the guard check")
+    monkeypatch.setattr("hrmc.cli.dual_code", unreachable)
     rc, out, err = run(capsys, ["count", "--q", "2", "--t", "100"])
     assert rc == 2
     assert "guard" in err
@@ -521,6 +521,19 @@ def test_shortcut_stays_out_of_the_cross_checks(capsys, tmp_path,
     enumerated.clear()
     rc, _, _ = run(capsys, ["wd", "--input", path])
     assert rc == 0 and enumerated == [(example_code, 0, 8)]
+
+
+def test_dual_exits_1_when_the_trace_system_loses_rank(capsys, tmp_path,
+                                                       monkeypatch,
+                                                       example_code):
+    path = write_code_file(tmp_path, example_code)
+    rref = codes._rref
+    monkeypatch.setattr(codes, "_rref", lambda field, rows: tuple(
+        part[:-1] for part in rref(field, rows)))
+    rc, out, err = run(capsys, ["dual", "--input", path])
+    assert rc == 1
+    assert_one_error_line(out, err)
+    assert "trace form system has rank" in err
 
 
 def test_wd_via_dual_needs_both_routes_to_agree(capsys, tmp_path,

@@ -16,10 +16,10 @@ from hrmc.codes import (
     min_distance,
     rank_counts,
     singleton_check,
-    standard_basis,
     weight_distribution,
 )
 from hrmc.errors import (
+    CheckFailed,
     EnumerationTooLarge,
     MixedDimensions,
     NotHermitian,
@@ -35,7 +35,7 @@ from hrmc.hermitian import (
     total_hermitian,
     zero_matrix,
 )
-from hrmc.verify import sample_codes
+from hrmc.verify import random_code, sample_codes
 
 
 def _mat(field, rows):
@@ -68,6 +68,62 @@ def test_dual_by_brute_filter(example_code):
         if all(inner_product(m, g).index == 0 for g in example_code.generators)
     }
     assert set(enumerate_codewords(dual)) == filtered
+
+
+def _unit_matrices(field, t):
+    """The matrix of each unit subfield coordinate, in coordinate order."""
+    theta = codes._theta_index(field)
+    return [codes.devectorize(field, t, [int(c == pos) for c in range(t * t)],
+                              theta)
+            for pos in range(t * t)]
+
+
+def _reference_dual(code):
+    """The dual by the definition's route: pair the unit matrices with
+    every generator by inner_product, solve for the null space and let
+    make_code reduce it."""
+    field, t = code.field, code.t
+    units = _unit_matrices(field, t)
+    if code.k == 0:
+        return make_code(field, t, units)
+    system = [[inner_product(e, g).index for e in units]
+              for g in code.generators]
+    reduced, pivots = codes._rref(field, system)
+    assert len(pivots) == code.k
+    null_vectors = []
+    for f in (c for c in range(t * t) if c not in pivots):
+        coords = [0] * (t * t)
+        coords[f] = 1
+        for r, p in enumerate(pivots):
+            coords[p] = field.neg(reduced[r][f])
+        null_vectors.append(coords)
+    theta = codes._theta_index(field)
+    return make_code(field, t, [codes.devectorize(field, t, v, theta)
+                                for v in null_vectors])
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_dual_matches_the_inner_product_system(p, m, t):
+    field = make_field(p, m)
+    for seed in range(3):
+        code = random_code(field, t, random.Random(f"dual:{p}:{m}:{t}:{seed}"))
+        dual = dual_code(code)
+        assert dual == _reference_dual(code)
+        assert dual_code(dual) == code
+
+
+def test_dual_code_checks_the_system_rank(monkeypatch, example_code):
+    """The rank check is a raise, not an assert, so it holds under -O."""
+    rref = codes._rref
+
+    def lossy(field, rows):
+        reduced, pivots = rref(field, rows)
+        return reduced[:-1], pivots[:-1]
+
+    monkeypatch.setattr(codes, "_rref", lossy)
+    with pytest.raises(CheckFailed, match="rank 2, not k=3"):
+        dual_code(example_code)
 
 
 @pytest.mark.parametrize("combo", [(2, 2), (2, 3), (3, 2)])
@@ -279,7 +335,8 @@ def test_zero_code(fields):
 
 def test_full_code_dual_is_zero(fields):
     f4 = fields[2]
-    code = make_code(f4, 2, list(standard_basis(f4, 2)))
+    code = dual_code(make_code(f4, 2, []))
+    assert code == make_code(f4, 2, _unit_matrices(f4, 2))
     assert code.k == 4
     assert dual_code(code).k == 0
 

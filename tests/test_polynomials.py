@@ -477,7 +477,8 @@ def test_leibniz_builds_fractions_only_in_output_functions():
     """While leibniz trials run (both rules, phi 0..4, q 2 and 3), the
     operators of hrmc.polynomials build no Fraction: they work on ints
     over a power of b, and only row, evaluate and concretize divide.
-    A construction is charged to the innermost hrmc.polynomials frame
+    polys_equal compares scaled rows, so the suite divides nothing. A
+    construction is charged to the innermost hrmc.polynomials frame
     that is not a comprehension or the shared division ``_quotient``."""
     built = {Fraction.__new__.__code__}
     if hasattr(Fraction, "_from_coprime_ints"):
@@ -500,8 +501,13 @@ def test_leibniz_builds_fractions_only_in_output_functions():
     try:
         for q in (2, 3):
             results.append(verify.suite_leibniz(NegQContext(q), 2, 0))
+        by_suite = Counter(charged)
+        # a qinv-rule row that is not whole: the profile sees row divide
+        assert negq_inv_derivative(mu_poly(CTX2), 1).row(-1) == (
+            Fraction(-1, 2),)
     finally:
         sys.setprofile(None)
     assert all(r.ok and r.passed == 20 for r in results)
-    assert charged["row"] > 0  # the qinv rule's rows are not all whole
+    assert by_suite["row"] == 0, by_suite
+    assert charged["row"] > 0
     assert set(charged) <= {None, "row", "evaluate", "concretize"}, charged
