@@ -5,102 +5,61 @@ matrix codes and their trace-duals by several independent routes (direct
 enumeration, eigenvalue tables, twisted polynomial transforms) entirely
 in exact integer arithmetic, along with the base -q combinatorial
 identities those routes are built from.
+
+Importing the package loads none of its modules: each exported name is
+resolved from its module on first access, so a command that runs one
+route compiles only the modules that route needs.
 """
 
 import sys
 
-from .errors import (
-    CheckFailed,
-    ContextMismatch,
-    DimensionMismatch,
-    DivisionByZero,
-    EnumerationTooLarge,
-    EvenMinimumDistance,
-    FieldMismatch,
-    HrmcError,
-    IndexOutOfRange,
-    LengthMismatch,
-    MixedDimensions,
-    NonIntegralDual,
-    NonIntegralResult,
-    NonPrimeModulus,
-    NotHermitian,
-    ReducibleModulus,
-    UnsupportedSize,
-    UsageError,
-    ZeroCode,
-)
-from .fields import Field, FieldElement, arith, conj, make_field
-from .hermitian import (
-    HermitianMatrix,
-    enumerate_hermitian,
-    hermitian_from_index,
-    inner_product,
-    is_hermitian,
-    rank,
-    total_hermitian,
-    zero_matrix,
-)
-from .codes import (
-    LinearCode,
-    WeightDistribution,
-    code_from_jsonable,
-    dual_code,
-    enumerate_codewords,
-    make_code,
-    min_distance,
-    rank_counts,
-    singleton_check,
-    weight_distribution,
-)
-from .negq import (
-    NegQContext,
-    beta_fn,
-    gamma_fn,
-    gauss,
-    sequence_forward,
-    sequence_inversion,
-    xi,
-)
-from .macwilliams import (
-    EigenTable,
-    build_eigen_table,
-    build_eigen_table_C,
-    delta_fn,
-    epsilon_fn,
-    full_space_distribution,
-    krawtchouk_C,
-    krawtchouk_Q,
-    macwilliams_eigen,
-    macwilliams_transform,
-    mhrd_distribution,
-    moment_q,
-    moment_qinv,
-)
-
 __version__ = "0.1.0"
 
-# Names of hrmc.polynomials, resolved on first access by __getattr__: only
-# the transform route and verify run the algebra, and the other commands
-# start faster without compiling it.
-_POLYNOMIAL_NAMES = frozenset({
-    "ConcretePoly",
-    "LambdaPoly",
-    "concretize",
-    "evaluate",
-    "mu_poly",
-    "negq_derivative",
-    "negq_inv_derivative",
-    "negq_power",
-    "negq_product",
-    "negq_transform",
-    "nu_poly",
-})
+# The module that defines each exported name.
+_MODULE_OF = {name: module for module, names in {
+    "errors": (
+        "CheckFailed", "ContextMismatch", "DimensionMismatch",
+        "DivisionByZero", "EnumerationTooLarge", "EvenMinimumDistance",
+        "FieldMismatch", "HrmcError", "IndexOutOfRange", "LengthMismatch",
+        "MixedDimensions", "NonIntegralDual", "NonIntegralResult",
+        "NonPrimeModulus", "NotHermitian", "ReducibleModulus",
+        "UnsupportedSize", "UsageError", "ZeroCode"),
+    "fields": ("Field", "FieldElement", "arith", "conj", "make_field"),
+    "hermitian": (
+        "HermitianMatrix", "enumerate_hermitian", "hermitian_from_index",
+        "inner_product", "is_hermitian", "rank", "total_hermitian",
+        "zero_matrix"),
+    "codes": (
+        "LinearCode", "WeightDistribution", "code_from_jsonable",
+        "dual_code", "enumerate_codewords", "make_code", "min_distance",
+        "rank_counts", "singleton_check", "weight_distribution"),
+    "negq": (
+        "NegQContext", "beta_fn", "gamma_fn", "gauss", "sequence_forward",
+        "sequence_inversion", "xi"),
+    "macwilliams": (
+        "EigenTable", "build_eigen_table", "build_eigen_table_C",
+        "delta_fn", "epsilon_fn", "full_space_distribution", "krawtchouk_C",
+        "krawtchouk_Q", "macwilliams_eigen", "macwilliams_transform",
+        "mhrd_distribution", "moment_q", "moment_qinv"),
+    "polynomials": (
+        "ConcretePoly", "LambdaPoly", "concretize", "evaluate", "mu_poly",
+        "negq_derivative", "negq_inv_derivative", "negq_power",
+        "negq_product", "negq_transform", "nu_poly"),
+}.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name not in _POLYNOMIAL_NAMES:
+    module = _MODULE_OF.get(name)
+    if module is None:
         # the plain lookup again, which raises the usual AttributeError
         return object.__getattribute__(sys.modules[__name__], name)
-    from . import polynomials
-    return getattr(polynomials, name)
+    from importlib import import_module
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

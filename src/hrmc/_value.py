@@ -1,8 +1,11 @@
-"""Value semantics shared by the package's value types."""
+"""Value semantics shared by the package's value types, and the reading
+of their integers from JSON."""
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+from .errors import UsageError
 
 
 class Value:
@@ -30,3 +33,12 @@ class Value:
 
     def __hash__(self) -> int:
         return hash(self._slot_values(self))
+
+
+def json_int(value, what: str) -> int:
+    """An integer read from JSON: an int or a decimal string. A float or a
+    bool is refused, since int() would truncate it or read it as 0 or 1
+    and so load a different code."""
+    if isinstance(value, (bool, float)):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -35,14 +35,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .codes import (
-    WeightDistribution,
-    code_from_jsonable,
-    dual_code,
-    make_code,
-    rank_counts,
-    weight_distribution,
-)
 from .cost import (
     check_guard,
     check_power_guard,
@@ -51,18 +43,9 @@ from .cost import (
     value_words,
 )
 from .errors import CheckFailed, HrmcError, NonIntegralDual, UsageError
-from .fields import make_field
-from .macwilliams import (
-    build_eigen_table,
-    build_eigen_table_C,
-    full_space_distribution,
-    macwilliams_eigen,
-    macwilliams_transform,
-    mhrd_distribution,
-    moment_q,
-    moment_qinv,
-)
-from .negq import NegQContext
+
+# Each command imports the modules it runs when it runs, so a process
+# compiles only those (start-up is most of a small command's time).
 
 
 def _matrix_size(t: int) -> int:
@@ -119,11 +102,11 @@ def emit(payload: dict, output_format: str, table_lines) -> None:
 
 # ------------------------------------------------------------- workers
 
-# Fewest words worth a process of their own. Starting a pool of two and
-# mapping over it costs 10-24 ms (median 16 ms) more than running its
-# tasks in-process, and the kernel ranks 0.39-1.4 M words/s (q=2 t=4 to
-# q=13 t=2), so at the slowest rate a start-up costs about as much as
-# ranking 2^13 words (2 vCPU, Python 3.11).
+# Fewest words worth a process of their own. Importing multiprocessing
+# costs 10-11 ms, and starting a pool of two, mapping over it and closing
+# it 24-32 ms (medians 10 and 26 ms; 2 vCPU, Python 3.11). The kernel
+# ranks 0.39-1.4 M words/s (q=2 t=4 to q=13 t=2), so at the slowest rate
+# a start-up costs about as much as ranking 2^14 words, twice this floor.
 MIN_WORDS_PER_PROCESS = 2 ** 13
 
 
@@ -138,11 +121,13 @@ def _index_ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _count_range(task: tuple) -> list[int]:
+    from .codes import rank_counts
     return rank_counts(*task)
 
 
-def _weight_distribution(code, args) -> WeightDistribution:
+def _weight_distribution(code, args):
     """weight_distribution, split by index range over --workers processes."""
+    from .codes import WeightDistribution
     tasks = [(code, lo, hi, args.guard)
              for lo, hi in _index_ranges(code.size, args.workers)]
     if len(tasks) == 1:
@@ -158,6 +143,9 @@ def _weight_distribution(code, args) -> WeightDistribution:
 # ------------------------------------------------------------- commands
 
 def cmd_count(args) -> int:
+    from .codes import dual_code, make_code
+    from .fields import make_field
+    from .negq import NegQContext, xi
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q, args.guard)
     field = make_field(*ctx.prime_parts)
@@ -165,7 +153,7 @@ def cmd_count(args) -> int:
     check_power_guard(field.q, t * t, "matrices", args.guard)
     full_space = dual_code(make_code(field, t, []))
     counts = list(_weight_distribution(full_space, args).counts)
-    closed = list(full_space_distribution(ctx, t))
+    closed = [xi(ctx, t, h) for h in range(t + 1)]
     match = counts == closed
     payload = {"q": field.q, "t": t, "counts": counts,
                "closed_form": closed, "match": match}
@@ -178,6 +166,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from .macwilliams import build_eigen_table, build_eigen_table_C
+    from .negq import NegQContext
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q, args.guard)
     check_guard(output_digits(ctx.q, t, (t + 1) ** 2),
@@ -209,6 +199,7 @@ def _eigen_lines(table):
 
 
 def _load_code(path: str):
+    from .codes import code_from_jsonable
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -217,10 +208,13 @@ def _load_code(path: str):
         raise UsageError(f"cannot read code from {path}: {exc}") from exc
 
 
-def _weight_distribution_via_dual(code, args) -> WeightDistribution:
+def _weight_distribution_via_dual(code, args):
     """Count the words of the trace dual and map the counts back: the dual
     of the dual is the code, so one MacWilliams step gives its distribution.
     The eigen and transform routes must agree on it."""
+    from .codes import WeightDistribution, dual_code
+    from .macwilliams import macwilliams_eigen, macwilliams_transform
+    from .negq import NegQContext
     dual = dual_code(code)
     dual_counts = _weight_distribution(dual, args).counts
     ctx = NegQContext(code.field.q)
@@ -244,6 +238,10 @@ def cmd_wd(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .codes import dual_code, weight_distribution
+    from .macwilliams import (
+        macwilliams_eigen, macwilliams_transform, moment_q, moment_qinv)
+    from .negq import NegQContext
     code = _load_code(args.input)
     guard = args.guard
     ctx = NegQContext(code.field.q)
@@ -320,6 +318,8 @@ def _check_dist(args, counts: list[int]) -> None:
 
 
 def cmd_macwilliams(args) -> int:
+    from .macwilliams import macwilliams_eigen, macwilliams_transform
+    from .negq import NegQContext
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q, args.guard)
     check_guard(output_digits(ctx.q, t, t + 1), "estimated output digits",
@@ -351,6 +351,8 @@ def cmd_macwilliams(args) -> int:
 
 
 def cmd_mhrd(args) -> int:
+    from .macwilliams import mhrd_distribution
+    from .negq import NegQContext
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q, args.guard)
     check_guard(output_digits(ctx.q, t, t + 1), "estimated output digits",
@@ -373,7 +375,9 @@ def cmd_mhrd(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_verification  # only this command needs it
+    from .fields import make_field
+    from .negq import NegQContext
+    from .verify import run_verification
     t = _matrix_size(args.t)
     field = make_field(*NegQContext(args.q, args.guard).prime_parts)
     results = run_verification(field, t, args.trials, args.seed, args.guard)

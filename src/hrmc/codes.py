@@ -52,7 +52,7 @@ import operator
 from collections import Counter
 from itertools import chain, count, repeat
 
-from ._value import Value
+from ._value import Value, json_int
 from .errors import (
     CheckFailed,
     MixedDimensions,
@@ -61,7 +61,7 @@ from .errors import (
     ZeroCode,
 )
 from .cost import check_guard
-from .fields import Field, field_from_jsonable, json_int
+from .fields import Field, field_from_jsonable
 from .hermitian import (
     HermitianMatrix,
     is_hermitian,

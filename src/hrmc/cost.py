@@ -58,6 +58,13 @@ def check_power_guard(q: int, n: int, what: str,
     check_guard(q ** n, what, limit)
 
 
+def sampled_words(q: int, t: int, trials: int) -> int:
+    """Fewest words that ``trials`` sampled codes of t x t matrices over
+    GF(q^2) enumerate: each is enumerated with its dual, and one of the
+    two has at least q^ceil(t^2/2) words."""
+    return trials * q ** ((t * t + 1) // 2)
+
+
 # Closed-form values (eigenvalues, counts, transform coefficients) are
 # taken to be as long as q^(t^2), which bounds every eigenvalue and count.
 # q^64 has d digits and c bits, so q^(t^2) has at most t^2*d/64 + 1

@@ -19,9 +19,10 @@ rather than a second table that could hide a table-building bug.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
-from ._value import Value
+from ._value import Value, json_int
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -124,18 +125,13 @@ class Field:
         self.modulus_poly = modulus_poly
         self.q = p ** m
         self.order = p ** (2 * m)
-        self._digits = [self._index_digits(i) for i in range(self.order)]
+        # product gives each index's digits most significant first
+        self._digits = [digits[::-1]
+                        for digits in product(range(p), repeat=2 * m)]
         self._build_tables()
         self._subfield: tuple[int, ...] | None = None
 
     # -- construction internals --
-
-    def _index_digits(self, index: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(2 * self.m):
-            digits.append(index % self.p)
-            index //= self.p
-        return tuple(digits)
 
     def _mul_poly(self, a: int, b: int) -> int:
         prod = _poly_mul(_trim(self._digits[a]), _trim(self._digits[b]), self.p)
@@ -155,25 +151,44 @@ class Field:
                 e >>= 1
             return acc
 
+        p = self.p
         gen = None
-        for g in range(2, self.order):
+        # an index below p is in GF(p), of an order dividing p - 1 < n
+        for g in range(p, self.order):
             if all(pow_poly(g, n // f) != 1 for f in factors):
                 gen = g
                 break
         assert gen is not None, "multiplicative group of a field is cyclic"
+        # Only the first w = n / (p - 1) powers are stepped by gen. c = g^w
+        # generates GF(p)*, and g^(r + w s) is g^r with each digit times
+        # c^s mod p. So along column r (g^r, g^(r + w), g^(r + 2w), ...)
+        # a digit d = c^l of g^r runs through c^l, c^(l + 1), ...: the
+        # powers of c turned to start at l.
+        w = n // (p - 1)
         exp = [1] * n
-        for i in range(1, n):
+        for i in range(1, w):
             exp[i] = self._mul_poly(exp[i - 1], gen)
+        if p > 2:  # else w = n, and the table is full
+            c = self._mul_poly(exp[w - 1], gen)
+            powers = [1] * (p - 1)
+            for s in range(1, p - 1):
+                powers[s] = powers[s - 1] * c % p
+            place = {v: s for s, v in enumerate(powers)}
+            zeros = [0] * (p - 1)
+            for r in range(w):
+                column = zeros
+                for d in reversed(self._digits[exp[r]]):
+                    s = place.get(d)
+                    turned = zeros if s is None else powers[s:] + powers[:s]
+                    column = [x * p + y for x, y in zip(column, turned)]
+                exp[r::w] = column
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
-        p = self.p
-        zech = [-1] * n
-        for i, v in enumerate(exp):
-            # adding 1 raises the constant digit mod p and leaves the rest
-            s = v - (p - 1) if v % p == p - 1 else v + 1
-            if s:
-                zech[i] = log[s]
+        # adding 1 raises the constant digit mod p and leaves the rest
+        zech = [log[s] if s else -1
+                for s in (v - (p - 1) if v % p == p - 1 else v + 1
+                          for v in exp)]
         self._exp = exp
         self._log = log
         self._zech = zech
@@ -405,15 +420,6 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = Field(p, m, modulus)
     return _FIELD_CACHE[key]
-
-
-def json_int(value, what: str) -> int:
-    """An integer read from JSON: an int or a decimal string. A float or a
-    bool is refused, since int() would truncate it or read it as 0 or 1
-    and so load a different code."""
-    if isinstance(value, (bool, float)):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def field_from_jsonable(obj: dict) -> Field:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ._value import Value
+from ._value import Value, json_int
 from .cost import check_power_guard
 from .errors import DimensionMismatch, UsageError
-from .fields import Field, FieldElement, json_int
+from .fields import Field, FieldElement
 
 
 class HermitianMatrix(Value):

@@ -54,9 +54,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._value import Value
+from ._value import Value, json_int
 from .errors import ContextMismatch, NonIntegralResult, UsageError
-from .fields import json_int
 from .negq import NegQContext, beta_fn, triangle
 
 Number = int | Fraction

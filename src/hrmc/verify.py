@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .codes import LinearCode, dual_code, make_code, weight_distribution
-from .cost import check_power_guard
+from .cost import check_guard, check_power_guard, sampled_words, value_words
 from .errors import NonIntegralDual, UsageError
 from .fields import Field
 from .hermitian import HermitianMatrix
@@ -432,8 +432,11 @@ def sample_codes(field: Field, t: int, trials: int, seed: int,
                  guard: int | None = None) -> list[CodeSample]:
     if trials > 0:
         # a code or its dual has at least q^ceil(t^2/2) words, and both
-        # are enumerated, so refuse here when every sample would be refused
+        # are enumerated, so refuse here when every sample would be
+        # refused, then when all of them together would be
         check_power_guard(field.q, (t * t + 1) // 2, "codewords", guard)
+        check_guard(sampled_words(field.q, t, trials), "sampled codewords",
+                    guard)
     out = []
     for i in range(trials):
         rng = random.Random(f"{seed}:{field.q}:{t}:{i}")
@@ -497,6 +500,9 @@ def run_verification(field: Field, t: int, trials: int, seed: int,
         raise UsageError(f"trials must be at least 0, got {trials}")
     ctx = NegQContext(field.q)
     samples = sample_codes(field, t, trials, seed, guard)
+    # suite_mhrd's full-space row sums as much as mhrd at d = 1
+    check_guard(value_words(field.q, t, (t + 1) ** 2),
+                "estimated words summed by the closed form", guard)
     return [
         suite_gaussian(ctx),
         suite_gamma_beta(ctx),

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc import cli, codes, negq
+from hrmc import cli, codes, macwilliams, negq
 from hrmc.cli import _all_digits, _index_ranges, emit, main
 from hrmc.codes import dual_code, weight_distribution
 from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
@@ -106,7 +106,7 @@ def test_count_guard_flag(capsys):
 def test_count_refuses_before_building_the_space(capsys, monkeypatch):
     def unreachable(code):
         raise AssertionError("space built before the guard check")
-    monkeypatch.setattr("hrmc.cli.dual_code", unreachable)
+    monkeypatch.setattr("hrmc.codes.dual_code", unreachable)
     rc, out, err = run(capsys, ["count", "--q", "2", "--t", "100"])
     assert rc == 2
     assert "guard" in err
@@ -128,7 +128,7 @@ def test_dual_refuses_before_building_the_dual(capsys, tmp_path,
                                                monkeypatch, example_code):
     def unreachable(code):
         raise AssertionError("dual built before the guard check")
-    monkeypatch.setattr("hrmc.cli.dual_code", unreachable)
+    monkeypatch.setattr("hrmc.codes.dual_code", unreachable)
     path = write_json(tmp_path, {**example_code.to_jsonable(), "t": 30,
                                  "generators": []})
     rc, out, err = run(capsys, ["dual", "--input", path])
@@ -483,7 +483,6 @@ def enumerated(monkeypatch):
         return kernel(code, start, stop, *rest)
 
     monkeypatch.setattr("hrmc.codes.rank_counts", recording)
-    monkeypatch.setattr("hrmc.cli.rank_counts", recording)
     return calls
 
 
@@ -538,7 +537,7 @@ def test_dual_exits_1_when_the_trace_system_loses_rank(capsys, tmp_path,
 
 def test_wd_via_dual_needs_both_routes_to_agree(capsys, tmp_path,
                                                  monkeypatch, example_code):
-    monkeypatch.setattr("hrmc.cli.macwilliams_transform",
+    monkeypatch.setattr("hrmc.macwilliams.macwilliams_transform",
                         lambda ctx, counts, size, t: (1, 1, 24, 38))
     path = write_code_file(tmp_path, dual_code(example_code))
     rc, out, err = run(capsys, ["wd", "--input", path])
@@ -598,8 +597,9 @@ def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
     """eigen renders its table (to_jsonable and the table lines) with the
     limit lifted; before, q=2 t=120 ended in a ValueError traceback."""
     table = EigenTable(2, 1, ((1, BIG), (1, -BIG)))
-    monkeypatch.setattr(cli, "build_eigen_table", lambda ctx, t: table)
-    monkeypatch.setattr(cli, "build_eigen_table_C", lambda ctx, t: table)
+    monkeypatch.setattr(macwilliams, "build_eigen_table", lambda ctx, t: table)
+    monkeypatch.setattr(macwilliams, "build_eigen_table_C",
+                        lambda ctx, t: table)
     before = _digit_limit()
     rc, out, err = run(capsys, ["eigen", "--q", "2", "--t", "1",
                                 "--format", fmt])
@@ -727,7 +727,7 @@ def test_closed_forms_refuse_outputs_over_the_guard(capsys, monkeypatch, argv,
 
     def unreachable(*args):
         raise AssertionError("computed before the guard check")
-    monkeypatch.setattr(f"hrmc.cli.{compute}", unreachable)
+    monkeypatch.setattr(f"hrmc.macwilliams.{compute}", unreachable)
     rc, out, err = run(capsys, argv + ["--guard", str(estimate - 1)])
     assert rc == 2
     assert_one_error_line(out, err)
@@ -773,7 +773,7 @@ def test_closed_forms_refuse_work_over_the_guard(capsys, monkeypatch, argv,
         assert sum(map(int, payload["counts"])) == 2 ** 80
 
     for name in computes:
-        monkeypatch.setattr(f"hrmc.cli.{name}", _unreachable)
+        monkeypatch.setattr(f"hrmc.macwilliams.{name}", _unreachable)
     monkeypatch.setattr("hrmc.polynomials.negq_product", _unreachable)
     monkeypatch.setattr("hrmc.negq._gauss_q", _unreachable)
     rc, out, err = run(capsys, argv + ["--guard", str(estimate - 1)])
@@ -807,13 +807,13 @@ def test_mhrd_refuses_sums_over_the_default_guard(capsys, monkeypatch):
                               "--format", "json"])
     assert rc == 0
     assert sum(map(int, json.loads(out)["counts"])) == 2 ** 600
-    monkeypatch.setattr("hrmc.cli.mhrd_distribution",
+    monkeypatch.setattr("hrmc.macwilliams.mhrd_distribution",
                         lambda ctx, t, d, dual_size: (1,) + (0,) * t)
     for q, t, d in [(2, 148, 1), (3, 40, 5)]:
         rc, out, _ = run(capsys, ["mhrd", "--q", str(q), "--t", str(t),
                                   "--d", str(d)])
         assert rc == 0
-    monkeypatch.setattr("hrmc.cli.mhrd_distribution", _unreachable)
+    monkeypatch.setattr("hrmc.macwilliams.mhrd_distribution", _unreachable)
     for q, t, d in [(2, 149, 1), (2, 300, 1), (2, 376, 319), (2, 250, 151),
                     (2147483647, 121, 1)]:
         start = time.perf_counter()
@@ -866,8 +866,8 @@ def test_macwilliams_refuses_a_dist_no_code_has(capsys, monkeypatch, dist,
     where both routes would give an integral dual."""
     def unreachable(*args):
         raise AssertionError("transformed a --dist that no code has")
-    for name in ("hrmc.cli.macwilliams_eigen",
-                 "hrmc.cli.macwilliams_transform"):
+    for name in ("hrmc.macwilliams.macwilliams_eigen",
+                 "hrmc.macwilliams.macwilliams_transform"):
         monkeypatch.setattr(name, unreachable)
     t = dist.count(",")
     rc, out, err = run(capsys, ["macwilliams", "--q", "2", "--t", str(t),
@@ -925,6 +925,37 @@ def test_verify_refuses_before_drawing_a_code(capsys, monkeypatch):
         assert f"{shown} exceed the enumeration guard" in err
 
 
+def test_verify_refuses_more_sampled_words_than_the_guard(capsys,
+                                                        monkeypatch):
+    """trials x q^ceil(t^2/2) words are counted before a code is drawn; a
+    billion trials at q=2, t=2 ran until killed."""
+    def unreachable(field, t, rng):
+        raise AssertionError("a code was drawn")
+    monkeypatch.setattr("hrmc.verify.random_code", unreachable)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["verify", "--q", "2", "--t", "2",
+                                "--trials", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "4000000000 sampled codewords exceed the enumeration guard" in err
+
+
+def test_verify_refuses_a_full_space_row_over_the_guard(capsys, monkeypatch):
+    """The mhrd suite's full-space row is estimated as mhrd at d=1 is, and
+    refused before any suite runs; at t=300 it took 2.8 s."""
+    monkeypatch.delenv("HRMC_GUARD", raising=False)
+    monkeypatch.setattr("hrmc.verify.suite_gaussian", _unreachable)
+    monkeypatch.setattr("hrmc.verify.mhrd_distribution", _unreachable)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["verify", "--q", "2", "--t", "300",
+                                "--trials", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "estimated words summed by the closed form" in err
+
+
 def test_verify_takes_no_workers_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--q", "2", "--t", "2", "--workers", "2"])
@@ -964,7 +995,8 @@ if sys.argv[2] == "1":
     cli.MIN_WORDS_PER_PROCESS = 1
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-watched = ("dataclasses", "multiprocessing", "hrmc.polynomials", "hrmc.verify")
+watched = ("dataclasses", "multiprocessing", "hrmc.fields", "hrmc.hermitian",
+           "hrmc.codes", "hrmc.macwilliams", "hrmc.polynomials", "hrmc.verify")
 print(json.dumps({"rc": codes, "loaded": [
     m for m in watched if m in sys.modules and m not in before]}))
 """
@@ -985,25 +1017,27 @@ def _modules_loaded_by(argvs, two_cpus=False):
 
 def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
     """Start-up is most of a small command's time, so no command loads
-    dataclasses, and only the commands that use them load multiprocessing
-    (a pool of workers), hrmc.polynomials (the transform route) or
-    hrmc.verify (the verify suites)."""
+    dataclasses, and each loads only the layers it runs: fields, hermitian
+    and codes to enumerate, macwilliams for the closed forms,
+    hrmc.polynomials for the transform route, multiprocessing for a pool
+    of workers and hrmc.verify for the verify suites."""
     code = write_code_file(tmp_path, example_code)
     dual = write_code_file(tmp_path, dual_code(example_code), "dual.json")
-    assert _modules_loaded_by([
-        ["count", "--q", "2", "--t", "2"],
-        ["wd", "--input", code],
-        ["eigen", "--q", "2", "--t", "3"],
-        ["mhrd", "--q", "2", "--t", "3", "--d", "3"],
-    ]) == []
-    for argv in (["wd", "--input", dual, "--workers", "2"],
-                 ["dual", "--input", code],
-                 ["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
-                  "--size", "8"]):
-        assert _modules_loaded_by([argv]) == ["hrmc.polynomials"], argv
-    assert _modules_loaded_by(
-        [["verify", "--q", "2", "--t", "2", "--trials", "2"]]) \
-        == ["hrmc.polynomials", "hrmc.verify"]
+    enumeration = ["hrmc.fields", "hrmc.hermitian", "hrmc.codes"]
+    transform = ["hrmc.macwilliams", "hrmc.polynomials"]
+    for argv, loaded in [
+        (["count", "--q", "2", "--t", "2"], enumeration),
+        (["wd", "--input", code], enumeration),  # the smaller side
+        (["eigen", "--q", "2", "--t", "3"], ["hrmc.macwilliams"]),
+        (["mhrd", "--q", "2", "--t", "3", "--d", "3"], ["hrmc.macwilliams"]),
+        (["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
+          "--size", "8"], transform),
+        (["wd", "--input", dual, "--workers", "2"], enumeration + transform),
+        (["dual", "--input", code], enumeration + transform),
+        (["verify", "--q", "2", "--t", "2", "--trials", "2"],
+         enumeration + transform + ["hrmc.verify"]),
+    ]:
+        assert _modules_loaded_by([argv]) == loaded, argv
     assert _modules_loaded_by(
         [["count", "--q", "2", "--t", "4", "--workers", "2"]],
-        two_cpus=True) == ["multiprocessing"]
+        two_cpus=True) == ["multiprocessing"] + enumeration

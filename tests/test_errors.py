@@ -18,7 +18,7 @@ def test_two_bases():
 
 
 def test_every_exported_error_has_one_base():
-    exported = [obj for obj in vars(hrmc).values()
+    exported = [obj for obj in (getattr(hrmc, n) for n in dir(hrmc))
                 if isinstance(obj, type) and issubclass(obj, BaseException)
                 and obj not in (HrmcError, UsageError, CheckFailed)]
     assert len(exported) == 16

@@ -13,12 +13,16 @@ from hrmc.errors import (
     UnsupportedSize,
 )
 from hrmc.fields import (
+    _int_to_poly,
+    _poly_mod,
+    _poly_mul,
     _smallest_irreducible,
     arith,
     conj,
     field_from_jsonable,
     make_field,
 )
+from hrmc.negq import prime_factors
 
 SMALL = [(2, 1), (3, 1), (2, 2)]                      # order <= 16, exhaustive
 MEDIUM = SMALL + [(5, 1), (7, 1), (2, 3), (3, 2),     # order <= 256
@@ -53,6 +57,54 @@ def test_zech_addition_matches_digits(p, m):
             diff = tuple((c - d) % p for c, d in zip(x.coeffs, y.coeffs))
             assert f.add(x.index, y.index) == index_of[total]
             assert f.sub(x.index, y.index) == index_of[diff]
+
+
+def _reference_tables(p, m):
+    """exp, log and zech built one polynomial product at a time: the
+    generator is the first index above 1 that passes the order test, and
+    exp[i] is exp[i - 1] times it, reduced by the default modulus."""
+    modulus = _smallest_irreducible(p, 2 * m)
+    order = p ** (2 * m)
+    n = order - 1
+
+    def mul(a, b):
+        prod = _poly_mod(_poly_mul(_int_to_poly(a, p), _int_to_poly(b, p), p),
+                         modulus, p)
+        return sum(c * p ** i for i, c in enumerate(prod))
+
+    def power(a, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = mul(acc, a)
+            a, e = mul(a, a), e >> 1
+        return acc
+
+    gen = next(g for g in range(2, order)
+               if all(power(g, n // f) != 1 for f in prime_factors(n)))
+    exp = [1]
+    while len(exp) < n:
+        exp.append(mul(exp[-1], gen))
+    log = [0] * order
+    for i, v in enumerate(exp):
+        log[v] = i
+    zech = []
+    for v in exp:  # v + 1, adding 1 to the constant digit mod p
+        s = v - (p - 1) if v % p == p - 1 else v + 1
+        zech.append(log[s] if s else -1)
+    return exp, log, zech
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+                                 (3, 2), (3, 3), (5, 1), (5, 2), (7, 1),
+                                 (13, 1), (251, 1)])
+def test_tables_match_one_product_per_power(p, m):
+    f = make_field(p, m)
+    exp, log, zech = _reference_tables(p, m)
+    assert f._exp == exp
+    assert f._log == log
+    assert f._zech == zech
+    assert f._neg_one == log[p - 1]
 
 
 @pytest.mark.parametrize("p,m", MEDIUM)
