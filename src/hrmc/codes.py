@@ -274,8 +274,7 @@ class _Packing:
     other rows. Nothing is built up front, and each memo starts over when
     it reaches ``_CACHE_LIMIT`` entries, so memory stays bounded in every
     field. Each enumeration makes its own packing and drops it at the end;
-    none is kept on the field, so pickling a field for a ``--workers``
-    task ships none of it.
+    none is kept on the field, so a pickled field carries none of it.
     """
 
     def __init__(self, field: Field, t: int):

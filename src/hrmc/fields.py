@@ -299,7 +299,7 @@ class Field:
         return f"Field(p={self.p}, m={self.m}, order={self.order})"
 
     def __reduce__(self):
-        # pickled by parameters, so a --workers task does not ship the tables
+        # pickled by parameters; unpickling returns the cached field
         return make_field, (self.p, self.m, self.modulus_poly)
 
     def to_jsonable(self) -> dict:

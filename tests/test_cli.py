@@ -4,8 +4,8 @@ import contextlib
 import copy
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from hrmc import cli, codes, macwilliams, negq
 from hrmc.cli import _all_digits, _index_ranges, emit, main
-from hrmc.codes import dual_code, weight_distribution
+from hrmc.codes import dual_code, rank_counts, weight_distribution
 from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
-from hrmc.errors import EnumerationTooLarge
+from hrmc.errors import CheckFailed, EnumerationTooLarge, UsageError
 from hrmc.macwilliams import EigenTable, full_space_distribution
 from hrmc.negq import NegQContext
 from hrmc.verify import sample_codes
@@ -48,14 +48,21 @@ def assert_one_error_line(out, err):
 @pytest.fixture
 def one_word_per_process(monkeypatch):
     """Let a range of any size have a process of its own, so tiny codes
-    still exercise the pool."""
+    still fork a child."""
     monkeypatch.setattr(cli, "MIN_WORDS_PER_PROCESS", 1)
 
 
 @pytest.fixture
 def two_cpus(monkeypatch, one_word_per_process):
-    """Let --workers 2 start a real pool of two on any host."""
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    """Let --workers 2 fork a real child on any host with os.fork."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def assert_no_child_left():
+    """Every child forked so far has been reaped: none runs, no zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_count_json_deterministic_across_workers(capsys, two_cpus):
@@ -609,15 +616,24 @@ def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("total,workers,cpus,parts", [
-    (10, 100000, 4, 4),      # capped by the CPU count
+    (10, 100000, 4, 4),      # capped by the CPUs this process may use
     (3, 8, 16, 3),           # capped by the number of indices
     (9, 2, 8, 2),            # as requested
     (65536, 2, None, 1),     # CPU count unknown
+    (65536, 2, 1, 1),        # pinned to one CPU of the machine's 64
     (1, 1, 1, 1),
 ])
 def test_index_ranges_cap(monkeypatch, one_word_per_process, total, workers,
                           cpus, parts):
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    """cpus is the size of the affinity set; the machine has 64 CPUs, or
+    an unknown number and no affinity call when cpus is None."""
+    if cpus is None:
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr("os.sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
     ranges = _index_ranges(total, workers)
     assert len(ranges) == parts
     assert ranges[0][0] == 0 and ranges[-1][1] == total
@@ -625,36 +641,129 @@ def test_index_ranges_cap(monkeypatch, one_word_per_process, total, workers,
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
 
 
+def test_index_ranges_without_affinity(monkeypatch, one_word_per_process):
+    """Where the affinity call is missing, the CPU count caps the ranges."""
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert _index_ranges(10, 100000) == [(0, 4), (4, 8), (8, 10)]
+
+
+def _count_forks(monkeypatch):
+    """Count os.fork calls in this process; each still forks."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr("os.fork", counting_fork)
+    return forks
+
+
 def test_tiny_enumerations_start_no_pool(capsys, monkeypatch, tmp_path,
                                         example_code):
     """Under the default MIN_WORDS_PER_PROCESS, a code too small to pay for
     a process of its own is counted in-process, with the one-worker bytes;
-    the 65536 matrices of q=2, t=4 still split over two processes."""
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    the 65536 matrices of q=2, t=4 still fork one child."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     words = cli.MIN_WORDS_PER_PROCESS
     assert len(_index_ranges(2 * words - 1, 2)) == 1
     assert len(_index_ranges(2 * words, 2)) == 2
     path = write_code_file(tmp_path, example_code)
     argv = ["wd", "--input", path, "--format", "json"]
     rc1, out1, _ = run(capsys, argv)
-    real_pool = multiprocessing.Pool
+    forks = _count_forks(monkeypatch)
+    rc2, out2, err2 = run(capsys, argv + ["--workers", "2"])
+    assert (rc1, rc2, err2) == (0, 0, "")
+    assert out2 == out1 and forks == []
+    rc, out, _ = run(capsys, ["count", "--q", "2", "--t", "4", "--workers",
+                              "2", "--format", "json"])
+    assert rc == 0 and forks == [1]
+    assert json.loads(out)["match"] is True
+    assert_no_child_left()
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+
+def test_workers_without_fork(capsys, monkeypatch, two_cpus):
+    """Where os.fork is missing, --workers 2 counts in one range in this
+    process and prints the one-worker bytes."""
+    argv = ["count", "--q", "3", "--t", "2", "--format", "json"]
+    rc1, out1, _ = run(capsys, argv)
+    monkeypatch.delattr("os.fork")
+    assert _index_ranges(81, 2) == [(0, 81)]
     rc2, out2, err2 = run(capsys, argv + ["--workers", "2"])
     assert (rc1, rc2, err2) == (0, 0, "")
     assert out2 == out1
-    started = []
+    assert_no_child_left()
 
-    def counting_pool(processes):
-        started.append(processes)
-        return real_pool(processes=processes)
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    rc, out, _ = run(capsys, ["count", "--q", "2", "--t", "4", "--workers",
-                              "2", "--format", "json"])
-    assert rc == 0 and started == [2]
-    assert json.loads(out)["match"] is True
+
+def _fail_in(monkeypatch, where, exc):
+    """Make codes.rank_counts raise exc in every process (where="all"), or
+    only in a forked child (where="child")."""
+    parent = os.getpid()
+
+    def failing(code, start, stop, guard=None):
+        if where == "all" or os.getpid() != parent:
+            raise exc
+        return rank_counts(code, start, stop, guard)
+    monkeypatch.setattr(codes, "rank_counts", failing)
+
+
+@pytest.mark.parametrize("exc,rc", [
+    (CheckFailed("ranks disagree in a child"), 1),
+    (UsageError("a child refused its range"), 2),
+])
+def test_child_error_is_one_error_line(capsys, monkeypatch, two_cpus, exc,
+                                       rc):
+    """An error raised in a forked child reaches the CLI as the same class
+    and message a one-worker run raises: one error line, the same exit
+    code, and no child left behind."""
+    argv = ["count", "--q", "2", "--t", "2"]
+    _fail_in(monkeypatch, "all", exc)
+    one = run(capsys, argv + ["--workers", "1"])
+    _fail_in(monkeypatch, "child", exc)
+    forks = _count_forks(monkeypatch)
+    two = run(capsys, argv + ["--workers", "2"])
+    assert forks == [1]
+    assert two == one == (rc, "", f"error: {exc}\n")
+    assert_no_child_left()
+
+
+def test_child_killed_is_one_error_line(capsys, monkeypatch, two_cpus):
+    """A child that dies without an answer gives one error line and exit 1
+    (the failed check is that every range was counted)."""
+    parent = os.getpid()
+
+    def killed(code, start, stop, guard=None):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rank_counts(code, start, stop, guard)
+    monkeypatch.setattr(codes, "rank_counts", killed)
+    rc, out, err = run(capsys, ["count", "--q", "2", "--t", "2",
+                                "--workers", "2"])
+    assert rc == 1
+    assert_one_error_line(out, err)
+    assert f"ended by signal {int(signal.SIGKILL)} and sent no counts" in err
+    assert_no_child_left()
+
+
+def test_interrupt_in_parent_kills_child(capsys, monkeypatch, two_cpus):
+    """A KeyboardInterrupt in the parent's own range kills and reaps the
+    child, which would otherwise sleep for a minute, and propagates."""
+    parent = os.getpid()
+
+    def interrupted(code, start, stop, guard=None):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+    monkeypatch.setattr(codes, "rank_counts", interrupted)
+    forks = _count_forks(monkeypatch)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["count", "--q", "2", "--t", "2", "--workers", "2"])
+    assert forks == [1] and time.monotonic() - began < 30
+    assert capsys.readouterr().out == ""
+    assert_no_child_left()
 
 
 def test_wd_missing_file(capsys, tmp_path):
@@ -991,7 +1100,7 @@ import contextlib, io, json, os, sys
 before = set(sys.modules)
 from hrmc import cli
 if sys.argv[2] == "1":
-    os.cpu_count = lambda: 2
+    os.sched_getaffinity = lambda pid: {0, 1}
     cli.MIN_WORDS_PER_PROCESS = 1
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
@@ -1019,8 +1128,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
     """Start-up is most of a small command's time, so no command loads
     dataclasses, and each loads only the layers it runs: fields, hermitian
     and codes to enumerate, macwilliams for the closed forms,
-    hrmc.polynomials for the transform route, multiprocessing for a pool
-    of workers and hrmc.verify for the verify suites."""
+    hrmc.polynomials for the transform route and hrmc.verify for the
+    verify suites; --workers forks its children and loads no
+    multiprocessing."""
     code = write_code_file(tmp_path, example_code)
     dual = write_code_file(tmp_path, dual_code(example_code), "dual.json")
     enumeration = ["hrmc.fields", "hrmc.hermitian", "hrmc.codes"]
@@ -1040,4 +1150,4 @@ def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
         assert _modules_loaded_by([argv]) == loaded, argv
     assert _modules_loaded_by(
         [["count", "--q", "2", "--t", "4", "--workers", "2"]],
-        two_cpus=True) == ["multiprocessing"] + enumeration
+        two_cpus=True) == enumeration

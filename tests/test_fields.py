@@ -222,7 +222,7 @@ def test_json_roundtrip():
     again = field_from_jsonable(f.to_jsonable())
     assert again == f
     assert again is f  # cached
-    # pickling (as for --workers tasks) also goes through the cache
+    # unpickling also goes through the cache
     assert pickle.loads(pickle.dumps(f)) is f
 
 

@@ -1,5 +1,5 @@
 """The package's value classes: construction, validation, equality,
-hashing and pickling, as every caller and ``--workers`` task relies on."""
+hashing and pickling, as callers rely on."""
 
 import pickle
 
