@@ -4,7 +4,8 @@ Subcommands:
 
 * count       -- enumerate Hermitian matrices, census by rank, compare to
                  the closed form
-* eigen       -- print the eigenvalue table, cross-checking both routes
+* eigen       -- print the eigenvalue table from the three-term
+                 recurrence, checked against the C closed form
 * wd          -- rank-weight distribution of a code given as JSON, counted
                  on whichever of the code and its dual has fewer words
 * dual        -- all dual-distribution routes for a code, plus moments
@@ -228,13 +229,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    from .macwilliams import build_eigen_table, build_eigen_table_C
+    from .macwilliams import build_eigen_table_C, build_eigen_table_recurrence
     from .negq import NegQContext
     t = _matrix_size(args.t)
     ctx = NegQContext(args.q, args.guard)
     check_guard(output_digits(ctx.q, t, (t + 1) ** 2),
                 "estimated output digits", args.guard)
-    table = build_eigen_table(ctx, t)
+    table = build_eigen_table_recurrence(ctx, t)
     alt = build_eigen_table_C(ctx, t)
     for x in range(t + 1):
         for k in range(t + 1):

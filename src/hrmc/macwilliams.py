@@ -16,8 +16,12 @@ independent is the point: a bug in any one of them shows up as a mismatch
 rather than cancelling silently.
 
 The eigenvalues themselves have two closed forms, Q and C, each with a
-table builder of its own (``build_eigen_table``, ``build_eigen_table_C``);
-``hrmc eigen`` and verify's eigen suite require the tables to agree.
+table builder of its own (``build_eigen_table``, ``build_eigen_table_C``),
+and a third table comes from the three-term recurrence of the Hermitian
+forms graph (``build_eigen_table_recurrence``), which shares nothing with
+either. Verify's eigen suite requires the Q and C tables to agree;
+``hrmc eigen`` requires the recurrence and C tables to agree, and the
+tests hold all three to each other.
 
 Closed-form rank counts for extremal codes and the two families of moment
 identities round out the module.
@@ -166,6 +170,52 @@ def build_eigen_table_C(ctx: NegQContext, t: int) -> EigenTable:
             sum(lead[ell] * g[k - ell] * gammas[t - ell][k - ell]
                 for ell in range(max(0, k - y), min(k, x) + 1))
             for k in range(t + 1)))
+    return EigenTable(ctx.q, t, tuple(values))
+
+
+def build_eigen_table_recurrence(ctx: NegQContext, t: int) -> EigenTable:
+    """The table from the three-term recurrence of the Hermitian forms
+    graph, built independently of the Q and C routes.
+
+    The rank-distance graph on t x t Hermitian matrices over GF(q^2) is
+    distance-regular with classical parameters (t, b, b - 1, -b^t - 1)
+    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 9.5C), and
+    the scheme is self-dual, so row x of the table satisfies
+
+        c_(k+1) P_x(k+1) = (theta_x - a_k) P_x(k) - b_(k-1) P_x(k-1)
+
+    from P_x(0) = 1, where, with [i] = (b^i - 1) / (b - 1),
+
+        c_i = [i] b^(i-1),          b_i = -([t] - [i]) (b^t + b^i),
+        a_k = b_0 - b_k - c_k,      theta_x = -[t-x] (b^t + b^x) - [x].
+
+    Each entry is one exact division by c_(k+1); a remainder raises
+    CheckFailed, never a truncated value.
+    """
+    base = ctx.b
+    powers = [1]  # b^i
+    for _ in range(t):
+        powers.append(powers[-1] * base)
+    brackets = [(p - 1) // (base - 1) for p in powers]  # [i], exact
+    top = powers[t]
+    c = [0] + [brackets[i] * powers[i - 1] for i in range(1, t + 1)]
+    up = [-(brackets[t] - brackets[i]) * (top + powers[i])
+          for i in range(t + 1)]  # b_i
+    a = [up[0] - up[k] - c[k] for k in range(t + 1)]
+    values = []
+    for x in range(t + 1):
+        theta = -brackets[t - x] * (top + powers[x]) - brackets[x]
+        row, prev = [1], 0  # P_x(0), P_x(-1)
+        for k in range(t):
+            quo, rem = divmod((theta - a[k]) * row[k] - up[k - 1] * prev,
+                              c[k + 1])
+            if rem:
+                raise CheckFailed(
+                    f"eigen recurrence leaves a remainder at x={x} "
+                    f"k={k + 1}, q={ctx.q} t={t}")
+            prev = row[k]
+            row.append(quo)
+        values.append(tuple(row))
     return EigenTable(ctx.q, t, tuple(values))
 
 

@@ -18,19 +18,24 @@ coefficients at one lambda, computed once and memoised on the
 polynomial. Every combinator builds its rows from whole rows of its
 operands (a product convolves the row of a at lam with those of b at
 lam - i), so a coefficient read twice, or by two consumers, is computed
-once. Powers are built as one chain a^[0], a^[1], ..., a^[k], each the
-product of a with the one before: ``negq_power`` returns the last link,
-and ``negq_transform`` shares one chain per substituend across all the
-terms of the enumerator instead of rebuilding a power for each term.
+once. ``negq_power`` builds a^[k] as a chain a^[0], a^[1], ..., each the
+product of a with the one before, so each power fills its rows from the
+memoised rows of the previous one.
+
+``negq_transform`` builds no power chain. By associativity it takes the
+enumerator's terms by Horner's rule, G_m = G_(m-1) * x_sub + counts[m] *
+y_sub^[m], and each G_m and y_sub^[m] is read only at the lambda of the
+row being filled. So a row is one pass of at most 2t product rows, each
+from the one before and the degree-one substituends at lam - i, made by
+the same row-level product as ``negq_product``: O(t^2) big-int products,
+and O(t) coefficients held at a time.
 
 Some polynomials do not depend on lambda: constants, ``nu_poly``, and
 whatever the combinators build from lambda-free operands alone. That is
 known from how a polynomial was built, never from its coefficients (a
 polynomial given by a coefficient function is never taken to be
 lambda-free), and such a polynomial memoises one row, served for every
-lambda. The nu chain of a transform is then one row per link, and
-``negq_transform`` keeps only two links of its other chain at a time, so
-a transform of degree t holds O(t^2) coefficients rather than O(t^3).
+lambda.
 
 Rows are held scaled, as ints over one power of b. The memo holds a row
 as ``(e, nums)`` with e >= 0: coefficient i is nums[i] / b^e. Negative
@@ -267,27 +272,32 @@ def nu_poly(ctx: NegQContext) -> LambdaPoly:
 
 
 def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
-    """Twisted product; see the module docstring for the exact twist. The
-    rows of b at lam - i are summed over the largest of their exponents."""
+    """Twisted product; see the module docstring for the exact twist."""
     ctx = _check_ctx(a, b)
-    r, s = a.degree, b.degree
-    base = ctx.b
-    twist = [base ** (i * s) for i in range(r + 1)]
+    base, s = ctx.b, b.degree
+    twist = [base ** (i * s) for i in range(a.degree + 1)]
+    return _from_rows(ctx, a.degree + s,
+                      lambda lam: _product_row(twist, a._row(lam), b, lam),
+                      a._free and b._free)
 
-    def fill(lam: int) -> Scaled:
-        ea, a_row = a._row(lam)
-        out: list[Number] = [0] * (r + s + 1)
-        eo = 0  # out is held over b**eo
-        for i, (w, a_i) in enumerate(zip(twist, a_row)):
-            e, b_row = b._row(lam - i)
-            if e != eo:
-                out, w, eo = _align(out, eo, w, e, base)
-            wa = w * a_i
-            for u, b_j in enumerate(b_row, i):
-                out[u] += wa * b_j
-        return ea + eo, tuple(out)
 
-    return _from_rows(ctx, r + s, fill, a._free and b._free)
+def _product_row(twist: Sequence[int], a_row: Scaled, b: LambdaPoly,
+                 lam: int) -> Scaled:
+    """Row lam of the twisted product of a with b, from a's scaled row at
+    lam; twist[i] is b**(i * b.degree). The rows of b at lam - i are summed
+    over the largest of their exponents."""
+    ea, a_nums = a_row
+    base = b.ctx.b
+    out: list[Number] = [0] * (len(a_nums) + b.degree)
+    eo = 0  # out is held over b**eo
+    for i, (w, a_i) in enumerate(zip(twist, a_nums)):
+        e, b_nums = b._row(lam - i)
+        if e != eo:
+            out, w, eo = _align(out, eo, w, e, base)
+        wa = w * a_i
+        for u, b_j in enumerate(b_nums, i):
+            out[u] += wa * b_j
+    return ea + eo, tuple(out)
 
 
 def _align(out: list[Number], eo: int, w: Number, e: int,
@@ -300,20 +310,15 @@ def _align(out: list[Number], eo: int, w: Number, e: int,
     return [f * v for v in out], w, e
 
 
-def _power_chain(a: LambdaPoly, k: int) -> list[LambdaPoly]:
-    """[a^[0], a^[1], ..., a^[k]], each power the twisted product of a with
-    the one before, so all of them share one set of memoised rows."""
-    chain = [one_poly(a.ctx)]
-    for _ in range(k):
-        chain.append(negq_product(a, chain[-1]))
-    return chain
-
-
 def negq_power(a: LambdaPoly, k: int) -> LambdaPoly:
-    """k-fold twisted power, multiplying by a on the left each step."""
+    """k-fold twisted power, multiplying by a on the left each step; each
+    power's rows are filled from the memoised rows of the one before."""
     if k < 0:
         raise UsageError("power must be non-negative")
-    return _power_chain(a, k)[-1]
+    power = one_poly(a.ctx)
+    for _ in range(k):
+        power = negq_product(a, power)
+    return power
 
 
 def poly_add(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
@@ -349,18 +354,18 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
     product. Both substituends must be degree 1 so the result is again
     homogeneous of degree t.
 
-    The powers come from two shared chains, y_sub^[0..t] and x_sub^[0..t],
-    so the t + 1 terms reuse each other's memoised rows: at most 3t + 1
-    twisted products in all, instead of a fresh chain per term.
+    The sum is taken by Horner's rule. The twisted product is
+    associative, so the sum is G_t, where G_0 = counts[0] and
 
-    A row at lam sweeps the x chain bottom-up. The term with x_sub^[k]
-    reads that link at lam - (t - k) .. lam, and so does link k + 1;
-    link k fills those rows from link k - 1, whose memo is then dropped.
-    Every link is filled, whatever its count: a link filled on demand from
-    a dropped one would recompute the whole chain below it. With two
-    links held at a time and a lambda-free y_sub (one row per link), a
-    row costs O(t^2) memoised coefficients. The terms' rows are summed
-    over the largest of their exponents.
+        G_m = G_(m-1) * x_sub + counts[m] * y_sub^[m],
+
+    with y_sub^[m] = y_sub^[m-1] * y_sub. A right factor of degree 1 is
+    read at lam - i, and each G_m and y_sub^[m] only at lam itself, so a
+    row at lam takes at most 2t product rows of O(t) entries each: O(t^2)
+    big-int products. It holds one G row and one power row at a time,
+    each until the next has read it, and makes no power past the last
+    nonzero count. The terms' rows are summed over the largest of their
+    exponents.
     """
     ctx = _check_ctx(y_sub, x_sub)
     if y_sub.degree != 1 or x_sub.degree != 1:
@@ -369,28 +374,27 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
         raise UsageError("need at least one coefficient")
     t = len(counts) - 1
     base = ctx.b
-    y_pows, x_pows = _power_chain(y_sub, t), _power_chain(x_sub, t)
-    # terms[k] pairs x_sub^[k] with y_sub^[t - k], or is None for count 0
-    terms = [(counts[t - k], negq_product(y_pows[t - k], x_pows[k]))
-             if counts[t - k] != 0 else None for k in range(t + 1)]
+    twist = [base ** i for i in range(t)]
+    last = max((m for m, c in enumerate(counts) if c), default=0)
 
     def fill(lam: int) -> Scaled:
-        out: list[Number] = [0] * (t + 1)
-        eo = 0  # out is held over b**eo
-        for k, link in enumerate(x_pows):
-            for m in range(lam - t + k, lam + 1):
-                link._row(m)
-            if terms[k] is not None:
-                c, term = terms[k]
-                e, nums = term._row(lam)
+        g: Scaled = (0, (counts[0],))  # G_m at lam
+        power: Scaled = (0, (1,))  # y_sub^[m] at lam
+        for m in range(1, t + 1):
+            g = _product_row(twist, g, x_sub, lam)
+            if m > last:
+                continue
+            power = _product_row(twist, power, y_sub, lam)
+            c = counts[m]
+            if c:
+                (eo, out), (e, nums) = g, power
+                out = list(out)
                 if e != eo:
                     out, c, eo = _align(out, eo, c, e, base)
                 for u, v in enumerate(nums):
                     out[u] += c * v
-            if k:
-                x_pows[k - 1]._rows.clear()
-        x_pows[t]._rows.clear()
-        return eo, tuple(out)
+                g = eo, tuple(out)
+        return g
 
     return _from_rows(ctx, t, fill, y_sub._free and x_sub._free)
 

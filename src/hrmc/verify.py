@@ -105,9 +105,11 @@ def nu_power_coeff(ctx: NegQContext, k: int, u: int) -> int:
 
 
 def delta_closed(ctx: NegQContext, lam: int, phi: int, j: int):
-    prefactor = Fraction(1)
+    # an int for phi >= 0; only bpow's negative exponent makes a Fraction
+    top = bpow(ctx, phi)
+    prefactor = 1
     for i in range(j):
-        prefactor *= Fraction(ctx.b) ** phi - ctx.b ** i
+        prefactor *= top - ctx.b ** i
     if prefactor == 0:
         return 0
     v = ((-1) ** j * prefactor * gamma_ext(ctx, lam - j, phi - j)
@@ -307,13 +309,17 @@ def suite_leibniz(ctx: NegQContext, trials: int, seed: int) -> SuiteResult:
         f = random_lambda_poly(ctx, rng, rf)
         g = random_lambda_poly(ctx, rng, rg)
         prod = negq_product(f, g)
+        # D^ell f, D^ell g and their reciprocal-base versions, ell = 0..4,
+        # built once a trial so each memoises its rows for every phi
+        df, dg, idf, idg = ([derive(h, ell) for ell in range(5)]
+                            for derive in (negq_derivative, negq_inv_derivative)
+                            for h in (f, g))
         for phi in range(0, 5):
             lhs = negq_derivative(prod, phi)
             rhs = None
             for ell in range(phi + 1):
                 w = gauss(ctx, phi, ell) * bpow(ctx, (phi - ell) * (rf - ell))
-                term = poly_scale(negq_product(negq_derivative(f, ell),
-                                               negq_derivative(g, phi - ell)), w)
+                term = poly_scale(negq_product(df[ell], dg[phi - ell]), w)
                 rhs = term if rhs is None else poly_add(rhs, term)
             res.check(polys_equal(lhs, rhs, range(-2, 7)),
                       f"q-rule trial={trial} phi={phi}")
@@ -322,9 +328,7 @@ def suite_leibniz(ctx: NegQContext, trials: int, seed: int) -> SuiteResult:
             for ell in range(phi + 1):
                 w = gauss(ctx, phi, ell) * bpow(ctx, ell * (rg - phi + ell))
                 term = poly_scale(
-                    negq_product(negq_inv_derivative(f, ell),
-                                 shift_lambda(negq_inv_derivative(g, phi - ell),
-                                              ell)),
+                    negq_product(idf[ell], shift_lambda(idg[phi - ell], ell)),
                     w)
                 rhs2 = term if rhs2 is None else poly_add(rhs2, term)
             res.check(polys_equal(lhs2, rhs2, range(-2, 7)),

@@ -373,6 +373,19 @@ def test_eigen(capsys):
     assert "both routes agree" in out
 
 
+def test_eigen_exits_1_on_a_remainder_in_the_recurrence(capsys, monkeypatch):
+    """A remainder in the recurrence table's exact division is a
+    CheckFailed: exit 1 and one error line, never a truncated table."""
+    monkeypatch.setattr(macwilliams, "divmod", lambda n, d: (n // d, 1),
+                        raising=False)
+    with pytest.raises(CheckFailed, match="remainder at x=0 k=1"):
+        macwilliams.build_eigen_table_recurrence(NegQContext(2), 3)
+    rc, out, err = run(capsys, ["eigen", "--q", "2", "--t", "3"])
+    assert rc == 1
+    assert_one_error_line(out, err)
+    assert "eigen recurrence leaves a remainder" in err
+
+
 def _via_dual(code):
     """Whether ``wd`` counts the words of the dual rather than the code."""
     return code.t * code.t - code.k < code.k
@@ -604,7 +617,8 @@ def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
     """eigen renders its table (to_jsonable and the table lines) with the
     limit lifted; before, q=2 t=120 ended in a ValueError traceback."""
     table = EigenTable(2, 1, ((1, BIG), (1, -BIG)))
-    monkeypatch.setattr(macwilliams, "build_eigen_table", lambda ctx, t: table)
+    monkeypatch.setattr(macwilliams, "build_eigen_table_recurrence",
+                        lambda ctx, t: table)
     monkeypatch.setattr(macwilliams, "build_eigen_table_C",
                         lambda ctx, t: table)
     before = _digit_limit()
@@ -811,14 +825,15 @@ def test_dual_single_phi(capsys, tmp_path, example_code):
 # 25*20/64 + 1 = 8 digits (2^64 has 20), times (t+1)^2 eigenvalues or t+1
 # counts.
 _CLOSED_FORMS = [
-    (["eigen", "--q", "2", "--t", "5"], "build_eigen_table", "rows", 36 * 8),
+    (["eigen", "--q", "2", "--t", "5"], "build_eigen_table_recurrence", "rows",
+     36 * 8),
     (["macwilliams", "--q", "2", "--t", "5", "--dist", "1,0,0,0,0,0",
       "--size", "1"], "macwilliams_eigen", "dual", 6 * 8),
     (["mhrd", "--q", "2", "--t", "5", "--d", "3"], "mhrd_distribution",
      "counts", 6 * 8),
     # q^64 = 2^14336 has 4316 digits, more than str() converts
-    (["eigen", "--q", str(2 ** 224), "--t", "1"], "build_eigen_table", "rows",
-     4 * 68),
+    (["eigen", "--q", str(2 ** 224), "--t", "1"],
+     "build_eigen_table_recurrence", "rows", 4 * 68),
 ]
 
 

@@ -17,6 +17,7 @@ from hrmc.errors import (
 from hrmc.macwilliams import (
     build_eigen_table,
     build_eigen_table_C,
+    build_eigen_table_recurrence,
     delta_fn,
     epsilon_fn,
     full_space_distribution,
@@ -82,15 +83,35 @@ def test_eigen_recurrence(ctx):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_tables_equal_their_definitions(q):
-    """Every entry of both tables is its per-entry closed form."""
+    """Every entry of the Q and C tables is its per-entry closed form, and
+    the recurrence table equals both."""
     ctx = NegQContext(q)
-    for t in range(9):
+    for t in range(10):
         want_q = tuple(tuple(krawtchouk_Q(ctx, k, x, t) for k in range(t + 1))
                        for x in range(t + 1))
         want_c = tuple(tuple(krawtchouk_C(ctx, k, x, t) for k in range(t + 1))
                        for x in range(t + 1))
         assert build_eigen_table(ctx, t).values == want_q
         assert build_eigen_table_C(ctx, t).values == want_c
+        assert build_eigen_table_recurrence(ctx, t).values == want_q == want_c
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_recurrence_table_is_orthogonal_and_symmetric(q):
+    """With v_k = P_0(k), the valencies, the rows of the recurrence table
+    satisfy sum_k P_x(k) P_y(k) / v_k = delta_xy q^(t^2) / v_x, and
+    v_x P_x(k) = v_k P_k(x)."""
+    ctx = NegQContext(q)
+    for t in range(7):
+        rows = build_eigen_table_recurrence(ctx, t).values
+        v = rows[0]
+        for x in range(t + 1):
+            for y in range(t + 1):
+                got = sum(Fraction(rows[x][k] * rows[y][k], v[k])
+                          for k in range(t + 1))
+                assert got == (Fraction(q ** (t * t), v[x]) if x == y else 0)
+            for k in range(t + 1):
+                assert v[x] * rows[x][k] == v[k] * rows[k][x]
 
 
 def _dual_by_definition(ctx, counts, size, t):
@@ -302,12 +323,16 @@ def _make_raise(monkeypatch, names):
 
 _Q_ROUTE = ("build_eigen_table", "_q_weights", "krawtchouk_Q")
 _C_ROUTE = ("build_eigen_table_C", "krawtchouk_C")
+_R_ROUTE = ("build_eigen_table_recurrence",)
+_ROUTES = (_Q_ROUTE, _C_ROUTE, _R_ROUTE)
 
 
 def test_eigen_routes_stay_independent(monkeypatch):
-    """The Q route (build_eigen_table and macwilliams_eigen) and the C
-    table share nothing beyond gauss and gamma_fn: with either route made
-    to raise, the other still gives its values from before the patch."""
+    """The Q route (build_eigen_table and macwilliams_eigen), the C table
+    and the recurrence table share nothing but gauss and gamma_fn, which
+    only Q and C use: with any two routes made to raise, and gauss and
+    gamma_fn too for the recurrence, the third still gives its values from
+    before the patch."""
     cases = []
     for ctx in (CTX2, CTX3):
         for t in range(7):
@@ -319,33 +344,36 @@ def test_eigen_routes_stay_independent(monkeypatch):
                               full // dual_size))
             duals = [(counts, size, macwilliams_eigen(ctx, counts, size, t))
                      for counts, size in dists]
-            cases.append((ctx, t, build_eigen_table(ctx, t),
-                          build_eigen_table_C(ctx, t), duals))
+            tables = {route[0]: getattr(macwilliams, route[0])(ctx, t)
+                      for route in _ROUTES}
+            cases.append((ctx, t, tables, duals))
 
-    with monkeypatch.context() as patch:
-        _make_raise(patch, _C_ROUTE)
-        with pytest.raises(RouteCrossed):
-            macwilliams.build_eigen_table_C(CTX2, 1)
-        for ctx, t, q_table, _, duals in cases:
-            assert macwilliams.build_eigen_table(ctx, t) == q_table
-            for counts, size, want in duals:
-                assert macwilliams.macwilliams_eigen(ctx, counts, size,
-                                                     t) == want
-    with monkeypatch.context() as patch:
-        _make_raise(patch, _Q_ROUTE)
-        with pytest.raises(RouteCrossed):
-            macwilliams.build_eigen_table(CTX2, 1)
-        with pytest.raises(RouteCrossed):
-            macwilliams.macwilliams_eigen(CTX2, (1, 0), 1, 1)
-        for ctx, t, _, c_table, _ in cases:
-            assert macwilliams.build_eigen_table_C(ctx, t) == c_table
+    for route in _ROUTES:
+        others = [other for other in _ROUTES if other is not route]
+        shared = ("gauss", "gamma_fn") if route is _R_ROUTE else ()
+        with monkeypatch.context() as patch:
+            _make_raise(patch, [fn for other in others for fn in other]
+                        + list(shared))
+            for other in others:
+                with pytest.raises(RouteCrossed):
+                    getattr(macwilliams, other[0])(CTX2, 1)
+            if route is not _Q_ROUTE:
+                with pytest.raises(RouteCrossed):
+                    macwilliams.macwilliams_eigen(CTX2, (1, 0), 1, 1)
+            for ctx, t, tables, duals in cases:
+                build = getattr(macwilliams, route[0])
+                assert build(ctx, t) == tables[route[0]]
+                if route is _Q_ROUTE:
+                    for counts, size, want in duals:
+                        assert macwilliams.macwilliams_eigen(
+                            ctx, counts, size, t) == want
 
 
 def test_eigen_routes_use_no_other_t(monkeypatch):
-    """A table for t is built from no table for another t (so neither
-    route runs the three-term recurrence that verify's eigen suite
-    checks), by no per-entry eigenvalue call, and macwilliams_eigen builds
-    no table."""
+    """A table for t is built from no table for another t (so no route
+    runs the recurrence in t that verify's eigen suite checks; the
+    recurrence table's own recurrence runs in k, within one t), by no
+    per-entry eigenvalue call, and macwilliams_eigen builds no table."""
     calls = []
 
     def recording(name, fn):
@@ -354,7 +382,7 @@ def test_eigen_routes_use_no_other_t(monkeypatch):
             return fn(ctx, *args)
         return wrapper
 
-    names = _Q_ROUTE + _C_ROUTE
+    names = _Q_ROUTE + _C_ROUTE + _R_ROUTE
     originals = {fn: getattr(macwilliams, fn) for fn in names}
     for name, module in list(sys.modules.items()):
         if name == "hrmc" or name.startswith("hrmc."):
@@ -370,6 +398,9 @@ def test_eigen_routes_use_no_other_t(monkeypatch):
             calls.clear()
             macwilliams.build_eigen_table_C(ctx, t)
             assert calls == [("build_eigen_table_C", t)]
+            calls.clear()
+            macwilliams.build_eigen_table_recurrence(ctx, t)
+            assert calls == [("build_eigen_table_recurrence", t)]
             calls.clear()
             macwilliams.macwilliams_eigen(ctx, (1,) + (0,) * t, 1, t)
             assert calls == [("_q_weights", t)]
@@ -392,10 +423,10 @@ def _small_code(field, t, k, rng):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_transform_sweep_equals_eigen_route(q):
-    """The transform, which drops each link of its mu chain as it sweeps,
-    gives the eigen route's dual distribution for random codes at every
-    t up to 8, zero counts included."""
+def test_transform_equals_eigen_route(q):
+    """The transform, taken by Horner's rule, gives the eigen route's dual
+    distribution for random codes at every t up to 8, zero counts
+    included."""
     field = make_field(*NegQContext(q).prime_parts)
     ctx = NegQContext(q)
     rng = random.Random(f"sweep:{q}")
@@ -411,9 +442,9 @@ def test_transform_sweep_equals_eigen_route(q):
 
 
 def test_transform_memo_is_bounded():
-    """The transform holds O(t^2) memoised values: one row per link of the
-    nu chain and two links of the mu chain at a time. Memoising every row
-    of both chains, about t^3/6 values, peaked at 22 MB here."""
+    """The transform holds O(t) values at a time while it fills a row: one
+    row of G_m and one of the nu power. Memoising every row of a nu and a
+    mu power chain, about t^3/6 values, peaked at 22 MB here."""
     tracemalloc.start()
     try:
         dual = macwilliams_transform(CTX2, [1] + [0] * 80, 1, 80)

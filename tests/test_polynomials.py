@@ -113,29 +113,102 @@ def test_transform_shape(example_code):
 
 @pytest.mark.parametrize("t", [1, 5, 12])
 def test_transform_shares_power_chains(monkeypatch, t):
-    """t + 1 nonzero counts take at most 3t + 1 twisted products (two
-    shared power chains of t products each, one product per term), and
-    give the same coefficients as a fresh pair of powers per term."""
+    """By Horner's rule, a row of a transform of t + 1 nonzero counts takes
+    2t product rows (t for G_1..G_t, t for the y_sub powers) and no
+    twisted-product polynomial, and gives the same coefficients as a fresh
+    pair of powers per term."""
     counts = list(range(1, t + 2))
     nu, mu = nu_poly(CTX3), mu_poly(CTX3)
-    calls = []
-    real_product = polynomials.negq_product
+    products, rows = [], []
+    real_product, real_row = polynomials.negq_product, polynomials._product_row
 
     def counting_product(a, b):
-        calls.append((a.degree, b.degree))
+        products.append((a.degree, b.degree))
         return real_product(a, b)
 
+    def counting_row(twist, a_row, b, lam):
+        rows.append(lam)
+        return real_row(twist, a_row, b, lam)
+
     monkeypatch.setattr(polynomials, "negq_product", counting_product)
+    monkeypatch.setattr(polynomials, "_product_row", counting_row)
     image = negq_transform(counts, nu, mu)
     got = [[image.coefficient(u, lam) for u in range(t + 1)]
            for lam in (t, 1, -1)]
-    assert len(calls) <= 3 * t + 1
+    assert products == []
+    # a row is filled once per distinct lambda
+    assert rows == [lam for lam in dict.fromkeys((t, 1, -1))
+                    for _ in range(2 * t)]
     monkeypatch.undo()
     if t <= 5:
         terms = [(c, negq_product(negq_power(nu, i), negq_power(mu, t - i)))
                  for i, c in enumerate(counts)]
         assert got == [[sum(c * term.coefficient(u, lam) for c, term in terms)
                         for u in range(t + 1)] for lam in (t, 1, -1)]
+
+
+def _sweep_transform(counts, y_sub, x_sub):
+    """The transform as two shared power chains, y_sub^[0..t] and
+    x_sub^[0..t], and one twisted product per nonzero count, with each row
+    filled by sweeping the x chain bottom-up and dropping each link's memo
+    once the next link has read it: the O(t^3) form that Horner's rule
+    replaced, kept as a reference."""
+    ctx = y_sub.ctx
+    t = len(counts) - 1
+
+    def chain(a):
+        links = [one_poly(ctx)]
+        for _ in range(t):
+            links.append(negq_product(a, links[-1]))
+        return links
+
+    y_pows, x_pows = chain(y_sub), chain(x_sub)
+    terms = [(counts[t - k], negq_product(y_pows[t - k], x_pows[k]))
+             if counts[t - k] != 0 else None for k in range(t + 1)]
+
+    def fill(lam):
+        out, eo = [0] * (t + 1), 0
+        for k, link in enumerate(x_pows):
+            for m in range(lam - t + k, lam + 1):
+                link._row(m)
+            if terms[k] is not None:
+                c, term = terms[k]
+                e, nums = term._row(lam)
+                if e != eo:
+                    out, c, eo = polynomials._align(out, eo, c, e, ctx.b)
+                for u, v in enumerate(nums):
+                    out[u] += c * v
+            if k:
+                x_pows[k - 1]._rows.clear()
+        x_pows[t]._rows.clear()
+        return eo, tuple(out)
+
+    return polynomials._from_rows(ctx, t, fill, y_sub._free and x_sub._free)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_horner_rows_equal_the_chain_sweep(q):
+    """At every t up to 10 and lambda -4..t+3, the transform's rows equal
+    the chain sweep's, value for value and type for type: ints, b-adic
+    Fraction counts and 1/3-style ones, with nu and mu, shifted mu, and
+    lambda-dependent user substituends with Fraction coefficients."""
+    ctx = NegQContext(q)
+    rng = random.Random(f"horner:{q}")
+    choices = [0, 0, 1, 5, -3, Fraction(1, q), Fraction(2, 3)]
+    nu, mu = nu_poly(ctx), mu_poly(ctx)
+    user_y = LambdaPoly(ctx, 1, lambda i, lam: (lam + 1, Fraction(1, 3))[i])
+    user_x = LambdaPoly(ctx, 1, lambda i, lam: (1, Fraction(lam, q))[i])
+    pairs = [(nu, mu), (shift_lambda(mu, 2), nu),
+             (mu, shift_lambda(mu, -1)), (user_y, user_x)]
+    for t in range(11):
+        for y_sub, x_sub in pairs:
+            counts = [rng.choice(choices) for _ in range(t + 1)]
+            image = negq_transform(counts, y_sub, x_sub)
+            want = _sweep_transform(counts, y_sub, x_sub)
+            for lam in range(-4, t + 4):
+                got, ref = image.row(lam), want.row(lam)
+                assert got == ref, (t, counts, lam)
+                assert list(map(type, got)) == list(map(type, ref))
 
 
 def _counting_coeff(calls, tag):
@@ -209,10 +282,10 @@ def test_lambda_free_is_set_by_construction():
     assert len(user._rows) == 2
 
 
-def test_transform_sweep_matches_fresh_powers_at_any_lambda():
-    """The sweep drops each link of the mu chain once the next has read
-    it; rows read at several lambdas, in any order, and again after, match
-    powers built fresh for each term, zero counts included."""
+def test_transform_matches_fresh_powers_at_any_lambda():
+    """Horner's rule holds one G row at a time; rows read at several
+    lambdas, in any order, and again after, match powers built fresh for
+    each term, zero counts included."""
     counts = [3, 0, 0, 5, 0, 2, 0]
     t = len(counts) - 1
     image = negq_transform(counts, nu_poly(CTX3), mu_poly(CTX3))
