@@ -25,10 +25,10 @@ _MODULE_OF = {name: module for module, names in {
         "NonPrimeModulus", "NotHermitian", "ReducibleModulus",
         "UnsupportedSize", "UsageError", "ZeroCode"),
     "fields": ("Field", "FieldElement", "arith", "conj", "make_field"),
-    "hermitian": (
-        "HermitianMatrix", "enumerate_hermitian", "hermitian_from_index",
-        "inner_product", "is_hermitian", "rank", "total_hermitian",
-        "zero_matrix"),
+    "hermitian": ("HermitianMatrix", "is_hermitian", "zero_matrix"),
+    "hermitian_space": (
+        "enumerate_hermitian", "hermitian_from_index", "inner_product",
+        "rank", "total_hermitian"),
     "codes": (
         "LinearCode", "WeightDistribution", "code_from_jsonable",
         "dual_code", "enumerate_codewords", "make_code", "min_distance",
@@ -36,15 +36,17 @@ _MODULE_OF = {name: module for module, names in {
     "negq": (
         "NegQContext", "beta_fn", "gamma_fn", "gauss", "sequence_forward",
         "sequence_inversion", "xi"),
-    "macwilliams": (
+    "eigen": (
         "EigenTable", "build_eigen_table", "build_eigen_table_C",
-        "delta_fn", "epsilon_fn", "full_space_distribution", "krawtchouk_C",
-        "krawtchouk_Q", "macwilliams_eigen", "macwilliams_transform",
-        "mhrd_distribution", "moment_q", "moment_qinv"),
+        "full_space_distribution", "krawtchouk_C", "krawtchouk_Q"),
+    "macwilliams": ("macwilliams_eigen", "macwilliams_transform"),
+    "moments": (
+        "delta_fn", "epsilon_fn", "mhrd_distribution", "moment_q",
+        "moment_qinv"),
     "polynomials": (
-        "ConcretePoly", "LambdaPoly", "concretize", "evaluate", "mu_poly",
-        "negq_derivative", "negq_inv_derivative", "negq_power",
+        "ConcretePoly", "LambdaPoly", "concretize", "mu_poly", "negq_power",
         "negq_product", "negq_transform", "nu_poly"),
+    "calculus": ("evaluate", "negq_derivative", "negq_inv_derivative"),
 }.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)

@@ -27,9 +27,9 @@ walks any index range of that order over any base word: it adds each
 prefix of the leading generators, summed once, to every word of a list
 of the span of the trailing generators. :func:`rank_counts` ranks words
 with the packed elimination ``_Packing.rank``, written apart from
-``hermitian.rank_of_rows``, and visits only the words whose first nonzero
-coefficient is 1: scaling by GF(q)* keeps the rank, so each such word
-stands for its q - 1 nonzero multiples.
+``hermitian_space.rank_of_rows``, and visits only the words whose first
+nonzero coefficient is 1: scaling by GF(q)* keeps the rank, so each such
+word stands for its q - 1 nonzero multiples.
 
 An enumeration builds one packing, the q multiples of each generator its
 walk lists (:func:`rank_counts` reads only the word of a block's leading
@@ -635,3 +635,14 @@ def code_from_jsonable(obj: dict) -> LinearCode:
     t = json_int(obj["t"], "code t")
     gens = [matrix_from_jsonable(field, g) for g in obj["generators"]]
     return make_code(field, t, gens)
+
+
+def read_code(path: str) -> LinearCode:
+    """The code in a JSON file; UsageError if it cannot be read or used."""
+    import json
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        return code_from_jsonable(obj)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise UsageError(f"cannot read code from {path}: {exc}") from exc

@@ -4,13 +4,17 @@ Work or output estimated above the guard is refused before any of it is
 built, with :class:`~hrmc.errors.EnumerationTooLarge`, a ``UsageError``
 (exit 2 in the CLI). The guard is an explicit value, else the
 ``HRMC_GUARD`` environment variable, else :data:`DEFAULT_GUARD`.
+
+:func:`prime_factors`, the trial division whose work ``NegQContext``
+checks against the guard, is here too, so that ``fields`` can use it
+without loading ``negq``.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import EnumerationTooLarge, UsageError
+from .errors import EnumerationTooLarge, UsageError, shown
 
 DEFAULT_GUARD = 1 << 24
 
@@ -36,11 +40,8 @@ def check_guard(count: int, what: str, guard: int | None = None) -> None:
     """Refuse ``count`` of ``what`` above the guard."""
     limit = enumeration_guard(guard)
     if count > limit:
-        # str() refuses ints of over 4300 digits, so name a power of two
-        shown = (count if count < 1 << 64
-                 else f"at least 2^{count.bit_length() - 1}")
         raise EnumerationTooLarge(
-            f"{shown} {what} exceed the enumeration guard {limit}")
+            f"{shown(count)} {what} exceed the enumeration guard {limit}")
 
 
 def check_power_guard(q: int, n: int, what: str,
@@ -56,6 +57,26 @@ def check_power_guard(q: int, n: int, what: str,
         raise EnumerationTooLarge(
             f"at least 2^{low} {what} exceed the enumeration guard {limit}")
     check_guard(q ** n, what, limit)
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division.
+
+    Empty for n < 2; ``[n]`` exactly when n is prime. Its callers bound
+    the divisions first: ``NegQContext`` by the guard, ``make_field`` by
+    the largest field order.
+    """
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def sampled_words(q: int, t: int, trials: int) -> int:

@@ -16,7 +16,26 @@ The class is fixed where the error is raised. The leaves below exist
 because callers catch them by name; anywhere else a site raises one of
 the two bases directly. ``AssertionError`` is kept for internal
 invariants that no input can break.
+
+A message names a value through :func:`shown`, since ``str()`` refuses
+ints of more than 4300 digits and would turn the error into a
+``ValueError``.
 """
+
+
+def shown(value) -> str:
+    """An int, a Fraction or a tuple of them as message text. An int of
+    2^64 or more in size is named by its power of two, "at least 2^N" or
+    "at most -2^N"; a Fraction is numerator/denominator."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(shown, value))})"
+    num, den = value.numerator, value.denominator
+    if den != 1:
+        return f"{shown(num)}/{shown(den)}"
+    if -(1 << 64) < num < 1 << 64:
+        return str(num)
+    power = f"2^{abs(num).bit_length() - 1}"
+    return f"at least {power}" if num > 0 else f"at most -{power}"
 
 
 class HrmcError(Exception):

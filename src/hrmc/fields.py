@@ -23,6 +23,7 @@ from itertools import product
 from typing import Iterator
 
 from ._value import Value, json_int
+from .cost import prime_factors
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -31,7 +32,6 @@ from .errors import (
     UnsupportedSize,
     UsageError,
 )
-from .negq import prime_factors
 
 MAX_EXTENSION_DEGREE = 8     # 2m may not exceed this
 MAX_FIELD_ORDER = 1 << 16    # p^(2m) may not exceed this

@@ -1,27 +1,18 @@
-"""Hermitian matrices over GF(q^2) and their rank function.
+"""Hermitian matrices over GF(q^2): the matrix type.
 
 A t x t matrix H is Hermitian when H equals its conjugate transpose:
 H[i][j] == conj(H[j][i]) for all i, j, which forces the diagonal into the
-conjugation-fixed subfield. The rank metric on these matrices is the
-ordinary rank over GF(q^2). :func:`rank` computes it for a
-:class:`HermitianMatrix` by :func:`rank_of_rows`, an elimination on rows
-of element indices through the field's own arithmetic. The enumeration
-kernel ``codes.rank_counts`` ranks packed words with an elimination of
-its own and does not call this one, so each can be tested against the
-other.
-
-:func:`hermitian_from_index` decodes one matrix of a fixed mixed-radix
-order: the diagonal entries come first (base q, most significant first,
-running through the subfield in canonical ascending order), then the
-strictly upper entries row by row (base q^2 each).
+conjugation-fixed subfield. This module holds what codes are built from:
+:class:`HermitianMatrix`, :func:`is_hermitian`, the reading of a matrix
+from JSON and :func:`zero_matrix`. The rank function, the canonical order
+of the whole space and its enumeration are in :mod:`hrmc.hermitian_space`,
+which only the object route (the tests, the acceptance checks and the
+public API) loads.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ._value import Value, json_int
-from .cost import check_power_guard
 from .errors import DimensionMismatch, UsageError
 from .fields import Field, FieldElement
 
@@ -96,119 +87,3 @@ def _check_compatible(a: HermitianMatrix, b: HermitianMatrix) -> None:
 def is_hermitian(m: HermitianMatrix) -> bool:
     return all(m.entries[i][j] == m.entries[j][i].conj()
                for i in range(m.t) for j in range(m.t))
-
-
-def rank_of_rows(field: Field, rows: list[list[int]]) -> int:
-    """Rank over GF(q^2) of the matrix whose rows hold element indices.
-
-    Gaussian elimination that reduces ``rows`` in place.
-    """
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        pivot = rows[i]
-        rows[i] = rows[r]
-        rows[r] = pivot
-        scale = neg(inv(pivot[c]))
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            if row[c]:
-                f = mul(row[c], scale)
-                for j in range(c + 1, ncols):
-                    if pivot[j]:
-                        row[j] = add(row[j], mul(f, pivot[j]))
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rank(m: HermitianMatrix) -> int:
-    """Rank over GF(q^2)."""
-    return rank_of_rows(m.field, [[x.index for x in row] for row in m.entries])
-
-
-def total_hermitian(field: Field, t: int) -> int:
-    """q^(t^2): one subfield choice per diagonal slot, one full-field choice
-    per strictly-upper slot."""
-    return field.q ** (t * t)
-
-
-def hermitian_from_index(field: Field, t: int, index: int) -> HermitianMatrix:
-    """Decode the index into the canonical enumeration's index-th matrix."""
-    if t < 1:
-        raise UsageError(f"matrix size must be positive, got t={t}")
-    if not 0 <= index < total_hermitian(field, t):
-        raise UsageError(f"index {index} out of range")
-    q = field.q
-    order = field.order
-    upper_slots = t * (t - 1) // 2
-    # Peel digits least significant first: uppers in reverse row-major order,
-    # then the diagonal in reverse.
-    upper_digits = []
-    for _ in range(upper_slots):
-        upper_digits.append(index % order)
-        index //= order
-    upper_digits.reverse()
-    diag_digits = []
-    for _ in range(t):
-        diag_digits.append(index % q)
-        index //= q
-    diag_digits.reverse()
-
-    subfield = field.subfield_elements()
-    grid = [[field.zero()] * t for _ in range(t)]
-    for i in range(t):
-        grid[i][i] = subfield[diag_digits[i]]
-    k = 0
-    for i in range(t):
-        for j in range(i + 1, t):
-            x = field.from_index(upper_digits[k])
-            grid[i][j] = x
-            grid[j][i] = x.conj()
-            k += 1
-    return HermitianMatrix(field, t, tuple(tuple(r) for r in grid))
-
-
-def matrix_to_index(m: HermitianMatrix) -> int:
-    """Inverse of :func:`hermitian_from_index` (the matrix must be Hermitian)."""
-    field, t = m.field, m.t
-    subfield_pos = {idx: pos for pos, idx in enumerate(field.subfield_indices())}
-    index = 0
-    for i in range(t):
-        index = index * field.q + subfield_pos[m.entries[i][i].index]
-    for i in range(t):
-        for j in range(i + 1, t):
-            index = index * field.order + m.entries[i][j].index
-    return index
-
-
-def enumerate_hermitian(field: Field, t: int,
-                        guard: int | None = None) -> Iterator[HermitianMatrix]:
-    """All Hermitian t x t matrices in canonical index order.
-
-    Raises EnumerationTooLarge before yielding anything if the count
-    q^(t^2) exceeds the guard.
-    """
-    check_power_guard(field.q, t * t, "matrices", guard)
-    for index in range(total_hermitian(field, t)):
-        yield hermitian_from_index(field, t, index)
-
-
-def inner_product(h: HermitianMatrix, j: HermitianMatrix) -> FieldElement:
-    """Trace form <H, J> = Tr(conj_transpose(H) J); lands in the subfield."""
-    _check_compatible(h, j)
-    field = h.field
-    acc = 0
-    for a in range(h.t):
-        for b in range(h.t):
-            acc = field.add(acc, field.mul(
-                field.conj_index(h.entries[a][b].index), j.entries[a][b].index))
-    return field.from_index(acc)

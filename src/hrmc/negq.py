@@ -26,26 +26,8 @@ from functools import lru_cache
 from math import isqrt, log2
 
 from ._value import Value
-from .cost import check_guard
+from .cost import check_guard, prime_factors
 from .errors import LengthMismatch, NonIntegralResult, UsageError
-
-
-def prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending, by trial division.
-
-    Empty for n < 2; ``[n]`` exactly when n is prime.
-    """
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _perfect_power(n: int) -> tuple[int, int]:

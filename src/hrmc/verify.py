@@ -15,25 +15,37 @@ import random
 from fractions import Fraction
 
 from ._value import Value
+from .calculus import (
+    div_x,
+    div_y,
+    evaluate,
+    negq_derivative,
+    negq_inv_derivative,
+    poly_add,
+    poly_scale,
+    scale_y,
+    shift_lambda,
+)
 from .codes import LinearCode, dual_code, make_code, weight_distribution
 from .cost import check_guard, check_power_guard, sampled_words, value_words
+from .eigen import (
+    build_eigen_table,
+    build_eigen_table_C,
+    full_space_distribution,
+    krawtchouk_Q,
+)
 from .errors import NonIntegralDual, UsageError
 from .fields import Field
 from .hermitian import HermitianMatrix
-from .macwilliams import (
-    build_eigen_table,
-    build_eigen_table_C,
+from .macwilliams import macwilliams_eigen, macwilliams_transform
+from .moments import (
     delta_fn,
     epsilon_fn,
-    krawtchouk_Q,
-    macwilliams_eigen,
-    macwilliams_transform,
+    mhrd_distribution,
     moment_q,
     moment_q_low,
     moment_qinv,
     moment_qinv_high,
-    full_space_distribution,
-    mhrd_distribution,
 )
 from .negq import (
     NegQContext,
@@ -47,22 +59,7 @@ from .negq import (
     sequence_inversion,
     triangle,
 )
-from .polynomials import (
-    LambdaPoly,
-    div_x,
-    div_y,
-    evaluate,
-    mu_poly,
-    negq_derivative,
-    negq_inv_derivative,
-    negq_power,
-    negq_product,
-    nu_poly,
-    poly_add,
-    poly_scale,
-    scale_y,
-    shift_lambda,
-)
+from .polynomials import LambdaPoly, mu_poly, negq_power, negq_product, nu_poly
 
 LAMBDA_RANGE = range(-3, 9)  # default window for comparing parameterised polys
 

@@ -14,16 +14,17 @@ from hrmc.codes import (
     enumerate_codewords,
     weight_distribution,
 )
-from hrmc.hermitian import enumerate_hermitian, inner_product, rank
-from hrmc.macwilliams import (
+from hrmc.eigen import (
     build_eigen_table,
-    delta_fn,
-    epsilon_fn,
     full_space_distribution,
     krawtchouk_C,
     krawtchouk_Q,
-    macwilliams_eigen,
-    macwilliams_transform,
+)
+from hrmc.hermitian_space import enumerate_hermitian, inner_product, rank
+from hrmc.macwilliams import macwilliams_eigen, macwilliams_transform
+from hrmc.moments import (
+    delta_fn,
+    epsilon_fn,
     mhrd_distribution,
     moment_q,
     moment_q_low,

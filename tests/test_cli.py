@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,14 +15,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc import cli, codes, macwilliams, negq
-from hrmc.cli import _all_digits, _index_ranges, emit, main
+from hrmc import cli, codes, eigen, negq, workers
+from hrmc.cli import _all_digits, emit, main
 from hrmc.codes import dual_code, rank_counts, weight_distribution
 from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
 from hrmc.errors import CheckFailed, EnumerationTooLarge, UsageError
-from hrmc.macwilliams import EigenTable, full_space_distribution
+from hrmc.eigen import EigenTable, full_space_distribution
 from hrmc.negq import NegQContext
 from hrmc.verify import sample_codes
+from hrmc.workers import _index_ranges
 
 
 def run(capsys, argv):
@@ -49,7 +51,7 @@ def assert_one_error_line(out, err):
 def one_word_per_process(monkeypatch):
     """Let a range of any size have a process of its own, so tiny codes
     still fork a child."""
-    monkeypatch.setattr(cli, "MIN_WORDS_PER_PROCESS", 1)
+    monkeypatch.setattr(workers, "MIN_WORDS_PER_PROCESS", 1)
 
 
 @pytest.fixture
@@ -376,10 +378,10 @@ def test_eigen(capsys):
 def test_eigen_exits_1_on_a_remainder_in_the_recurrence(capsys, monkeypatch):
     """A remainder in the recurrence table's exact division is a
     CheckFailed: exit 1 and one error line, never a truncated table."""
-    monkeypatch.setattr(macwilliams, "divmod", lambda n, d: (n // d, 1),
+    monkeypatch.setattr(eigen, "divmod", lambda n, d: (n // d, 1),
                         raising=False)
     with pytest.raises(CheckFailed, match="remainder at x=0 k=1"):
-        macwilliams.build_eigen_table_recurrence(NegQContext(2), 3)
+        eigen.build_eigen_table_recurrence(NegQContext(2), 3)
     rc, out, err = run(capsys, ["eigen", "--q", "2", "--t", "3"])
     assert rc == 1
     assert_one_error_line(out, err)
@@ -617,9 +619,9 @@ def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
     """eigen renders its table (to_jsonable and the table lines) with the
     limit lifted; before, q=2 t=120 ended in a ValueError traceback."""
     table = EigenTable(2, 1, ((1, BIG), (1, -BIG)))
-    monkeypatch.setattr(macwilliams, "build_eigen_table_recurrence",
+    monkeypatch.setattr(eigen, "build_eigen_table_recurrence",
                         lambda ctx, t: table)
-    monkeypatch.setattr(macwilliams, "build_eigen_table_C",
+    monkeypatch.setattr(eigen, "build_eigen_table_C",
                         lambda ctx, t: table)
     before = _digit_limit()
     rc, out, err = run(capsys, ["eigen", "--q", "2", "--t", "1",
@@ -627,6 +629,51 @@ def test_eigen_prints_entries_past_the_str_limit(capsys, monkeypatch, fmt):
     assert (rc, err) == (0, "")
     assert _str_big(-BIG) in out
     assert _digit_limit() == before
+
+
+def _eigen_tables_differ_by_big(monkeypatch, tmp_path, example_code):
+    monkeypatch.setattr(eigen, "build_eigen_table_recurrence",
+                        lambda ctx, t: EigenTable(2, 1, ((1, BIG),
+                                                         (1, -BIG))))
+    monkeypatch.setattr(eigen, "build_eigen_table_C",
+                        lambda ctx, t: EigenTable(2, 1, ((1, BIG + 1),
+                                                         (1, -BIG))))
+    return ["eigen", "--q", "2", "--t", "1"]
+
+
+def _macwilliams_routes_differ_by_big(monkeypatch, tmp_path, example_code):
+    monkeypatch.setattr("hrmc.macwilliams.macwilliams_transform",
+                        lambda ctx, counts, size, t: (1, 3, 24, BIG))
+    return ["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
+            "--size", "8"]
+
+
+def _wd_routes_differ_by_big(monkeypatch, tmp_path, example_code):
+    monkeypatch.setattr("hrmc.macwilliams.macwilliams_transform",
+                        lambda ctx, counts, size, t: (1, 3, 24, -BIG))
+    return ["wd", "--input", write_code_file(tmp_path,
+                                             dual_code(example_code))]
+
+
+def _mhrd_sum_is_big(monkeypatch, tmp_path, example_code):
+    monkeypatch.setattr("hrmc.moments.gauss", lambda ctx, x, k: BIG)
+    return ["mhrd", "--q", "2", "--t", "3", "--d", "3"]
+
+
+@pytest.mark.parametrize("inject", [
+    _eigen_tables_differ_by_big, _macwilliams_routes_differ_by_big,
+    _wd_routes_differ_by_big, _mhrd_sum_is_big])
+def test_failed_checks_name_values_past_the_str_limit(capsys, monkeypatch,
+                                                      tmp_path, example_code,
+                                                      inject):
+    """A failed check whose message names an int of more than 4300
+    digits is one error line and exit 1, not a ValueError traceback: the
+    value is named by its power of two."""
+    argv = inject(monkeypatch, tmp_path, example_code)
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert_one_error_line(out, err)
+    assert re.search(r"at (least |most -)2\^\d+", err)
 
 
 @pytest.mark.parametrize("total,workers,cpus,parts", [
@@ -681,7 +728,7 @@ def test_tiny_enumerations_start_no_pool(capsys, monkeypatch, tmp_path,
     the 65536 matrices of q=2, t=4 still fork one child."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    words = cli.MIN_WORDS_PER_PROCESS
+    words = workers.MIN_WORDS_PER_PROCESS
     assert len(_index_ranges(2 * words - 1, 2)) == 1
     assert len(_index_ranges(2 * words, 2)) == 2
     path = write_code_file(tmp_path, example_code)
@@ -837,6 +884,13 @@ _CLOSED_FORMS = [
 ]
 
 
+# The module that defines each function the closed-form commands compute by.
+_MODULE_OF = {"build_eigen_table_recurrence": "eigen",
+              "macwilliams_eigen": "macwilliams",
+              "macwilliams_transform": "macwilliams",
+              "mhrd_distribution": "moments"}
+
+
 @pytest.mark.parametrize("argv,compute,key,estimate", _CLOSED_FORMS)
 def test_closed_forms_refuse_outputs_over_the_guard(capsys, monkeypatch, argv,
                                                      compute, key, estimate):
@@ -851,7 +905,7 @@ def test_closed_forms_refuse_outputs_over_the_guard(capsys, monkeypatch, argv,
 
     def unreachable(*args):
         raise AssertionError("computed before the guard check")
-    monkeypatch.setattr(f"hrmc.macwilliams.{compute}", unreachable)
+    monkeypatch.setattr(f"hrmc.{_MODULE_OF[compute]}.{compute}", unreachable)
     rc, out, err = run(capsys, argv + ["--guard", str(estimate - 1)])
     assert rc == 2
     assert_one_error_line(out, err)
@@ -897,7 +951,7 @@ def test_closed_forms_refuse_work_over_the_guard(capsys, monkeypatch, argv,
         assert sum(map(int, payload["counts"])) == 2 ** 80
 
     for name in computes:
-        monkeypatch.setattr(f"hrmc.macwilliams.{name}", _unreachable)
+        monkeypatch.setattr(f"hrmc.{_MODULE_OF[name]}.{name}", _unreachable)
     monkeypatch.setattr("hrmc.polynomials.negq_product", _unreachable)
     monkeypatch.setattr("hrmc.negq._gauss_q", _unreachable)
     rc, out, err = run(capsys, argv + ["--guard", str(estimate - 1)])
@@ -931,13 +985,13 @@ def test_mhrd_refuses_sums_over_the_default_guard(capsys, monkeypatch):
                               "--format", "json"])
     assert rc == 0
     assert sum(map(int, json.loads(out)["counts"])) == 2 ** 600
-    monkeypatch.setattr("hrmc.macwilliams.mhrd_distribution",
+    monkeypatch.setattr("hrmc.moments.mhrd_distribution",
                         lambda ctx, t, d, dual_size: (1,) + (0,) * t)
     for q, t, d in [(2, 148, 1), (3, 40, 5)]:
         rc, out, _ = run(capsys, ["mhrd", "--q", str(q), "--t", str(t),
                                   "--d", str(d)])
         assert rc == 0
-    monkeypatch.setattr("hrmc.macwilliams.mhrd_distribution", _unreachable)
+    monkeypatch.setattr("hrmc.moments.mhrd_distribution", _unreachable)
     for q, t, d in [(2, 149, 1), (2, 300, 1), (2, 376, 319), (2, 250, 151),
                     (2147483647, 121, 1)]:
         start = time.perf_counter()
@@ -1107,62 +1161,127 @@ def test_verify_table_lines(capsys):
     assert len([ln for ln in out.splitlines() if " passed " in ln]) == 12
 
 
+# Standard modules no command needs (a wd that counts the code itself
+# needs no fractions either); each is reported when loaded.
+_WATCHED = ("dataclasses", "fractions", "multiprocessing")
+
 # Runs hrmc.cli.main on each argv list in a fresh interpreter and reports
-# which of the watched modules the package loaded; "1" as the second
-# argument does in-process what the two_cpus fixture does.
+# the hrmc and watched modules it loaded; "1" as the second argument does
+# in-process what the two_cpus fixture does.
 _IMPORT_PROBE = """
 import contextlib, io, json, os, sys
 before = set(sys.modules)
 from hrmc import cli
 if sys.argv[2] == "1":
+    from hrmc import workers
     os.sched_getaffinity = lambda pid: {0, 1}
-    cli.MIN_WORDS_PER_PROCESS = 1
+    workers.MIN_WORDS_PER_PROCESS = 1
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-watched = ("dataclasses", "multiprocessing", "hrmc.fields", "hrmc.hermitian",
-           "hrmc.codes", "hrmc.macwilliams", "hrmc.polynomials", "hrmc.verify")
-print(json.dumps({"rc": codes, "loaded": [
-    m for m in watched if m in sys.modules and m not in before]}))
-"""
+print(json.dumps({"rc": codes, "loaded": sorted(
+    m for m in set(sys.modules) - before
+    if m.startswith("hrmc") or m in %r)}))
+""" % (_WATCHED,)
+
+
+def _src_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                              else ""))
 
 
 def _modules_loaded_by(argvs, two_cpus=False):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs),
          "1" if two_cpus else "0"],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+        check=True)
     report = json.loads(proc.stdout)
     assert report["rc"] == [0] * len(argvs)
-    return report["loaded"]
+    return set(report["loaded"])
+
+
+# Loaded through PYTHONPATH at start-up as sitecustomize: at exit, writes
+# the hrmc and watched modules of sys.modules to stderr as its last line.
+_EXIT_PROBE = """
+import atexit, sys
+
+def report():
+    loaded = sorted(m for m in sys.modules
+                    if m.startswith("hrmc") or m in %r)
+    sys.stderr.write(" ".join(loaded) + "\\n")
+
+atexit.register(report)
+""" % (_WATCHED,)
+
+
+def _modules_at_exit(tmp_path, args):
+    """The hrmc and watched modules loaded when ``python args...`` exits,
+    by its own interpreter: the entry that users and the benchmark run."""
+    probe = tmp_path / "probe"
+    probe.mkdir(exist_ok=True)
+    (probe / "sitecustomize.py").write_text(_EXIT_PROBE)
+    env = _src_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(probe), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-400:]
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+# The hrmc modules each command loads beyond hrmc, hrmc.cli, its own
+# hrmc.cmd_<name>, hrmc.cost and hrmc.errors.
+_FIELD = {"hrmc._value", "hrmc.fields"}
+_ENUMERATION = _FIELD | {"hrmc.hermitian", "hrmc.codes"}
+_NEGQ = {"hrmc._value", "hrmc.negq", "fractions"}
+_TRANSFORM = _NEGQ | {"hrmc.macwilliams", "hrmc.polynomials"}
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
-    """Start-up is most of a small command's time, so no command loads
-    dataclasses, and each loads only the layers it runs: fields, hermitian
-    and codes to enumerate, macwilliams for the closed forms,
-    hrmc.polynomials for the transform route and hrmc.verify for the
-    verify suites; --workers forks its children and loads no
-    multiprocessing."""
+    """Start-up is most of a small command's time, and without a bytecode
+    cache most of start-up is compiling, so each command loads only the
+    modules on its route: the enumeration layers (fields, hermitian,
+    codes) and the forked counting (workers) where it counts words, the
+    eigenvalue tables for eigen, the moments for mhrd and dual, the two
+    MacWilliams routes and the polynomial algebra where it transforms, and
+    the calculus and the suites for verify. A wd that counts the code
+    itself loads neither negq nor fractions, and no command loads
+    dataclasses, multiprocessing or the object route of hermitian_space.
+    The same holds through ``python -m hrmc.cli``, where the module is
+    __main__ and no command module imports hrmc.cli again; and for the
+    benchmark's set-up, which imports hrmc.cli and builds fields."""
     code = write_code_file(tmp_path, example_code)
     dual = write_code_file(tmp_path, dual_code(example_code), "dual.json")
-    enumeration = ["hrmc.fields", "hrmc.hermitian", "hrmc.codes"]
-    transform = ["hrmc.macwilliams", "hrmc.polynomials"]
-    for argv, loaded in [
-        (["count", "--q", "2", "--t", "2"], enumeration),
-        (["wd", "--input", code], enumeration),  # the smaller side
-        (["eigen", "--q", "2", "--t", "3"], ["hrmc.macwilliams"]),
-        (["mhrd", "--q", "2", "--t", "3", "--d", "3"], ["hrmc.macwilliams"]),
+    cases = [
+        (["count", "--q", "2", "--t", "2"],
+         _ENUMERATION | _NEGQ | {"hrmc.workers"}),
+        (["wd", "--input", code],  # the smaller side: the code itself
+         _ENUMERATION | {"hrmc.workers"}),
+        (["eigen", "--q", "2", "--t", "3"], _NEGQ | {"hrmc.eigen"}),
+        (["mhrd", "--q", "2", "--t", "3", "--d", "3"],
+         _NEGQ | {"hrmc.moments"}),
         (["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
-          "--size", "8"], transform),
-        (["wd", "--input", dual, "--workers", "2"], enumeration + transform),
-        (["dual", "--input", code], enumeration + transform),
+          "--size", "8"], _TRANSFORM),
+        (["wd", "--input", dual, "--workers", "2"],
+         _ENUMERATION | _TRANSFORM | {"hrmc.workers"}),
+        (["dual", "--input", code],
+         _ENUMERATION | _TRANSFORM | {"hrmc.moments"}),
         (["verify", "--q", "2", "--t", "2", "--trials", "2"],
-         enumeration + transform + ["hrmc.verify"]),
-    ]:
-        assert _modules_loaded_by([argv]) == loaded, argv
+         _ENUMERATION | _TRANSFORM | {"hrmc.moments", "hrmc.eigen",
+                                      "hrmc.calculus", "hrmc.verify"}),
+    ]
+    for argv, loaded in cases:
+        base = {"hrmc", "hrmc.cost", "hrmc.errors", f"hrmc.cmd_{argv[0]}"}
+        assert _modules_loaded_by([argv]) == base | {"hrmc.cli"} | loaded, argv
+        assert _modules_at_exit(tmp_path, ["-m", "hrmc.cli", *argv]) \
+            == base | loaded, argv
     assert _modules_loaded_by(
         [["count", "--q", "2", "--t", "4", "--workers", "2"]],
-        two_cpus=True) == enumeration
+        two_cpus=True) == {"hrmc", "hrmc.cli", "hrmc.cost", "hrmc.errors",
+                           "hrmc.cmd_count", "hrmc.workers"} \
+        | _ENUMERATION | _NEGQ
+    setup = ("import hrmc.cli\nfrom hrmc.fields import make_field\n"
+             "make_field(2, 1).subfield_indices()\n")
+    assert _modules_at_exit(tmp_path, ["-c", setup]) == {
+        "hrmc", "hrmc.cli", "hrmc.cost", "hrmc.errors"} | _FIELD

@@ -26,14 +26,13 @@ from hrmc.errors import (
     ZeroCode,
 )
 from hrmc.fields import make_field
-from hrmc.hermitian import (
-    HermitianMatrix,
+from hrmc.hermitian import HermitianMatrix, zero_matrix
+from hrmc.hermitian_space import (
     enumerate_hermitian,
     hermitian_from_index,
     inner_product,
     rank,
     total_hermitian,
-    zero_matrix,
 )
 from hrmc.verify import random_code, sample_codes
 
@@ -293,9 +292,9 @@ class RankOfRowsReached(Exception):
 def test_weight_distribution_needs_no_rank_of_rows(monkeypatch, code_corpus,
                                                    example_code):
     """The kernel ranks with its own packed elimination: with
-    hermitian.rank_of_rows made to raise in every hrmc module, weight
-    distributions still equal those counted through hermitian.rank before
-    the patch."""
+    hermitian_space.rank_of_rows made to raise in every hrmc module,
+    weight distributions still equal those counted through
+    hermitian_space.rank before the patch."""
     cases = [example_code] + [c for samples in code_corpus.values()
                               for s in samples[:4] for c in (s.code, s.dual)]
     want = [_counts_by_rank(c) for c in cases]

@@ -5,6 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hrmc.cost import prime_factors
 from hrmc.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -22,7 +23,6 @@ from hrmc.fields import (
     field_from_jsonable,
     make_field,
 )
-from hrmc.negq import prime_factors
 
 SMALL = [(2, 1), (3, 1), (2, 2)]                      # order <= 16, exhaustive
 MEDIUM = SMALL + [(5, 1), (7, 1), (2, 3), (3, 2),     # order <= 256

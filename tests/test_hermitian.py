@@ -10,20 +10,22 @@ from hrmc.codes import _Packing
 from hrmc.cost import check_guard, check_power_guard
 from hrmc.errors import DimensionMismatch, EnumerationTooLarge
 from hrmc.fields import make_field
+from hrmc.eigen import full_space_distribution
 from hrmc.hermitian import (
     HermitianMatrix,
+    is_hermitian,
+    matrix_from_jsonable,
+    zero_matrix,
+)
+from hrmc.hermitian_space import (
     enumerate_hermitian,
     hermitian_from_index,
     inner_product,
-    is_hermitian,
-    matrix_from_jsonable,
     matrix_to_index,
     rank,
     rank_of_rows,
     total_hermitian,
-    zero_matrix,
 )
-from hrmc.macwilliams import full_space_distribution
 from hrmc.negq import NegQContext
 
 CENSUS = {

@@ -8,23 +8,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc import macwilliams
-from hrmc.errors import (
-    EvenMinimumDistance,
-    IndexOutOfRange,
-    NonIntegralDual,
-)
-from hrmc.macwilliams import (
+from hrmc import eigen, macwilliams, moments
+from hrmc.eigen import (
     build_eigen_table,
     build_eigen_table_C,
     build_eigen_table_recurrence,
-    delta_fn,
-    epsilon_fn,
     full_space_distribution,
     krawtchouk_C,
     krawtchouk_Q,
-    macwilliams_eigen,
-    macwilliams_transform,
+)
+from hrmc.errors import (
+    CheckFailed,
+    EvenMinimumDistance,
+    IndexOutOfRange,
+    NonIntegralDual,
+    UsageError,
+)
+from hrmc.macwilliams import macwilliams_eigen, macwilliams_transform
+from hrmc.moments import (
+    delta_fn,
+    epsilon_fn,
     mhrd_distribution,
     moment_q,
     moment_q_low,
@@ -262,6 +265,25 @@ def test_mhrd_rejections():
         mhrd_distribution(CTX2, 3, 3, 17)    # wrong dual size
 
 
+def test_mhrd_names_huge_sizes_in_its_errors(monkeypatch):
+    """A wrong dual size of more than 4300 digits is a UsageError that
+    names the sizes by their powers of two, and so is a failed check on
+    the counts, where str() would raise a ValueError."""
+    with pytest.raises(UsageError, match=r"dual size must be at least "
+                                         r"2\^15000, got 1"):
+        mhrd_distribution(CTX2, 150, 101, 1)
+    monkeypatch.setattr(moments, "gauss", lambda ctx, x, k: 10 ** 5000)
+    with pytest.raises(CheckFailed, match=r"at (least |most -)2\^\d+"):
+        mhrd_distribution(CTX2, 3, 3, 2 ** 6)
+
+
+def test_eigen_route_names_a_huge_fraction():
+    """A non-integral dual count past 4300 digits names its numerator by
+    its power of two."""
+    with pytest.raises(NonIntegralDual, match=r"came out at least 2\^\d+/3"):
+        macwilliams_eigen(CTX2, (1, 10 ** 5000), 3, 1)
+
+
 def test_eigen_table_json():
     table = build_eigen_table(CTX2, 3)
     js = table.to_jsonable()
@@ -344,7 +366,7 @@ def test_eigen_routes_stay_independent(monkeypatch):
                               full // dual_size))
             duals = [(counts, size, macwilliams_eigen(ctx, counts, size, t))
                      for counts, size in dists]
-            tables = {route[0]: getattr(macwilliams, route[0])(ctx, t)
+            tables = {route[0]: getattr(eigen, route[0])(ctx, t)
                       for route in _ROUTES}
             cases.append((ctx, t, tables, duals))
 
@@ -356,12 +378,12 @@ def test_eigen_routes_stay_independent(monkeypatch):
                         + list(shared))
             for other in others:
                 with pytest.raises(RouteCrossed):
-                    getattr(macwilliams, other[0])(CTX2, 1)
+                    getattr(eigen, other[0])(CTX2, 1)
             if route is not _Q_ROUTE:
                 with pytest.raises(RouteCrossed):
                     macwilliams.macwilliams_eigen(CTX2, (1, 0), 1, 1)
             for ctx, t, tables, duals in cases:
-                build = getattr(macwilliams, route[0])
+                build = getattr(eigen, route[0])
                 assert build(ctx, t) == tables[route[0]]
                 if route is _Q_ROUTE:
                     for counts, size, want in duals:
@@ -383,7 +405,8 @@ def test_eigen_routes_use_no_other_t(monkeypatch):
         return wrapper
 
     names = _Q_ROUTE + _C_ROUTE + _R_ROUTE
-    originals = {fn: getattr(macwilliams, fn) for fn in names}
+    originals = {fn: getattr(macwilliams if fn == "_q_weights" else eigen, fn)
+                 for fn in names}
     for name, module in list(sys.modules.items()):
         if name == "hrmc" or name.startswith("hrmc."):
             for fn in names:
@@ -393,13 +416,13 @@ def test_eigen_routes_use_no_other_t(monkeypatch):
     for ctx in (CTX2, CTX3):
         for t in range(7):
             calls.clear()
-            macwilliams.build_eigen_table(ctx, t)
+            eigen.build_eigen_table(ctx, t)
             assert calls == [("build_eigen_table", t), ("_q_weights", t)]
             calls.clear()
-            macwilliams.build_eigen_table_C(ctx, t)
+            eigen.build_eigen_table_C(ctx, t)
             assert calls == [("build_eigen_table_C", t)]
             calls.clear()
-            macwilliams.build_eigen_table_recurrence(ctx, t)
+            eigen.build_eigen_table_recurrence(ctx, t)
             assert calls == [("build_eigen_table_recurrence", t)]
             calls.clear()
             macwilliams.macwilliams_eigen(ctx, (1,) + (0,) * t, 1, t)

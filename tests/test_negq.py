@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hrmc.cost import prime_factors
 from hrmc.errors import EnumerationTooLarge, LengthMismatch, UsageError
 from hrmc.negq import (
     NegQContext,
@@ -13,7 +14,6 @@ from hrmc.negq import (
     gamma_fn,
     gauss,
     gauss_ext,
-    prime_factors,
     sequence_forward,
     sequence_inversion,
     triangle,

@@ -9,28 +9,30 @@ from functools import cache
 import pytest
 
 from hrmc.errors import ContextMismatch, NonIntegralResult, UsageError
-from hrmc import polynomials, verify
+from hrmc import calculus, polynomials, verify
 from hrmc.negq import NegQContext, beta_fn, triangle
+from hrmc.calculus import (
+    div_x,
+    div_y,
+    evaluate,
+    negq_derivative,
+    negq_inv_derivative,
+    poly_add,
+    poly_scale,
+    scale_y,
+    shift_lambda,
+)
 from hrmc.polynomials import (
     ConcretePoly,
     LambdaPoly,
     concretize,
-    div_x,
-    div_y,
-    evaluate,
     mu_poly,
-    negq_derivative,
-    negq_inv_derivative,
     negq_power,
     negq_product,
     negq_transform,
     nu_poly,
     one_poly,
-    poly_add,
     poly_from_jsonable,
-    poly_scale,
-    scale_y,
-    shift_lambda,
 )
 from hrmc.verify import (
     mu_power_coeff,
@@ -269,13 +271,13 @@ def test_lambda_free_is_set_by_construction():
     even when its coefficients ignore lambda."""
     nu, mu = nu_poly(CTX2), mu_poly(CTX2)
     free = [one_poly(CTX2), nu, negq_power(nu, 3), shift_lambda(nu, 2),
-            polynomials.poly_add(nu, one_poly(CTX2)),
-            polynomials.poly_scale(nu, 3), negq_derivative(negq_power(nu, 2), 1),
+            calculus.poly_add(nu, one_poly(CTX2)),
+            calculus.poly_scale(nu, 3), negq_derivative(negq_power(nu, 2), 1),
             negq_transform([1, 2], nu, nu)]
     assert all(p._free for p in free)
     user = LambdaPoly(CTX2, 1, lambda i, lam: (1, -1)[i])
     dependent = [mu, user, negq_product(nu, mu), negq_product(user, nu),
-                 polynomials.poly_add(nu, mu), negq_transform([1, 2], nu, mu)]
+                 calculus.poly_add(nu, mu), negq_transform([1, 2], nu, mu)]
     assert not any(p._free for p in dependent)
     for lam in (0, 3):
         user.row(lam)
@@ -548,15 +550,16 @@ def test_scaled_rows_match_a_fraction_reference(q):
 
 def test_leibniz_builds_fractions_only_in_output_functions():
     """While leibniz trials run (both rules, phi 0..4, q 2 and 3), the
-    operators of hrmc.polynomials build no Fraction: they work on ints
-    over a power of b, and only row, evaluate and concretize divide.
-    polys_equal compares scaled rows, so the suite divides nothing. A
-    construction is charged to the innermost hrmc.polynomials frame
-    that is not a comprehension or the shared division ``_quotient``."""
+    operators of hrmc.polynomials and hrmc.calculus build no Fraction:
+    they work on ints over a power of b, and only row, evaluate and
+    concretize divide. polys_equal compares scaled rows, so the suite
+    divides nothing. A construction is charged to the innermost frame of
+    the two modules that is not a comprehension or the shared division
+    ``_quotient``."""
     built = {Fraction.__new__.__code__}
     if hasattr(Fraction, "_from_coprime_ints"):
         built.add(Fraction._from_coprime_ints.__func__.__code__)
-    here = polynomials.__file__
+    here = {polynomials.__file__, calculus.__file__}
     passed = {"<listcomp>", "<genexpr>", "_quotient"}
     charged = Counter()
 
@@ -564,7 +567,7 @@ def test_leibniz_builds_fractions_only_in_output_functions():
         if event != "call" or frame.f_code not in built:
             return
         frame = frame.f_back
-        while frame is not None and (frame.f_code.co_filename != here
+        while frame is not None and (frame.f_code.co_filename not in here
                                      or frame.f_code.co_name in passed):
             frame = frame.f_back
         charged[frame and frame.f_code.co_name] += 1

@@ -9,9 +9,10 @@ from hrmc.codes import LinearCode, WeightDistribution
 from hrmc.errors import ContextMismatch, DimensionMismatch, UsageError
 from hrmc.fields import FieldElement
 from hrmc.hermitian import HermitianMatrix
-from hrmc.macwilliams import EigenTable
+from hrmc.calculus import poly_add
+from hrmc.eigen import EigenTable
 from hrmc.negq import NegQContext
-from hrmc.polynomials import ConcretePoly, LambdaPoly, poly_add
+from hrmc.polynomials import ConcretePoly, LambdaPoly
 from hrmc.verify import CodeSample, SuiteResult
 
 
