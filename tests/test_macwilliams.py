@@ -23,6 +23,7 @@ from hrmc.errors import (
     IndexOutOfRange,
     NonIntegralDual,
     UsageError,
+    shown,
 )
 from hrmc.macwilliams import macwilliams_eigen, macwilliams_transform
 from hrmc.moments import (
@@ -119,13 +120,14 @@ def test_recurrence_table_is_orthogonal_and_symmetric(q):
 
 def _dual_by_definition(ctx, counts, size, t):
     """sum_x counts[x] * Q_k(x) / size for each k, or, at the first k where
-    that is not a non-negative integer, the NonIntegralDual message."""
+    that is not a non-negative integer, the NonIntegralDual message, which
+    names a value of 2^64 or more in size by its power of two."""
     out = []
     for k in range(t + 1):
         v = Fraction(sum(c * krawtchouk_Q(ctx, k, x, t)
                          for x, c in enumerate(counts)), size)
         if v.denominator != 1 or v < 0:
-            return f"dual count {k} came out {v}"
+            return f"dual count {k} came out {shown(v)}"
         out.append(int(v))
     return tuple(out)
 
