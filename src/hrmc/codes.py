@@ -19,38 +19,46 @@ cells, and the null space, reduced once, is the dual's canonical basis.
 Enumeration has one kernel, on packed words: a whole t x t word is one
 int with a lane per base-p digit of each cell (see ``_Packing``), so
 adding two words is one ``^`` in characteristic 2 and one SWAR add
-otherwise, and a row is a shift-and-mask slice. Word ``index`` of a code
-is the combination of the generators whose coefficients are the base-q
-digits of the index, the first generator's digit most significant, each
-digit picking a subfield element in ascending index order. ``_words``
-walks any index range of that order over any base word: it adds each
-prefix of the leading generators, summed once, to every word of a list
-of the span of the trailing generators. :func:`rank_counts` ranks words
-with the packed elimination ``_Packing.rank``, written apart from
-``hermitian_space.rank_of_rows``, and visits only the words whose first
-nonzero coefficient is 1: scaling by GF(q)* keeps the rank, so each such
-word stands for its q - 1 nonzero multiples.
+otherwise, and a row is a shift-and-mask slice. Word ``index`` of a
+basis is the combination of its generators whose coefficients are the
+base-q digits of the index, the first generator's digit most
+significant, each digit picking a subfield element in ascending index
+order. ``_runs`` walks any index range of that order over any base word
+as (prefix, words) pairs: each prefix of the leading generators, summed
+once, serves a list of the span of the trailing generators.
+
+:func:`rank_counts` counts in the order of a basis of its own, the
+code's basis reduced with the coordinates of the top t // 2 rows (the
+head) first, so that its trailing generators span K, the words whose
+head is zero. It visits only the words whose first nonzero coefficient
+is 1: scaling by GF(q)* keeps the rank, so each such word stands for its
+q - 1 nonzero multiples. The words of a coset h + K share their head and
+follow each other, so the kernel reduces the head rows once per coset and
+each word only its other rows, with the packed elimination of
+``_Packing``, written apart from ``hermitian_space.rank_of_rows``.
 
 An enumeration builds one packing, the q multiples of each generator its
 walk lists (:func:`rank_counts` reads only the word of a block's leading
-generator, and no generator before the first block it counts) and one
-list of at most ``_RUN_LIMIT`` words (or q, if more), shared by every
-projective block. The packing builds nothing up front: its memos (lead
-rows, head states, lane conversions) fill as words need them and each
-starts over at ``_CACHE_LIMIT`` entries, so nothing grows with the field
-order. :func:`rank_counts` is what
-:func:`weight_distribution`, :func:`min_distance` and the CLI (census,
-``wd`` and every ``--workers`` process) count with, and ranges of
-[0, q^k) split anywhere add up to the whole distribution.
-:func:`enumerate_codewords` and :func:`codeword_from_index` decode the
-same walker's words to matrices, in index order.
+generator, and no generator before the first block it counts), a list
+of at most ``_RUN_LIMIT`` words of K (or q, if more), shared by every
+coset, and, where that list holds all of K, one as long of the span of
+the trailing head generators, to which each prefix of the others is
+added to give the cosets' prefixes. The packing builds nothing up
+front: its memos (lead rows, lane conversions) fill as words need them
+and each starts over at ``_CACHE_LIMIT`` entries, so nothing grows with
+the field order.
+:func:`rank_counts` is what :func:`weight_distribution`,
+:func:`min_distance` and the CLI (census, ``wd`` and every ``--workers``
+process) count with, and ranges of [0, q^k) split anywhere add up to
+the whole distribution. :func:`enumerate_codewords` and
+:func:`codeword_from_index` decode the same walker's words of the code's
+own basis to matrices, in index order.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 
 from ._value import Value, json_int
 from .errors import (
@@ -145,39 +153,52 @@ def vectorize(m: HermitianMatrix, theta: int) -> list[int]:
     return coords
 
 
-def devectorize(field: Field, t: int, coords: list[int],
-                theta: int) -> HermitianMatrix:
-    grid = [[0] * t for _ in range(t)]
+def _grid(field: Field, t: int, coords: list[int], theta: int) -> list[int]:
+    """Element indices, row-major, of the matrix of subfield coordinates.
+    The lower cell u + v*conj(theta) is the conjugate of the upper one,
+    since conjugation fixes u and v."""
+    add, mul = field.add, field.mul
+    theta_bar = field.conj_index(theta)
+    grid = [0] * (t * t)
     for i in range(t):
-        grid[i][i] = coords[i]
+        grid[i * t + i] = coords[i]
     pos = t
     for i in range(t):
         for j in range(i + 1, t):
             u, v = coords[pos], coords[pos + 1]
             pos += 2
-            h = field.add(u, field.mul(v, theta))
-            grid[i][j] = h
-            grid[j][i] = field.conj_index(h)
+            grid[i * t + j] = add(u, mul(v, theta))
+            grid[j * t + i] = add(u, mul(v, theta_bar))
+    return grid
+
+
+def devectorize(field: Field, t: int, coords: list[int],
+                theta: int) -> HermitianMatrix:
+    grid = [field.from_index(x) for x in _grid(field, t, coords, theta)]
     return HermitianMatrix(field, t, tuple(
-        tuple(field.from_index(x) for x in row) for row in grid))
+        tuple(grid[i:i + t]) for i in range(0, t * t, t)))
 
 
-def _rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _rref(field: Field, rows: list[list[int]],
+          cols=None) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over the subfield; returns (rows, pivot cols).
 
-    All arithmetic stays inside the subfield because the inputs do.
+    Pivots are sought column by column in the order of ``cols``, by
+    default ascending. All arithmetic stays inside the subfield because
+    the inputs do.
     """
     rows = [r[:] for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     rr = 0
-    for col in range(ncols):
+    for col in range(ncols) if cols is None else cols:
         sel = next((i for i in range(rr, len(rows)) if rows[i][col] != 0), None)
         if sel is None:
             continue
         rows[rr], rows[sel] = rows[sel], rows[rr]
-        inv = field.inv(rows[rr][col])
-        rows[rr] = [field.mul(inv, x) for x in rows[rr]]
+        if rows[rr][col] != 1:  # element index 1 is the field's one
+            inv = field.inv(rows[rr][col])
+            rows[rr] = [field.mul(inv, x) for x in rows[rr]]
         for i in range(len(rows)):
             if i != rr and rows[i][col] != 0:
                 f = rows[i][col]
@@ -262,19 +283,18 @@ class _Packing:
     top bit of the lane after adding 2^(w-1) - p. In characteristic 2 a
     cell's lanes are its element index.
 
-    :attr:`rank` inserts rows into a basis keyed by lead column. A row is
-    first scaled to lead 1; if that column already has a basis row, the
+    :meth:`reduce` inserts rows into a basis keyed by lead column. A row
+    is first scaled to lead 1; if that column already has a basis row, the
     difference of the two replaces the row (same span, that column
     cleared), else the scaled row joins the basis. The lead column is the
     lowest set bit of the row; the scaled row and its negative are cached
     per row in a dict filled on first use, as are, for odd p, the
-    conversions between a cell's lanes and its element index. The basis
-    and rank after the first t // 2 rows are memoised per value of those
-    rows, one shared tuple for equal states, so a word reduces only its
-    other rows. Nothing is built up front, and each memo starts over when
-    it reaches ``_CACHE_LIMIT`` entries, so memory stays bounded in every
-    field. Each enumeration makes its own packing and drops it at the end;
-    none is kept on the field, so a pickled field carries none of it.
+    conversions between a cell's lanes and its element index.
+    :meth:`count_ranks` runs the same elimination inline over many words.
+    Nothing is built up front, and each memo starts over when it reaches
+    ``_CACHE_LIMIT`` entries, so memory stays bounded in every field. Each
+    enumeration makes its own packing and drops it at the end; none is
+    kept on the field, so a pickled field carries none of it.
     """
 
     def __init__(self, field: Field, t: int):
@@ -293,7 +313,6 @@ class _Packing:
         self._lanes: dict[int, int] = {}  # element index -> lanes, odd p
         self._indices: dict[int, int] = {}  # lanes -> element index, odd p
         self._lead: dict[int, tuple[int, int, int]] = {}
-        self.rank = self._make_rank()
 
     # -- cells and words --
 
@@ -371,17 +390,17 @@ class _Packing:
         return HermitianMatrix(field, t, tuple(
             tuple(grid[i:i + t]) for i in range(0, t * t, t)))
 
-    def generators(self, code: "LinearCode", start: int = 0) -> list[list[int]]:
-        """scaled[j][d]: generator j times the d-th subfield element, in
-        ascending index order, so scaled[j][0] is zero and scaled[j][1]
-        the generator itself. A generator before ``start`` gets only those
-        two, for a walk that never lists its other multiples."""
+    def generators(self, grids, start: int = 0) -> list[list[int]]:
+        """scaled[j][d]: the word of grids[j] (element indices, row-major)
+        times the d-th subfield element, in ascending index order, so
+        scaled[j][0] is zero and scaled[j][1] the word itself. A generator
+        before ``start`` gets only those two, for a walk that never lists
+        its other multiples."""
         others = self.field.subfield_indices()[2:]
         mul, cell, bits = self.field.mul, self.cell, self.cell_bits
         scaled = []
-        for j, g in enumerate(code.generators):
-            cells = [(pos * bits, x) for pos, x in enumerate(
-                x.index for row in g.entries for x in row) if x]
+        for j, grid in enumerate(grids):
+            cells = [(pos * bits, x) for pos, x in enumerate(grid) if x]
             scaled.append([0, sum(cell(x) << shift for shift, x in cells),
                            *(sum(cell(mul(s, x)) << shift for shift, x in cells)
                              for s in (others if j >= start else ()))])
@@ -410,70 +429,93 @@ class _Packing:
         found = cache[row] = (col, scaled, self.neg(scaled))
         return found
 
-    def _make_rank(self):
-        t, p, w1 = self.t, self.p, self.w - 1
-        carry, top = self.carry, self.top
-        row_bits = self.row_bits
-        row_mask = (1 << row_bits) - 1
+    def reduce(self, word: int, shifts, basis: list[int]) -> int:
+        """Insert the rows of a packed word at ``shifts`` into ``basis``
+        (basis[c]: minus the basis row with lead c, else 0) and return how
+        many joined it."""
+        row_mask = (1 << self.row_bits) - 1
+        add, leads, lead_of = self.add, self._lead, self._lead_of
+        joined = 0
+        for shift in shifts:
+            row = (word >> shift) & row_mask
+            while row:
+                col, scaled, negated = leads.get(row) or lead_of(row)
+                b = basis[col]
+                if not b:
+                    basis[col] = negated
+                    joined += 1
+                    break
+                row = add(scaled, b)
+        return joined
+
+    def rank(self, word: int) -> int:
+        """Rank over GF(q^2) of a packed t x t matrix."""
+        t, bits = self.t, self.row_bits
+        return self.reduce(word, range(0, t * bits, bits), [0] * t)
+
+    def count_ranks(self, runs) -> list[int]:
+        """counts[r]: the words of rank r among add(prefix, w), for each
+        (prefix, words) of ``runs`` and each w of its words. Every such w
+        must have zero top t // 2 rows (the head).
+
+        So a word's head is its prefix's: the head rows are reduced once
+        for each run whose prefix's head differs from the run before, and
+        each word reduces only its other rows, into a copy of that state.
+        This is :meth:`reduce` in one loop, with the lead lookup and the
+        add inlined.
+        """
+        t, p, w1, carry, top = self.t, self.p, self.w - 1, self.carry, self.top
+        bits = self.row_bits
+        row_mask = (1 << bits) - 1
         half = t // 2
-        head_mask = (1 << (half * row_bits)) - 1
-        head_shifts = [i * row_bits for i in range(half)]
-        tail_shifts = [i * row_bits for i in range(half, t)]
-        leads, lead_of = self._lead, self._lead_of
-        states: dict[int, tuple[int, ...]] = {}  # head rows -> (rank, *basis)
-        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        head_mask = (1 << (half * bits)) - 1
+        head_shifts = range(0, half * bits, bits)
+        tail_shifts = tuple(range(half * bits, t * bits, bits))
+        leads, lead_of, reduce = self._lead, self._lead_of, self.reduce
         xor = p == 2
-
-        def head_state(head: int) -> tuple[int, ...]:
-            if len(states) >= _CACHE_LIMIT:
-                states.clear()
-                interned.clear()
-            basis = [0] * t
-            state = (rank(head, head_shifts, basis), *basis)
-            state = states[head] = interned.setdefault(state, state)
-            return state
-
-        def rank(word: int, shifts=tail_shifts, basis=None) -> int:
-            """Rank over GF(q^2) of a packed t x t matrix. Given a basis
-            (basis[c]: minus the basis row with lead c), the rows at
-            ``shifts`` join it instead, and the count that joined is
-            returned."""
-            if basis is None:
-                head = word & head_mask
-                try:
-                    r, *basis = states[head]
-                except KeyError:
-                    r, *basis = head_state(head)
-            else:
-                r = 0
-            for shift in shifts:
-                row = (word >> shift) & row_mask
-                while row:
-                    try:
-                        col, scaled, negated = leads[row]
-                    except KeyError:
-                        col, scaled, negated = lead_of(row)
-                    b = basis[col]
-                    if not b:
-                        basis[col] = negated
-                        r += 1
-                        break
-                    if xor:  # self.add, inlined in the kernel's inner loop
-                        row = scaled ^ b
-                    else:
-                        s = scaled + b
-                        row = s - (((s + carry) & top) >> w1) * p
-            return r
-
-        return rank
+        counts = [0] * (t + 1)
+        last = state = joined = None
+        for prefix, words in runs:
+            if prefix & head_mask != last:
+                last = prefix & head_mask
+                state = [0] * t
+                joined = reduce(prefix, head_shifts, state)
+            for word in words:
+                if xor:
+                    word ^= prefix
+                else:
+                    s = prefix + word
+                    word = s - (((s + carry) & top) >> w1) * p
+                basis = state[:]
+                r = joined
+                for shift in tail_shifts:
+                    row = (word >> shift) & row_mask
+                    while row:
+                        try:
+                            col, scaled, negated = leads[row]
+                        except KeyError:
+                            col, scaled, negated = lead_of(row)
+                        b = basis[col]
+                        if not b:
+                            basis[col] = negated
+                            r += 1
+                            break
+                        if xor:
+                            row = scaled ^ b
+                        else:
+                            s = scaled + b
+                            row = s - (((s + carry) & top) >> w1) * p
+                counts[r] += 1
+        return counts
 
 
 # ----------------------------------------------------------- enumeration
 
 def _run(scaled: list[list[int]], add) -> tuple[int, list[int]]:
     """(n, words): the span of the last n generators listed in index
-    order, for the largest n >= 1 whose q^n words fit ``_RUN_LIMIT``
-    (one generator's span is its multiples, listed already)."""
+    order, for the largest n >= 1 whose q^n words fit ``_RUN_LIMIT`` (one
+    generator's span is its multiples, listed already); (0, [0]) for no
+    generator."""
     n, words = (1, scaled[-1]) if scaled else (0, [0])
     for multiples in reversed(scaled[:-1]):
         if len(words) * len(multiples) > _RUN_LIMIT:
@@ -483,34 +525,45 @@ def _run(scaled: list[list[int]], add) -> tuple[int, list[int]]:
     return n, words
 
 
-def _words(scaled: list[list[int]], base: int, start: int, stop: int, add,
-           run: tuple[int, list[int]] | None = None):
-    """Words start..stop-1 of base + span(generators), in index order.
+def _runs(scaled: list[list[int]], base: int, start: int, stop: int, add,
+          run: tuple[int, list[int]], prefix_run=None):
+    """Words start..stop-1 of base + span(generators), in index order, as
+    (prefix, words) pairs: add(prefix, w) for each w of the words.
 
     Word ``index`` adds to ``base`` the combination of the generators whose
     coefficients are the base-q digits of the index, the first generator's
     digit most significant; ``scaled[j][d]`` is generator j times the d-th
     subfield element. ``run`` (see :func:`_run`) lists the span of the
     last n generators of the enumeration that ``scaled`` ends, in which
-    the span of fewer trailing generators is a leading slice; ``None``
-    stands for the last generator's multiples. Each prefix of the other
-    generators is summed once, by the same walk without a run, and added
-    to every listed word it serves.
+    the span of fewer trailing generators is a leading slice. Each prefix
+    of the other generators is summed once, by :func:`_words` with
+    ``prefix_run``, and comes with the part of the list it serves.
     """
+    n, listed = run
+    size = len(listed)  # words per prefix, unless scaled is all listed
+    first, last = start // size, -(-stop // size)
+    prefixes = _words(scaled[:max(len(scaled) - n, 0)], base, first, last,
+                      add, prefix_run)
+    lo, hi = start - first * size, stop - (last - 1) * size
+    if last - first == 1:
+        return zip(prefixes, [listed[lo:hi]])
+    return zip(prefixes, chain([listed[lo:]], repeat(listed, last - first - 2),
+                               [listed[:hi]]))
+
+
+def _words(scaled: list[list[int]], base: int, start: int, stop: int, add,
+           run: tuple[int, list[int]] | None = None):
+    """The words of :func:`_runs` one by one; ``run`` defaults to the last
+    generator's multiples."""
     if not scaled:
         return iter([base] if start < stop else [])
-    n, listed = run or (1, scaled[-1])
-    n = min(n, len(scaled))
-    size = len(scaled[-1]) ** n  # words per prefix
-    first = start // size
-    prefixes = _words(scaled[:-n], base, first, -(-stop // size), add)
     return chain.from_iterable(
-        map(add, repeat(prefix), listed[max(start - pos, 0):stop - pos])
-        for pos, prefix in zip(count(first * size, size), prefixes))
+        map(add, repeat(prefix), words) for prefix, words in
+        _runs(scaled, base, start, stop, add, run or (1, scaled[-1])))
 
 
 def _block_of(q: int, k: int, point: int) -> int:
-    """The block (see :func:`_points`) that holds a point."""
+    """The block (see :func:`_point_runs`) that holds a point."""
     j, end = 0, q ** (k - 1)
     while end <= point:
         j += 1
@@ -518,8 +571,10 @@ def _block_of(q: int, k: int, point: int) -> int:
     return j
 
 
-def _points(scaled: list[list[int]], q: int, lo: int, hi: int, add, run):
-    """Words lo..hi-1 of those whose first nonzero coefficient is 1.
+def _point_runs(scaled: list[list[int]], q: int, lo: int, hi: int, add,
+                *runs):
+    """Words lo..hi-1 of those whose first nonzero coefficient is 1, as
+    the (prefix, words) pairs of :func:`_runs` with ``runs``.
 
     Block j of them is generator j plus every word of the span of the
     generators after it, in index order; the blocks follow each other.
@@ -533,10 +588,31 @@ def _points(scaled: list[list[int]], q: int, lo: int, hi: int, add, run):
         size = q ** (k - 1 - j)
         a, b = max(lo, first), min(hi, first + size)
         if a < b:
-            blocks.append(_words(scaled[j + 1:], scaled[j][1],
-                                 a - first, b - first, add, run))
+            blocks.append(_runs(scaled[j + 1:], scaled[j][1], a - first,
+                                b - first, add, *runs))
         first += size
     return chain.from_iterable(blocks)
+
+
+def _head_first(code: LinearCode) -> tuple[list[list[int]], int]:
+    """(grids, a): a basis of the code as element-index grids, its first
+    a generators with a pivot among the coordinates of the top t // 2
+    rows (the head), and the others a basis of the zero-head subcode K.
+
+    It is the code's basis reduced with the head coordinates taken first:
+    the diagonal entries of the head rows, then their upper entries,
+    which fill every cell of those rows.
+    """
+    field, t = code.field, code.t
+    half = t // 2
+    pairs = half * (t - 1) - half * (half - 1) // 2  # upper cells in the head
+    heads = [*range(half), *range(t, t + 2 * pairs)]
+    theta = _theta_index(field)
+    rows, pivots = _rref(
+        field, [vectorize(g, theta) for g in code.generators],
+        [*heads, *range(half, t), *range(t + 2 * pairs, t * t)])
+    return ([_grid(field, t, row, theta) for row in rows],
+            sum(c in heads for c in pivots))
 
 
 def _check_enumeration(code: LinearCode, guard: int | None) -> None:
@@ -554,36 +630,51 @@ def rank_counts(code: LinearCode, start: int, stop: int,
 
     The kernel order is the zero word, then every word whose first nonzero
     coefficient is 1 (a point) followed by its q - 2 other nonzero
-    subfield multiples, in ascending subfield index order. Scaling by
-    GF(q)* keeps the rank, so each point is ranked once and counts for
-    the multiples the range holds. The guard applies to the whole code,
-    so every split of [0, q^k) into ranges is refused or counted alike.
+    subfield multiples, in ascending subfield index order, the points in
+    the index order of the head-first basis (see :func:`_head_first`).
+    Scaling by GF(q)* keeps the rank, so each point is ranked once and
+    counts for the multiples the range holds. The trailing generators of
+    that basis span K, the words whose top t // 2 rows are zero, so the
+    points of each coset h + K are one contiguous run of that order: their
+    head rows are reduced once, and each point reduces only its other
+    rows. The guard applies to the whole code, so every split of
+    [0, q^k) into ranges is refused or counted alike.
     """
     _check_enumeration(code, guard)
     if not 0 <= start <= stop <= code.size:
         raise UsageError(f"range [{start}, {stop}) outside [0, {code.size})")
     t, q = code.t, code.field.q
     m = q - 1
-    counts = [0] * (t + 1)
-    if start == 0 < stop:
-        counts[0] = 1
     first = max(start, 1)
     if first >= stop:
-        return counts
+        return [int(start == 0 < stop)] + [0] * t
     pk = _Packing(code.field, t)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
     listed = _block_of(q, code.k, lo) + 1  # the first generator listed
-    scaled = pk.generators(code, listed)
-    rank, add, run = pk.rank, pk.add, _run(scaled[listed:], pk.add)
-    for r, n in Counter(map(rank, _points(scaled, q, lo, hi, add,
-                                          run))).items():
-        counts[r] += n * m
+    grids, n_head = _head_first(code)
+    scaled = pk.generators(grids, listed)
+    add = pk.add
+    # words of K only, then, where they take all of K, the head generators
+    tail = scaled[max(n_head, listed):]
+    runs = (_run(tail, add),)
+    if runs[0][0] >= len(tail):
+        runs += (_run(scaled[listed:n_head], add),)
+    counts = [n * m for n in pk.count_ranks(
+        _point_runs(scaled, q, lo, hi, add, *runs))]
+    counts[0] += start == 0
     # the first and last points touched may have multiples outside the range
-    first_point = next(_points(scaled, q, lo, lo + 1, add, run))
-    last_point = next(_points(scaled, q, hi - 1, hi, add, run))
-    counts[rank(first_point)] -= first - 1 - lo * m
-    counts[rank(last_point)] -= hi * m - (stop - 1)
+    for point, outside in ((lo, first - 1 - lo * m),
+                           (hi - 1, hi * m - (stop - 1))):
+        prefix, words = next(_point_runs(scaled, q, point, point + 1, add,
+                                         *runs))
+        counts[pk.rank(add(prefix, words[0]))] -= outside
     return counts
+
+
+def _grids(code: LinearCode) -> list[list[int]]:
+    """The element indices of each generator of the code, row-major."""
+    return [[x.index for row in g.entries for x in row]
+            for g in code.generators]
 
 
 def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:
@@ -592,15 +683,15 @@ def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:
     if not 0 <= index < code.size:
         raise UsageError(f"codeword index {index} out of range")
     pk = _Packing(code.field, code.t)
-    return pk.matrix(next(_words(pk.generators(code), 0, index, index + 1,
-                                 pk.add)))
+    return pk.matrix(next(_words(pk.generators(_grids(code)), 0, index,
+                                 index + 1, pk.add)))
 
 
 def enumerate_codewords(code: LinearCode, guard: int | None = None):
     """All q^k codewords as matrices, in index order."""
     _check_enumeration(code, guard)
     pk = _Packing(code.field, code.t)
-    scaled = pk.generators(code)
+    scaled = pk.generators(_grids(code))
     for word in _words(scaled, 0, 0, code.size, pk.add, _run(scaled, pk.add)):
         yield pk.matrix(word)
 
@@ -638,11 +729,13 @@ def code_from_jsonable(obj: dict) -> LinearCode:
 
 
 def read_code(path: str) -> LinearCode:
-    """The code in a JSON file; UsageError if it cannot be read or used."""
+    """The code in a JSON file; UsageError if it cannot be read or used,
+    nested too deeply to parse included."""
     import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         return code_from_jsonable(obj)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError) as exc:
         raise UsageError(f"cannot read code from {path}: {exc}") from exc

@@ -98,9 +98,9 @@ def output_digits(q: int, t: int, values: int) -> int:
 
 def value_words(q: int, t: int, values: int) -> int:
     """30-bit words (CPython's int digits) of ``values`` closed-form
-    values. The transform memoises O(t^2) values, most of them shorter,
-    so for its (t+1)^2 this follows the growth of the memo rather than
-    bounding it."""
+    values. For the transform's (t+1)^2 values this overstates what it
+    holds: by Horner's rule it keeps one G row and one nu-power row,
+    O(t) values, at a time."""
     bits = t * t * (q ** 64).bit_length() // 64 + 1
     return values * -(-bits // 30)
 

@@ -13,7 +13,7 @@ public API) loads.
 from __future__ import annotations
 
 from ._value import Value, json_int
-from .errors import DimensionMismatch, UsageError
+from .errors import DimensionMismatch, UsageError, shown
 from .fields import Field, FieldElement
 
 
@@ -66,10 +66,20 @@ class HermitianMatrix(Value):
 
 def matrix_from_jsonable(field: Field, obj: dict) -> HermitianMatrix:
     t = json_int(obj["t"], "matrix t")
-    rows = tuple(tuple(field.element([json_int(c, "entry digit") for c in cell])
+    rows = tuple(tuple(field.element([_digit(field.p, c) for c in cell])
                        for cell in row)
                  for row in obj["rows"])
     return HermitianMatrix(field, t, rows)
+
+
+def _digit(p: int, value) -> int:
+    """A base-p digit of an entry read from JSON. One outside 0..p-1 is
+    refused: ``Field.element`` takes digits mod p, so it would load
+    another element than the file names."""
+    digit = json_int(value, "entry digit")
+    if not 0 <= digit < p:
+        raise UsageError(f"entry digit {shown(digit)} outside 0..{p - 1}")
+    return digit
 
 
 def zero_matrix(field: Field, t: int) -> HermitianMatrix:

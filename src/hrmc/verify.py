@@ -438,15 +438,18 @@ def sample_codes(field: Field, t: int, trials: int, seed: int,
         check_power_guard(field.q, (t * t + 1) // 2, "codewords", guard)
         check_guard(sampled_words(field.q, t, trials), "sampled codewords",
                     guard)
-    out = []
+    # every sample and its dual are drawn, and their exact sizes refused
+    # together, before any of them is enumerated
+    drawn = []
     for i in range(trials):
         rng = random.Random(f"{seed}:{field.q}:{t}:{i}")
         code = random_code(field, t, rng)
-        dual = dual_code(code)
-        out.append(CodeSample(
-            code, weight_distribution(code, guard).counts,
-            dual, weight_distribution(dual, guard).counts))
-    return out
+        drawn.append((code, dual_code(code)))
+    check_guard(sum(code.size + dual.size for code, dual in drawn),
+                "sampled codewords", guard)
+    return [CodeSample(code, weight_distribution(code, guard).counts,
+                       dual, weight_distribution(dual, guard).counts)
+            for code, dual in drawn]
 
 
 def suite_routes(ctx: NegQContext, t: int, samples: list[CodeSample]) -> SuiteResult:

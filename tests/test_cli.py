@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -21,8 +22,9 @@ from hrmc.codes import dual_code, rank_counts, weight_distribution
 from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
 from hrmc.errors import CheckFailed, EnumerationTooLarge, UsageError
 from hrmc.eigen import EigenTable, full_space_distribution
+from hrmc.fields import make_field
 from hrmc.negq import NegQContext
-from hrmc.verify import sample_codes
+from hrmc.verify import random_code, sample_codes
 from hrmc.workers import _index_ranges
 
 
@@ -91,6 +93,33 @@ def test_count_workers_split_projective_groups(capsys, two_cpus, q, t):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert json.loads(out1)["match"] is True
+
+
+@pytest.mark.parametrize("q,t", [(2, 3), (4, 2), (2, 4)])
+def test_workers_split_the_coset_walk(capsys, tmp_path, two_cpus, q, t):
+    """Two workers cut the kernel order inside the walk over cosets of the
+    zero-head subcode K: in the census, and in ``wd`` on a q=3, t=3 code
+    whose K has two dimensions. The output is the same bytes as one
+    worker's."""
+    argv = ["count", "--q", str(q), "--t", str(t), "--format", "json"]
+    rc1, out1, _ = run(capsys, argv + ["--workers", "1"])
+    rc2, out2, _ = run(capsys, argv + ["--workers", "2"])
+    assert rc1 == rc2 == 0 and out1 == out2
+    assert json.loads(out1)["match"] is True
+    field = make_field(3, 1)
+    theta = codes._theta_index(field)
+    # coordinates 1 and 2 are the lower diagonal entries, 3 and 5 lie in
+    # the first row
+    code = codes.make_code(field, 3, [
+        codes.devectorize(field, 3, [int(c == pos) for c in range(9)], theta)
+        for pos in (1, 2, 3, 5)])
+    assert code.k - codes._head_first(code)[1] == 2
+    path = write_code_file(tmp_path, code)
+    argv = ["wd", "--input", path, "--format", "json"]
+    rc1, out1, _ = run(capsys, argv + ["--workers", "1"])
+    rc2, out2, _ = run(capsys, argv + ["--workers", "2"])
+    assert rc1 == rc2 == 0 and out1 == out2
+    assert sum(map(int, json.loads(out1)["counts"])) == 81
 
 
 def test_count_table_output(capsys):
@@ -277,6 +306,30 @@ def test_unusable_input_exits_2(capsys, monkeypatch, tmp_path, example_code,
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert_one_error_line(out, err)
+
+
+@pytest.mark.parametrize("digit", [5, 2, -1, "-1", "7"])
+def test_wd_refuses_digits_outside_the_prime_field(capsys, tmp_path,
+                                                   example_code, digit):
+    """Over GF(4) the cells [5, 0] and [-1, 0] loaded as [1, 0], a code
+    the file does not name, since Field.element takes digits mod p."""
+    path = write_json(tmp_path,
+                      _with(digit, *_DIGIT)(example_code.to_jsonable()))
+    rc, out, err = run(capsys, ["wd", "--input", path])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert f"entry digit {int(digit)} outside 0..1" in err
+
+
+def test_wd_refuses_a_file_nested_too_deeply(capsys, tmp_path):
+    """100 000 nested arrays made json.load raise RecursionError, which
+    ended in a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(capsys, ["wd", "--input", str(path)])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert "cannot read code from" in err
 
 
 def _command(name, **flags):
@@ -547,10 +600,18 @@ def test_shortcut_stays_out_of_the_cross_checks(capsys, tmp_path,
 def test_dual_exits_1_when_the_trace_system_loses_rank(capsys, tmp_path,
                                                        monkeypatch,
                                                        example_code):
+    """Only the trace-form system loses rank: the code file and the
+    counting kernel's head-first basis reduce as usual."""
     path = write_code_file(tmp_path, example_code)
     rref = codes._rref
-    monkeypatch.setattr(codes, "_rref", lambda field, rows: tuple(
-        part[:-1] for part in rref(field, rows)))
+
+    def lossy_in_dual_code(field, rows, *cols):
+        reduced, pivots = rref(field, rows, *cols)
+        if sys._getframe(1).f_code is codes.dual_code.__code__:
+            return reduced[:-1], pivots[:-1]
+        return reduced, pivots
+
+    monkeypatch.setattr(codes, "_rref", lossy_in_dual_code)
     rc, out, err = run(capsys, ["dual", "--input", path])
     assert rc == 1
     assert_one_error_line(out, err)
@@ -1117,6 +1178,39 @@ def test_verify_refuses_more_sampled_words_than_the_guard(capsys,
     assert rc == 2
     assert_one_error_line(out, err)
     assert "4000000000 sampled codewords exceed the enumeration guard" in err
+
+
+def test_verify_refuses_the_exact_sampled_words_before_counting(
+        capsys, monkeypatch):
+    """Every sample and its dual are drawn first, and their exact sizes
+    summed and refused before any is enumerated: with a guard between the
+    lower bound, trials x q^ceil(t^2/2), and that sum, nothing is counted.
+    At q=251, t=2 verify refused only after 9.3 s of counting. A guard of
+    exactly the sum runs, with the bytes of a run under the default."""
+    q, t, trials, seed = 2, 2, 3, 0
+    field = make_field(2, 1)
+    total = 0
+    for i in range(trials):
+        code = random_code(field, t, random.Random(f"{seed}:{q}:{t}:{i}"))
+        total += code.size + dual_code(code).size
+    assert trials * q ** ((t * t + 1) // 2) < total - 1
+    argv = ["verify", "--q", str(q), "--t", str(t), "--trials", str(trials),
+            "--seed", str(seed), "--format", "json"]
+    rc, want, _ = run(capsys, argv)
+    assert rc == 0
+
+    def unreachable(*args):
+        raise AssertionError("a word was counted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("hrmc.codes.rank_counts", unreachable)
+        rc, out, err = run(capsys, argv + ["--guard", str(total - 1)])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert (f"{total} sampled codewords exceed the enumeration guard "
+            f"{total - 1}") in err
+    rc, out, _ = run(capsys, argv + ["--guard", str(total)])
+    assert rc == 0 and out == want
 
 
 def test_verify_refuses_a_full_space_row_over_the_guard(capsys, monkeypatch):

@@ -191,41 +191,95 @@ def _random_code(field, t, k, seed):
     return code
 
 
-def _run_splits(code, run):
-    """Kernel indices at the start, the middle and the end of every listed
-    run of ``run`` points in every projective block, one index either
-    side of each start, and one inside its group of q - 1 multiples."""
+def _with_zero_head(field, t, dim_k, extra, seed):
+    """A code holding dim_k unit matrices whose top t // 2 rows are zero,
+    so its zero-head subcode K has at least that dimension, and ``extra``
+    random matrices."""
+    rng = random.Random(seed)
+    units = [u for u in _unit_matrices(field, t)
+             if not any(x.index for row in u.entries[:t // 2] for x in row)]
+    return make_code(field, t, units[:dim_k] + [
+        hermitian_from_index(field, t,
+                             rng.randrange(total_hermitian(field, t)))
+        for _ in range(extra)])
+
+
+def _coset_cuts(code):
+    """Kernel indices at every boundary of a coset of K (the points of a
+    block past the head generators count as one coset), one index either
+    side of it, one inside its first group of q - 1 multiples, and one in
+    the middle of the coset."""
     q, k, m = code.field.q, code.k, code.field.q - 1
-    splits, first = set(), 0
+    heads = codes._head_first(code)[1]
+    cuts, first = set(), 0
     for j in range(k):
         block = q ** (k - 1 - j)
-        for point in range(first, first + block, min(block, run)):
-            splits.update(1 + point * m + d for d in (-1, 0, 1, m // 2))
-            splits.add(1 + (point + min(block, run) // 2) * m)
+        step = q ** (k - heads) if j < heads else block
+        for point in range(first, first + block, step):
+            cuts.update(1 + point * m + d for d in (-1, 0, 1, m // 2))
+            cuts.add(1 + (point + step // 2) * m)
         first += block
-    return sorted(a for a in splits if 0 < a < code.size)
+    return sorted(a for a in cuts if 0 < a < code.size)
 
 
-@pytest.mark.parametrize("p,m,t", [(2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2),
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 1, 3),
+                                   (2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2),
                                    (5, 1, 2)])
 def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
     """With every memo of a packing starting over at 2 entries, and the
-    listed run cut to the span of two generators, rank_counts equals a
-    count through hermitian.rank on a code the run spans (k = 2) and on
-    one it does not, whole and cut into ranges at the start, middle and
-    end of every run."""
+    listed span of K at the default ``_RUN_LIMIT`` or cut to one
+    generator, rank_counts equals a count through hermitian_space.rank,
+    whole and as the sum of the ranges between all the cuts of
+    _coset_cuts. The codes: one whose head map is injective (dim K = 0,
+    for t >= 2), one whose K has at least two dimensions where t >= 3,
+    more words than the cut run lists, and one of up to 256 words, whose
+    cosets' prefixes are summed over several generators; at t = 1 the
+    head is empty and K is the whole code."""
     monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
     field = make_field(p, m)
     q = field.q
-    monkeypatch.setattr(codes, "_RUN_LIMIT", q * q)
-    above = max(4, max(k for k in range(t * t + 1) if q ** k <= 256))
-    for k in (2, above):
-        code = _random_code(field, t, k, seed=k)
-        whole = _counts_by_rank(code)
-        assert rank_counts(code, 0, code.size) == whole
-        cuts = [0, *_run_splits(code, q * q), code.size]
-        parts = [rank_counts(code, a, b) for a, b in zip(cuts, cuts[1:])]
-        assert [sum(column) for column in zip(*parts)] == whole
+    tail = (t - t // 2) * (t - t // 2)  # dimension of the zero-head space
+    small = min(2, t * t)
+    above = min(t * t, max(4, max(k for k in range(t * t + 1)
+                                  if q ** k <= 256)))
+    cases = [_random_code(field, t, small, seed=small),
+             _with_zero_head(field, t, min(2, tail), 1 + (q < 5), seed=t),
+             _random_code(field, t, above, seed=above)]
+    dims = [code.k - codes._head_first(code)[1] for code in cases]
+    if t >= 2:
+        assert dims[0] == 0
+    assert dims[1] >= min(2, tail)
+    for limit in (codes._RUN_LIMIT, q):
+        monkeypatch.setattr(codes, "_RUN_LIMIT", limit)
+        for code in cases:
+            whole = _counts_by_rank(code)
+            assert rank_counts(code, 0, code.size) == whole
+            cuts = [0, *_coset_cuts(code), code.size]
+            parts = [rank_counts(code, a, b) for a, b in zip(cuts, cuts[1:])]
+            assert [sum(column) for column in zip(*parts)] == whole
+
+
+def test_full_space_reduces_each_head_once(monkeypatch):
+    """The 65 536 matrices at q=2, t=4 fall into 4 096 cosets of their
+    zero-head subcode K: the head-first basis has 12 generators with a
+    pivot in the top two rows and 4, spanning K, whose top two rows (8
+    cells) are zero. So the kernel reduces the top two rows 4 096 times,
+    not once per word; only the range's two end points reduce all four
+    rows at once."""
+    space = dual_code(make_code(make_field(2, 1), 4, []))
+    grids, heads = codes._head_first(space)
+    assert heads == 12 and all(not any(grid[:8]) for grid in grids[heads:])
+    reduced = []
+    real_reduce = codes._Packing.reduce
+
+    def recording(self, word, shifts, basis):
+        reduced.append(len(shifts))
+        return real_reduce(self, word, shifts, basis)
+
+    monkeypatch.setattr(codes._Packing, "reduce", recording)
+    assert rank_counts(space, 0, space.size) == [1, 85, 3570, 23800, 38080]
+    assert (reduced.count(2), reduced.count(4), len(reduced)) == (4096, 2,
+                                                                  4098)
 
 
 def test_packing_setup_does_not_grow_with_the_field(monkeypatch):
