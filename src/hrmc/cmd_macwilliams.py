@@ -15,7 +15,8 @@ def run(args):
     check_guard(output_digits(ctx.q, t, t + 1), "estimated output digits",
                 args.guard)
     check_guard(value_words(ctx.q, t, (t + 1) ** 2),
-                "estimated words memoised by the transform", args.guard)
+                "estimated big-int words of (t+1)^2 closed-form values",
+                args.guard)
     counts = _parse_dist(args.dist)
     if len(counts) != t + 1:
         raise UsageError(

@@ -8,9 +8,13 @@ and exactly q^k words.
 Coordinates: a Hermitian matrix is determined by its t diagonal entries
 (subfield) plus, for every strictly-upper cell, two subfield coordinates
 u, v with entry = u + v*theta, where theta is the smallest field element
-moved by conjugation. That gives a just-bijective vectorisation onto
-GF(q)^(t^2) which make_code uses to reduce any generating set to a
-canonical row-echelon basis -- two equal codes therefore compare equal.
+moved by conjugation. They are laid out row by row: row i's diagonal
+entry, then u and v of each of its upper entries. That gives a bijective
+vectorisation onto GF(q)^(t^2) which make_code uses to reduce any
+generating set to a canonical row-echelon basis -- two equal codes
+therefore compare equal. Since the coordinates of the top t // 2 rows
+(the head) come first, that basis is head-first: its generators with a
+nonzero head lead, and the others span K, the words whose head is zero.
 
 The dual is taken with respect to the trace form <H, J> = Tr(H^dagger J):
 each generator's row of the system over the subfield is read off its
@@ -27,12 +31,10 @@ order. ``_runs`` walks any index range of that order over any base word
 as (prefix, words) pairs: each prefix of the leading generators, summed
 once, serves a list of the span of the trailing generators.
 
-:func:`rank_counts` counts in the order of a basis of its own, the
-code's basis reduced with the coordinates of the top t // 2 rows (the
-head) first, so that its trailing generators span K, the words whose
-head is zero. It visits only the words whose first nonzero coefficient
-is 1: scaling by GF(q)* keeps the rank, so each such word stands for its
-q - 1 nonzero multiples. The words of a coset h + K share their head and
+:func:`rank_counts` counts in the index order of the code's basis,
+whose trailing generators span K. It visits only the words whose first
+nonzero coefficient is 1: scaling by GF(q)* keeps the rank, so each such
+word stands for its q - 1 nonzero multiples. The words of a coset h + K share their head and
 follow each other, so the kernel reduces the head rows once per coset and
 each word only its other rows, with the packed elimination of
 ``_Packing``, written apart from ``hermitian_space.rank_of_rows``.
@@ -139,17 +141,18 @@ def _theta_index(field: Field) -> int:
 
 
 def vectorize(m: HermitianMatrix, theta: int) -> list[int]:
-    """Subfield coordinates of a Hermitian matrix, as element indices."""
-    field, t = m.field, m.t
+    """Subfield coordinates of a Hermitian matrix, as element indices, row
+    by row: each row's diagonal entry, then u and v of each of its upper
+    entries."""
+    field = m.field
     denom = field.inv(field.sub(theta, field.conj_index(theta)))
-    coords = [m.entries[i][i].index for i in range(t)]
-    for i in range(t):
-        for j in range(i + 1, t):
-            h = m.entries[i][j].index
+    coords = []
+    for i, row in enumerate(m.entries):
+        coords.append(row[i].index)
+        for x in row[i + 1:]:
+            h = x.index
             v = field.mul(field.sub(h, field.conj_index(h)), denom)
-            u = field.sub(h, field.mul(v, theta))
-            coords.append(u)
-            coords.append(v)
+            coords += (field.sub(h, field.mul(v, theta)), v)
     return coords
 
 
@@ -160,10 +163,10 @@ def _grid(field: Field, t: int, coords: list[int], theta: int) -> list[int]:
     add, mul = field.add, field.mul
     theta_bar = field.conj_index(theta)
     grid = [0] * (t * t)
+    pos = 0
     for i in range(t):
-        grid[i * t + i] = coords[i]
-    pos = t
-    for i in range(t):
+        grid[i * t + i] = coords[pos]
+        pos += 1
         for j in range(i + 1, t):
             u, v = coords[pos], coords[pos + 1]
             pos += 2
@@ -179,19 +182,19 @@ def devectorize(field: Field, t: int, coords: list[int],
         tuple(grid[i:i + t]) for i in range(0, t * t, t)))
 
 
-def _rref(field: Field, rows: list[list[int]],
-          cols=None) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over the subfield; returns (rows, pivot cols).
-
-    Pivots are sought column by column in the order of ``cols``, by
-    default ascending. All arithmetic stays inside the subfield because
-    the inputs do.
+def _rref(field: Field,
+          rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the subfield; returns (rows, pivot
+    cols), pivots sought in ascending column order. All arithmetic stays
+    inside the subfield because the inputs do. On coordinates laid out row
+    by row, the rows with a pivot among the top t // 2 matrix rows come
+    first, and the others have those rows zero.
     """
     rows = [r[:] for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     rr = 0
-    for col in range(ncols) if cols is None else cols:
+    for col in range(ncols):
         sel = next((i for i in range(rr, len(rows)) if rows[i][col] != 0), None)
         if sel is None:
             continue
@@ -212,7 +215,10 @@ def _rref(field: Field, rows: list[list[int]],
 
 
 def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> LinearCode:
-    """Build a code from any generating set, reducing to a canonical basis."""
+    """Build a code from any generating set, reducing to a canonical basis:
+    the reduced row-echelon form of the generators' coordinates, so its
+    generators with a nonzero head (top t // 2 rows) come first and the
+    others span the zero-head subcode K."""
     if t < 1:
         raise UsageError(f"matrix size must be positive, got t={t}")
     for g in generators:
@@ -243,8 +249,9 @@ def dual_code(code: LinearCode) -> LinearCode:
     system = []
     for g in code.generators:
         cells = [[x.index for x in row] for row in g.entries]
-        row = [cells[i][i] for i in range(t)]
+        row = []
         for i in range(t):
+            row.append(cells[i][i])
             for h in cells[i][i + 1:]:
                 w = mul(theta_bar, h)
                 row += (add(h, conj(h)), add(w, conj(w)))
@@ -353,11 +360,6 @@ class _Packing:
                 place *= p
             memo[cell] = index
         return index
-
-    def pack(self, indices) -> int:
-        """Word of element indices given cell by cell, row-major."""
-        bits = self.cell_bits
-        return sum(self.cell(x) << (pos * bits) for pos, x in enumerate(indices))
 
     def _cells(self, word: int):
         """(offset, element index) of every cell up to the word's last
@@ -594,27 +596,6 @@ def _point_runs(scaled: list[list[int]], q: int, lo: int, hi: int, add,
     return chain.from_iterable(blocks)
 
 
-def _head_first(code: LinearCode) -> tuple[list[list[int]], int]:
-    """(grids, a): a basis of the code as element-index grids, its first
-    a generators with a pivot among the coordinates of the top t // 2
-    rows (the head), and the others a basis of the zero-head subcode K.
-
-    It is the code's basis reduced with the head coordinates taken first:
-    the diagonal entries of the head rows, then their upper entries,
-    which fill every cell of those rows.
-    """
-    field, t = code.field, code.t
-    half = t // 2
-    pairs = half * (t - 1) - half * (half - 1) // 2  # upper cells in the head
-    heads = [*range(half), *range(t, t + 2 * pairs)]
-    theta = _theta_index(field)
-    rows, pivots = _rref(
-        field, [vectorize(g, theta) for g in code.generators],
-        [*heads, *range(half, t), *range(t + 2 * pairs, t * t)])
-    return ([_grid(field, t, row, theta) for row in rows],
-            sum(c in heads for c in pivots))
-
-
 def _check_enumeration(code: LinearCode, guard: int | None) -> None:
     """Refuse before any word is built: more words than the guard, or
     words of more cells than the guard (a code file without generators
@@ -630,15 +611,18 @@ def rank_counts(code: LinearCode, start: int, stop: int,
 
     The kernel order is the zero word, then every word whose first nonzero
     coefficient is 1 (a point) followed by its q - 2 other nonzero
-    subfield multiples, in ascending subfield index order, the points in
-    the index order of the head-first basis (see :func:`_head_first`).
+    subfield multiples, in ascending subfield index order. The points are
+    word indices of the code's basis (see :func:`codeword_from_index`):
+    those whose first nonzero coefficient is the first generator's, in
+    index order, then those whose is the second's, and so on.
     Scaling by GF(q)* keeps the rank, so each point is ranked once and
-    counts for the multiples the range holds. The trailing generators of
-    that basis span K, the words whose top t // 2 rows are zero, so the
-    points of each coset h + K are one contiguous run of that order: their
-    head rows are reduced once, and each point reduces only its other
-    rows. The guard applies to the whole code, so every split of
-    [0, q^k) into ranges is refused or counted alike.
+    counts for the multiples the range holds. The generators with a
+    nonzero head lead that basis and the others span K, the words whose
+    top t // 2 rows are zero, so the points of each coset h + K are one
+    contiguous run of that order: their head rows are reduced once, and
+    each point reduces only its other rows. The guard applies to the
+    whole code, so every split of [0, q^k) into ranges is refused or
+    counted alike.
     """
     _check_enumeration(code, guard)
     if not 0 <= start <= stop <= code.size:
@@ -651,7 +635,12 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     pk = _Packing(code.field, t)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
     listed = _block_of(q, code.k, lo) + 1  # the first generator listed
-    grids, n_head = _head_first(code)
+    grids = _grids(code)
+    heads = [any(grid[:t // 2 * t]) for grid in grids]
+    n_head = sum(heads)
+    if any(heads[n_head:]):  # a LinearCode built by hand
+        raise UsageError("a generator with a nonzero head follows one "
+                         "without: reduce the basis with make_code")
     scaled = pk.generators(grids, listed)
     add = pk.add
     # words of K only, then, where they take all of K, the head generators

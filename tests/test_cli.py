@@ -108,12 +108,13 @@ def test_workers_split_the_coset_walk(capsys, tmp_path, two_cpus, q, t):
     assert json.loads(out1)["match"] is True
     field = make_field(3, 1)
     theta = codes._theta_index(field)
-    # coordinates 1 and 2 are the lower diagonal entries, 3 and 5 lie in
+    # coordinates 5 and 8 are the lower diagonal entries, 1 and 3 lie in
     # the first row
     code = codes.make_code(field, 3, [
         codes.devectorize(field, 3, [int(c == pos) for c in range(9)], theta)
-        for pos in (1, 2, 3, 5)])
-    assert code.k - codes._head_first(code)[1] == 2
+        for pos in (1, 3, 5, 8)])
+    assert [any(x.index for x in g.entries[0])
+            for g in code.generators] == [True, True, False, False]
     path = write_code_file(tmp_path, code)
     argv = ["wd", "--input", path, "--format", "json"]
     rc1, out1, _ = run(capsys, argv + ["--workers", "1"])
@@ -408,12 +409,54 @@ def test_main_exits_0_or_2_with_one_error_line(case, example_code,
         code = _mutate(code, *mutation)
     path = write_json(scratch_dir, code)
     argv = [a.replace("=CODE", "=" + path) for a in argv]
+    assert_exits_0_or_2(argv)
+
+
+def assert_exits_0_or_2(argv):
+    """main(argv) exits 0, or exits 2 with one error line; run without
+    capsys, which hypothesis does not reset between examples."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 2), (argv, err.getvalue())
     if rc == 2:
         assert_one_error_line(out.getvalue(), err.getvalue())
+
+
+_RESIZE = ("shorten", "lengthen")
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]),
+       t=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+       op=st.sampled_from(["replace", "drop", *_RESIZE]),
+       pick=st.integers(0, 1000),
+       junk=st.sampled_from([65537, -1, 1.5, True, None, "x", [0], {}]))
+def test_code_files_round_trip_and_mutants_exit_0_or_2(
+        scratch_dir, field, t, seed, op, pick, junk):
+    """A random code's file loads to the code itself. The file with one
+    value replaced by an out-of-range or negative int or a value of
+    another type, one key or entry dropped, or one list shortened or
+    lengthened by its last entry, makes ``wd`` exit 0 or exit 2 with one
+    error line."""
+    code = random_code(make_field(*field), t, random.Random(seed))
+    obj = code.to_jsonable()
+    assert codes.read_code(write_json(scratch_dir, obj)) == code
+    paths = list(_paths(obj))[1:]
+    if op in _RESIZE:
+        paths = [p for p in paths if isinstance(_at(obj, p), list)
+                 and _at(obj, p)]
+    path = paths[pick % len(paths)]
+    parent = _at(obj, path[:-1])
+    if op == "replace":
+        parent[path[-1]] = junk
+    elif op == "drop":
+        del parent[path[-1]]
+    else:
+        value = parent[path[-1]]
+        parent[path[-1]] = (value[:-1] if op == "shorten"
+                            else value + value[-1:])
+    assert_exits_0_or_2(["wd", "--input", write_json(scratch_dir, obj)])
 
 
 def test_eigen(capsys):
@@ -600,13 +643,13 @@ def test_shortcut_stays_out_of_the_cross_checks(capsys, tmp_path,
 def test_dual_exits_1_when_the_trace_system_loses_rank(capsys, tmp_path,
                                                        monkeypatch,
                                                        example_code):
-    """Only the trace-form system loses rank: the code file and the
-    counting kernel's head-first basis reduce as usual."""
+    """Only the trace-form system loses rank: the code file reduces as
+    usual."""
     path = write_code_file(tmp_path, example_code)
     rref = codes._rref
 
-    def lossy_in_dual_code(field, rows, *cols):
-        reduced, pivots = rref(field, rows, *cols)
+    def lossy_in_dual_code(field, rows):
+        reduced, pivots = rref(field, rows)
         if sys._getframe(1).f_code is codes.dual_code.__code__:
             return reduced[:-1], pivots[:-1]
         return reduced, pivots
@@ -980,13 +1023,13 @@ def test_closed_forms_refuse_outputs_over_the_guard(capsys, monkeypatch, argv,
 # Closed-form commands whose big-int work is estimated as values as long
 # as q^(t^2), in 30-bit words: what computes it, the estimate and its
 # name. At q=2, t=10, q^100 has at most 100*65/64 + 1 = 102 bits, 4
-# words. The transform memoises (t+1)^2 = 121 values, 484 words, and mhrd
+# words. macwilliams estimates (t+1)^2 = 121 values, 484 words, and mhrd
 # at d=3 sums (t-d+2)(t+1) = 99 values, 396 words; both are above the
 # 11 * 32 = 352 estimated output digits.
 _CLOSED_FORM_WORK = [
     (["macwilliams", "--q", "2", "--t", "10", "--dist", "1" + ",0" * 10,
       "--size", "1"], ("macwilliams_eigen", "macwilliams_transform"), 484,
-     "estimated words memoised by the transform"),
+     "estimated big-int words of (t+1)^2 closed-form values"),
     (["mhrd", "--q", "2", "--t", "10", "--d", "3"], ("mhrd_distribution",),
      396, "estimated words summed by the closed form"),
 ]
@@ -1025,7 +1068,7 @@ def test_macwilliams_refuses_transforms_over_the_guard(capsys, monkeypatch):
     """The default guard refuses q=2, t=160 and accepts the bench's q=3,
     t=40; at q=2, t=148 is the largest t it accepts."""
     monkeypatch.delenv("HRMC_GUARD", raising=False)
-    what = "estimated words memoised by the transform"
+    what = "estimated big-int words of (t+1)^2 closed-form values"
     rc, out, err = run(capsys, ["macwilliams", "--q", "2", "--t", "160",
                                 "--dist", "1" + ",0" * 160, "--size", "1"])
     assert rc == 2

@@ -23,6 +23,7 @@ from hrmc.errors import (
     EnumerationTooLarge,
     MixedDimensions,
     NotHermitian,
+    UsageError,
     ZeroCode,
 )
 from hrmc.fields import make_field
@@ -204,13 +205,20 @@ def _with_zero_head(field, t, dim_k, extra, seed):
         for _ in range(extra)])
 
 
+def _heads(code):
+    """The generators of the code's basis with a nonzero cell in the top
+    t // 2 rows (the head); they lead the basis, and the others span K."""
+    return sum(any(x.index for row in g.entries[:code.t // 2] for x in row)
+               for g in code.generators)
+
+
 def _coset_cuts(code):
     """Kernel indices at every boundary of a coset of K (the points of a
     block past the head generators count as one coset), one index either
     side of it, one inside its first group of q - 1 multiples, and one in
     the middle of the coset."""
     q, k, m = code.field.q, code.k, code.field.q - 1
-    heads = codes._head_first(code)[1]
+    heads = _heads(code)
     cuts, first = set(), 0
     for j in range(k):
         block = q ** (k - 1 - j)
@@ -245,7 +253,7 @@ def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
     cases = [_random_code(field, t, small, seed=small),
              _with_zero_head(field, t, min(2, tail), 1 + (q < 5), seed=t),
              _random_code(field, t, above, seed=above)]
-    dims = [code.k - codes._head_first(code)[1] for code in cases]
+    dims = [code.k - _heads(code) for code in cases]
     if t >= 2:
         assert dims[0] == 0
     assert dims[1] >= min(2, tail)
@@ -259,16 +267,49 @@ def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
             assert [sum(column) for column in zip(*parts)] == whole
 
 
+@pytest.mark.parametrize("p,m,t,dim_k", [(2, 1, 3, 0), (2, 1, 3, 2),
+                                         (3, 1, 2, 0), (3, 1, 3, 2),
+                                         (2, 2, 2, 0), (2, 2, 3, 2),
+                                         (5, 1, 2, 0), (5, 1, 3, 2)])
+def test_kernel_order_walks_the_code_basis(p, m, t, dim_k):
+    """Kernel index 0 is the zero word, and index 1 + P(q - 1) + d is the
+    d-th nonzero multiple of point P, as codeword_from_index decodes it.
+    The points are the codeword indices whose leading base-q digit is 1,
+    those of k digits first, then those of k - 1 digits and so on, each
+    length in ascending order. So each one-index range counts one word, at
+    the rank of its point. The codes: one whose K is zero, and one whose K
+    has at least two dimensions."""
+    field = make_field(p, m)
+    q = field.q
+    if dim_k:
+        code = _with_zero_head(field, t, dim_k, 1, seed=q)
+        assert code.k - _heads(code) >= dim_k
+    else:
+        code = next(c for seed in range(20)
+                    if _heads(c := _random_code(field, t, 3, seed)) == 3)
+    points = [i for n in reversed(range(code.k))
+              for i in range(q ** n, 2 * q ** n)]
+    order = [0, *(point for point in points for _ in range(q - 1))]
+    assert len(order) == code.size
+    for a, index in enumerate(order):
+        counts = [0] * (t + 1)
+        counts[rank(codeword_from_index(code, index))] = 1
+        assert rank_counts(code, a, a + 1) == counts, a
+
+
 def test_full_space_reduces_each_head_once(monkeypatch):
     """The 65 536 matrices at q=2, t=4 fall into 4 096 cosets of their
-    zero-head subcode K: the head-first basis has 12 generators with a
-    pivot in the top two rows and 4, spanning K, whose top two rows (8
-    cells) are zero. So the kernel reduces the top two rows 4 096 times,
-    not once per word; only the range's two end points reduce all four
-    rows at once."""
+    zero-head subcode K: the basis has 12 generators with a nonzero cell
+    in the top two rows and, after them, 4 spanning K. So the kernel
+    reduces the top two rows 4 096 times, not once per word; only the
+    range's two end points reduce all four rows at once. It counts from
+    the code's basis as it stands, reducing no coordinates again."""
     space = dual_code(make_code(make_field(2, 1), 4, []))
-    grids, heads = codes._head_first(space)
-    assert heads == 12 and all(not any(grid[:8]) for grid in grids[heads:])
+    assert _heads(space) == 12 and not any(
+        x.index for g in space.generators[12:] for row in g.entries[:2]
+        for x in row)
+    for name in ("_rref", "vectorize", "_grid"):
+        monkeypatch.setattr(codes, name, _unreachable)
     reduced = []
     real_reduce = codes._Packing.reduce
 
@@ -280,6 +321,19 @@ def test_full_space_reduces_each_head_once(monkeypatch):
     assert rank_counts(space, 0, space.size) == [1, 85, 3570, 23800, 38080]
     assert (reduced.count(2), reduced.count(4), len(reduced)) == (4096, 2,
                                                                   4098)
+
+
+def test_rank_counts_refuses_a_basis_out_of_head_first_order():
+    """A LinearCode built by hand around a basis whose zero-head
+    generators do not trail is refused, not miscounted."""
+    space = dual_code(make_code(make_field(2, 1), 2, []))
+    flipped = codes.LinearCode(space.field, 2, space.generators[::-1], 4)
+    with pytest.raises(UsageError, match="make_code"):
+        rank_counts(flipped, 0, flipped.size)
+
+
+def _unreachable(*args):
+    raise AssertionError("the code's basis reduced again")
 
 
 def test_packing_setup_does_not_grow_with_the_field(monkeypatch):
