@@ -34,10 +34,27 @@ once, serves a list of the span of the trailing generators.
 :func:`rank_counts` counts in the index order of the code's basis,
 whose trailing generators span K. It visits only the words whose first
 nonzero coefficient is 1: scaling by GF(q)* keeps the rank, so each such
-word stands for its q - 1 nonzero multiples. The words of a coset h + K share their head and
-follow each other, so the kernel reduces the head rows once per coset and
-each word only its other rows, with the packed elimination of
-``_Packing``, written apart from ``hermitian_space.rank_of_rows``.
+word stands for its q - 1 nonzero multiples. The words of a coset h + K
+share their head and follow each other, so the kernel reduces the head
+rows once per coset and each word only its other rows, with the packed
+elimination of ``_Packing``, written apart from
+``hermitian_space.rank_of_rows``.
+
+Where the code holds E, the unit at the last diagonal cell, its basis
+ends with E, and the kernel ranks q words at a time: q consecutive words
+of a listed run that starts at the zero word differ only in E's
+coefficient. Only the group's first word M = [[A, c], [c*, d]] is
+reduced, and where its last row (c*, d) stops counts all q words. Where
+it joins at a column before the last, all q words gain one rank on
+[A | c]; otherwise (c*, d) is nu e_last modulo the rows of [A | c],
+e_last the unit row of the last column, and of the last rows (c*, x),
+x over d + GF(q) = GF(q), only the one of x = d - nu adds nothing. That x lies in GF(q): (c*, d - nu) = y [A | c] for some y, so
+c* = yA, hence c = Ay* as A is Hermitian, and d - nu = yc = yAy*, which
+conjugation fixes. Every other word, and every word of a code without
+E, is a group of one. The rule is elimination on each group's own rows,
+not a closed form, so this route stays apart from the eigenvalue and
+transform routes; it needs Hermitian words, and :func:`rank_counts`
+refuses a hand-built code whose generators are not.
 
 An enumeration builds one packing, the q multiples of each generator its
 walk lists (:func:`rank_counts` reads only the word of a block's leading
@@ -457,57 +474,92 @@ class _Packing:
 
     def count_ranks(self, runs) -> list[int]:
         """counts[r]: the words of rank r among add(prefix, w), for each
-        (prefix, words) of ``runs`` and each w of its words. Every such w
-        must have zero top t // 2 rows (the head).
+        (prefix, words) of ``runs`` and each w of its words. The words must
+        be Hermitian, and every such w must have zero top t // 2 rows (the
+        head).
 
         So a word's head is its prefix's: the head rows are reduced once
         for each run whose prefix's head differs from the run before, and
         each word reduces only its other rows, into a copy of that state.
         This is :meth:`reduce` in one loop, with the lead lookup and the
         add inlined.
+
+        A run whose words start with the zero word and then E, the unit
+        at the last diagonal cell, lists the span of trailing generators
+        that ends with E, so its words come in groups of q that differ
+        only in E's coefficient; the words after its last whole group,
+        and those of every other run, are groups of one. Only a group's
+        first word M = [[A, c], [c*, d]] is reduced, and where its last
+        row (c*, d) stops counts the whole group. Where that row joins at
+        a column before the last, every word of the group gains one rank
+        on [A | c]. Otherwise (c*, d) is nu e_last modulo the rows of
+        [A | c], e_last the unit row of the last column; the group's last
+        rows are (c*, x) for x in d + GF(q) = GF(q), and the word of x =
+        d - nu keeps the rank of [A | c] while the others gain one (a
+        group of one keeps it exactly when nu = 0). That x lies in GF(q)
+        because the words are Hermitian: (c*, d - nu) = y [A | c] for
+        some y, so c* = yA, hence c = Ay* as A = A*, and d - nu = yc =
+        yAy*, a 1 x 1 Hermitian matrix, which conjugation fixes. Nor is
+        a row of [A | c]'s span led by the last column, where the last
+        row would reduce on to zero: such a row z [A | c] has zA = 0 and
+        zc != 0, yet zc = zAy* = 0.
         """
         t, p, w1, carry, top = self.t, self.p, self.w - 1, self.carry, self.top
+        q = self.field.q
         bits = self.row_bits
         row_mask = (1 << bits) - 1
         half = t // 2
         head_mask = (1 << (half * bits)) - 1
         head_shifts = range(0, half * bits, bits)
         tail_shifts = tuple(range(half * bits, t * bits, bits))
+        first_of_group = [0, 1 << (t * t - 1) * self.cell_bits]  # 0, E
         leads, lead_of, reduce = self._lead, self._lead_of, self.reduce
         xor = p == 2
         counts = [0] * (t + 1)
-        last = state = joined = None
+        last = state = joined = listed = groups = None
         for prefix, words in runs:
             if prefix & head_mask != last:
                 last = prefix & head_mask
                 state = [0] * t
                 joined = reduce(prefix, head_shifts, state)
-            for word in words:
-                if xor:
-                    word ^= prefix
-                else:
-                    s = prefix + word
-                    word = s - (((s + carry) & top) >> w1) * p
-                basis = state[:]
-                r = joined
-                for shift in tail_shifts:
-                    row = (word >> shift) & row_mask
-                    while row:
-                        try:
-                            col, scaled, negated = leads[row]
-                        except KeyError:
-                            col, scaled, negated = lead_of(row)
-                        b = basis[col]
-                        if not b:
-                            basis[col] = negated
-                            r += 1
-                            break
-                        if xor:
-                            row = scaled ^ b
-                        else:
-                            s = scaled + b
-                            row = s - (((s + carry) & top) >> w1) * p
-                counts[r] += 1
+            if words is not listed:  # most runs list the same words
+                listed = words
+                size = q if words[:2] == first_of_group else 1
+                whole = len(words) - len(words) % size
+                groups = ((words[:whole:size], size), (words[whole:], 1))
+            for group, g in groups:
+                for word in group:
+                    if xor:
+                        word ^= prefix
+                    else:
+                        s = prefix + word
+                        word = s - (((s + carry) & top) >> w1) * p
+                    basis = state[:]
+                    r = joined
+                    for shift in tail_shifts:
+                        row = (word >> shift) & row_mask
+                        while row:
+                            try:
+                                col, scaled, negated = leads[row]
+                            except KeyError:
+                                col, scaled, negated = lead_of(row)
+                            b = basis[col]
+                            if not b:
+                                basis[col] = negated
+                                r += 1
+                                break
+                            if xor:
+                                row = scaled ^ b
+                            else:
+                                s = scaled + b
+                                row = s - (((s + carry) & top) >> w1) * p
+                    # row and col: where the last row stopped
+                    if g > 1 and (not row or col == t - 1):  # nu e_last
+                        r -= row != 0  # the rank of the rows above
+                        counts[r] += 1  # the word of x = d - nu
+                        counts[r + 1] += g - 1
+                    else:
+                        counts[r] += g
         return counts
 
 
@@ -620,9 +672,19 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     nonzero head lead that basis and the others span K, the words whose
     top t // 2 rows are zero, so the points of each coset h + K are one
     contiguous run of that order: their head rows are reduced once, and
-    each point reduces only its other rows. The guard applies to the
-    whole code, so every split of [0, q^k) into ranges is refused or
-    counted alike.
+    each point reduces only its other rows. Where the basis ends with E,
+    the unit at the last diagonal cell, q consecutive points differ only
+    in E's coefficient, and the reduction of the first one's last row
+    ranks all q (see :meth:`_Packing.count_ranks`): if it joins before
+    the last column, all gain one rank on the rows above; else it leaves
+    nu e_last, and only the point whose last diagonal entry cancels nu
+    keeps that rank. That point exists because nu lies in GF(q): writing
+    the first point as [[A, c], [c*, d]], (c*, d - nu) = y [A | c], so
+    c = Ay* and d - nu = yAy*, fixed by conjugation. So the generators must be Hermitian, as make_code's are, and a
+    hand-built code whose generators are not, or whose zero-head
+    generators do not trail, is refused. The guard applies to the whole
+    code, so every split of [0, q^k) into ranges is refused or counted
+    alike.
     """
     _check_enumeration(code, guard)
     if not 0 <= start <= stop <= code.size:
@@ -636,9 +698,16 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
     listed = _block_of(q, code.k, lo) + 1  # the first generator listed
     grids = _grids(code)
+    conj = {x: code.field.conj_index(x)
+            for x in set(chain.from_iterable(grids))}
+    transposed = [j * t + i for i in range(t) for j in range(t)]
+    # a LinearCode built by hand may hold a basis make_code never gives
+    if any([conj[grid[c]] for c in transposed] != grid for grid in grids):
+        raise UsageError("a generator differs from its conjugate transpose: "
+                         "build the code with make_code")
     heads = [any(grid[:t // 2 * t]) for grid in grids]
     n_head = sum(heads)
-    if any(heads[n_head:]):  # a LinearCode built by hand
+    if any(heads[n_head:]):
         raise UsageError("a generator with a nonzero head follows one "
                          "without: reduce the basis with make_code")
     scaled = pk.generators(grids, listed)

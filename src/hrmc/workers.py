@@ -17,13 +17,17 @@ from . import codes
 from .errors import CheckFailed
 
 # Fewest words worth a process of their own. Making a pipe and forking
-# take about 0.2 ms in the parent, and a child that counts one word has
-# answered and been reaped about 3 ms after the fork (medians of 200;
-# 2 vCPU, Python 3.11). The kernel ranks 0.64-2.1 M words/s (q=2 t=4 to
-# q=13 t=2), so a child's start-up costs as much as ranking 1,900-6,400
-# words, and a range of 2^13 words (3.9-12.8 ms) pays for its child at
-# every rate, where the child has a CPU of its own.
-MIN_WORDS_PER_PROCESS = 2 ** 13
+# take about 0.3 ms in the parent, and a child that counts one word has
+# answered and been reaped about 2.3-3 ms after the fork (medians of 200;
+# 2 vCPU, Python 3.11). The kernel ranks 2.7-20 M words/s (q=2 t=4 to
+# q=13 t=2, full spaces, best of 9), so a child's start-up costs as much
+# as ranking 8,000-60,000 words. A range of 2^13 words (0.4-3.0 ms) no
+# longer pays for its child: it breaks even at the slowest rate only.
+# A range of 2^15 words (1.6-12 ms) pays wherever the kernel ranks fewer
+# than about 11 M words/s, as at q=2, t=4, whose census still splits in
+# two, and the q=3, t=3 and q=13, t=2 censuses, whose halves would take
+# 2.2 and 0.7 ms, stay in one process.
+MIN_WORDS_PER_PROCESS = 2 ** 15
 
 
 def _index_ranges(total: int, workers: int) -> list[tuple[int, int]]:

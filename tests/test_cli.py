@@ -123,6 +123,26 @@ def test_workers_split_the_coset_walk(capsys, tmp_path, two_cpus, q, t):
     assert sum(map(int, json.loads(out1)["counts"])) == 81
 
 
+@pytest.mark.parametrize("q,t", [(13, 2), (3, 3), (4, 2)])
+def test_workers_split_a_group(capsys, two_cpus, q, t):
+    """Two workers cut the census inside a group of q points that differ
+    only in the last diagonal entry, which the kernel counts at once: the
+    last point of the first range and the first point of the second lie
+    in one group of block 0, whose points are the word indices q^(k-1) +
+    i, i < q^(k-1), grouped by i // q. The output is the same bytes as
+    one worker's."""
+    m = q - 1
+    total = q ** (t * t)
+    (_, cut), _ = _index_ranges(total, 2)
+    last, first = (cut - 2) // m, (cut - 1) // m  # points either side
+    assert last // q == first // q and first < q ** (t * t - 1)
+    argv = ["count", "--q", str(q), "--t", str(t), "--format", "json"]
+    rc1, out1, _ = run(capsys, argv + ["--workers", "1"])
+    rc2, out2, _ = run(capsys, argv + ["--workers", "2"])
+    assert rc1 == rc2 == 0 and out1 == out2
+    assert json.loads(out1)["match"] is True
+
+
 def test_count_table_output(capsys):
     rc, out, _ = run(capsys, ["count", "--q", "3", "--t", "2"])
     assert rc == 0
@@ -828,8 +848,10 @@ def _count_forks(monkeypatch):
 def test_tiny_enumerations_start_no_pool(capsys, monkeypatch, tmp_path,
                                         example_code):
     """Under the default MIN_WORDS_PER_PROCESS, a code too small to pay for
-    a process of its own is counted in-process, with the one-worker bytes;
-    the 65536 matrices of q=2, t=4 still fork one child."""
+    a process of its own is counted in-process, with the one-worker bytes,
+    and so are the 28 561 matrices of q=13, t=2, which the kernel ranks
+    in about 1.5 ms; the 65536 matrices of q=2, t=4 still fork one
+    child."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     words = workers.MIN_WORDS_PER_PROCESS
@@ -842,6 +864,9 @@ def test_tiny_enumerations_start_no_pool(capsys, monkeypatch, tmp_path,
     rc2, out2, err2 = run(capsys, argv + ["--workers", "2"])
     assert (rc1, rc2, err2) == (0, 0, "")
     assert out2 == out1 and forks == []
+    rc, out, _ = run(capsys, ["count", "--q", "13", "--t", "2", "--workers",
+                              "2", "--format", "json"])
+    assert rc == 0 and forks == [] and json.loads(out)["match"] is True
     rc, out, _ = run(capsys, ["count", "--q", "2", "--t", "4", "--workers",
                               "2", "--format", "json"])
     assert rc == 0 and forks == [1]

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import product
 
 import pytest
 
@@ -33,6 +34,7 @@ from hrmc.hermitian_space import (
     hermitian_from_index,
     inner_product,
     rank,
+    rank_of_rows,
     total_hermitian,
 )
 from hrmc.verify import random_code, sample_codes
@@ -182,9 +184,10 @@ def test_rank_counts_split_inside_projective_groups(p, m):
         assert [x + y for x, y in halves] == whole
 
 
-def _random_code(field, t, k, seed):
+def _random_code(field, t, k, seed, start=()):
+    """A code of dimension k: the span of ``start`` and random matrices."""
     rng = random.Random(seed)
-    code = make_code(field, t, [])
+    code = make_code(field, t, list(start))
     while code.k < k:
         extra = hermitian_from_index(field, t,
                                      rng.randrange(total_hermitian(field, t)))
@@ -216,7 +219,10 @@ def _coset_cuts(code):
     """Kernel indices at every boundary of a coset of K (the points of a
     block past the head generators count as one coset), one index either
     side of it, one inside its first group of q - 1 multiples, and one in
-    the middle of the coset."""
+    the middle of the coset; and at every boundary of a group of q points
+    that differ only in the last generator's coefficient (the kernel's
+    groups, where that generator is the last diagonal unit E) and one
+    index either side of it."""
     q, k, m = code.field.q, code.k, code.field.q - 1
     heads = _heads(code)
     cuts, first = set(), 0
@@ -226,23 +232,29 @@ def _coset_cuts(code):
         for point in range(first, first + block, step):
             cuts.update(1 + point * m + d for d in (-1, 0, 1, m // 2))
             cuts.add(1 + (point + step // 2) * m)
+        for point in range(first, first + block, q):
+            cuts.update(1 + point * m + d for d in (-1, 0, 1))
         first += block
     return sorted(a for a in cuts if 0 < a < code.size)
 
 
 @pytest.mark.parametrize("p,m,t", [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 1, 3),
-                                   (2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2),
-                                   (5, 1, 2)])
+                                   (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 3),
+                                   (3, 2, 2), (5, 1, 2), (7, 1, 2)])
 def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
     """With every memo of a packing starting over at 2 entries, and the
     listed span of K at the default ``_RUN_LIMIT`` or cut to one
-    generator, rank_counts equals a count through hermitian_space.rank,
-    whole and as the sum of the ranges between all the cuts of
-    _coset_cuts. The codes: one whose head map is injective (dim K = 0,
-    for t >= 2), one whose K has at least two dimensions where t >= 3,
-    more words than the cut run lists, and one of up to 256 words, whose
-    cosets' prefixes are summed over several generators; at t = 1 the
-    head is empty and K is the whole code."""
+    generator (a single group of q words where that generator is E, the
+    unit at the last diagonal cell), rank_counts equals a count through
+    hermitian_space.rank, whole and as the sum of the ranges between all
+    the cuts of _coset_cuts, every group boundary among them. The codes:
+    one whose head map is injective (dim K = 0, for t >= 2), one whose K
+    has at least two dimensions where t >= 3, more words than the cut run
+    lists, and one of up to 256 words, whose cosets' prefixes are summed
+    over several generators; at t >= 2 also two of up to 256 words below
+    the whole space, one holding E, counted q words at a time, and one
+    without E, counted a word at a time; at t = 1 the head is empty and K
+    is the whole code."""
     monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
     field = make_field(p, m)
     q = field.q
@@ -256,6 +268,12 @@ def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
     dims = [code.k - _heads(code) for code in cases]
     if t >= 2:
         assert dims[0] == 0
+        unit = _unit_matrices(field, t)[-1]
+        k = max(k for k in range(1, t * t) if q ** k <= 256)
+        drawn = (_random_code(field, t, k, seed) for seed in range(20))
+        cases += [_random_code(field, t, k, seed=k, start=[unit]),
+                  next(c for c in drawn if c.generators[-1] != unit)]
+        assert cases[-2].generators[-1] == unit
     assert dims[1] >= min(2, tail)
     for limit in (codes._RUN_LIMIT, q):
         monkeypatch.setattr(codes, "_RUN_LIMIT", limit)
@@ -297,6 +315,53 @@ def test_kernel_order_walks_the_code_basis(p, m, t, dim_k):
         assert rank_counts(code, a, a + 1) == counts, a
 
 
+def _space_counts(field, t):
+    """The ranks of every t x t Hermitian matrix, each built cell by cell
+    and ranked by hermitian_space.rank_of_rows: no packing, no basis and
+    no groups."""
+    conj = [field.conj_index(x) for x in range(field.order)]
+    upper = [(i, j) for i in range(t) for j in range(i + 1, t)]
+    counts = [0] * (t + 1)
+    for diag in product(field.subfield_indices(), repeat=t):
+        for cells in product(range(field.order), repeat=len(upper)):
+            rows = [[0] * t for _ in range(t)]
+            for i, d in enumerate(diag):
+                rows[i][i] = d
+            for (i, j), x in zip(upper, cells):
+                rows[i][j], rows[j][i] = x, conj[x]
+            counts[rank_of_rows(field, rows)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4),
+                                   (3, 1, 1), (3, 1, 2), (3, 1, 3), (2, 2, 1),
+                                   (2, 2, 2), (5, 1, 1), (5, 1, 2), (7, 1, 2),
+                                   (3, 2, 1), (3, 2, 2)])
+def test_full_space_groups_match_per_word_elimination(p, m, t):
+    """The basis of the whole space ends with E, the unit at the last
+    diagonal cell, so the kernel counts it q words at a time; that count
+    equals the ranks of all q^(t^2) matrices by elimination. (At t = 3,
+    q = 4 has 2^18 matrices and q >= 5 at least 5^9, more than this
+    reference ranks in a second.)"""
+    field = make_field(p, m)
+    space = dual_code(make_code(field, t, []))
+    assert space.generators[-1] == _unit_matrices(field, t)[-1]
+    assert rank_counts(space, 0, space.size) == _space_counts(field, t)
+
+
+def test_census_at_q13_t2_meets_few_new_leads(monkeypatch):
+    """Each group of 13 words reduces its last row once, so the q=13, t=2
+    census finds the lead of fewer than 1 000 new rows (2 508 when every
+    word reduces its own last row)."""
+    calls = []
+    real_lead_of = codes._Packing._lead_of
+    monkeypatch.setattr(codes._Packing, "_lead_of", lambda self, row:
+                        calls.append(row) or real_lead_of(self, row))
+    space = dual_code(make_code(make_field(13, 1), 2, []))
+    assert rank_counts(space, 0, space.size) == [1, 2040, 26520]
+    assert len(calls) < 1000
+
+
 def test_full_space_reduces_each_head_once(monkeypatch):
     """The 65 536 matrices at q=2, t=4 fall into 4 096 cosets of their
     zero-head subcode K: the basis has 12 generators with a nonzero cell
@@ -330,6 +395,26 @@ def test_rank_counts_refuses_a_basis_out_of_head_first_order():
     flipped = codes.LinearCode(space.field, 2, space.generators[::-1], 4)
     with pytest.raises(UsageError, match="make_code"):
         rank_counts(flipped, 0, flipped.size)
+
+
+def test_rank_counts_refuses_a_generator_that_is_not_hermitian():
+    """At q=3, t=2 the span of [[1, 1], [theta, 0]] and E holds, by
+    elimination, one word of rank 0, two of rank 1 and six of rank 2; the
+    group rule, which holds for Hermitian words only, would count 4 and
+    4. A LinearCode built by hand around them is refused, not
+    miscounted."""
+    field = make_field(3, 1)
+    theta = codes._theta_index(field)
+    cells = ([[1, 1], [theta, 0]], [[0, 0], [0, 1]])
+    counts = [0, 0, 0]
+    for a, b in product(field.subfield_indices(), repeat=2):
+        counts[rank_of_rows(field, [
+            [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(*rows)]
+            for rows in zip(*cells)])] += 1
+    assert counts == [1, 2, 6]
+    code = codes.LinearCode(field, 2, tuple(_mat(field, c) for c in cells), 2)
+    with pytest.raises(UsageError, match="make_code"):
+        rank_counts(code, 0, code.size)
 
 
 def _unreachable(*args):
