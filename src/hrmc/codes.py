@@ -10,15 +10,17 @@ Coordinates: a Hermitian matrix is determined by its t diagonal entries
 u, v with entry = u + v*theta, where theta is the smallest field element
 moved by conjugation. They are laid out row by row: row i's diagonal
 entry, then u and v of each of its upper entries. That gives a bijective
-vectorisation onto GF(q)^(t^2) which make_code uses to reduce any
-generating set to a canonical row-echelon basis -- two equal codes
-therefore compare equal. Since the coordinates of the top t // 2 rows
-(the head) come first, that basis is head-first: its generators with a
-nonzero head lead, and the others span K, the words whose head is zero.
+vectorisation onto GF(q)^(t^2). A :class:`LinearCode` is held as the
+reduced row-echelon form of its words' coordinates, which its
+constructor computes from any rows, so two equal codes compare equal,
+and k and the generator matrices follow from it. Since the coordinates
+of the top t // 2 rows (the head) come first, that basis is head-first:
+its generators with a nonzero head lead, and the others span K, the
+words whose head is zero.
 
 The dual is taken with respect to the trace form <H, J> = Tr(H^dagger J):
 each generator's row of the system over the subfield is read off its
-cells, and the null space, reduced once, is the dual's canonical basis.
+cells, and the null space is the dual's basis.
 
 Enumeration has one kernel, on packed words: a whole t x t word is one
 int with a lane per base-p digit of each cell (see ``_Packing``), so
@@ -38,23 +40,10 @@ word stands for its q - 1 nonzero multiples. The words of a coset h + K
 share their head and follow each other, so the kernel reduces the head
 rows once per coset and each word only its other rows, with the packed
 elimination of ``_Packing``, written apart from
-``hermitian_space.rank_of_rows``.
-
-Where the code holds E, the unit at the last diagonal cell, its basis
-ends with E, and the kernel ranks q words at a time: q consecutive words
-of a listed run that starts at the zero word differ only in E's
-coefficient. Only the group's first word M = [[A, c], [c*, d]] is
-reduced, and where its last row (c*, d) stops counts all q words. Where
-it joins at a column before the last, all q words gain one rank on
-[A | c]; otherwise (c*, d) is nu e_last modulo the rows of [A | c],
-e_last the unit row of the last column, and of the last rows (c*, x),
-x over d + GF(q) = GF(q), only the one of x = d - nu adds nothing. That x lies in GF(q): (c*, d - nu) = y [A | c] for some y, so
-c* = yA, hence c = Ay* as A is Hermitian, and d - nu = yc = yAy*, which
-conjugation fixes. Every other word, and every word of a code without
-E, is a group of one. The rule is elimination on each group's own rows,
-not a closed form, so this route stays apart from the eigenvalue and
-transform routes; it needs Hermitian words, and :func:`rank_counts`
-refuses a hand-built code whose generators are not.
+``hermitian_space.rank_of_rows``. Where the code holds E, the unit at
+the last diagonal cell, one reduction of a word's last row ranks the q
+words that differ only in E's coefficient; ``_Packing.count_ranks``
+states that rule and proves it.
 
 An enumeration builds one packing, the q multiples of each generator its
 walk lists (:func:`rank_counts` reads only the word of a block's leading
@@ -63,20 +52,20 @@ of at most ``_RUN_LIMIT`` words of K (or q, if more), shared by every
 coset, and, where that list holds all of K, one as long of the span of
 the trailing head generators, to which each prefix of the others is
 added to give the cosets' prefixes. The packing builds nothing up
-front: its memos (lead rows, lane conversions) fill as words need them
-and each starts over at ``_CACHE_LIMIT`` entries, so nothing grows with
-the field order.
-:func:`rank_counts` is what :func:`weight_distribution`,
+front, and its memos fill as words need them and stay bounded (see
+``_Packing``). :func:`rank_counts` is what :func:`weight_distribution`,
 :func:`min_distance` and the CLI (census, ``wd`` and every ``--workers``
 process) count with, and ranges of [0, q^k) split anywhere add up to
-the whole distribution. :func:`enumerate_codewords` and
-:func:`codeword_from_index` decode the same walker's words of the code's
-own basis to matrices, in index order.
+the whole distribution. :func:`codeword_from_index` and
+:func:`enumerate_codewords` decode words to matrices from the basis
+coordinates with plain field arithmetic, not from packed words, so they
+share no code with the kernel.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from itertools import chain, repeat
 
 from ._value import Value, json_int
@@ -97,18 +86,44 @@ from .hermitian import (
 
 
 class LinearCode(Value):
-    __slots__ = ("field", "t", "generators", "k")
+    """The GF(q)-linear span of some t x t Hermitian matrices, held as
+    ``basis``: the reduced row-echelon form of their subfield coordinates
+    (see :func:`vectorize`), which the constructor computes from any rows
+    it is given. Two equal codes therefore hold equal bases. ``k``,
+    ``size`` and the ``generators`` (built on each read) follow from it."""
+
+    __slots__ = ("field", "t", "basis")
 
     def __init__(self, field: Field, t: int,
-                 generators: tuple[HermitianMatrix, ...], k: int) -> None:
+                 basis: Iterable[Iterable[int]]) -> None:
+        if t < 1:
+            raise UsageError(f"matrix size must be positive, got t={t}")
+        subfield = set(field.subfield_indices())
+        rows = [list(row) for row in basis]
+        for row in rows:
+            if len(row) != t * t:
+                raise UsageError(f"a basis row has {len(row)} coordinates, "
+                                 f"not t^2 = {t * t}")
+            if not subfield.issuperset(row):
+                raise UsageError("a basis coordinate lies outside the "
+                                 "conjugation-fixed subfield")
         self.field = field
         self.t = t
-        self.generators = generators  # canonical echelon basis
-        self.k = k
+        self.basis = tuple(map(tuple, _rref(field, rows)[0]))
+
+    @property
+    def k(self) -> int:
+        return len(self.basis)
 
     @property
     def size(self) -> int:
         return self.field.q ** self.k
+
+    @property
+    def generators(self) -> tuple[HermitianMatrix, ...]:
+        theta = _theta_index(self.field)
+        return tuple(devectorize(self.field, self.t, row, theta)
+                     for row in self.basis)
 
     def to_jsonable(self) -> dict:
         return {"field": self.field.to_jsonable(), "t": self.t,
@@ -157,17 +172,17 @@ def _theta_index(field: Field) -> int:
     raise AssertionError("conjugation cannot fix the whole field")
 
 
-def vectorize(m: HermitianMatrix, theta: int) -> list[int]:
-    """Subfield coordinates of a Hermitian matrix, as element indices, row
-    by row: each row's diagonal entry, then u and v of each of its upper
-    entries."""
-    field = m.field
+def vectorize(field: Field, t: int, grid: list[int],
+              theta: int) -> list[int]:
+    """Subfield coordinates, as element indices, of the Hermitian matrix
+    whose element indices, row-major, are ``grid`` (its lower cells are
+    not read), row by row: each row's diagonal entry, then u and v of
+    each of its upper entries."""
     denom = field.inv(field.sub(theta, field.conj_index(theta)))
     coords = []
-    for i, row in enumerate(m.entries):
-        coords.append(row[i].index)
-        for x in row[i + 1:]:
-            h = x.index
+    for i in range(t):
+        coords.append(grid[i * t + i])
+        for h in grid[i * t + i + 1:(i + 1) * t]:
             v = field.mul(field.sub(h, field.conj_index(h)), denom)
             coords += (field.sub(h, field.mul(v, theta)), v)
     return coords
@@ -232,10 +247,10 @@ def _rref(field: Field,
 
 
 def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> LinearCode:
-    """Build a code from any generating set, reducing to a canonical basis:
-    the reduced row-echelon form of the generators' coordinates, so its
-    generators with a nonzero head (top t // 2 rows) come first and the
-    others span the zero-head subcode K."""
+    """The code spanned by any Hermitian matrices: :class:`LinearCode`
+    reduces their coordinates to its basis, whose generators with a
+    nonzero head (top t // 2 rows) come first while the others span the
+    zero-head subcode K."""
     if t < 1:
         raise UsageError(f"matrix size must be positive, got t={t}")
     for g in generators:
@@ -246,9 +261,9 @@ def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> Linear
         if not is_hermitian(g):
             raise NotHermitian("generator differs from its conjugate transpose")
     theta = _theta_index(field)
-    basis_rows, _ = _rref(field, [vectorize(g, theta) for g in generators])
-    basis = tuple(devectorize(field, t, r, theta) for r in basis_rows)
-    return LinearCode(field, t, basis, len(basis))
+    return LinearCode(field, t, [
+        vectorize(field, t, [x.index for row in g.entries for x in row], theta)
+        for g in generators])
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -261,15 +276,13 @@ def dual_code(code: LinearCode) -> LinearCode:
     """
     field, t = code.field, code.t
     add, mul, conj, neg = field.add, field.mul, field.conj_index, field.neg
-    theta = _theta_index(field)
-    theta_bar = conj(theta)
+    theta_bar = conj(_theta_index(field))
     system = []
-    for g in code.generators:
-        cells = [[x.index for x in row] for row in g.entries]
+    for cells in _grids(code):
         row = []
         for i in range(t):
-            row.append(cells[i][i])
-            for h in cells[i][i + 1:]:
+            row.append(cells[i * t + i])
+            for h in cells[i * t + i + 1:(i + 1) * t]:
                 w = mul(theta_bar, h)
                 row += (add(h, conj(h)), add(w, conj(w)))
         system.append(row)
@@ -284,9 +297,7 @@ def dual_code(code: LinearCode) -> LinearCode:
         for r, p in zip(reduced, pivots):
             coords[p] = neg(r[f])
         null_vectors.append(coords)
-    basis_rows, _ = _rref(field, null_vectors)
-    basis = tuple(devectorize(field, t, r, theta) for r in basis_rows)
-    return LinearCode(field, t, basis, len(basis))
+    return LinearCode(field, t, null_vectors)
 
 
 # ---------------------------------------------------------- packed words
@@ -315,10 +326,13 @@ class _Packing:
     per row in a dict filled on first use, as are, for odd p, the
     conversions between a cell's lanes and its element index.
     :meth:`count_ranks` runs the same elimination inline over many words.
-    Nothing is built up front, and each memo starts over when it reaches
-    ``_CACHE_LIMIT`` entries, so memory stays bounded in every field. Each
-    enumeration makes its own packing and drops it at the end; none is
-    kept on the field, so a pickled field carries none of it.
+    Nothing is built up front. The lead memo starts over when it reaches
+    ``_CACHE_LIMIT`` entries. The two conversion memos need no cap: each
+    is keyed by element indices or by the lanes of one, every lane below
+    p, so it holds at most ``field.order`` entries, and no field is
+    larger than ``fields.MAX_FIELD_ORDER`` = 2^16. Each enumeration makes
+    its own packing and drops it at the end; none is kept on the field,
+    so a pickled field carries none of it.
     """
 
     def __init__(self, field: Field, t: int):
@@ -347,8 +361,6 @@ class _Packing:
         memo = self._lanes
         value = memo.get(index)
         if value is None:
-            if len(memo) >= _CACHE_LIMIT:
-                memo.clear()
             p, w = self.p, self.w
             value = shift = 0
             rest = index
@@ -366,8 +378,6 @@ class _Packing:
         memo = self._indices
         index = memo.get(cell)
         if index is None:
-            if len(memo) >= _CACHE_LIMIT:
-                memo.clear()
             p, w = self.p, self.w
             lane = (1 << w) - 1
             index, place, rest = 0, 1, cell
@@ -377,16 +387,6 @@ class _Packing:
                 place *= p
             memo[cell] = index
         return index
-
-    def _cells(self, word: int):
-        """(offset, element index) of every cell up to the word's last
-        nonzero one."""
-        bits, mask = self.cell_bits, self.cell_mask
-        offset = 0
-        while word:
-            yield offset, self.index(word & mask)
-            word >>= bits
-            offset += 1
 
     def _make_swar_add(self):
         p, w1, carry, top = self.p, self.w - 1, self.carry, self.top
@@ -400,14 +400,6 @@ class _Packing:
     def neg(self, a: int) -> int:
         # lanes p - d lie in 1..p, and the add takes p from those at p
         return a if self.p == 2 else self.add(self.lane_p - a, 0)
-
-    def matrix(self, word: int) -> HermitianMatrix:
-        field, t = self.field, self.t
-        grid = [field.zero()] * (t * t)
-        for offset, x in self._cells(word):
-            grid[offset] = field.from_index(x)
-        return HermitianMatrix(field, t, tuple(
-            tuple(grid[i:i + t]) for i in range(0, t * t, t)))
 
     def generators(self, grids, start: int = 0) -> list[list[int]]:
         """scaled[j][d]: the word of grids[j] (element indices, row-major)
@@ -502,7 +494,10 @@ class _Packing:
         yAy*, a 1 x 1 Hermitian matrix, which conjugation fixes. Nor is
         a row of [A | c]'s span led by the last column, where the last
         row would reduce on to zero: such a row z [A | c] has zA = 0 and
-        zc != 0, yet zc = zAy* = 0.
+        zc != 0, yet zc = zAy* = 0. The words of a :class:`LinearCode`
+        are Hermitian, as its basis holds coordinates. The rule is
+        elimination on each group's own rows, not a closed form, so this
+        route stays apart from the eigenvalue and transform routes.
         """
         t, p, w1, carry, top = self.t, self.p, self.w - 1, self.carry, self.top
         q = self.field.q
@@ -673,18 +668,11 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     top t // 2 rows are zero, so the points of each coset h + K are one
     contiguous run of that order: their head rows are reduced once, and
     each point reduces only its other rows. Where the basis ends with E,
-    the unit at the last diagonal cell, q consecutive points differ only
-    in E's coefficient, and the reduction of the first one's last row
-    ranks all q (see :meth:`_Packing.count_ranks`): if it joins before
-    the last column, all gain one rank on the rows above; else it leaves
-    nu e_last, and only the point whose last diagonal entry cancels nu
-    keeps that rank. That point exists because nu lies in GF(q): writing
-    the first point as [[A, c], [c*, d]], (c*, d - nu) = y [A | c], so
-    c = Ay* and d - nu = yAy*, fixed by conjugation. So the generators must be Hermitian, as make_code's are, and a
-    hand-built code whose generators are not, or whose zero-head
-    generators do not trail, is refused. The guard applies to the whole
-    code, so every split of [0, q^k) into ranges is refused or counted
-    alike.
+    the unit at the last diagonal cell, one reduction of a point's last
+    row ranks the q consecutive points that differ only in E's
+    coefficient (the rule and its proof: :meth:`_Packing.count_ranks`).
+    The guard applies to the whole code, so every split of [0, q^k) into
+    ranges is refused or counted alike.
     """
     _check_enumeration(code, guard)
     if not 0 <= start <= stop <= code.size:
@@ -698,18 +686,7 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
     listed = _block_of(q, code.k, lo) + 1  # the first generator listed
     grids = _grids(code)
-    conj = {x: code.field.conj_index(x)
-            for x in set(chain.from_iterable(grids))}
-    transposed = [j * t + i for i in range(t) for j in range(t)]
-    # a LinearCode built by hand may hold a basis make_code never gives
-    if any([conj[grid[c]] for c in transposed] != grid for grid in grids):
-        raise UsageError("a generator differs from its conjugate transpose: "
-                         "build the code with make_code")
-    heads = [any(grid[:t // 2 * t]) for grid in grids]
-    n_head = sum(heads)
-    if any(heads[n_head:]):
-        raise UsageError("a generator with a nonzero head follows one "
-                         "without: reduce the basis with make_code")
+    n_head = sum(any(grid[:t // 2 * t]) for grid in grids)
     scaled = pk.generators(grids, listed)
     add = pk.add
     # words of K only, then, where they take all of K, the head generators
@@ -731,27 +708,34 @@ def rank_counts(code: LinearCode, start: int, stop: int,
 
 def _grids(code: LinearCode) -> list[list[int]]:
     """The element indices of each generator of the code, row-major."""
-    return [[x.index for row in g.entries for x in row]
-            for g in code.generators]
+    theta = _theta_index(code.field)
+    return [_grid(code.field, code.t, row, theta) for row in code.basis]
 
 
 def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:
-    """Decode an index in [0, q^k) to its codeword; coefficient of the first
-    generator is the most significant digit."""
+    """Decode an index in [0, q^k) to its codeword: the combination of the
+    basis rows whose coefficients are the base-q digits of the index, the
+    first row's digit most significant, each digit picking a subfield
+    element in ascending index order."""
     if not 0 <= index < code.size:
         raise UsageError(f"codeword index {index} out of range")
-    pk = _Packing(code.field, code.t)
-    return pk.matrix(next(_words(pk.generators(_grids(code)), 0, index,
-                                 index + 1, pk.add)))
+    field = code.field
+    add, mul, q = field.add, field.mul, field.q
+    subfield = field.subfield_indices()
+    coords = [0] * (code.t * code.t)
+    for row in reversed(code.basis):
+        index, digit = divmod(index, q)
+        if digit:
+            c = subfield[digit]
+            coords = [add(x, mul(c, y)) for x, y in zip(coords, row)]
+    return devectorize(field, code.t, coords, _theta_index(field))
 
 
 def enumerate_codewords(code: LinearCode, guard: int | None = None):
     """All q^k codewords as matrices, in index order."""
     _check_enumeration(code, guard)
-    pk = _Packing(code.field, code.t)
-    scaled = pk.generators(_grids(code))
-    for word in _words(scaled, 0, 0, code.size, pk.add, _run(scaled, pk.add)):
-        yield pk.matrix(word)
+    for index in range(code.size):
+        yield codeword_from_index(code, index)
 
 
 def weight_distribution(code: LinearCode, guard: int | None = None) -> WeightDistribution:

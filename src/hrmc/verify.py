@@ -26,7 +26,13 @@ from .calculus import (
     scale_y,
     shift_lambda,
 )
-from .codes import LinearCode, dual_code, make_code, weight_distribution
+from .codes import (
+    LinearCode,
+    _theta_index,
+    dual_code,
+    vectorize,
+    weight_distribution,
+)
 from .cost import check_guard, check_power_guard, sampled_words, value_words
 from .eigen import (
     build_eigen_table,
@@ -36,7 +42,6 @@ from .eigen import (
 )
 from .errors import NonIntegralDual, UsageError
 from .fields import Field
-from .hermitian import HermitianMatrix
 from .macwilliams import macwilliams_eigen, macwilliams_transform
 from .moments import (
     delta_fn,
@@ -150,21 +155,21 @@ def random_lambda_poly(ctx: NegQContext, rng: random.Random,
 
 
 def random_code(field: Field, t: int, rng: random.Random) -> LinearCode:
-    """Random subcode: 1..t^2 random Hermitian generators, then reduce."""
+    """Random subcode: the span of 1..t^2 random Hermitian matrices, each
+    drawn as its diagonal, then its upper cells row by row."""
     n_gens = rng.randint(1, t * t)
-    subfield = field.subfield_elements()
-    gens = []
+    subfield = field.subfield_indices()
+    theta = _theta_index(field)
+    rows = []
     for _ in range(n_gens):
-        grid = [[field.zero()] * t for _ in range(t)]
+        grid = [0] * (t * t)
         for i in range(t):
-            grid[i][i] = subfield[rng.randrange(field.q)]
+            grid[i * t + i] = subfield[rng.randrange(field.q)]
         for i in range(t):
             for j in range(i + 1, t):
-                x = field.from_index(rng.randrange(field.order))
-                grid[i][j] = x
-                grid[j][i] = x.conj()
-        gens.append(HermitianMatrix(field, t, tuple(tuple(r) for r in grid)))
-    return make_code(field, t, gens)
+                grid[i * t + j] = rng.randrange(field.order)
+        rows.append(vectorize(field, t, grid, theta))
+    return LinearCode(field, t, rows)
 
 
 # --------------------------------------------------------------- suites

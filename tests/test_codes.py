@@ -5,6 +5,7 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hrmc import codes
 from hrmc.codes import (
@@ -27,7 +28,7 @@ from hrmc.errors import (
     UsageError,
     ZeroCode,
 )
-from hrmc.fields import make_field
+from hrmc.fields import FieldElement, make_field
 from hrmc.hermitian import HermitianMatrix, zero_matrix
 from hrmc.hermitian_space import (
     enumerate_hermitian,
@@ -242,7 +243,7 @@ def _coset_cuts(code):
                                    (2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 1, 3),
                                    (3, 2, 2), (5, 1, 2), (7, 1, 2)])
 def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
-    """With every memo of a packing starting over at 2 entries, and the
+    """With a packing's lead memo starting over at 2 entries, and the
     listed span of K at the default ``_RUN_LIMIT`` or cut to one
     generator (a single group of q words where that generator is E, the
     unit at the last diagonal cell), rank_counts equals a count through
@@ -368,12 +369,15 @@ def test_full_space_reduces_each_head_once(monkeypatch):
     in the top two rows and, after them, 4 spanning K. So the kernel
     reduces the top two rows 4 096 times, not once per word; only the
     range's two end points reduce all four rows at once. It counts from
-    the code's basis as it stands, reducing no coordinates again."""
-    space = dual_code(make_code(make_field(2, 1), 4, []))
-    assert _heads(space) == 12 and not any(
-        x.index for g in space.generators[12:] for row in g.entries[:2]
-        for x in row)
-    for name in ("_rref", "vectorize", "_grid"):
+    the code's basis as it stands, reducing no coordinates again, and
+    neither building the space nor counting it makes a field element or
+    a matrix object."""
+    field = make_field(2, 1)
+    zero = make_code(field, 4, [])
+    for cls in (FieldElement, HermitianMatrix):
+        monkeypatch.setattr(cls, "__init__", _no_objects)
+    space = dual_code(zero)
+    for name in ("_rref", "vectorize"):
         monkeypatch.setattr(codes, name, _unreachable)
     reduced = []
     real_reduce = codes._Packing.reduce
@@ -386,39 +390,121 @@ def test_full_space_reduces_each_head_once(monkeypatch):
     assert rank_counts(space, 0, space.size) == [1, 85, 3570, 23800, 38080]
     assert (reduced.count(2), reduced.count(4), len(reduced)) == (4096, 2,
                                                                   4098)
+    monkeypatch.undo()
+    assert _heads(space) == 12 and not any(
+        x.index for g in space.generators[12:] for row in g.entries[:2]
+        for x in row)
 
 
-def test_rank_counts_refuses_a_basis_out_of_head_first_order():
-    """A LinearCode built by hand around a basis whose zero-head
-    generators do not trail is refused, not miscounted."""
-    space = dual_code(make_code(make_field(2, 1), 2, []))
-    flipped = codes.LinearCode(space.field, 2, space.generators[::-1], 4)
-    with pytest.raises(UsageError, match="make_code"):
-        rank_counts(flipped, 0, flipped.size)
+def test_code_reduces_the_rows_it_is_given():
+    """A LinearCode holds the reduced row-echelon form of its rows, so the
+    full space's basis in reverse order, whose zero-head rows lead, is
+    the full space again, head-first, and counts the same."""
+    field = make_field(2, 1)
+    space = dual_code(make_code(field, 2, []))
+    flipped = codes.LinearCode(field, 2, space.basis[::-1])
+    assert not any(space.basis[::-1][0][:3])  # a zero head leads
+    assert flipped == space and flipped.basis == space.basis
+    assert (rank_counts(flipped, 0, flipped.size) == _space_counts(field, 2)
+            == rank_counts(space, 0, space.size))
 
 
-def test_rank_counts_refuses_a_generator_that_is_not_hermitian():
-    """At q=3, t=2 the span of [[1, 1], [theta, 0]] and E holds, by
-    elimination, one word of rank 0, two of rank 1 and six of rank 2; the
-    group rule, which holds for Hermitian words only, would count 4 and
-    4. A LinearCode built by hand around them is refused, not
-    miscounted."""
-    field = make_field(3, 1)
+@pytest.mark.parametrize("p,m,t", [(2, 1, 2), (2, 1, 3), (3, 1, 2)])
+def test_code_dimension_is_the_rank_of_its_rows(p, m, t):
+    """k follows from the rows, so it cannot disagree with them: two of
+    the full space's basis rows span q^2 words, and all of them, with a
+    copy of each and the sum of each neighbouring pair, span the whole
+    space, each counted as elimination ranks its words. There is no k to
+    pass."""
+    field = make_field(p, m)
+    space = dual_code(make_code(field, t, []))
+    rows = space.basis
+    two = codes.LinearCode(field, t, rows[:2])
+    assert two.k == 2 and two.size == field.q ** 2
+    assert rank_counts(two, 0, two.size) == _counts_by_rank(two)
+    sums = [[field.add(x, y) for x, y in zip(a, b)]
+            for a, b in zip(rows, rows[1:])]
+    whole = codes.LinearCode(field, t, [*rows, *sums, *rows])
+    assert whole == space and whole.k == t * t
+    assert rank_counts(whole, 0, whole.size) == _space_counts(field, t)
+    with pytest.raises(TypeError):
+        codes.LinearCode(field, t, rows, len(rows))
+
+
+def test_code_refuses_rows_that_are_not_coordinates(fields):
+    """Every row must hold t^2 coordinates, each an element index of the
+    conjugation-fixed subfield, and t must be positive; theta, the
+    smallest index conjugation moves, is no coordinate, nor is the
+    element object of a subfield index."""
+    f4 = fields[2]
+    theta = codes._theta_index(f4)
+    cases = [
+        ((f4, 2, [[1, 0, 0, 1], [0, 0, theta, 0]]),
+         "a basis coordinate lies outside the conjugation-fixed subfield"),
+        ((f4, 2, [[0, f4.one(), 0, 0]]),
+         "a basis coordinate lies outside the conjugation-fixed subfield"),
+        ((f4, 2, [[1, 0, 0, 1], [1, 0, 0]]),
+         "a basis row has 3 coordinates, not t^2 = 4"),
+        ((f4, 1, [[1, 0, 0, 1]]),
+         "a basis row has 4 coordinates, not t^2 = 1"),
+        ((f4, 0, []), "matrix size must be positive, got t=0"),
+    ]
+    for args, message in cases:
+        with pytest.raises(UsageError) as info:
+            codes.LinearCode(*args)
+        assert type(info.value) is UsageError and str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       pm=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]),
+       t=st.integers(1, 3))
+def test_any_coordinate_rows_give_the_code_of_their_matrices(data, pm, t):
+    """Random coordinate rows, with copies, combinations of each other and
+    in any order, give the code that make_code builds from their
+    matrices, whose words are all the combinations of the rows; its
+    counts over the ranges between random cuts add up to the count of
+    its words by hermitian_space.rank."""
+    field = make_field(*pm)
+    q, n = field.q, t * t
+    subfield = field.subfield_indices()
+    drawn = data.draw(st.lists(
+        st.lists(st.sampled_from(subfield), min_size=n, max_size=n),
+        max_size=max(k for k in range(n + 1) if q ** k <= 256)))
+
+    def combination(coefficients):
+        word = [0] * n
+        for c, row in zip(coefficients, drawn):
+            word = [field.add(x, field.mul(c, y)) for x, y in zip(word, row)]
+        return word
+
+    mixes = data.draw(st.lists(st.lists(st.sampled_from(subfield),
+                                        min_size=len(drawn),
+                                        max_size=len(drawn)), max_size=3))
+    copies = data.draw(st.lists(st.sampled_from(drawn), max_size=3)
+                       if drawn else st.just([]))
+    rows = data.draw(st.permutations(
+        [*drawn, *map(combination, mixes), *copies]))
+    code = codes.LinearCode(field, t, rows)
     theta = codes._theta_index(field)
-    cells = ([[1, 1], [theta, 0]], [[0, 0], [0, 1]])
-    counts = [0, 0, 0]
-    for a, b in product(field.subfield_indices(), repeat=2):
-        counts[rank_of_rows(field, [
-            [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(*rows)]
-            for rows in zip(*cells)])] += 1
-    assert counts == [1, 2, 6]
-    code = codes.LinearCode(field, 2, tuple(_mat(field, c) for c in cells), 2)
-    with pytest.raises(UsageError, match="make_code"):
-        rank_counts(code, 0, code.size)
+    assert code == make_code(field, t, [codes.devectorize(field, t, r, theta)
+                                        for r in rows])
+    assert set(enumerate_codewords(code)) == {
+        codes.devectorize(field, t, combination(c), theta)
+        for c in product(subfield, repeat=len(drawn))}
+    whole = _counts_by_rank(code)
+    cuts = sorted(data.draw(st.lists(st.integers(0, code.size), max_size=6)))
+    bounds = [0, *cuts, code.size]
+    parts = [rank_counts(code, a, b) for a, b in zip(bounds, bounds[1:])]
+    assert [sum(column) for column in zip(*parts)] == whole
 
 
 def _unreachable(*args):
     raise AssertionError("the code's basis reduced again")
+
+
+def _no_objects(*args):
+    raise AssertionError("an element or matrix object was built")
 
 
 def test_packing_setup_does_not_grow_with_the_field(monkeypatch):

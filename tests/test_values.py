@@ -34,10 +34,9 @@ def values(fields, example_code):
                             ("field", "t", "entries"),
                             (f4, 2, _grid(f4, [[1, 2], [3, 1]]))),
         "LinearCode": (LinearCode, (example_code.field, 3,
-                                    example_code.generators, 3),
-                       ("field", "t", "generators", "k"),
-                       (example_code.field, 3, example_code.generators[:2],
-                        2)),
+                                    example_code.basis),
+                       ("field", "t", "basis"),
+                       (example_code.field, 3, example_code.basis[:2])),
         "WeightDistribution": (WeightDistribution, (2, 3, 3, (1, 0, 3, 4)),
                                ("q", "t", "k", "counts"),
                                (2, 3, 3, (1, 0, 4, 3))),
