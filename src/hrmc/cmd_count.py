@@ -15,7 +15,7 @@ def run(args):
     field = make_field(*ctx.prime_parts)
     # refuse before the t^2 unit matrices, the zero code's dual, are built
     check_power_guard(field.q, t * t, "matrices", args.guard)
-    full_space = codes.dual_code(codes.make_code(field, t, []))
+    full_space = codes.dual_code(codes.LinearCode(field, t, []))
     counts = list(workers.weight_distribution(full_space, args.workers,
                                               args.guard).counts)
     closed = [xi(ctx, t, h) for h in range(t + 1)]

@@ -66,7 +66,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 from ._value import Value, json_int
 from .errors import (
@@ -78,11 +80,9 @@ from .errors import (
 )
 from .cost import check_guard
 from .fields import Field, field_from_jsonable
-from .hermitian import (
-    HermitianMatrix,
-    is_hermitian,
-    matrix_from_jsonable,
-)
+
+if TYPE_CHECKING:  # hermitian is loaded only where matrices are built
+    from .hermitian import HermitianMatrix
 
 
 class LinearCode(Value):
@@ -209,6 +209,7 @@ def _grid(field: Field, t: int, coords: list[int], theta: int) -> list[int]:
 
 def devectorize(field: Field, t: int, coords: list[int],
                 theta: int) -> HermitianMatrix:
+    from .hermitian import HermitianMatrix
     grid = [field.from_index(x) for x in _grid(field, t, coords, theta)]
     return HermitianMatrix(field, t, tuple(
         tuple(grid[i:i + t]) for i in range(0, t * t, t)))
@@ -251,6 +252,7 @@ def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> Linear
     reduces their coordinates to its basis, whose generators with a
     nonzero head (top t // 2 rows) come first while the others span the
     zero-head subcode K."""
+    from .hermitian import HermitianMatrix, is_hermitian
     if t < 1:
         raise UsageError(f"matrix size must be positive, got t={t}")
     for g in generators:
@@ -330,9 +332,11 @@ class _Packing:
     ``_CACHE_LIMIT`` entries. The two conversion memos need no cap: each
     is keyed by element indices or by the lanes of one, every lane below
     p, so it holds at most ``field.order`` entries, and no field is
-    larger than ``fields.MAX_FIELD_ORDER`` = 2^16. Each enumeration makes
-    its own packing and drops it at the end; none is kept on the field,
-    so a pickled field carries none of it.
+    larger than ``fields.MAX_FIELD_ORDER`` = 2^16. :func:`rank_counts`
+    keeps the packing of the last field and size it counted (see
+    :func:`_packing`), so consecutive enumerations over one field and size,
+    such as a code and its dual, share the memos; none is kept on the
+    field, so a pickled field carries none of it.
     """
 
     def __init__(self, field: Field, t: int):
@@ -558,6 +562,13 @@ class _Packing:
         return counts
 
 
+@lru_cache(maxsize=1)
+def _packing(field: Field, t: int) -> _Packing:
+    """The packing for t x t matrices over the field, kept until an
+    enumeration asks for another field or size."""
+    return _Packing(field, t)
+
+
 # ----------------------------------------------------------- enumeration
 
 def _run(scaled: list[list[int]], add) -> tuple[int, list[int]]:
@@ -682,7 +693,7 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     first = max(start, 1)
     if first >= stop:
         return [int(start == 0 < stop)] + [0] * t
-    pk = _Packing(code.field, t)
+    pk = _packing(code.field, t)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
     listed = _block_of(q, code.k, lo) + 1  # the first generator listed
     grids = _grids(code)
@@ -764,6 +775,7 @@ def singleton_check(code: LinearCode, min_dist: int | None = None,
 
 
 def code_from_jsonable(obj: dict) -> LinearCode:
+    from .hermitian import matrix_from_jsonable
     field = field_from_jsonable(obj["field"])
     t = json_int(obj["t"], "code t")
     gens = [matrix_from_jsonable(field, g) for g in obj["generators"]]

@@ -21,13 +21,16 @@ q-binomial theorem; verify's Gaussian suite checks the rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log2
+from typing import TYPE_CHECKING
 
 from ._value import Value
 from .cost import check_guard, prime_factors
 from .errors import LengthMismatch, UsageError
+
+if TYPE_CHECKING:  # fractions is loaded only where a value is not whole
+    from fractions import Fraction
 
 
 def _perfect_power(n: int) -> tuple[int, int]:
@@ -94,6 +97,7 @@ def bpow(ctx: NegQContext, e: int) -> int | Fraction:
     """b**e for any integer e, exact (a Fraction when e < 0)."""
     if e >= 0:
         return ctx.b ** e
+    from fractions import Fraction
     return Fraction(1, ctx.b ** (-e))
 
 
@@ -110,7 +114,10 @@ def _bx(q: int, x: int) -> tuple[int, int]:
 def _exact(num: int, den: int) -> int | Fraction:
     """num/den as an int when den divides num, else as a Fraction."""
     quo, rem = divmod(num, den)
-    return quo if rem == 0 else Fraction(num, den)
+    if rem == 0:
+        return quo
+    from fractions import Fraction
+    return Fraction(num, den)
 
 
 # The caches behind gauss_ext/gauss and gamma_ext/gamma_fn are keyed on q,

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 from ._value import Value
 from .calculus import (
+    _weighted,
     div_x,
     div_y,
     evaluate,
@@ -64,7 +66,14 @@ from .negq import (
     sequence_inversion,
     triangle,
 )
-from .polynomials import LambdaPoly, mu_poly, negq_power, negq_product, nu_poly
+from .polynomials import (
+    LambdaPoly,
+    constant_poly,
+    mu_poly,
+    negq_power,
+    negq_product,
+    nu_poly,
+)
 
 LAMBDA_RANGE = range(-3, 9)  # default window for comparing parameterised polys
 
@@ -128,11 +137,15 @@ def epsilon_closed(ctx: NegQContext, big_lam: int, phi: int, i: int):
 def polys_equal(a: LambdaPoly, b: LambdaPoly,
                 lams=LAMBDA_RANGE) -> bool:
     """Equal coefficients at every lambda of lams, compared on the scaled
-    rows brought to the larger power of b, so nothing is divided."""
+    rows, so nothing is divided. Rows over one power of b and of one
+    length are compared as they are; otherwise each is brought to the
+    larger power and padded with zeros to the larger degree."""
     size, base = max(a.degree, b.degree) + 1, a.ctx.b
 
     def same(lam: int) -> bool:
         (ea, na), (eb, nb) = a._row(lam), b._row(lam)
+        if ea == eb and len(na) == len(nb):
+            return na == nb
         e = max(ea, eb)
         fa, fb = base ** (e - ea), base ** (e - eb)
         return ([x * fa for x in na] + [0] * (size - len(na))
@@ -304,38 +317,49 @@ def suite_powers(ctx: NegQContext, kmax: int = 6) -> SuiteResult:
 
 
 def suite_leibniz(ctx: NegQContext, trials: int, seed: int) -> SuiteResult:
+    """Both Leibniz rules for the twisted product of random f and g of
+    degrees rf and rg. A derivative past its polynomial's degree is zero,
+    so each sum over ell takes only the terms with ell <= rf and
+    phi - ell <= rg, and is zero when none is left."""
     res = SuiteResult("leibniz")
     rng = random.Random(f"leibniz:{ctx.q}:{seed}")
+    b = ctx.b
     for trial in range(trials):
         rf, rg = rng.randint(0, 4), rng.randint(0, 4)
         f = random_lambda_poly(ctx, rng, rf)
         g = random_lambda_poly(ctx, rng, rg)
         prod = negq_product(f, g)
-        # D^ell f, D^ell g and their reciprocal-base versions, ell = 0..4,
-        # built once a trial so each memoises its rows for every phi
-        df, dg, idf, idg = ([derive(h, ell) for ell in range(5)]
+        # D^ell f, D^ell g and their reciprocal-base versions up to each
+        # degree, built once a trial so each memoises its rows for every phi
+        df, dg, idf, idg = ([derive(h, ell) for ell in range(h.degree + 1)]
                             for derive in (negq_derivative, negq_inv_derivative)
                             for h in (f, g))
         for phi in range(0, 5):
-            lhs = negq_derivative(prod, phi)
-            rhs = None
-            for ell in range(phi + 1):
-                w = gauss(ctx, phi, ell) * bpow(ctx, (phi - ell) * (rf - ell))
-                term = poly_scale(negq_product(df[ell], dg[phi - ell]), w)
-                rhs = term if rhs is None else poly_add(rhs, term)
-            res.check(polys_equal(lhs, rhs, range(-2, 7)),
+            # over these ells both rules' b-powers are whole
+            ells = range(max(0, phi - rg), min(phi, rf) + 1)
+            rhs = _total(ctx, [
+                poly_scale(negq_product(df[ell], dg[phi - ell]),
+                           gauss(ctx, phi, ell)
+                           * b ** ((phi - ell) * (rf - ell)))
+                for ell in ells])
+            res.check(polys_equal(negq_derivative(prod, phi), rhs,
+                                  range(-2, 7)),
                       f"q-rule trial={trial} phi={phi}")
-            lhs2 = negq_inv_derivative(prod, phi)
-            rhs2 = None
-            for ell in range(phi + 1):
-                w = gauss(ctx, phi, ell) * bpow(ctx, ell * (rg - phi + ell))
-                term = poly_scale(
-                    negq_product(idf[ell], shift_lambda(idg[phi - ell], ell)),
-                    w)
-                rhs2 = term if rhs2 is None else poly_add(rhs2, term)
-            res.check(polys_equal(lhs2, rhs2, range(-2, 7)),
+            rhs = _total(ctx, [
+                poly_scale(negq_product(idf[ell],
+                                        shift_lambda(idg[phi - ell], ell)),
+                           gauss(ctx, phi, ell)
+                           * b ** (ell * (rg - phi + ell)))
+                for ell in ells])
+            res.check(polys_equal(negq_inv_derivative(prod, phi), rhs,
+                                  range(-2, 7)),
                       f"qinv-rule trial={trial} phi={phi}")
     return res
+
+
+def _total(ctx: NegQContext, terms: list[LambdaPoly]) -> LambdaPoly:
+    """The sum of the terms; the zero polynomial when there is none."""
+    return reduce(poly_add, terms) if terms else constant_poly(ctx, 0)
 
 
 def suite_evaluation(ctx: NegQContext, trials: int, seed: int) -> SuiteResult:
@@ -389,8 +413,8 @@ def suite_product_lemmas(ctx: NegQContext, trials: int, seed: int) -> SuiteResul
 
 
 def _zero_coeff_at(a: LambdaPoly, pos: int) -> LambdaPoly:
-    return LambdaPoly(a.ctx, a.degree,
-                      lambda i, lam: 0 if i == pos else a.coefficient(i, lam))
+    """a with coefficient pos set to zero, built row by row from a's."""
+    return _weighted(a, a.degree, [int(i != pos) for i in range(a.degree + 1)])
 
 
 def suite_delta_epsilon(ctx: NegQContext) -> SuiteResult:

@@ -1395,40 +1395,45 @@ def _modules_at_exit(tmp_path, args):
 # The hrmc modules each command loads beyond hrmc, hrmc.cli, its own
 # hrmc.cmd_<name>, hrmc.cost and hrmc.errors.
 _FIELD = {"hrmc._value", "hrmc.fields"}
-_ENUMERATION = _FIELD | {"hrmc.hermitian", "hrmc.codes"}
-_NEGQ = {"hrmc._value", "hrmc.negq", "fractions"}
-_TRANSFORM = _NEGQ | {"hrmc.macwilliams", "hrmc.polynomials"}
+_ENUMERATION = _FIELD | {"hrmc.codes"}
+_CODE_FILE = _ENUMERATION | {"hrmc.hermitian"}
+_NEGQ = {"hrmc._value", "hrmc.negq"}
+_TRANSFORM = _NEGQ | {"fractions", "hrmc.macwilliams", "hrmc.polynomials"}
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
     """Start-up is most of a small command's time, and without a bytecode
     cache most of start-up is compiling, so each command loads only the
-    modules on its route: the enumeration layers (fields, hermitian,
-    codes) and the forked counting (workers) where it counts words, the
-    eigenvalue tables for eigen, the moments for mhrd and dual, the two
-    MacWilliams routes and the polynomial algebra where it transforms, and
-    the calculus and the suites for verify. A wd that counts the code
-    itself loads neither negq nor fractions, and no command loads
-    dataclasses, multiprocessing or the object route of hermitian_space.
-    The same holds through ``python -m hrmc.cli``, where the module is
-    __main__ and no command module imports hrmc.cli again; and for the
-    benchmark's set-up, which imports hrmc.cli and builds fields."""
+    modules on its route: the enumeration layers (fields, codes) and the
+    forked counting (workers) where it counts words, the matrices
+    (hermitian) where it reads a code file, the eigenvalue tables for
+    eigen, the moments for mhrd and dual, the two MacWilliams routes and
+    the polynomial algebra where it transforms, and the calculus and the
+    suites for verify. Only the commands that hold a value that is not
+    whole load fractions: count, eigen and a wd that counts the code
+    itself do not, and that wd loads no negq either. Neither count nor
+    verify builds a matrix object, so neither loads hermitian; and no
+    command loads dataclasses, multiprocessing or the object route of
+    hermitian_space. The same holds through ``python -m hrmc.cli``, where
+    the module is __main__ and no command module imports hrmc.cli again;
+    and for the benchmark's set-up, which imports hrmc.cli and builds
+    fields."""
     code = write_code_file(tmp_path, example_code)
     dual = write_code_file(tmp_path, dual_code(example_code), "dual.json")
     cases = [
         (["count", "--q", "2", "--t", "2"],
          _ENUMERATION | _NEGQ | {"hrmc.workers"}),
         (["wd", "--input", code],  # the smaller side: the code itself
-         _ENUMERATION | {"hrmc.workers"}),
+         _CODE_FILE | {"hrmc.workers"}),
         (["eigen", "--q", "2", "--t", "3"], _NEGQ | {"hrmc.eigen"}),
         (["mhrd", "--q", "2", "--t", "3", "--d", "3"],
-         _NEGQ | {"hrmc.moments"}),
+         _NEGQ | {"fractions", "hrmc.moments"}),
         (["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
           "--size", "8"], _TRANSFORM),
         (["wd", "--input", dual, "--workers", "2"],
-         _ENUMERATION | _TRANSFORM | {"hrmc.workers"}),
+         _CODE_FILE | _TRANSFORM | {"hrmc.workers"}),
         (["dual", "--input", code],
-         _ENUMERATION | _TRANSFORM | {"hrmc.moments"}),
+         _CODE_FILE | _TRANSFORM | {"hrmc.moments"}),
         (["verify", "--q", "2", "--t", "2", "--trials", "2"],
          _ENUMERATION | _TRANSFORM | {"hrmc.moments", "hrmc.eigen",
                                       "hrmc.calculus", "hrmc.verify"}),

@@ -256,6 +256,7 @@ def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
     the whole space, one holding E, counted q words at a time, and one
     without E, counted a word at a time; at t = 1 the head is empty and K
     is the whole code."""
+    codes._packing.cache_clear()  # each memo starts empty, as it starts over
     monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
     field = make_field(p, m)
     q = field.q
@@ -354,6 +355,7 @@ def test_census_at_q13_t2_meets_few_new_leads(monkeypatch):
     """Each group of 13 words reduces its last row once, so the q=13, t=2
     census finds the lead of fewer than 1 000 new rows (2 508 when every
     word reduces its own last row)."""
+    codes._packing.cache_clear()  # no lead known from an earlier count
     calls = []
     real_lead_of = codes._Packing._lead_of
     monkeypatch.setattr(codes._Packing, "_lead_of", lambda self, row:
@@ -361,6 +363,26 @@ def test_census_at_q13_t2_meets_few_new_leads(monkeypatch):
     space = dual_code(make_code(make_field(13, 1), 2, []))
     assert rank_counts(space, 0, space.size) == [1, 2040, 26520]
     assert len(calls) < 1000
+
+
+def test_consecutive_counts_share_the_lead_memo(monkeypatch):
+    """rank_counts keeps the packing of the last field and size it
+    counted, so verify's 20 sample codes and their duals at q=2, t=3
+    find the lead of fewer than 200 new rows between them (1 337 when
+    each count starts with an empty memo), and still count each code as
+    a count from an empty memo does."""
+    field = make_field(2, 1)
+    codes._packing.cache_clear()
+    calls = []
+    real_lead_of = codes._Packing._lead_of
+    monkeypatch.setattr(codes._Packing, "_lead_of", lambda self, row:
+                        calls.append(row) or real_lead_of(self, row))
+    samples = sample_codes(field, 3, 20, 0)
+    assert len(calls) < 200
+    for s in samples:
+        for code, counts in ((s.code, s.counts), (s.dual, s.dual_counts)):
+            codes._packing.cache_clear()
+            assert tuple(rank_counts(code, 0, code.size)) == counts
 
 
 def test_full_space_reduces_each_head_once(monkeypatch):
@@ -532,6 +554,7 @@ def test_rank_counts_builds_only_the_multiples_it_lists(monkeypatch):
     that one cell's multiples take), and a k = 2 code,
     whose span is longer than the listed run, lists no multiple of
     generator 0, nor of generator 1 in a range past block 0."""
+    codes._packing.cache_clear()  # no lead known from an earlier count
     field = make_field(251, 1)
     t, q = 2, field.q
     one = _random_code(field, t, 1, seed=3)

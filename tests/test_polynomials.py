@@ -26,6 +26,7 @@ from hrmc.polynomials import (
     ConcretePoly,
     LambdaPoly,
     concretize,
+    constant_poly,
     mu_poly,
     negq_power,
     negq_product,
@@ -320,6 +321,45 @@ def test_no_suite_polynomial_row_holds_a_float(monkeypatch):
                       verify.suite_product_lemmas, verify.suite_inversion):
             assert suite(ctx, 5, 0).ok
     assert floats == []
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3])
+def test_derivatives_past_the_degree_are_zero(ctx):
+    """suite_leibniz sums only the terms whose derivatives stay within
+    their polynomial's degree. Each term it leaves out is zero: a
+    derivative of either kind past the degree is zero at every lambda of
+    the suite's window, and so is a twisted product with it on either
+    side. polys_equal finds each equal to the constant zero, whatever
+    its degree."""
+    rng = random.Random(5)
+    for r in range(5):
+        a = random_lambda_poly(ctx, rng, r)
+        other = random_lambda_poly(ctx, rng, rng.randint(1, 4))
+        for phi in range(r + 1, 7):
+            for derive in (negq_derivative, negq_inv_derivative):
+                zero = derive(a, phi)
+                for poly in (zero, negq_product(zero, other),
+                             negq_product(other, zero)):
+                    assert not any(c for lam in range(-2, 7)
+                                   for c in poly.row(lam)), (r, phi)
+                    assert polys_equal(poly, constant_poly(ctx, 0),
+                                       range(-2, 7))
+
+
+def test_suites_fail_on_an_untwisted_product(monkeypatch):
+    """The Leibniz rules and the product lemmas hold for the twisted
+    product only, so with the twist dropped from every product row both
+    suites report failures, each from as many checks as it makes on the
+    true product."""
+    real_row = polynomials._product_row
+    monkeypatch.setattr(polynomials, "_product_row",
+                        lambda twist, a_row, b, lam:
+                        real_row([1] * len(twist), a_row, b, lam))
+    for ctx in (CTX2, CTX3):
+        for suite, checks in ((verify.suite_leibniz, 50),
+                              (verify.suite_product_lemmas, 20)):
+            res = suite(ctx, 5, 0)
+            assert res.failed > 0 and res.passed + res.failed == checks
 
 
 def test_derivative_reduces_powers():

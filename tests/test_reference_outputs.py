@@ -1,7 +1,9 @@
 """Every benchmark command prints the bytes whose digests
 bench/reference.json records, so a change in what count, wd, dual,
 verify, eigen, macwilliams or mhrd print fails here, before the benchmark
-runs.
+runs. Below them, ``verify --format json`` is pinned on a small grid of
+its own, so a faster suite cannot drop a check or change a count
+unnoticed.
 
 The commands and their inputs are the benchmark's own, at its reference
 seed: bench/workloads.py builds the commands, bench/fixtures.py writes
@@ -99,3 +101,33 @@ def test_output_matches_the_bench_reference(capsys, code_files, name, key,
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() \
         == REFERENCE["digests"][key], key
+
+
+# sha256 of ``verify --q Q --t T --trials N --seed S --format json``'s
+# stdout, (Q, T, N, S) -> digest, recorded before the Leibniz sums left out
+# their zero terms
+VERIFY_DIGESTS = {
+    (2, 1, 0, 0):
+        "d302b63063a8796d46e40a709e012c3875a0ecb3bd0642b3e0ed80989bdfc771",
+    (2, 3, 5, 1):
+        "36a166bb011a7f565b9e1a4759768486f3d31571d38e72b421edaebdaf8e3d1c",
+    (3, 2, 5, 0):
+        "17c48c265ea0d5f8263d0306270cddb416a7aadd4600b6298a22e694ce94d411",
+    (4, 2, 3, 2):
+        "5120571c8e8c46ef2579062b953895149ecb3ca40b0c93adb7639a0558c5d12a",
+    (5, 1, 2, 3):
+        "04efe07d2d54f3863015e7de39aa9829b6c59f66d4c59fb55a788cfd093f34e3",
+    (9, 1, 1, 0):
+        "ac0053cd8ce6239fe9df917d127f3d92097e6d5efbf07572a908e5c33b6347c6",
+}
+
+
+@pytest.mark.parametrize("q,t,trials,seed", VERIFY_DIGESTS)
+def test_verify_json_matches_its_recorded_digest(capsys, q, t, trials,
+                                                 seed):
+    argv = ["verify", "--q", str(q), "--t", str(t), "--trials", str(trials),
+            "--seed", str(seed), "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == VERIFY_DIGESTS[q, t, trials, seed]
