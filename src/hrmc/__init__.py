@@ -33,20 +33,18 @@ _MODULE_OF = {name: module for module, names in {
         "LinearCode", "WeightDistribution", "code_from_jsonable",
         "dual_code", "enumerate_codewords", "make_code", "min_distance",
         "rank_counts", "singleton_check", "weight_distribution"),
-    "negq": (
-        "NegQContext", "beta_fn", "gamma_fn", "gauss", "sequence_forward",
-        "sequence_inversion", "xi"),
+    "negq": ("NegQContext", "gamma_fn", "gauss", "xi"),
     "eigen": (
         "EigenTable", "build_eigen_table", "build_eigen_table_C",
         "full_space_distribution", "krawtchouk_C", "krawtchouk_Q"),
     "macwilliams": ("macwilliams_eigen", "macwilliams_transform"),
-    "moments": (
-        "delta_fn", "epsilon_fn", "mhrd_distribution", "moment_q",
-        "moment_qinv"),
+    "moments": ("mhrd_distribution", "moment_q", "moment_qinv"),
     "polynomials": (
         "ConcretePoly", "LambdaPoly", "concretize", "mu_poly", "negq_power",
         "negq_product", "negq_transform", "nu_poly"),
-    "calculus": ("evaluate", "negq_derivative", "negq_inv_derivative"),
+    "calculus": (
+        "beta_fn", "delta_fn", "epsilon_fn", "evaluate", "negq_derivative",
+        "negq_inv_derivative", "sequence_forward", "sequence_inversion"),
 }.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)

@@ -1,11 +1,13 @@
-"""Calculus on the twisted-product polynomials of :mod:`hrmc.polynomials`.
+"""Calculus on the twisted-product polynomials of :mod:`hrmc.polynomials`,
+and the base -q algebra that only the identity suites use.
 
 The q-derivative and its reciprocal-base version, the X and Y divisions,
 ``scale_y``, the lambda shift, sums, scalar multiples and evaluation at a
-point. The identity suites of ``verify`` (Leibniz rules, evaluation,
-product lemmas) are their only callers in the package; the MacWilliams
-transform needs none of them, so the commands that run it do not load
-this module.
+point; beside them, the Gaussian and gamma values extended to x < 0, b to
+any integer power, beta, the triangular sequence transform and its
+inversion, and the delta and epsilon summation lemmas. The identity
+suites of ``verify`` are their only callers in the package, so only
+``verify`` loads this module.
 
 Every combinator here builds its rows from the scaled rows ``(e, nums)``
 of its operands, as the product does: derivatives, shifts, divisions and
@@ -15,10 +17,12 @@ larger one, and only :func:`evaluate` divides.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .errors import UsageError
-from .negq import beta_fn, triangle
+from .errors import LengthMismatch, UsageError
+from .negq import NegQContext, gamma_fn, gauss, triangle
 from .polynomials import (
     LambdaPoly,
     Number,
@@ -30,6 +34,163 @@ from .polynomials import (
     constant_poly,
 )
 
+
+# ------------------------------------------------- base -q values
+
+def bpow(ctx: NegQContext, e: int) -> int | Fraction:
+    """b**e for any integer e, exact (a Fraction when e < 0)."""
+    return ctx.b ** e if e >= 0 else Fraction(1, ctx.b ** (-e))
+
+
+def _exact(num: int, den: int) -> int | Fraction:
+    """num/den as an int when den divides num, else as a Fraction."""
+    quo, rem = divmod(num, den)
+    return quo if rem == 0 else Fraction(num, den)
+
+
+# For x >= 0 the values are read from the rows of hrmc.negq; the products
+# at x < 0, where b^x = 1/d with d = b^(-x), are cached on (q, x, k).
+@lru_cache(maxsize=None)
+def _gauss_negative(q: int, x: int, k: int) -> int | Fraction:
+    b, d = -q, (-q) ** -x
+    num = den = 1
+    for i in range(k):
+        num *= 1 - b ** i * d
+        den *= (b ** k - b ** i) * d
+    return _exact(num, den)
+
+
+@lru_cache(maxsize=None)
+def _gamma_negative(q: int, x: int, k: int) -> int | Fraction:
+    b, d = -q, (-q) ** -x
+    num = 1
+    for i in range(k):
+        num *= -1 - b ** i * d
+    return _exact(num, d ** max(k, 0))
+
+
+def gauss_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
+    """Gaussian coefficient over b = -q, extended to any integer x.
+
+    For k < 0 the value is 0 by convention (this is what makes the
+    triangular recurrences close at the k = 0 boundary). For x < 0 the
+    defining product prod_{i<k} (b**x - b**i) / (b**k - b**i) is evaluated
+    with b**x as an exact rational. An int when the value is whole, else a
+    Fraction.
+    """
+    if x >= 0:
+        return gauss(ctx, x, k)
+    return _gauss_negative(ctx.q, x, k) if k >= 0 else 0
+
+
+def gamma_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
+    """prod_{i=0}^{k-1} (-b**x - b**i), extended to x < 0; 1 for k <= 0.
+
+    An int when the value is whole, else a Fraction.
+    """
+    if x >= 0:
+        return gamma_fn(ctx, x, k)
+    return _gamma_negative(ctx.q, x, k)
+
+
+def beta_fn(ctx: NegQContext, x: int, k: int) -> int:
+    """prod_{i=0}^{k-1} gauss(x - i, 1), stopping early at a zero factor.
+
+    The early stop matters: for k > x the factor at i = x is gauss(0, 1) = 0,
+    so the whole product is 0 without ever evaluating a negative first
+    argument.
+    """
+    if x < 0:
+        raise UsageError(f"beta_fn requires x >= 0, got x={x}")
+    out = 1
+    for i in range(k):
+        f = gauss(ctx, x - i, 1)
+        if f == 0:
+            return 0
+        out *= f
+    return out
+
+
+def sequence_inversion(ctx: NegQContext, ell: int, a: list[int]) -> list[int]:
+    """Invert the triangular relation a_j = sum_i gauss(ell-i, ell-j) b_i.
+
+    Given the transformed sequence ``a`` (length ell+1), recover ``b``:
+    b_i = sum_{j<=i} (-1)^(i-j) b^(tri(i-j)) gauss(ell-j, ell-i) a_j.
+    """
+    if len(a) != ell + 1:
+        raise LengthMismatch(f"expected {ell + 1} entries, got {len(a)}")
+    out = []
+    for i in range(ell + 1):
+        acc = 0
+        for j in range(i + 1):
+            acc += ((-1) ** (i - j) * ctx.b ** triangle(i - j)
+                    * gauss(ctx, ell - j, ell - i) * a[j])
+        out.append(acc)
+    return out
+
+
+def sequence_forward(ctx: NegQContext, ell: int, b: list[int]) -> list[int]:
+    """Apply the triangular relation that sequence_inversion undoes."""
+    if len(b) != ell + 1:
+        raise LengthMismatch(f"expected {ell + 1} entries, got {len(b)}")
+    return [sum(gauss(ctx, ell - i, ell - j) * b[i] for i in range(j + 1))
+            for j in range(ell + 1)]
+
+
+# ------------------------------------------------- summation lemmas
+
+def delta_fn(ctx: NegQContext, lam: int, phi: int, j: int):
+    """Alternating gamma sum sum_i gauss(j,i) (-1)^i b^tri(i) gamma(lam-i, phi).
+
+    The first argument of gamma may go negative inside the sum, where it
+    is an integer over a power of b, so the value itself may be a Fraction
+    for some arguments. The sum is kept as one integer numerator over one
+    denominator, a product of powers of b, and divided once.
+    """
+    b = ctx.b
+    num, den = 0, 1
+    for i in range(j + 1):
+        g = gamma_ext(ctx, lam - i, phi)
+        n = gauss_ext(ctx, j, i) * (-1) ** i * b ** triangle(i) * g.numerator
+        d = g.denominator
+        num, den = num * d + n * den, den * d
+    return _exact(num, den)
+
+
+def epsilon_fn(ctx: NegQContext, big_lam: int, phi: int, i: int):
+    """Double-product sum whose closed form is an i-shifted Gaussian.
+
+    Matches the closed form (-1)^i b^tri(i) gauss(big_lam - i, big_lam - phi)
+    whenever i <= big_lam; beyond that the two sides genuinely differ, so
+    callers should stay in that range.
+
+    A term is an integer over a power of b: b^(ell(big_lam - phi)) may
+    have a negative b-exponent, and past i = big_lam so may the Gaussian's
+    first argument. The sum is kept as one integer numerator over one
+    denominator and divided once.
+    """
+    b = ctx.b
+    num, den = 0, 1
+    for ell in range(i + 1):
+        g = gauss_ext(ctx, big_lam - i, phi - ell)
+        if g == 0:  # as for every ell > phi, so below phi - ell >= 0
+            continue
+        n = gauss_ext(ctx, i, ell) * (-1) ** ell * b ** triangle(ell) \
+            * g.numerator
+        d = g.denominator
+        e = ell * (big_lam - phi)
+        if e >= 0:
+            n *= b ** e
+        else:
+            d *= b ** -e
+        top = b ** (phi - ell)
+        for k in range(i - ell):
+            n *= top - b ** k
+        num, den = num * d + n * den, den * d
+    return _exact(num, den)
+
+
+# ------------------------------------------------- derivatives
 
 def negq_derivative(a: LambdaPoly, phi: int) -> LambdaPoly:
     """phi-fold q-derivative: coefficient i picks up beta(r - i, phi) and the

@@ -23,7 +23,9 @@ module imports this one: under ``python -m hrmc.cli`` this module is
 ``__main__``, and importing ``hrmc.cli`` would compile it again.
 
 Exit codes: 0 on success; 1 when independently computed routes disagree,
-a verification suite fails or another ``CheckFailed`` is raised; 2 for
+a verification suite fails or another ``CheckFailed`` is raised, or when
+the output cannot be written (a reader that closes the pipe early gets
+no message, any other write error one ``error:`` line); 2 for
 every ``UsageError``, that is input that cannot be used: a q that is not
 a prime power, ``--t`` below 1, ``--d`` outside 1..t or even, ``--phi``
 outside 0..t, ``--size`` below 1, negative ``--trials``, a malformed code
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from importlib import import_module
 
@@ -164,7 +167,16 @@ def main(argv=None) -> int:
             raise UsageError(f"--t must be at least 1, got {args.t}")
         command = import_module(f".cmd_{args.command}", __package__)
         code, payload, lines = command.run(args)
-        emit(payload, args.format, lines)
+        try:
+            emit(payload, args.format, lines)
+            sys.stdout.flush()
+        except OSError as exc:
+            with open(os.devnull, "wb") as devnull:  # for the final flush
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):  # a reader that quit
+                print(f"error: cannot write the output: {exc.strerror}",
+                      file=sys.stderr)
+            return 1
         return code
     except HrmcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,19 +102,6 @@ def hermitian_from_index(field: Field, t: int, index: int) -> HermitianMatrix:
     return HermitianMatrix(field, t, tuple(tuple(r) for r in grid))
 
 
-def matrix_to_index(m: HermitianMatrix) -> int:
-    """Inverse of :func:`hermitian_from_index` (the matrix must be Hermitian)."""
-    field, t = m.field, m.t
-    subfield_pos = {idx: pos for pos, idx in enumerate(field.subfield_indices())}
-    index = 0
-    for i in range(t):
-        index = index * field.q + subfield_pos[m.entries[i][i].index]
-    for i in range(t):
-        for j in range(i + 1, t):
-            index = index * field.order + m.entries[i][j].index
-    return index
-
-
 def enumerate_hermitian(field: Field, t: int,
                         guard: int | None = None) -> Iterator[HermitianMatrix]:
     """All Hermitian t x t matrices in canonical index order.

@@ -1,16 +1,19 @@
-"""Moment identities, their summation lemmas, and maximal codes.
+"""Moment identities and maximal codes.
 
 Each moment identity relates a code's rank distribution to its trace
 dual's: :func:`moment_q` in base b = -q and :func:`moment_qinv` in the
 reciprocal base, both returned as their two exact sides for the caller to
-compare. :func:`delta_fn` and :func:`epsilon_fn` are the summation lemmas
-behind them, and :func:`mhrd_distribution` the closed-form distribution
-of a maximal code of odd minimum distance.
+compare. :func:`mhrd_distribution` is the closed-form distribution of a
+maximal code of odd minimum distance. The summation lemmas behind the
+moment identities, ``delta_fn`` and ``epsilon_fn``, are in
+:mod:`hrmc.calculus` with the suites' other algebra. Only the functions
+that build a Fraction import :mod:`fractions`, so ``mhrd`` does not load
+it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     CheckFailed,
@@ -19,7 +22,10 @@ from .errors import (
     UsageError,
     shown,
 )
-from .negq import NegQContext, gamma_ext, gamma_fn, gauss, gauss_ext, triangle
+from .negq import NegQContext, gamma_fn, gauss, triangle
+
+if TYPE_CHECKING:  # fractions is loaded only where a Fraction is built
+    from fractions import Fraction
 
 
 def _signed_power(ctx: NegQContext, t: int, e: int) -> int:
@@ -39,6 +45,7 @@ def moment_q(ctx: NegQContext, counts, dual_counts,
     Returns {"lhs", "rhs"} exactly; the caller asserts equality so a test
     failure shows both values.
     """
+    from fractions import Fraction
     _check_phi(t, phi)
     _, dual_size = code_sizes
     lhs = sum(gauss(ctx, t - i, phi) * counts[i] for i in range(t - phi + 1))
@@ -50,12 +57,14 @@ def moment_q(ctx: NegQContext, counts, dual_counts,
 def moment_q_low(ctx: NegQContext, dual_size: int, t: int, phi: int) -> Fraction:
     """Simplified right side valid whenever phi is below the dual minimum
     distance (only the dual zero word contributes)."""
+    from fractions import Fraction
     return Fraction(_signed_power(ctx, t, t - phi), dual_size) * gauss(ctx, t, phi)
 
 
 def moment_qinv(ctx: NegQContext, counts, dual_counts,
                 code_sizes: tuple[int, int], t: int, phi: int) -> dict:
     """Both sides of the phi-th moment identity in the reciprocal base."""
+    from fractions import Fraction
     _check_phi(t, phi)
     _, dual_size = code_sizes
     b = ctx.b
@@ -75,64 +84,6 @@ def moment_qinv_high(ctx: NegQContext, counts, t: int, phi: int) -> int:
     return sum((-1) ** i * b ** (triangle(i) + i * (phi - i))
                * gauss(ctx, t - i, t - phi) * gamma_fn(ctx, t - i, phi - i)
                * counts[i] for i in range(phi + 1))
-
-
-# ------------------------------------------------- summation lemmas
-
-def delta_fn(ctx: NegQContext, lam: int, phi: int, j: int):
-    """Alternating gamma sum sum_i gauss(j,i) (-1)^i b^tri(i) gamma(lam-i, phi).
-
-    The first argument of gamma may go negative inside the sum, where it
-    is an integer over a power of b, so the value itself may be a Fraction
-    for some arguments. The sum is kept as one integer numerator over one
-    denominator, a product of powers of b, and divided once.
-    """
-    b = ctx.b
-    num, den = 0, 1
-    for i in range(j + 1):
-        g = gamma_ext(ctx, lam - i, phi)
-        n = gauss_ext(ctx, j, i) * (-1) ** i * b ** triangle(i) * g.numerator
-        d = g.denominator
-        num, den = num * d + n * den, den * d
-    v = Fraction(num, den)
-    return int(v) if v.denominator == 1 else v
-
-
-def epsilon_fn(ctx: NegQContext, big_lam: int, phi: int, i: int):
-    """Double-product sum whose closed form is an i-shifted Gaussian.
-
-    Matches the closed form (-1)^i b^tri(i) gauss(big_lam - i, big_lam - phi)
-    whenever i <= big_lam; beyond that the two sides genuinely differ, so
-    callers should stay in that range.
-
-    A term is an integer over a power of b: b^(ell(big_lam - phi)) and the
-    factors b^(phi - ell) - b^j may have negative b-exponents, and past
-    i = big_lam so may the Gaussian's first argument. The sum is kept as
-    one integer numerator over one denominator and divided once.
-    """
-    b = ctx.b
-    num, den = 0, 1
-    for ell in range(i + 1):
-        g = gauss_ext(ctx, big_lam - i, phi - ell)
-        if g == 0:
-            continue
-        n = gauss_ext(ctx, i, ell) * (-1) ** ell * b ** triangle(ell) \
-            * g.numerator
-        d = g.denominator
-        e = ell * (big_lam - phi)
-        if e >= 0:
-            n *= b ** e
-        else:
-            d *= b ** -e
-        # b^(phi - ell) = top / bottom: each factor is an integer over bottom
-        top, bottom = ((b ** (phi - ell), 1) if phi >= ell
-                       else (1, b ** (ell - phi)))
-        for k in range(i - ell):
-            n *= top - b ** k * bottom
-            d *= bottom
-        num, den = num * d + n * den, den * d
-    v = Fraction(num, den)
-    return int(v) if v.denominator == 1 else v
 
 
 # ------------------------------------------------- extremal distributions

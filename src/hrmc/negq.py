@@ -3,34 +3,28 @@
 All the combinatorial quantities in this package live over a *negative*
 base: for a prime power q we work with b = -q and form analogues of the
 Gaussian binomial coefficient and its companion products. Everything is
-computed with exact integers, never floats. For x >= 0 the Gaussian
-coefficients [x, 0..x] are filled as one row per (q, x), each from the one
-before by one factor and one exact division,
+computed with exact integers, never floats. The Gaussian coefficients
+[x, 0..x] are filled as one row per (q, x), each from the one before by
+one factor and one exact division,
 [x, k] = [x, k - 1] (b^(x-k+1) - 1) / (b^k - 1), and gamma(x, k) likewise
-takes one factor per step in k. For x < 0 the defining product is
-accumulated as an integer numerator and denominator and divided once.
-Every value is cached per (q, x, k).
+takes one factor per step in k. Each row is computed once, and ``gauss``
+and ``gamma_fn`` read their values from it.
 
-The public entry points take a :class:`NegQContext` and integer arguments
-and return Python ints; only ``gauss_ext`` and ``gamma_ext``, which extend
-the first argument to x < 0, return a Fraction where the value is not
-whole. The rows for x >= 0 are ints by construction: gamma's are
-products of ints, and each division in the Gaussian row is exact by the
-q-binomial theorem; verify's Gaussian suite checks the rows.
+The rows are ints by construction: gamma's are products of ints, and
+each division in the Gaussian row is exact by the q-binomial theorem;
+verify's Gaussian suite checks the rows. What only that suite and the
+others use (the extension to x < 0, beta, the sequence transforms) is in
+:mod:`hrmc.calculus`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt, log2
-from typing import TYPE_CHECKING
 
 from ._value import Value
 from .cost import check_guard, prime_factors
-from .errors import LengthMismatch, UsageError
-
-if TYPE_CHECKING:  # fractions is loaded only where a value is not whole
-    from fractions import Fraction
+from .errors import UsageError
 
 
 def _perfect_power(n: int) -> tuple[int, int]:
@@ -93,36 +87,9 @@ def triangle(i: int) -> int:
     return i * (i - 1) // 2
 
 
-def bpow(ctx: NegQContext, e: int) -> int | Fraction:
-    """b**e for any integer e, exact (a Fraction when e < 0)."""
-    if e >= 0:
-        return ctx.b ** e
-    from fractions import Fraction
-    return Fraction(1, ctx.b ** (-e))
-
-
-def _bx(q: int, x: int) -> tuple[int, int]:
-    """b**x as (numerator, denominator) ints with b = -q, for any integer x.
-
-    The denominator is 1 for x >= 0 and b**(-x) (which may be negative)
-    otherwise.
-    """
-    b = -q
-    return (b ** x, 1) if x >= 0 else (1, b ** (-x))
-
-
-def _exact(num: int, den: int) -> int | Fraction:
-    """num/den as an int when den divides num, else as a Fraction."""
-    quo, rem = divmod(num, den)
-    if rem == 0:
-        return quo
-    from fractions import Fraction
-    return Fraction(num, den)
-
-
-# The caches behind gauss_ext/gauss and gamma_ext/gamma_fn are keyed on q,
-# not on the context: gauss is called about 10^5 times per eigen table and
-# hashing a NegQContext calls its Python-level __hash__ each time.
+# The rows are cached on q, not on the context: gauss is called about
+# 10^5 times per eigen table and hashing a NegQContext calls its
+# Python-level __hash__ each time.
 @lru_cache(maxsize=None)
 def _gauss_row(q: int, x: int) -> tuple[int, ...]:
     """[x, k] over b = -q for k = 0..x, x >= 0: each entry the one before
@@ -151,60 +118,6 @@ def _gamma_row(q: int, x: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
-def _gauss_q(q: int, x: int, k: int) -> int | Fraction:
-    if k < 0:
-        return 0
-    if x >= 0:
-        return _gauss_row(q, x)[k] if k <= x else 0
-    b = -q
-    bn, bd = _bx(q, x)
-    num = den = 1
-    for i in range(k):
-        num *= bn - b ** i * bd
-        den *= (b ** k - b ** i) * bd
-    return _exact(num, den)
-
-
-@lru_cache(maxsize=None)
-def _gamma_q(q: int, x: int, k: int) -> int | Fraction:
-    b = -q
-    if x >= 0:
-        if k <= x:
-            return _gamma_row(q, x)[max(k, 0)]
-        value = _gamma_row(q, x)[x]
-        for i in range(x, k):  # past the row, one factor per step
-            value *= -b ** x - b ** i
-        return value
-    bn, bd = _bx(q, x)
-    num = den = 1
-    for i in range(k):
-        num *= -bn - b ** i * bd
-        den *= bd
-    return _exact(num, den)
-
-
-def gauss_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
-    """Gaussian coefficient over b = -q, extended to any integer x.
-
-    For k < 0 the value is 0 by convention (this is what makes the
-    triangular recurrences close at the k = 0 boundary). For x < 0 the
-    defining product prod_{i<k} (b**x - b**i) / (b**k - b**i) is evaluated
-    with b**x as an exact rational. An int when the value is whole, else a
-    Fraction; computed once per (q, x, k).
-    """
-    return _gauss_q(ctx.q, x, k)
-
-
-def gamma_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
-    """prod_{i=0}^{k-1} (-b**x - b**i), extended to x < 0; 1 for k <= 0.
-
-    An int when the value is whole, else a Fraction; computed once per
-    (q, x, k).
-    """
-    return _gamma_q(ctx.q, x, k)
-
-
 def gauss(ctx: NegQContext, x: int, k: int) -> int:
     """Gaussian coefficient [x choose k] over base b = -q.
 
@@ -213,32 +126,23 @@ def gauss(ctx: NegQContext, x: int, k: int) -> int:
     """
     if x < 0:
         raise UsageError(f"gauss requires x >= 0, got x={x}")
-    return _gauss_q(ctx.q, x, k)
+    return _gauss_row(ctx.q, x)[k] if 0 <= k <= x else 0
 
 
 def gamma_fn(ctx: NegQContext, x: int, k: int) -> int:
-    """prod_{i=0}^{k-1} (-b**x - b**i); the empty product (k <= 0) is 1."""
+    """prod_{i=0}^{k-1} (-b**x - b**i); the empty product (k <= 0) is 1.
+
+    Past the row (k > x) it takes one more factor per step in k."""
     if x < 0:
         raise UsageError(f"gamma_fn requires x >= 0, got x={x}")
-    return _gamma_q(ctx.q, x, k)
-
-
-def beta_fn(ctx: NegQContext, x: int, k: int) -> int:
-    """prod_{i=0}^{k-1} gauss(x - i, 1), stopping early at a zero factor.
-
-    The early stop matters: for k > x the factor at i = x is gauss(0, 1) = 0,
-    so the whole product is 0 without ever evaluating a negative first
-    argument.
-    """
-    if x < 0:
-        raise UsageError(f"beta_fn requires x >= 0, got x={x}")
-    out = 1
-    for i in range(k):
-        f = gauss(ctx, x - i, 1)
-        if f == 0:
-            return 0
-        out *= f
-    return out
+    row = _gamma_row(ctx.q, x)
+    if k <= x:
+        return row[max(k, 0)]
+    b = ctx.b
+    value = row[x]
+    for i in range(x, k):
+        value *= -b ** x - b ** i
+    return value
 
 
 def xi(ctx: NegQContext, t: int, h: int) -> int:
@@ -252,29 +156,3 @@ def xi(ctx: NegQContext, t: int, h: int) -> int:
     value = gauss(ctx, t, h) * gamma_fn(ctx, t, h)
     assert value >= 0
     return value
-
-
-def sequence_inversion(ctx: NegQContext, ell: int, a: list[int]) -> list[int]:
-    """Invert the triangular relation a_j = sum_i gauss(ell-i, ell-j) b_i.
-
-    Given the transformed sequence ``a`` (length ell+1), recover ``b``:
-    b_i = sum_{j<=i} (-1)^(i-j) b^(tri(i-j)) gauss(ell-j, ell-i) a_j.
-    """
-    if len(a) != ell + 1:
-        raise LengthMismatch(f"expected {ell + 1} entries, got {len(a)}")
-    out = []
-    for i in range(ell + 1):
-        acc = 0
-        for j in range(i + 1):
-            acc += ((-1) ** (i - j) * ctx.b ** triangle(i - j)
-                    * gauss(ctx, ell - j, ell - i) * a[j])
-        out.append(acc)
-    return out
-
-
-def sequence_forward(ctx: NegQContext, ell: int, b: list[int]) -> list[int]:
-    """Apply the triangular relation that sequence_inversion undoes."""
-    if len(b) != ell + 1:
-        raise LengthMismatch(f"expected {ell + 1} entries, got {len(b)}")
-    return [sum(gauss(ctx, ell - i, ell - j) * b[i] for i in range(j + 1))
-            for j in range(ell + 1)]

@@ -64,7 +64,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._value import Value, json_int
+from ._value import Value
 from .errors import ContextMismatch, NonIntegralResult, UsageError
 from .negq import NegQContext
 
@@ -363,13 +363,3 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
 def concretize(a: LambdaPoly, lam: int) -> ConcretePoly:
     """Freeze the parameter: the coefficients of ``row(lam)``."""
     return ConcretePoly(a.ctx, a.degree, a.row(lam))
-
-
-def poly_from_jsonable(ctx: NegQContext, obj: dict) -> ConcretePoly:
-    """Inverse of ``ConcretePoly.to_jsonable``. The degree and every
-    coefficient must be an int or a decimal string; a float or a bool is
-    refused, as in code files."""
-    degree = json_int(obj["degree"], "polynomial degree")
-    coeffs = tuple(json_int(c, "polynomial coefficient")
-                   for c in obj["coefficients"])
-    return ConcretePoly(ctx, degree, coeffs)

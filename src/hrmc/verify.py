@@ -18,14 +18,22 @@ from functools import reduce
 from ._value import Value
 from .calculus import (
     _weighted,
+    beta_fn,
+    bpow,
+    delta_fn,
     div_x,
     div_y,
+    epsilon_fn,
     evaluate,
+    gamma_ext,
+    gauss_ext,
     negq_derivative,
     negq_inv_derivative,
     poly_add,
     poly_scale,
     scale_y,
+    sequence_forward,
+    sequence_inversion,
     shift_lambda,
 )
 from .codes import (
@@ -46,26 +54,13 @@ from .errors import NonIntegralDual, UsageError
 from .fields import Field
 from .macwilliams import macwilliams_eigen, macwilliams_transform
 from .moments import (
-    delta_fn,
-    epsilon_fn,
     mhrd_distribution,
     moment_q,
     moment_q_low,
     moment_qinv,
     moment_qinv_high,
 )
-from .negq import (
-    NegQContext,
-    beta_fn,
-    bpow,
-    gamma_ext,
-    gamma_fn,
-    gauss,
-    gauss_ext,
-    sequence_forward,
-    sequence_inversion,
-    triangle,
-)
+from .negq import NegQContext, gamma_fn, gauss, triangle
 from .polynomials import (
     LambdaPoly,
     constant_poly,

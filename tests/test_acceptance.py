@@ -8,6 +8,7 @@ runtime budgets are generous for any recent machine.
 import json
 import time
 
+from hrmc.calculus import delta_fn, epsilon_fn
 from hrmc.cli import main
 from hrmc.codes import (
     dual_code,
@@ -23,8 +24,6 @@ from hrmc.eigen import (
 from hrmc.hermitian_space import enumerate_hermitian, inner_product, rank
 from hrmc.macwilliams import macwilliams_eigen, macwilliams_transform
 from hrmc.moments import (
-    delta_fn,
-    epsilon_fn,
     mhrd_distribution,
     moment_q,
     moment_q_low,

@@ -1082,7 +1082,8 @@ def test_closed_forms_refuse_work_over_the_guard(capsys, monkeypatch, argv,
     for name in computes:
         monkeypatch.setattr(f"hrmc.{_MODULE_OF[name]}.{name}", _unreachable)
     monkeypatch.setattr("hrmc.polynomials.negq_product", _unreachable)
-    monkeypatch.setattr("hrmc.negq._gauss_q", _unreachable)
+    monkeypatch.setattr("hrmc.negq._gauss_row", _unreachable)
+    monkeypatch.setattr("hrmc.negq._gamma_row", _unreachable)
     rc, out, err = run(capsys, argv + ["--guard", str(estimate - 1)])
     assert rc == 2
     assert_one_error_line(out, err)
@@ -1159,6 +1160,26 @@ def test_macwilliams_non_integral_dual(capsys):
     assert rc == 2
     assert_one_error_line(out, err)
     assert "--dist" in err
+
+
+def test_macwilliams_dual_with_a_fraction_is_a_usage_error(capsys):
+    """Counts that pass the input checks but have a dual that is not whole
+    are no code's distribution: one error: line naming the dual count, and
+    exit 2."""
+    rc, out, err = run(capsys, ["macwilliams", "--q", "2", "--t", "1",
+                                "--dist", "1,2", "--size", "3"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: --dist 1,2 with --size 3 is not the distribution "
+                   "of a code (dual count 1 came out -1/3)\n")
+
+
+def test_macwilliams_table(capsys):
+    """The zero code's dual at q=2, t=2 is the whole space's census."""
+    rc, out, _ = run(capsys, ["macwilliams", "--q", "2", "--t", "2",
+                              "--dist", "1,0,0", "--size", "1"])
+    assert rc == 0
+    assert out == ("dual distribution, q=2 t=2 |C|=1\n"
+                   "  [1, 5, 10] (both routes agree)\n")
 
 
 @pytest.mark.parametrize("dist, size, fault", [
@@ -1410,7 +1431,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
     eigen, the moments for mhrd and dual, the two MacWilliams routes and
     the polynomial algebra where it transforms, and the calculus and the
     suites for verify. Only the commands that hold a value that is not
-    whole load fractions: count, eigen and a wd that counts the code
+    whole load fractions: count, eigen, mhrd and a wd that counts the code
     itself do not, and that wd loads no negq either. Neither count nor
     verify builds a matrix object, so neither loads hermitian; and no
     command loads dataclasses, multiprocessing or the object route of
@@ -1427,7 +1448,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
          _CODE_FILE | {"hrmc.workers"}),
         (["eigen", "--q", "2", "--t", "3"], _NEGQ | {"hrmc.eigen"}),
         (["mhrd", "--q", "2", "--t", "3", "--d", "3"],
-         _NEGQ | {"fractions", "hrmc.moments"}),
+         _NEGQ | {"hrmc.moments"}),
         (["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
           "--size", "8"], _TRANSFORM),
         (["wd", "--input", dual, "--workers", "2"],
@@ -1452,3 +1473,51 @@ def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
              "make_field(2, 1).subfield_indices()\n")
     assert _modules_at_exit(tmp_path, ["-c", setup]) == {
         "hrmc", "hrmc.cli", "hrmc.cost", "hrmc.errors"} | _FIELD
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
+    """A reader that stops after 20 bytes of an output larger than any
+    pipe buffer ends the run with exit 1 and nothing on stderr; so does a
+    pipe with no reader, where a small output fails only when flushed."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hrmc.cli", "eigen", "--q", "2", "--t", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    assert proc.stdout.read(20) == b"eigenvalue table, q="
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrmc.cli", "count", "--q", "2", "--t",
+             "2"], stdout=write, stderr=subprocess.PIPE,
+            env=_buffered_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _buffered_env():
+    """_src_env with stdout block-buffered, as it is by default, so that
+    a small output is written only when flushed."""
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_full_device_is_one_error_line(fmt):
+    """Output that cannot be written is one error: line and exit 1, with
+    no traceback from the write or from the interpreter's final flush."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrmc.cli", "count", "--q", "2", "--t",
+             "4", "--format", fmt],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env=_buffered_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: cannot write the output: "
+                           "No space left on device\n")

@@ -21,7 +21,6 @@ from hrmc.hermitian_space import (
     enumerate_hermitian,
     hermitian_from_index,
     inner_product,
-    matrix_to_index,
     rank,
     rank_of_rows,
     total_hermitian,
@@ -33,6 +32,19 @@ CENSUS = {
     (2, 3): (1, 21, 210, 280),
     (3, 2): (1, 20, 60),
 }
+
+
+def _matrix_to_index(m):
+    """Inverse of hermitian_from_index (the matrix must be Hermitian)."""
+    field, t = m.field, m.t
+    subfield_pos = {idx: pos for pos, idx in enumerate(field.subfield_indices())}
+    index = 0
+    for i in range(t):
+        index = index * field.q + subfield_pos[m.entries[i][i].index]
+    for i in range(t):
+        for j in range(i + 1, t):
+            index = index * field.order + m.entries[i][j].index
+    return index
 
 
 def _mat(field, rows):
@@ -144,7 +156,7 @@ def test_enumeration_order_and_index(fields):
     assert seen[0].is_zero()
     for i in (0, 1, 5, 15):
         assert seen[i] == hermitian_from_index(f4, 2, i)
-        assert matrix_to_index(seen[i]) == i
+        assert _matrix_to_index(seen[i]) == i
     # least significant digit is the upper corner, most significant the
     # first diagonal entry
     assert seen[1].entries[0][1].index == 1

@@ -26,9 +26,8 @@ from hrmc.errors import (
     shown,
 )
 from hrmc.macwilliams import macwilliams_eigen, macwilliams_transform
+from hrmc.calculus import delta_fn, epsilon_fn
 from hrmc.moments import (
-    delta_fn,
-    epsilon_fn,
     mhrd_distribution,
     moment_q,
     moment_q_low,
@@ -293,6 +292,20 @@ def test_eigen_table_json():
     assert js["q"] == 2 and js["t"] == 3
 
 
+def _patch_everywhere(monkeypatch, names, replacement):
+    """Replace each named function, as replacement(name), in every loaded
+    hrmc module that has it; a name that no module has fails the test, so
+    a rename cannot quietly leave a route unpatched."""
+    found = set()
+    for name, module in list(sys.modules.items()):
+        if name == "hrmc" or name.startswith("hrmc."):
+            for fn in names:
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, replacement(fn))
+                    found.add(fn)
+    assert found == set(names), set(names) - found
+
+
 class ClosedFormReached(Exception):
     pass
 
@@ -318,12 +331,10 @@ def test_transform_route_needs_no_closed_form(monkeypatch):
     def closed_form(*args):
         raise ClosedFormReached(args)
 
-    for name, module in list(sys.modules.items()):
-        if name == "hrmc" or name.startswith("hrmc."):
-            for fn in ("gauss", "gamma_fn", "gauss_ext", "gamma_ext",
-                       "_gauss_q", "_gamma_q", "krawtchouk_Q"):
-                if hasattr(module, fn):
-                    monkeypatch.setattr(module, fn, closed_form)
+    _patch_everywhere(monkeypatch, ("gauss", "gamma_fn", "_gauss_row",
+                                    "_gamma_row", "gauss_ext", "gamma_ext",
+                                    "krawtchouk_Q"),
+                      lambda fn: closed_form)
     with pytest.raises(ClosedFormReached):
         macwilliams_eigen(CTX2, (1, 0), 1, 1)
     for ctx, t, counts, size, want in cases:
@@ -338,11 +349,7 @@ def _make_raise(monkeypatch, names):
     def crossed(*args):
         raise RouteCrossed(args)
 
-    for name, module in list(sys.modules.items()):
-        if name == "hrmc" or name.startswith("hrmc."):
-            for fn in names:
-                if hasattr(module, fn):
-                    monkeypatch.setattr(module, fn, crossed)
+    _patch_everywhere(monkeypatch, names, lambda fn: crossed)
 
 
 _Q_ROUTE = ("build_eigen_table", "_q_weights", "krawtchouk_Q")
@@ -409,12 +416,8 @@ def test_eigen_routes_use_no_other_t(monkeypatch):
     names = _Q_ROUTE + _C_ROUTE + _R_ROUTE
     originals = {fn: getattr(macwilliams if fn == "_q_weights" else eigen, fn)
                  for fn in names}
-    for name, module in list(sys.modules.items()):
-        if name == "hrmc" or name.startswith("hrmc."):
-            for fn in names:
-                if hasattr(module, fn):
-                    monkeypatch.setattr(module, fn,
-                                        recording(fn, originals[fn]))
+    _patch_everywhere(monkeypatch, names,
+                      lambda fn: recording(fn, originals[fn]))
     for ctx in (CTX2, CTX3):
         for t in range(7):
             calls.clear()

@@ -10,11 +10,15 @@ import pytest
 
 from hrmc.errors import ContextMismatch, NonIntegralResult, UsageError
 from hrmc import calculus, polynomials, verify
-from hrmc.negq import NegQContext, beta_fn, triangle
+from hrmc._value import json_int
+from hrmc.negq import NegQContext, triangle
 from hrmc.calculus import (
+    beta_fn,
+    bpow,
     div_x,
     div_y,
     evaluate,
+    gamma_ext,
     negq_derivative,
     negq_inv_derivative,
     poly_add,
@@ -33,7 +37,6 @@ from hrmc.polynomials import (
     negq_transform,
     nu_poly,
     one_poly,
-    poly_from_jsonable,
 )
 from hrmc.verify import (
     mu_power_coeff,
@@ -400,7 +403,6 @@ def test_inverse_derivative_is_legitimately_rational():
 def test_inverse_derivative_power_rules():
     """mu powers differentiate to scaled, parameter-shifted lower powers; nu
     powers stay integral with an alternating sign."""
-    from hrmc.negq import bpow, gamma_ext, triangle
     for ctx in (CTX2, CTX3):
         for k in range(6):
             for phi in range(k + 1):
@@ -427,9 +429,19 @@ def test_evaluate_matches_coefficients():
             assert evaluate(f, x, y, lam) == frozen.evaluate(x, y)
 
 
+def _poly_from_jsonable(ctx, obj):
+    """Inverse of ConcretePoly.to_jsonable. The degree and every
+    coefficient must be an int or a decimal string; a float or a bool is
+    refused, as in code files."""
+    degree = json_int(obj["degree"], "polynomial degree")
+    coeffs = tuple(json_int(c, "polynomial coefficient")
+                   for c in obj["coefficients"])
+    return ConcretePoly(ctx, degree, coeffs)
+
+
 def test_concrete_poly_json():
     p = ConcretePoly(CTX2, 2, (1, -7, 40))
-    assert poly_from_jsonable(CTX2, p.to_jsonable()) == p
+    assert _poly_from_jsonable(CTX2, p.to_jsonable()) == p
     bad = ConcretePoly(CTX2, 1, (1, Fraction(1, 2)))
     with pytest.raises(NonIntegralResult):
         bad.to_jsonable()
@@ -439,7 +451,7 @@ def test_concrete_poly_json():
                 {"degree": 1, "coefficients": ["2", True]},
                 {"degree": False, "coefficients": [2]}):
         with pytest.raises(UsageError):
-            poly_from_jsonable(CTX2, obj)
+            _poly_from_jsonable(CTX2, obj)
 
 
 def test_transform_rejects_bad_substituends():
