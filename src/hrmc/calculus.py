@@ -3,8 +3,10 @@ and the base -q algebra that only the identity suites use.
 
 The q-derivative and its reciprocal-base version, the X and Y divisions,
 ``scale_y``, the lambda shift, sums, scalar multiples and evaluation at a
-point; beside them, the Gaussian and gamma values extended to x < 0, b to
-any integer power, beta, the triangular sequence transform and its
+point; beside them, the gamma values extended to x < 0 (the delta lemma
+and the mu powers read gamma at negative lambda, while every Gaussian
+the suites read has x >= 0, so they call ``negq.gauss``), b to any
+integer power, beta, the triangular sequence transform and its
 inversion, and the delta and epsilon summation lemmas. The identity
 suites of ``verify`` are their only callers in the package, so only
 ``verify`` loads this module.
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import LengthMismatch, UsageError
+from .errors import IndexOutOfRange, LengthMismatch, UsageError
 from .negq import NegQContext, gamma_fn, gauss, triangle
 from .polynomials import (
     LambdaPoly,
@@ -42,45 +44,15 @@ def bpow(ctx: NegQContext, e: int) -> int | Fraction:
     return ctx.b ** e if e >= 0 else Fraction(1, ctx.b ** (-e))
 
 
-def _exact(num: int, den: int) -> int | Fraction:
-    """num/den as an int when den divides num, else as a Fraction."""
-    quo, rem = divmod(num, den)
-    return quo if rem == 0 else Fraction(num, den)
-
-
-# For x >= 0 the values are read from the rows of hrmc.negq; the products
-# at x < 0, where b^x = 1/d with d = b^(-x), are cached on (q, x, k).
-@lru_cache(maxsize=None)
-def _gauss_negative(q: int, x: int, k: int) -> int | Fraction:
-    b, d = -q, (-q) ** -x
-    num = den = 1
-    for i in range(k):
-        num *= 1 - b ** i * d
-        den *= (b ** k - b ** i) * d
-    return _exact(num, den)
-
-
+# For x >= 0 gamma is read from the rows of hrmc.negq; the products at
+# x < 0, where b^x = 1/d with d = b^(-x), are cached on (q, x, k).
 @lru_cache(maxsize=None)
 def _gamma_negative(q: int, x: int, k: int) -> int | Fraction:
     b, d = -q, (-q) ** -x
     num = 1
     for i in range(k):
         num *= -1 - b ** i * d
-    return _exact(num, d ** max(k, 0))
-
-
-def gauss_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
-    """Gaussian coefficient over b = -q, extended to any integer x.
-
-    For k < 0 the value is 0 by convention (this is what makes the
-    triangular recurrences close at the k = 0 boundary). For x < 0 the
-    defining product prod_{i<k} (b**x - b**i) / (b**k - b**i) is evaluated
-    with b**x as an exact rational. An int when the value is whole, else a
-    Fraction.
-    """
-    if x >= 0:
-        return gauss(ctx, x, k)
-    return _gauss_negative(ctx.q, x, k) if k >= 0 else 0
+    return _quotient(num, d ** max(k, 0))
 
 
 def gamma_ext(ctx: NegQContext, x: int, k: int) -> int | Fraction:
@@ -151,43 +123,40 @@ def delta_fn(ctx: NegQContext, lam: int, phi: int, j: int):
     num, den = 0, 1
     for i in range(j + 1):
         g = gamma_ext(ctx, lam - i, phi)
-        n = gauss_ext(ctx, j, i) * (-1) ** i * b ** triangle(i) * g.numerator
+        n = gauss(ctx, j, i) * (-1) ** i * b ** triangle(i) * g.numerator
         d = g.denominator
         num, den = num * d + n * den, den * d
-    return _exact(num, den)
+    return _quotient(num, den)
 
 
 def epsilon_fn(ctx: NegQContext, big_lam: int, phi: int, i: int):
     """Double-product sum whose closed form is an i-shifted Gaussian.
 
     Matches the closed form (-1)^i b^tri(i) gauss(big_lam - i, big_lam - phi)
-    whenever i <= big_lam; beyond that the two sides genuinely differ, so
-    callers should stay in that range.
+    for i <= big_lam. Beyond that the two sides genuinely differ, so an
+    i > big_lam is refused with IndexOutOfRange.
 
     A term is an integer over a power of b: b^(ell(big_lam - phi)) may
-    have a negative b-exponent, and past i = big_lam so may the Gaussian's
-    first argument. The sum is kept as one integer numerator over one
-    denominator and divided once.
+    have a negative b-exponent. The sum is kept as one integer numerator
+    over one denominator and divided once.
     """
+    if i > big_lam:
+        raise IndexOutOfRange(f"need i <= Lambda, got i={i} Lambda={big_lam}")
     b = ctx.b
     num, den = 0, 1
     for ell in range(i + 1):
-        g = gauss_ext(ctx, big_lam - i, phi - ell)
+        g = gauss(ctx, big_lam - i, phi - ell)
         if g == 0:  # as for every ell > phi, so below phi - ell >= 0
             continue
-        n = gauss_ext(ctx, i, ell) * (-1) ** ell * b ** triangle(ell) \
-            * g.numerator
-        d = g.denominator
-        e = ell * (big_lam - phi)
-        if e >= 0:
-            n *= b ** e
-        else:
-            d *= b ** -e
+        e = ell * (big_lam - phi)  # below 0, b^e goes into d
+        n = (gauss(ctx, i, ell) * (-1) ** ell * g
+             * b ** (triangle(ell) + max(e, 0)))
+        d = b ** max(-e, 0)
         top = b ** (phi - ell)
         for k in range(i - ell):
             n *= top - b ** k
         num, den = num * d + n * den, den * d
-    return _exact(num, den)
+    return _quotient(num, den)
 
 
 # ------------------------------------------------- derivatives
@@ -258,8 +227,7 @@ def scale_y(a: LambdaPoly) -> LambdaPoly:
 
 def shift_lambda(a: LambdaPoly, delta: int) -> LambdaPoly:
     """Replace the parameter lambda by lambda - delta."""
-    return _from_rows(a.ctx, a.degree, lambda lam: a._row(lam - delta),
-                      a._free)
+    return _from_rows(a.ctx, a.degree, lambda lam: a._row(lam - delta))
 
 
 def poly_add(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
@@ -277,7 +245,7 @@ def poly_add(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
         return e, tuple([fa * u + fb * v
                          for u, v in zip(x + pad_a, y + pad_b)])
 
-    return _from_rows(ctx, deg, fill, a._free and b._free)
+    return _from_rows(ctx, deg, fill)
 
 
 def poly_scale(a: LambdaPoly, factor: Number) -> LambdaPoly:
@@ -302,7 +270,7 @@ def _weighted(a: LambdaPoly, degree: int, weights: Sequence[Number],
         e, nums = a._row(lam)
         return e + shift, tuple([w * c for w, c in zip(weights, nums[first:])])
 
-    return _from_rows(a.ctx, degree, fill, a._free)
+    return _from_rows(a.ctx, degree, fill)
 
 
 def _sliced(a: LambdaPoly, start: int, stop: int | None) -> LambdaPoly:
@@ -311,4 +279,4 @@ def _sliced(a: LambdaPoly, start: int, stop: int | None) -> LambdaPoly:
         e, nums = a._row(lam)
         return e, nums[start:stop]
 
-    return _from_rows(a.ctx, a.degree - 1, fill, a._free)
+    return _from_rows(a.ctx, a.degree - 1, fill)

@@ -25,7 +25,8 @@ module imports this one: under ``python -m hrmc.cli`` this module is
 Exit codes: 0 on success; 1 when independently computed routes disagree,
 a verification suite fails or another ``CheckFailed`` is raised, or when
 the output cannot be written (a reader that closes the pipe early gets
-no message, any other write error one ``error:`` line); 2 for
+no message, any other write error one ``error:`` line); 130 on SIGINT
+and 143 on SIGTERM, after any forked counter is killed and reaped; 2 for
 every ``UsageError``, that is input that cannot be used: a q that is not
 a prime power, ``--t`` below 1, ``--d`` outside 1..t or even, ``--phi``
 outside 0..t, ``--size`` below 1, negative ``--trials``, a malformed code
@@ -44,6 +45,7 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
 from importlib import import_module
 
@@ -157,8 +159,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code. While it runs, SIGTERM
+    takes the path of SIGINT: Python's SIGINT handler raises
+    KeyboardInterrupt where the program is, every ``finally`` runs (the
+    forked counters are killed and reaped), and the command ends with one
+    ``error:`` line and exit code 143 (130 for SIGINT). The caller's
+    SIGTERM handler is restored after."""
+    terminated = []
+
+    def interrupt(signum, frame):
+        terminated.append(signum)
+        signal.default_int_handler(signum, frame)
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
     try:
+        args = build_parser().parse_args(argv)
         args.guard = enumeration_guard(args.guard)
         if "workers" in args and args.workers < 1:
             raise UsageError(
@@ -181,6 +196,14 @@ def main(argv=None) -> int:
     except HrmcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+    except KeyboardInterrupt:
+        if terminated:
+            print("error: terminated", file=sys.stderr)
+            return 143
+        print("error: interrupted", file=sys.stderr)
+        return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ reciprocal base, both returned as their two exact sides for the caller to
 compare. :func:`mhrd_distribution` is the closed-form distribution of a
 maximal code of odd minimum distance. The summation lemmas behind the
 moment identities, ``delta_fn`` and ``epsilon_fn``, are in
-:mod:`hrmc.calculus` with the suites' other algebra. Only the functions
+:mod:`hrmc.calculus` with the suites' other algebra, and the simplified
+sides that ``verify`` compares with, ``moment_q_low`` and
+``moment_qinv_high``, are in :mod:`hrmc.verify`. Only the functions
 that build a Fraction import :mod:`fractions`, so ``mhrd`` does not load
 it.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from .errors import (
     CheckFailed,
@@ -23,9 +23,6 @@ from .errors import (
     shown,
 )
 from .negq import NegQContext, gamma_fn, gauss, triangle
-
-if TYPE_CHECKING:  # fractions is loaded only where a Fraction is built
-    from fractions import Fraction
 
 
 def _signed_power(ctx: NegQContext, t: int, e: int) -> int:
@@ -54,13 +51,6 @@ def moment_q(ctx: NegQContext, counts, dual_counts,
     return {"lhs": lhs, "rhs": rhs}
 
 
-def moment_q_low(ctx: NegQContext, dual_size: int, t: int, phi: int) -> Fraction:
-    """Simplified right side valid whenever phi is below the dual minimum
-    distance (only the dual zero word contributes)."""
-    from fractions import Fraction
-    return Fraction(_signed_power(ctx, t, t - phi), dual_size) * gauss(ctx, t, phi)
-
-
 def moment_qinv(ctx: NegQContext, counts, dual_counts,
                 code_sizes: tuple[int, int], t: int, phi: int) -> dict:
     """Both sides of the phi-th moment identity in the reciprocal base."""
@@ -75,15 +65,6 @@ def moment_qinv(ctx: NegQContext, counts, dual_counts,
         * gauss(ctx, t - i, t - phi) * gamma_fn(ctx, t - i, phi - i)
         * dual_counts[i] for i in range(phi + 1))
     return {"lhs": lhs, "rhs": rhs}
-
-
-def moment_qinv_high(ctx: NegQContext, counts, t: int, phi: int) -> int:
-    """Alternating combination that vanishes when phi exceeds the dual
-    diameter; returned so callers can assert it is zero."""
-    b = ctx.b
-    return sum((-1) ** i * b ** (triangle(i) + i * (phi - i))
-               * gauss(ctx, t - i, t - phi) * gamma_fn(ctx, t - i, phi - i)
-               * counts[i] for i in range(phi + 1))
 
 
 # ------------------------------------------------- extremal distributions

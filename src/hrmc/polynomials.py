@@ -30,13 +30,6 @@ from the one before and the degree-one substituends at lam - i, made by
 the same row-level product as ``negq_product``: O(t^2) big-int products,
 and O(t) coefficients held at a time.
 
-Some polynomials do not depend on lambda: constants, ``nu_poly``, and
-whatever the combinators build from lambda-free operands alone. That is
-known from how a polynomial was built, never from its coefficients (a
-polynomial given by a coefficient function is never taken to be
-lambda-free), and such a polynomial memoises one row, served for every
-lambda.
-
 Rows are held scaled, as ints over one power of b. The memo holds a row
 as ``(e, nums)`` with e >= 0: coefficient i is nums[i] / b^e. Negative
 powers of b are the only denominators the algebra makes (the mu seed at
@@ -46,8 +39,8 @@ exponents of its operands, reading the rows of its right factor aligned
 to one exponent, and a transform aligns its terms the same way. Only the
 output functions divide: ``row``, ``coefficient`` and ``concretize`` (and
 ``calculus.evaluate``) give an int where b^e divides and a Fraction
-otherwise, and ``row(lam)`` is memoised, so it is the same tuple at every
-read. A row with e = 0 and int entries, such as every row of the
+otherwise. Only the scaled rows are memoised, so ``row(lam)`` divides on
+each call; a row with e = 0 and int entries, such as every row of the
 transform at lambda = t, is handed out as it is. A coefficient function
 may return a Fraction whose denominator is not a power of q; it then
 stays a Fraction inside nums, and the arithmetic is the generic one.
@@ -120,24 +113,21 @@ class LambdaPoly:
     and is 0 outside 0 <= i <= degree; row(lam) holds all of them at one
     lambda. The constructor's coeff(i, lam) fills a row one i at a time;
     the combinators below fill theirs from their operands' scaled rows
-    (``_from_rows``). ``_rows`` memoises the scaled rows and ``_out`` the
-    divided ones that ``row`` returns. A lambda-free polynomial
-    (``_free``) keeps one row, under lambda 0, for every lambda. Equal only
-    to itself, since the coefficient functions cannot be compared;
-    ``verify.polys_equal`` compares two over a window of lambdas."""
+    (``_from_rows``). ``_rows`` memoises the scaled rows, one per lambda
+    read, and ``row`` divides them. Equal only to itself, since the
+    coefficient functions cannot be compared; ``verify.polys_equal``
+    compares two over a window of lambdas."""
 
-    __slots__ = ("ctx", "degree", "_free", "_coeff", "_fill", "_rows", "_out")
+    __slots__ = ("ctx", "degree", "_coeff", "_fill", "_rows")
 
     def __init__(self, ctx: NegQContext, degree: int, coeff: CoeffFn) -> None:
         self.ctx = ctx
         self.degree = degree
-        self._free = False
         self._coeff = coeff
         q = ctx.q
         self._fill = lambda lam: _scaled(q, tuple([coeff(i, lam)
                                                    for i in range(degree + 1)]))
         self._rows: dict[int, Scaled] = {}
-        self._out: dict[int, Row] = {}
 
     @property
     def coeff(self) -> CoeffFn:
@@ -147,24 +137,16 @@ class LambdaPoly:
 
     def row(self, lam: int) -> Row:
         """The degree + 1 coefficients at lam, each an int where it is
-        whole and a Fraction otherwise; divided once and memoised."""
-        if self._free:
-            lam = 0
-        row = self._out.get(lam)
-        if row is None:
-            e, nums = self._row(lam)
-            if e == 0 and _ints(nums):
-                row = nums
-            else:
-                den = self.ctx.b ** e
-                row = tuple([_quotient(v, den) for v in nums])
-            self._out[lam] = row
-        return row
+        whole and a Fraction otherwise, divided from the memoised scaled
+        row."""
+        e, nums = self._row(lam)
+        if e == 0 and _ints(nums):
+            return nums
+        den = self.ctx.b ** e
+        return tuple([_quotient(v, den) for v in nums])
 
     def _row(self, lam: int) -> Scaled:
         """The scaled row (e, nums) at lam, from the memo if present."""
-        if self._free:
-            lam = 0
         row = self._rows.get(lam)
         if row is None:
             row = self._rows[lam] = self._fill(lam)
@@ -176,18 +158,15 @@ class LambdaPoly:
         return self.row(lam)[i]
 
 
-def _from_rows(ctx: NegQContext, degree: int, fill: Callable[[int], Scaled],
-               free: bool) -> LambdaPoly:
-    """The polynomial whose scaled row at lam is fill(lam); free when
-    fill(lam) does not depend on lam."""
+def _from_rows(ctx: NegQContext, degree: int,
+               fill: Callable[[int], Scaled]) -> LambdaPoly:
+    """The polynomial whose scaled row at lam is fill(lam)."""
     poly = LambdaPoly.__new__(LambdaPoly)
     poly.ctx = ctx
     poly.degree = degree
-    poly._free = free
     poly._coeff = None
     poly._fill = fill
     poly._rows = {}
-    poly._out = {}
     return poly
 
 
@@ -233,7 +212,7 @@ def one_poly(ctx: NegQContext) -> LambdaPoly:
 
 def constant_poly(ctx: NegQContext, value: Number) -> LambdaPoly:
     row = _scaled(ctx.q, (value,))
-    return _from_rows(ctx, 0, lambda lam: row, True)
+    return _from_rows(ctx, 0, lambda lam: row)
 
 
 def mu_poly(ctx: NegQContext) -> LambdaPoly:
@@ -247,13 +226,13 @@ def mu_poly(ctx: NegQContext) -> LambdaPoly:
         power = b ** -lam
         return -lam, (power, -1 - power)
 
-    return _from_rows(ctx, 1, fill, False)
+    return _from_rows(ctx, 1, fill)
 
 
 def nu_poly(ctx: NegQContext) -> LambdaPoly:
     """X - Y; its coefficients do not involve lambda."""
     row = (0, (1, -1))
-    return _from_rows(ctx, 1, lambda lam: row, True)
+    return _from_rows(ctx, 1, lambda lam: row)
 
 
 def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
@@ -262,8 +241,7 @@ def negq_product(a: LambdaPoly, b: LambdaPoly) -> LambdaPoly:
     base, s = ctx.b, b.degree
     twist = [base ** (i * s) for i in range(a.degree + 1)]
     return _from_rows(ctx, a.degree + s,
-                      lambda lam: _product_row(twist, a._row(lam), b, lam),
-                      a._free and b._free)
+                      lambda lam: _product_row(twist, a._row(lam), b, lam))
 
 
 def _product_row(twist: Sequence[int], a_row: Scaled, b: LambdaPoly,
@@ -357,7 +335,7 @@ def negq_transform(counts: Sequence[Number], y_sub: LambdaPoly,
                 g = eo, tuple(out)
         return g
 
-    return _from_rows(ctx, t, fill, y_sub._free and x_sub._free)
+    return _from_rows(ctx, t, fill)
 
 
 def concretize(a: LambdaPoly, lam: int) -> ConcretePoly:

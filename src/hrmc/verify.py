@@ -26,7 +26,6 @@ from .calculus import (
     epsilon_fn,
     evaluate,
     gamma_ext,
-    gauss_ext,
     negq_derivative,
     negq_inv_derivative,
     poly_add,
@@ -54,11 +53,10 @@ from .errors import NonIntegralDual, UsageError
 from .fields import Field
 from .macwilliams import macwilliams_eigen, macwilliams_transform
 from .moments import (
+    _signed_power,
     mhrd_distribution,
     moment_q,
-    moment_q_low,
     moment_qinv,
-    moment_qinv_high,
 )
 from .negq import NegQContext, gamma_fn, gauss, triangle
 from .polynomials import (
@@ -102,7 +100,7 @@ class SuiteResult(Value):
 def mu_power_coeff(ctx: NegQContext, k: int, u: int,
                    lam: int) -> int | Fraction:
     """Closed form for coefficient u of the k-fold mu power."""
-    return gauss_ext(ctx, k, u) * gamma_ext(ctx, lam, u)
+    return gauss(ctx, k, u) * gamma_ext(ctx, lam, u)
 
 
 def nu_power_coeff(ctx: NegQContext, k: int, u: int) -> int:
@@ -123,10 +121,27 @@ def delta_closed(ctx: NegQContext, lam: int, phi: int, j: int):
     return int(v) if v.denominator == 1 else v
 
 
-def epsilon_closed(ctx: NegQContext, big_lam: int, phi: int, i: int):
-    v = (-1) ** i * ctx.b ** triangle(i) * gauss_ext(ctx, big_lam - i,
-                                                     big_lam - phi)
-    return int(v) if v.denominator == 1 else v
+def epsilon_closed(ctx: NegQContext, big_lam: int, phi: int, i: int) -> int:
+    return (-1) ** i * ctx.b ** triangle(i) * gauss(ctx, big_lam - i,
+                                                    big_lam - phi)
+
+
+def moment_q_low(ctx: NegQContext, dual_size: int, t: int,
+                 phi: int) -> Fraction:
+    """Simplified right side of ``moments.moment_q``, valid whenever phi
+    is below the dual minimum distance (only the dual zero word
+    contributes)."""
+    return Fraction(_signed_power(ctx, t, t - phi), dual_size) \
+        * gauss(ctx, t, phi)
+
+
+def moment_qinv_high(ctx: NegQContext, counts, t: int, phi: int) -> int:
+    """Alternating combination that vanishes when phi exceeds the dual
+    diameter; returned so callers can assert it is zero."""
+    b = ctx.b
+    return sum((-1) ** i * b ** (triangle(i) + i * (phi - i))
+               * gauss(ctx, t - i, t - phi) * gamma_fn(ctx, t - i, phi - i)
+               * counts[i] for i in range(phi + 1))
 
 
 def polys_equal(a: LambdaPoly, b: LambdaPoly,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import signal
 
 from . import codes
 from .errors import CheckFailed
@@ -65,6 +66,9 @@ def _fork_counter(code, start: int, stop: int, guard) -> tuple[int, int]:
     status = 2  # nothing sent: the parent reports the status
     try:
         os.close(read)
+        # a SIGTERM to the child ends it, as the parent reports, instead
+        # of raising through the handler cli.main installed
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         try:
             body, sent = json.dumps(
                 codes.rank_counts(code, start, stop, guard)).encode(), 0
@@ -112,7 +116,6 @@ def weight_distribution(code, workers: int, guard) -> codes.WeightDistribution:
             os.close(read)
             with contextlib.suppress(ChildProcessError):  # reaped already
                 if os.waitpid(pid, os.WNOHANG) == (0, 0):
-                    import signal
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
     counts = tuple(sum(column) for column in zip(*parts))

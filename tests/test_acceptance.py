@@ -23,18 +23,14 @@ from hrmc.eigen import (
 )
 from hrmc.hermitian_space import enumerate_hermitian, inner_product, rank
 from hrmc.macwilliams import macwilliams_eigen, macwilliams_transform
-from hrmc.moments import (
-    mhrd_distribution,
-    moment_q,
-    moment_q_low,
-    moment_qinv,
-    moment_qinv_high,
-)
+from hrmc.moments import mhrd_distribution, moment_q, moment_qinv
 from hrmc.negq import NegQContext, xi
 from hrmc.polynomials import concretize, mu_poly, negq_power, nu_poly
 from hrmc.verify import (
     delta_closed,
     epsilon_closed,
+    moment_q_low,
+    moment_qinv_high,
     nu_power_coeff,
     suite_evaluation,
     suite_gamma_beta,

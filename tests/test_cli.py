@@ -921,25 +921,27 @@ def test_child_error_is_one_error_line(capsys, monkeypatch, two_cpus, exc,
 
 def test_child_killed_is_one_error_line(capsys, monkeypatch, two_cpus):
     """A child that dies without an answer gives one error line and exit 1
-    (the failed check is that every range was counted)."""
+    (the failed check is that every range was counted). That holds for
+    SIGTERM too: the child does not keep the handler main installs."""
     parent = os.getpid()
-
-    def killed(code, start, stop, guard=None):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return rank_counts(code, start, stop, guard)
-    monkeypatch.setattr(codes, "rank_counts", killed)
-    rc, out, err = run(capsys, ["count", "--q", "2", "--t", "2",
-                                "--workers", "2"])
-    assert rc == 1
-    assert_one_error_line(out, err)
-    assert f"ended by signal {int(signal.SIGKILL)} and sent no counts" in err
-    assert_no_child_left()
+    for signum in (signal.SIGKILL, signal.SIGTERM):
+        def killed(code, start, stop, guard=None, signum=signum):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signum)
+            return rank_counts(code, start, stop, guard)
+        monkeypatch.setattr(codes, "rank_counts", killed)
+        rc, out, err = run(capsys, ["count", "--q", "2", "--t", "2",
+                                    "--workers", "2"])
+        assert rc == 1
+        assert_one_error_line(out, err)
+        assert f"ended by signal {int(signum)} and sent no counts" in err
+        assert_no_child_left()
 
 
 def test_interrupt_in_parent_kills_child(capsys, monkeypatch, two_cpus):
     """A KeyboardInterrupt in the parent's own range kills and reaps the
-    child, which would otherwise sleep for a minute, and propagates."""
+    child, which would otherwise sleep for a minute, and main ends with
+    one error: line and exit code 130."""
     parent = os.getpid()
 
     def interrupted(code, start, stop, guard=None):
@@ -949,10 +951,11 @@ def test_interrupt_in_parent_kills_child(capsys, monkeypatch, two_cpus):
     monkeypatch.setattr(codes, "rank_counts", interrupted)
     forks = _count_forks(monkeypatch)
     began = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        main(["count", "--q", "2", "--t", "2", "--workers", "2"])
+    assert main(["count", "--q", "2", "--t", "2", "--workers", "2"]) == 130
     assert forks == [1] and time.monotonic() - began < 30
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert_one_error_line(out, err)
+    assert err == "error: interrupted\n"
     assert_no_child_left()
 
 
@@ -1497,6 +1500,74 @@ def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# Runs hrmc.cli.main on argv in a fresh interpreter, as the two_cpus
+# fixture would: --workers 2 forks one child on any host with os.fork.
+# The parent prints the child's pid when it forks. Python's SIGINT handler
+# is put back, since a shell that starts jobs in the background leaves
+# SIGINT ignored in them.
+_SIGNAL_DRIVER = """
+import os, signal, sys
+from hrmc import cli
+signal.signal(signal.SIGINT, signal.default_int_handler)
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = os.fork
+
+def announced_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announced_fork
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("signum, code, message", [
+    (signal.SIGINT, 130, "interrupted"), (signal.SIGTERM, 143, "terminated")])
+def test_a_signal_ends_a_forked_count_with_one_line(signum, code, message):
+    """SIGINT or SIGTERM to the parent of a two-process count, which would
+    run for seconds, ends it with exit 130 or 143 and one error: line, and
+    its forked child is killed and reaped: no process with the child's pid
+    is left once the parent has exited."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SIGNAL_DRIVER, "count", "--q", "2", "--t",
+         "5", "--guard", "40000000", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_src_env())
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        time.sleep(0.5)  # both processes are counting
+        proc.send_signal(signum)
+        assert proc.wait(timeout=60) == code
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        assert proc.communicate(timeout=60) == ("", f"error: {message}\n")
+    finally:
+        for pid in (proc.pid, child):
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        proc.wait()
+
+
+def test_main_restores_the_callers_sigterm_handler(capsys):
+    """main handles SIGTERM only while it runs: after a run that succeeds
+    and one that is refused, the caller's handler is back."""
+    def mine(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, mine)
+    try:
+        assert main(["eigen", "--q", "2", "--t", "1"]) == 0
+        assert main(["eigen", "--q", "6", "--t", "1"]) == 2
+        assert signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _buffered_env():

@@ -27,15 +27,14 @@ from hrmc.errors import (
 )
 from hrmc.macwilliams import macwilliams_eigen, macwilliams_transform
 from hrmc.calculus import delta_fn, epsilon_fn
-from hrmc.moments import (
-    mhrd_distribution,
-    moment_q,
+from hrmc.moments import mhrd_distribution, moment_q, moment_qinv
+from hrmc.negq import NegQContext
+from hrmc.verify import (
+    delta_closed,
+    epsilon_closed,
     moment_q_low,
-    moment_qinv,
     moment_qinv_high,
 )
-from hrmc.negq import NegQContext
-from hrmc.verify import delta_closed, epsilon_closed
 from hrmc.codes import make_code, weight_distribution, dual_code
 from hrmc.fields import make_field
 from hrmc.hermitian import HermitianMatrix
@@ -223,11 +222,16 @@ def test_epsilon_matches_closed_form_up_to_lambda():
 
 
 def test_epsilon_closed_form_fails_past_lambda():
-    """Past i = Lambda the sum and the closed form genuinely part ways;
-    pin the smallest counterexample so the domain restriction stays
-    documented."""
-    assert epsilon_fn(CTX2, 0, 0, 1) == 0
-    assert epsilon_closed(CTX2, 0, 0, 1) == -1
+    """Past i = Lambda the sum is not the lemma (at the smallest such
+    point it is 0 where the closed form's shifted Gaussian, read at x < 0,
+    would be -1), so the sum refuses it, and the closed form, whose
+    Gaussian needs x >= 0, refuses it too."""
+    for ctx, lam, phi, i in ((CTX2, 0, 0, 1), (CTX3, 4, 2, 5),
+                             (CTX2, -1, 0, 0)):
+        with pytest.raises(IndexOutOfRange, match="need i <= Lambda"):
+            epsilon_fn(ctx, lam, phi, i)
+    with pytest.raises(UsageError):
+        epsilon_closed(CTX2, 0, 0, 1)
 
 
 MHRD_CASES = [
@@ -312,8 +316,8 @@ class ClosedFormReached(Exception):
 
 def test_transform_route_needs_no_closed_form(monkeypatch):
     """macwilliams_transform is built from twisted products of the nu/mu
-    seeds alone: with the closed-form Gaussian and gamma functions (plain
-    and x-extended) and the eigenvalue formula made to raise, it still
+    seeds alone: with the closed-form Gaussian and gamma functions (gamma
+    also x-extended) and the eigenvalue formula made to raise, it still
     gives the eigen route's answer, computed before the patch."""
     cases = []
     for ctx in (CTX2, CTX3):
@@ -332,7 +336,7 @@ def test_transform_route_needs_no_closed_form(monkeypatch):
         raise ClosedFormReached(args)
 
     _patch_everywhere(monkeypatch, ("gauss", "gamma_fn", "_gauss_row",
-                                    "_gamma_row", "gauss_ext", "gamma_ext",
+                                    "_gamma_row", "gamma_ext",
                                     "krawtchouk_Q"),
                       lambda fn: closed_form)
     with pytest.raises(ClosedFormReached):
