@@ -19,8 +19,8 @@ its generators with a nonzero head lead, and the others span K, the
 words whose head is zero.
 
 The dual is taken with respect to the trace form <H, J> = Tr(H^dagger J):
-each generator's row of the system over the subfield is read off its
-cells, and the null space is the dual's basis.
+on coordinates it is x G y^T for an invertible block-diagonal G, so the
+dual is G^-1 applied to the null space of the basis (see :func:`dual_code`).
 
 Enumeration has one kernel, on packed words: a whole t x t word is one
 int with a lane per base-p digit of each cell (see ``_Packing``), so
@@ -34,32 +34,25 @@ as (prefix, words) pairs: each prefix of the leading generators, summed
 once, serves a list of the span of the trailing generators.
 
 :func:`rank_counts` counts in the index order of the code's basis,
-whose trailing generators span K. It visits only the words whose first
-nonzero coefficient is 1: scaling by GF(q)* keeps the rank, so each such
-word stands for its q - 1 nonzero multiples. The words of a coset h + K
-share their head and follow each other, so the kernel reduces the head
-rows once per coset and each word only its other rows, with the packed
-elimination of ``_Packing``, written apart from
-``hermitian_space.rank_of_rows``. Where the code holds E, the unit at
-the last diagonal cell, one reduction of a word's last row ranks the q
-words that differ only in E's coefficient; ``_Packing.count_ranks``
-states that rule and proves it.
+whose trailing generators span K, with the packed elimination of
+``_Packing``, written apart from ``hermitian_space.rank_of_rows``. It
+ranks only the words whose first nonzero coefficient is 1, reduces the
+head rows once per coset h + K, and, where the code holds E, the unit at
+the last diagonal cell, ranks q words per reduction of a word's last row
+(``_Packing.count_ranks`` states that rule and proves it).
 
-An enumeration builds one packing, the q multiples of each generator its
-walk lists (:func:`rank_counts` reads only the word of a block's leading
-generator, and no generator before the first block it counts), a list
-of at most ``_RUN_LIMIT`` words of K (or q, if more), shared by every
-coset, and, where that list holds all of K, one as long of the span of
-the trailing head generators, to which each prefix of the others is
-added to give the cosets' prefixes. The packing builds nothing up
-front, and its memos fill as words need them and stay bounded (see
-``_Packing``). :func:`rank_counts` is what :func:`weight_distribution`,
-:func:`min_distance` and the CLI (census, ``wd`` and every ``--workers``
-process) count with, and ranges of [0, q^k) split anywhere add up to
-the whole distribution. :func:`codeword_from_index` and
-:func:`enumerate_codewords` decode words to matrices from the basis
-coordinates with plain field arithmetic, not from packed words, so they
-share no code with the kernel.
+An enumeration packs the q multiples of each generator from its basis
+row, and lists at most ``_RUN_LIMIT`` words of K (or q, if more), shared
+by every coset, and, where that list holds all of K, as many of the span
+of the trailing head generators, to which each prefix of the others is
+added to give the cosets' prefixes. The packing's memos fill as words
+need them and stay bounded (see ``_Packing``). :func:`rank_counts` is
+what :func:`weight_distribution`, :func:`min_distance` and the CLI
+(census, ``wd`` and every ``--workers`` process) count with, and ranges
+of [0, q^k) split anywhere add up to the whole distribution.
+:func:`codeword_from_index` and :func:`enumerate_codewords` decode words
+to matrices from the basis coordinates with plain field arithmetic, so
+they share no code with the kernel.
 """
 
 from __future__ import annotations
@@ -152,9 +145,6 @@ class WeightDistribution(Value):
             if self.counts[r]:
                 return r
         raise ZeroCode("no nonzero word")
-
-    def diameter(self) -> int:
-        return max(r for r in range(self.t + 1) if self.counts[r])
 
     def to_jsonable(self) -> dict:
         return {"q": self.q, "t": self.t, "k": self.k,
@@ -271,35 +261,41 @@ def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> Linear
 def dual_code(code: LinearCode) -> LinearCode:
     """All Hermitian matrices orthogonal to the code under the trace form.
 
-    Entry c of a generator G's row in the system is <E_c, G>, E_c the
-    matrix of unit coordinate c: g_ii for a diagonal coordinate and, for
-    an upper entry h, Tr(h) for its u and Tr(conj(theta) h) for its v,
-    where Tr(x) = x + conj(x).
+    On subfield coordinates it is x G y^T, as Tr(conj(u + v theta)(u' +
+    v' theta)) = 2uu' + (uv' + vu')T + 2vv'N with T = theta + conj(theta)
+    and N = theta conj(theta): G is 1 at a diagonal coordinate and
+    [[2, T], [T, 2N]] at the (u, v) of an upper entry, of determinant
+    -(theta - conj(theta))^2 != 0. So the dual is G^-1 applied to the
+    null space of the basis, which the basis's pivots give.
     """
     field, t = code.field, code.t
-    add, mul, conj, neg = field.add, field.mul, field.conj_index, field.neg
-    theta_bar = conj(_theta_index(field))
-    system = []
-    for cells in _grids(code):
-        row = []
-        for i in range(t):
-            row.append(cells[i * t + i])
-            for h in cells[i * t + i + 1:(i + 1) * t]:
-                w = mul(theta_bar, h)
-                row += (add(h, conj(h)), add(w, conj(w)))
-        system.append(row)
-    reduced, pivots = _rref(field, system)
-    if len(pivots) != code.k:
-        raise CheckFailed(f"trace form system has rank {len(pivots)}, "
-                          f"not k={code.k}")
-    null_vectors = []
-    for f in sorted(set(range(t * t)) - set(pivots)):
-        coords = [0] * (t * t)
-        coords[f] = 1
-        for r, p in zip(reduced, pivots):
-            coords[p] = neg(r[f])
-        null_vectors.append(coords)
-    return LinearCode(field, t, null_vectors)
+    add, mul, neg, conj = field.add, field.mul, field.neg, field.conj_index
+    theta, two = _theta_index(field), add(1, 1)
+    trace, norm = add(theta, conj(theta)), mul(theta, conj(theta))
+    s = field.inv(field.sub(mul(two, mul(two, norm)), mul(trace, trace)))
+    # a block of G^-1: s [[2N, -T], [-T, 2]]
+    uu, uv, vv = mul(s, mul(two, norm)), mul(s, neg(trace)), mul(s, two)
+    # row i's diagonal coordinate is at i(2t - i), its upper pairs follow
+    pairs = [u for i in range(t)
+             for u in range(i * (2 * t - i) + 1, (i + 1) * (2 * t - i - 1), 2)]
+    pivots = [row.index(1) for row in code.basis]  # each row leads with 1
+    rows = []
+    for f in sorted(set(range(t * t)) - set(pivots)):  # a null vector each
+        y = [0] * (t * t)
+        y[f] = 1
+        for r, p in zip(code.basis, pivots):
+            y[p] = neg(r[f])
+        for u in pairs:
+            a, b = y[u], y[u + 1]
+            if a or b:
+                y[u] = add(mul(uu, a), mul(uv, b))
+                y[u + 1] = add(mul(uv, a), mul(vv, b))
+        rows.append(y)
+    dual = LinearCode(field, t, rows)
+    if dual.k != t * t - code.k:
+        raise CheckFailed(f"the dual has {dual.k} dimensions, not "
+                          f"t^2 - k = {t * t - code.k}")
+    return dual
 
 
 # ---------------------------------------------------------- packed words
@@ -327,8 +323,9 @@ class _Packing:
     lowest set bit of the row; the scaled row and its negative are cached
     per row in a dict filled on first use, as are, for odd p, the
     conversions between a cell's lanes and its element index.
-    :meth:`count_ranks` runs the same elimination inline over many words.
-    Nothing is built up front. The lead memo starts over when it reaches
+    :meth:`count_ranks` runs the same elimination inline over many words,
+    sums of what :meth:`generators` packs from basis rows. Nothing is
+    built up front. The lead memo starts over when it reaches
     ``_CACHE_LIMIT`` entries. The two conversion memos need no cap: each
     is keyed by element indices or by the lanes of one, every lane below
     p, so it holds at most ``field.order`` entries, and no field is
@@ -405,20 +402,21 @@ class _Packing:
         # lanes p - d lie in 1..p, and the add takes p from those at p
         return a if self.p == 2 else self.add(self.lane_p - a, 0)
 
-    def generators(self, grids, start: int = 0) -> list[list[int]]:
-        """scaled[j][d]: the word of grids[j] (element indices, row-major)
-        times the d-th subfield element, in ascending index order, so
-        scaled[j][0] is zero and scaled[j][1] the word itself. A generator
-        before ``start`` gets only those two, for a walk that never lists
-        its other multiples."""
-        others = self.field.subfield_indices()[2:]
-        mul, cell, bits = self.field.mul, self.cell, self.cell_bits
+    def generators(self, basis) -> list[list[int]]:
+        """scaled[j][d]: the word of basis row j (subfield coordinates, see
+        :func:`vectorize`) times the d-th subfield element, in ascending
+        index order, so scaled[j][0] is zero and scaled[j][1] the word
+        itself."""
+        field, t, bits = self.field, self.t, self.cell_bits
+        mul, cell, theta = field.mul, self.cell, _theta_index(field)
+        others = field.subfield_indices()[2:]
         scaled = []
-        for j, grid in enumerate(grids):
-            cells = [(pos * bits, x) for pos, x in enumerate(grid) if x]
+        for row in basis:
+            cells = [(pos * bits, x) for pos, x
+                     in enumerate(_grid(field, t, row, theta)) if x]
             scaled.append([0, sum(cell(x) << shift for shift, x in cells),
                            *(sum(cell(mul(s, x)) << shift for shift, x in cells)
-                             for s in (others if j >= start else ()))])
+                             for s in others)])
         return scaled
 
     # -- rank --
@@ -622,15 +620,6 @@ def _words(scaled: list[list[int]], base: int, start: int, stop: int, add,
         _runs(scaled, base, start, stop, add, run or (1, scaled[-1])))
 
 
-def _block_of(q: int, k: int, point: int) -> int:
-    """The block (see :func:`_point_runs`) that holds a point."""
-    j, end = 0, q ** (k - 1)
-    while end <= point:
-        j += 1
-        end += q ** (k - 1 - j)
-    return j
-
-
 def _point_runs(scaled: list[list[int]], q: int, lo: int, hi: int, add,
                 *runs):
     """Words lo..hi-1 of those whose first nonzero coefficient is 1, as
@@ -638,8 +627,6 @@ def _point_runs(scaled: list[list[int]], q: int, lo: int, hi: int, add,
 
     Block j of them is generator j plus every word of the span of the
     generators after it, in index order; the blocks follow each other.
-    A walk from block j on reads generator j's word alone, and lists
-    the multiples of the generators after it only.
     """
     k = len(scaled)
     blocks = []
@@ -674,7 +661,8 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     those whose first nonzero coefficient is the first generator's, in
     index order, then those whose is the second's, and so on.
     Scaling by GF(q)* keeps the rank, so each point is ranked once and
-    counts for the multiples the range holds. The generators with a
+    counts for the multiples the range holds. Each generator is packed
+    from its basis row with all q multiples. The generators with a
     nonzero head lead that basis and the others span K, the words whose
     top t // 2 rows are zero, so the points of each coset h + K are one
     contiguous run of that order: their head rows are reduced once, and
@@ -695,16 +683,14 @@ def rank_counts(code: LinearCode, start: int, stop: int,
         return [int(start == 0 < stop)] + [0] * t
     pk = _packing(code.field, t)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
-    listed = _block_of(q, code.k, lo) + 1  # the first generator listed
-    grids = _grids(code)
-    n_head = sum(any(grid[:t // 2 * t]) for grid in grids)
-    scaled = pk.generators(grids, listed)
-    add = pk.add
+    head = t * t - (t - t // 2) ** 2  # coordinates of the top t // 2 rows
+    n_head = sum(any(row[:head]) for row in code.basis)
+    scaled, add = pk.generators(code.basis), pk.add
     # words of K only, then, where they take all of K, the head generators
-    tail = scaled[max(n_head, listed):]
+    tail = scaled[n_head:]
     runs = (_run(tail, add),)
     if runs[0][0] >= len(tail):
-        runs += (_run(scaled[listed:n_head], add),)
+        runs += (_run(scaled[:n_head], add),)
     counts = [n * m for n in pk.count_ranks(
         _point_runs(scaled, q, lo, hi, add, *runs))]
     counts[0] += start == 0
@@ -715,12 +701,6 @@ def rank_counts(code: LinearCode, start: int, stop: int,
                                          *runs))
         counts[pk.rank(add(prefix, words[0]))] -= outside
     return counts
-
-
-def _grids(code: LinearCode) -> list[list[int]]:
-    """The element indices of each generator of the code, row-major."""
-    theta = _theta_index(code.field)
-    return [_grid(code.field, code.t, row, theta) for row in code.basis]
 
 
 def codeword_from_index(code: LinearCode, index: int) -> HermitianMatrix:

@@ -43,17 +43,8 @@ class HermitianMatrix(Value):
                      for ra, rb in zip(self.entries, other.entries))
         return HermitianMatrix(self.field, self.t, rows)
 
-    def __neg__(self) -> "HermitianMatrix":
-        rows = tuple(tuple(-a for a in r) for r in self.entries)
-        return HermitianMatrix(self.field, self.t, rows)
-
     def scale(self, c: FieldElement) -> "HermitianMatrix":
         rows = tuple(tuple(c * a for a in r) for r in self.entries)
-        return HermitianMatrix(self.field, self.t, rows)
-
-    def conj_transpose(self) -> "HermitianMatrix":
-        rows = tuple(tuple(self.entries[j][i].conj() for j in range(self.t))
-                     for i in range(self.t))
         return HermitianMatrix(self.field, self.t, rows)
 
     def is_zero(self) -> bool:

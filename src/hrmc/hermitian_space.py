@@ -115,7 +115,7 @@ def enumerate_hermitian(field: Field, t: int,
 
 
 def inner_product(h: HermitianMatrix, j: HermitianMatrix) -> FieldElement:
-    """Trace form <H, J> = Tr(conj_transpose(H) J); lands in the subfield."""
+    """Trace form <H, J> = Tr(H^dagger J); lands in the subfield."""
     _check_compatible(h, j)
     field = h.field
     acc = 0

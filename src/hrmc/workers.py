@@ -3,8 +3,9 @@
 :func:`weight_distribution` splits the code's words into index ranges,
 forks one child per range after the first, and counts the first range in
 this process; each child counts its range with the same kernel,
-``codes.rank_counts``, and answers on a pipe. Only ``count`` and ``wd``
-load this module.
+``codes.rank_counts``, and answers on a pipe. A child that ends without
+its counts is reported while this process still counts. Only ``count``
+and ``wd`` load this module.
 """
 
 from __future__ import annotations
@@ -98,17 +99,44 @@ def _child_counts(pid: int, read: int) -> list[int]:
                       "no counts")
 
 
+@contextlib.contextmanager
+def _watching(children: list[tuple[int, int]]):
+    """Handle SIGCHLD while the block runs: a child that has ended by a
+    nonzero exit code or a signal raises what _child_counts raises."""
+    if not (children and hasattr(os, "waitid")):
+        yield
+        return
+
+    def check(*_):
+        for pid, read in children:
+            # a check that this one interrupted may have reaped the child
+            with contextlib.suppress(ChildProcessError):
+                ended = os.waitid(os.P_PID, pid,
+                                  os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                if ended and (ended.si_code != os.CLD_EXITED
+                              or ended.si_status):
+                    _child_counts(pid, read)  # raises
+
+    previous = signal.signal(signal.SIGCHLD, check)
+    try:
+        check()  # one may have ended before the handler was set
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
 def weight_distribution(code, workers: int, guard) -> codes.WeightDistribution:
     """codes.weight_distribution, split by index range over up to
     ``workers`` processes: one child is forked per range after the first,
     before counting starts, and this process counts the first range
-    itself."""
+    itself, watching the children (see :func:`_watching`)."""
     (lo, hi), *rest = _index_ranges(code.size, workers)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
         for start, stop in rest:
             children.append(_fork_counter(code, start, stop, guard))
-        parts = [codes.rank_counts(code, lo, hi, guard)]
+        with _watching(children):
+            parts = [codes.rank_counts(code, lo, hi, guard)]
         parts += [_child_counts(pid, read) for pid, read in children]
     finally:
         # On every exit path: kill and reap each child not reaped yet.

@@ -24,7 +24,7 @@ from hrmc.errors import CheckFailed, EnumerationTooLarge, UsageError
 from hrmc.eigen import EigenTable, full_space_distribution
 from hrmc.fields import make_field
 from hrmc.negq import NegQContext
-from hrmc.verify import random_code, sample_codes
+from hrmc.verify import SuiteResult, random_code, sample_codes
 from hrmc.workers import _index_ranges
 
 
@@ -327,6 +327,18 @@ def test_unusable_input_exits_2(capsys, monkeypatch, tmp_path, example_code,
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert_one_error_line(out, err)
+
+
+def test_count_refuses_a_prime_power_with_a_long_root(capsys, monkeypatch):
+    """(2^61 - 1)^2 is found a square, and its root would take 1.5e9
+    trial divisions: the one error: line is that estimate's refusal."""
+    monkeypatch.setattr("hrmc.negq.prime_factors", _small_prime_factors)
+    rc, out, err = run(capsys, ["count", "--q", str(_PRIME_2_61 ** 2),
+                                "--t", "1"])
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert err.startswith("error: 1518500248 trial divisions to test q for "
+                          "a prime power exceed the enumeration guard")
 
 
 @pytest.mark.parametrize("digit", [5, 2, -1, "-1", "7"])
@@ -663,14 +675,14 @@ def test_shortcut_stays_out_of_the_cross_checks(capsys, tmp_path,
 def test_dual_exits_1_when_the_trace_system_loses_rank(capsys, tmp_path,
                                                        monkeypatch,
                                                        example_code):
-    """Only the trace-form system loses rank: the code file reduces as
-    usual."""
+    """Only the dual loses a dimension, in the reduction LinearCode makes
+    of the rows dual_code builds: the code file reduces as usual."""
     path = write_code_file(tmp_path, example_code)
     rref = codes._rref
 
     def lossy_in_dual_code(field, rows):
         reduced, pivots = rref(field, rows)
-        if sys._getframe(1).f_code is codes.dual_code.__code__:
+        if sys._getframe(2).f_code is codes.dual_code.__code__:
             return reduced[:-1], pivots[:-1]
         return reduced, pivots
 
@@ -678,7 +690,7 @@ def test_dual_exits_1_when_the_trace_system_loses_rank(capsys, tmp_path,
     rc, out, err = run(capsys, ["dual", "--input", path])
     assert rc == 1
     assert_one_error_line(out, err)
-    assert "trace form system has rank" in err
+    assert "the dual has 5 dimensions, not t^2 - k = 6" in err
 
 
 def test_wd_via_dual_needs_both_routes_to_agree(capsys, tmp_path,
@@ -1347,6 +1359,29 @@ def test_verify_table_lines(capsys):
     assert len([ln for ln in out.splitlines() if " passed " in ln]) == 12
 
 
+def test_verify_table_lists_a_failing_suites_labels(capsys, monkeypatch):
+    """A failing suite's line ends in FAIL and its labels follow it,
+    indented; the table ends with SUITE FAILURES, and verify exits 1."""
+    def failing(ctx):
+        res = SuiteResult("gaussian-identities")
+        res.check(True, "fine")
+        res.check(False, "first label")
+        res.check(False, "second label")
+        return res
+
+    monkeypatch.setattr("hrmc.verify.suite_gaussian", failing)
+    rc, out, _ = run(capsys, ["verify", "--q", "2", "--t", "2",
+                              "--trials", "1"])
+    assert rc == 1
+    lines = out.splitlines()
+    at = next(n for n, ln in enumerate(lines)
+              if ln.startswith("gaussian-identities "))
+    assert lines[at].split()[1:] == ["1", "passed", "2", "failed", "FAIL"]
+    assert lines[at + 1:at + 3] == ["    first label", "    second label"]
+    assert not lines[at + 3].startswith(" ")
+    assert lines[-1] == "SUITE FAILURES"
+
+
 # Standard modules no command needs (a wd that counts the code itself
 # needs no fractions either); each is reported when loaded.
 _WATCHED = ("dataclasses", "fractions", "multiprocessing")
@@ -1547,6 +1582,37 @@ def test_a_signal_ends_a_forked_count_with_one_line(signum, code, message):
         with pytest.raises(ProcessLookupError):
             os.kill(child, 0)
         assert proc.communicate(timeout=60) == ("", f"error: {message}\n")
+    finally:
+        for pid in (proc.pid, child):
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        proc.wait()
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
+def test_a_killed_child_ends_the_count_while_the_parent_counts():
+    """SIGKILL to the forked child of a two-process count, which would run
+    for seconds, ends the parent with exit 1 and one error: line within
+    5 s, before it has counted its own range, and no process is left."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SIGNAL_DRIVER, "count", "--q", "2", "--t",
+         "5", "--guard", "40000000", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_src_env())
+    child = None
+    try:
+        child = int(proc.stdout.readline())
+        time.sleep(0.5)  # both processes are counting
+        os.kill(child, signal.SIGKILL)
+        start = time.perf_counter()
+        assert proc.wait(timeout=60) == 1
+        assert time.perf_counter() - start < 5
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        assert proc.communicate(timeout=60) == (
+            "", f"error: --workers process {child} ended by signal 9 and "
+            "sent no counts\n")
     finally:
         for pid in (proc.pid, child):
             if pid is not None:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc.codes import _Packing
+from hrmc.codes import _Packing, _theta_index, vectorize
 from hrmc.cost import check_guard, check_power_guard
 from hrmc.errors import DimensionMismatch, EnumerationTooLarge, UsageError
 from hrmc.fields import make_field
@@ -112,25 +112,25 @@ PACKED_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
        data=st.data())
 def test_packed_rank_matches_elimination_and_kernel(q, t, data):
     """The enumeration kernel's packed rank equals rank_of_rows on any
-    t x t matrix (Hermitian or not) and, where q^(2t) is small enough to
-    try every vector, t - log_{q^2} |ker|. Rows are random combinations of
-    r random rows, so every rank up to t turns up."""
+    t x t Hermitian matrix, packed from its basis row of subfield
+    coordinates, and, where q^(2t) is small enough to try every vector,
+    t - log_{q^2} |ker|. A matrix is a sum of r random c v v^dagger, c in
+    the subfield, of rank at most r, so every rank up to t turns up."""
     field = make_field(*PACKED_FIELDS[q])
     elements = st.integers(0, field.order - 1)
     r = data.draw(st.integers(0, t))
-    spans = [data.draw(st.lists(elements, min_size=t, max_size=t))
-             for _ in range(r)]
-
-    def combination():
-        row = [0] * t
-        for span in spans:
-            c = data.draw(elements)
-            row = [field.add(x, field.mul(c, y)) for x, y in zip(row, span)]
-        return row
-
-    rows = [combination() for _ in range(t)]
+    rows = [[0] * t for _ in range(t)]
+    for _ in range(r):
+        c = data.draw(st.sampled_from(field.subfield_indices()))
+        v = data.draw(st.lists(elements, min_size=t, max_size=t))
+        for a in range(t):
+            for b in range(t):
+                term = field.mul(c, field.mul(v[a], field.conj_index(v[b])))
+                rows[a][b] = field.add(rows[a][b], term)
+    coords = vectorize(field, t, [x for row in rows for x in row],
+                       _theta_index(field))
     pk = _Packing(field, t)
-    got = pk.rank(pk.generators([[x for row in rows for x in row]])[0][1])
+    got = pk.rank(pk.generators([coords])[0][1])
     assert got == rank_of_rows(field, [row[:] for row in rows])
     if field.order ** t <= 4096:
         m = HermitianMatrix(field, t, tuple(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc import eigen, macwilliams, moments
+from hrmc import eigen, macwilliams, moments, verify
 from hrmc.eigen import (
     build_eigen_table,
     build_eigen_table_C,
@@ -34,6 +34,8 @@ from hrmc.verify import (
     epsilon_closed,
     moment_q_low,
     moment_qinv_high,
+    sample_codes,
+    suite_routes,
 )
 from hrmc.codes import make_code, weight_distribution, dual_code
 from hrmc.fields import make_field
@@ -485,3 +487,18 @@ def test_transform_memo_is_bounded():
         tracemalloc.stop()
     assert dual == full_space_distribution(CTX2, 80)
     assert peak < 4 * 2 ** 20
+
+
+def test_routes_suite_reports_a_non_integral_dual(monkeypatch):
+    """A sample whose transformed distribution is not integral fails the
+    routes suite with its own label, and the next sample is still run."""
+    samples = sample_codes(make_field(2, 1), 2, 3, 0)
+
+    def non_integral(ctx, counts, size, t):
+        raise NonIntegralDual("entry 1 is 1/2")
+
+    monkeypatch.setattr(verify, "macwilliams_eigen", non_integral)
+    res = suite_routes(NegQContext(2), 2, samples)
+    assert (res.passed, res.failed) == (0, 3)
+    assert res.failures == [f"non-integral sample={n}: entry 1 is 1/2"
+                            for n in range(3)]

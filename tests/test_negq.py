@@ -54,6 +54,19 @@ def test_context_validation():
                 NegQContext(q)
 
 
+@pytest.mark.parametrize("root, m", [(2 ** 61 - 1, 2), (2 ** 61 - 1, 3),
+                                     (2 ** 89 - 1, 5), (3, 200)])
+def test_perfect_power_takes_newton_steps_to_long_roots(root, m):
+    """A root of 2^32 or more (the square root of 3^200 among those tried)
+    is found by Newton's step from just above its float estimate. By
+    Mihailescu's theorem no other perfect powers than 8 and 9 are
+    consecutive, so each neighbour is its own largest exact root."""
+    n = root ** m
+    assert negq._perfect_power(n) == (root, m)
+    for other in (n - 1, n + 1):
+        assert negq._perfect_power(other) == (other, 1)
+
+
 def test_prime_factors_match_trial_division():
     primes = [p for p in range(2, 500) if all(p % d for d in range(2, p))]
     for n in range(-3, 500):
