@@ -24,7 +24,7 @@ _MODULE_OF = {name: module for module, names in {
         "MixedDimensions", "NonIntegralDual", "NonIntegralResult",
         "NonPrimeModulus", "NotHermitian", "ReducibleModulus",
         "UnsupportedSize", "UsageError", "ZeroCode"),
-    "fields": ("Field", "FieldElement", "arith", "conj", "make_field"),
+    "fields": ("Field", "FieldElement", "make_field"),
     "hermitian": ("HermitianMatrix", "is_hermitian", "zero_matrix"),
     "hermitian_space": (
         "enumerate_hermitian", "hermitian_from_index", "inner_product",

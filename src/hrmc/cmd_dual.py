@@ -16,6 +16,8 @@ def run(args):
     # refuse before the dual's t^2 - k generators are built, not after
     check_power_guard(ctx.q, code.k, "codewords", guard)
     check_power_guard(ctx.q, t * t - code.k, "dual codewords", guard)
+    if args.phi is not None:  # refuse before either side is counted
+        moments.check_phi(t, args.phi)
     primal = codes.weight_distribution(code, guard)
     dual = codes.dual_code(code)
     brute = codes.weight_distribution(dual, guard)

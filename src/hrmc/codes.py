@@ -29,9 +29,12 @@ otherwise, and a row is a shift-and-mask slice. Word ``index`` of a
 basis is the combination of its generators whose coefficients are the
 base-q digits of the index, the first generator's digit most
 significant, each digit picking a subfield element in ascending index
-order. ``_runs`` walks any index range of that order over any base word
-as (prefix, words) pairs: each prefix of the leading generators, summed
-once, serves a list of the span of the trailing generators.
+order. The points of a basis are its words whose first nonzero
+coefficient is 1. ``_point_runs`` walks any range of them as (prefix,
+words) pairs over L, a list of the span of the last few generators: each
+point of the other generators, walked by the same function one level
+down, is summed once and serves the whole of L, and the points led by
+one of L's generators are that generator plus a leading slice of L.
 
 :func:`rank_counts` counts in the index order of the code's basis,
 whose trailing generators span K, with the packed elimination of
@@ -43,13 +46,13 @@ the last diagonal cell, ranks q words per reduction of a word's last row
 
 An enumeration packs the q multiples of each generator from its basis
 row, and lists at most ``_RUN_LIMIT`` words of K (or q, if more), shared
-by every coset, and, where that list holds all of K, as many of the span
-of the trailing head generators, to which each prefix of the others is
-added to give the cosets' prefixes. The packing's memos fill as words
-need them and stay bounded (see ``_Packing``). :func:`rank_counts` is
-what :func:`weight_distribution`, :func:`min_distance` and the CLI
-(census, ``wd`` and every ``--workers`` process) count with, and ranges
-of [0, q^k) split anywhere add up to the whole distribution.
+by every coset; a level down lists at most min(points it walks,
+``_RUN_LIMIT``) words of its own trailing span (or q, if more). The
+packing's memos fill as words need them and stay bounded (see
+``_Packing``). :func:`rank_counts` is what :func:`weight_distribution`,
+:func:`min_distance` and the CLI (census, ``wd`` and every ``--workers``
+process) count with, and ranges of [0, q^k) split anywhere add up to the
+whole distribution.
 :func:`codeword_from_index` and :func:`enumerate_codewords` decode words
 to matrices from the basis coordinates with plain field arithmetic, so
 they share no code with the kernel.
@@ -569,76 +572,62 @@ def _packing(field: Field, t: int) -> _Packing:
 
 # ----------------------------------------------------------- enumeration
 
-def _run(scaled: list[list[int]], add) -> tuple[int, list[int]]:
+def _run(scaled: list[list[int]], add, limit: int) -> tuple[int, list[int]]:
     """(n, words): the span of the last n generators listed in index
-    order, for the largest n >= 1 whose q^n words fit ``_RUN_LIMIT`` (one
+    order, for the largest n >= 1 whose q^n words fit the limit (one
     generator's span is its multiples, listed already); (0, [0]) for no
     generator."""
     n, words = (1, scaled[-1]) if scaled else (0, [0])
     for multiples in reversed(scaled[:-1]):
-        if len(words) * len(multiples) > _RUN_LIMIT:
+        if len(words) * len(multiples) > limit:
             break
         words = [add(x, w) for x in multiples for w in words]
         n += 1
     return n, words
 
 
-def _runs(scaled: list[list[int]], base: int, start: int, stop: int, add,
-          run: tuple[int, list[int]], prefix_run=None):
-    """Words start..stop-1 of base + span(generators), in index order, as
+def _point_runs(scaled: list[list[int]], lo: int, hi: int, add,
+                run: tuple[int, list[int]]):
+    """Points lo..hi-1 of ``scaled``, the words whose first nonzero
+    coefficient is 1 in kernel order (see :func:`rank_counts`), as
     (prefix, words) pairs: add(prefix, w) for each w of the words.
 
-    Word ``index`` adds to ``base`` the combination of the generators whose
-    coefficients are the base-q digits of the index, the first generator's
-    digit most significant; ``scaled[j][d]`` is generator j times the d-th
-    subfield element. ``run`` (see :func:`_run`) lists the span of the
-    last n generators of the enumeration that ``scaled`` ends, in which
-    the span of fewer trailing generators is a leading slice. Each prefix
-    of the other generators is summed once, by :func:`_words` with
-    ``prefix_run``, and comes with the part of the list it serves.
+    ``scaled[j][d]`` is generator j times the d-th subfield element, and
+    ``run`` (see :func:`_run`) lists L, the span of the last n generators.
+    The points led by one of the others, the lead, are the lead's own
+    points in kernel order, each followed by every word of L. The points
+    led by one of the last n are that generator plus a leading slice of L,
+    the span of the generators after it.
     """
     n, listed = run
-    size = len(listed)  # words per prefix, unless scaled is all listed
-    first, last = start // size, -(-stop // size)
-    prefixes = _words(scaled[:max(len(scaled) - n, 0)], base, first, last,
-                      add, prefix_run)
-    lo, hi = start - first * size, stop - (last - 1) * size
-    if last - first == 1:
-        return zip(prefixes, [listed[lo:hi]])
-    return zip(prefixes, chain([listed[lo:]], repeat(listed, last - first - 2),
-                               [listed[:hi]]))
+    k, size = len(scaled), len(listed)
+    q = len(scaled[0])
+    start = size * (q ** (k - n) - 1) // (q - 1)  # points led by the lead
+    runs = []
+    if lo < start:
+        top = min(hi, start)
+        a, b = lo // size, -(-top // size)  # the lead's points touched
+        lo_cut, hi_cut = lo - a * size, top - (b - 1) * size
+        slices = [listed[lo_cut:hi_cut]] if b - a == 1 else chain(
+            [listed[lo_cut:]], repeat(listed, b - a - 2), [listed[:hi_cut]])
+        runs.append(zip(_points(scaled[:k - n], a, b, add), slices))
+    for j in range(k - n, k):  # generator j plus the span of those after it
+        block = q ** (k - 1 - j)
+        if lo < start + block and start < hi:
+            runs.append([(scaled[j][1],
+                          listed[max(lo - start, 0):min(hi - start, block)])])
+        start += block
+    return chain.from_iterable(runs)
 
 
-def _words(scaled: list[list[int]], base: int, start: int, stop: int, add,
-           run: tuple[int, list[int]] | None = None):
-    """The words of :func:`_runs` one by one; ``run`` defaults to the last
-    generator's multiples."""
-    if not scaled:
-        return iter([base] if start < stop else [])
+def _points(scaled: list[list[int]], lo: int, hi: int, add):
+    """The words of :func:`_point_runs` one by one, over a list of at most
+    min(hi - lo, ``_RUN_LIMIT``) words of the trailing span (or q, if
+    more)."""
+    run = _run(scaled, add, min(hi - lo, _RUN_LIMIT))
     return chain.from_iterable(
-        map(add, repeat(prefix), words) for prefix, words in
-        _runs(scaled, base, start, stop, add, run or (1, scaled[-1])))
-
-
-def _point_runs(scaled: list[list[int]], q: int, lo: int, hi: int, add,
-                *runs):
-    """Words lo..hi-1 of those whose first nonzero coefficient is 1, as
-    the (prefix, words) pairs of :func:`_runs` with ``runs``.
-
-    Block j of them is generator j plus every word of the span of the
-    generators after it, in index order; the blocks follow each other.
-    """
-    k = len(scaled)
-    blocks = []
-    first = 0
-    for j in range(k):
-        size = q ** (k - 1 - j)
-        a, b = max(lo, first), min(hi, first + size)
-        if a < b:
-            blocks.append(_runs(scaled[j + 1:], scaled[j][1], a - first,
-                                b - first, add, *runs))
-        first += size
-    return chain.from_iterable(blocks)
+        map(add, repeat(prefix), words)
+        for prefix, words in _point_runs(scaled, lo, hi, add, run))
 
 
 def _check_enumeration(code: LinearCode, guard: int | None) -> None:
@@ -666,10 +655,14 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     nonzero head lead that basis and the others span K, the words whose
     top t // 2 rows are zero, so the points of each coset h + K are one
     contiguous run of that order: their head rows are reduced once, and
-    each point reduces only its other rows. Where the basis ends with E,
-    the unit at the last diagonal cell, one reduction of a point's last
-    row ranks the q consecutive points that differ only in E's
-    coefficient (the rule and its proof: :meth:`_Packing.count_ranks`).
+    each point reduces only its other rows. The walk lists L, the span of
+    K's last generators (at most ``_RUN_LIMIT`` words, or q if more),
+    once: each point of the generators before them is followed by every
+    word of L, and a point led by one of L's generators is that generator
+    plus a leading slice of L (see :func:`_point_runs`). Where the basis
+    ends with E, the unit at the last diagonal cell, one reduction of a
+    point's last row ranks the q consecutive points that differ only in
+    E's coefficient (the rule and its proof: :meth:`_Packing.count_ranks`).
     The guard applies to the whole code, so every split of [0, q^k) into
     ranges is refused or counted alike.
     """
@@ -686,19 +679,15 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     head = t * t - (t - t // 2) ** 2  # coordinates of the top t // 2 rows
     n_head = sum(any(row[:head]) for row in code.basis)
     scaled, add = pk.generators(code.basis), pk.add
-    # words of K only, then, where they take all of K, the head generators
-    tail = scaled[n_head:]
-    runs = (_run(tail, add),)
-    if runs[0][0] >= len(tail):
-        runs += (_run(scaled[:n_head], add),)
-    counts = [n * m for n in pk.count_ranks(
-        _point_runs(scaled, q, lo, hi, add, *runs))]
+    run = _run(scaled[n_head:], add, _RUN_LIMIT)  # words of K only
+    runs = _point_runs(scaled, lo, hi, add, run)
+    first_run = next(runs)  # its first word is point lo
+    counts = [n * m for n in pk.count_ranks(chain([first_run], runs))]
     counts[0] += start == 0
     # the first and last points touched may have multiples outside the range
-    for point, outside in ((lo, first - 1 - lo * m),
-                           (hi - 1, hi * m - (stop - 1))):
-        prefix, words = next(_point_runs(scaled, q, point, point + 1, add,
-                                         *runs))
+    last_run = next(_point_runs(scaled, hi - 1, hi, add, run))
+    for (prefix, words), outside in ((first_run, first - 1 - lo * m),
+                                     (last_run, hi * m - (stop - 1))):
         counts[pk.rank(add(prefix, words[0]))] -= outside
     return counts
 

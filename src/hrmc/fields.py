@@ -363,29 +363,6 @@ class FieldElement(Value):
         return f"FieldElement({self.index} of GF({self.field.order}))"
 
 
-def conj(x: FieldElement) -> FieldElement:
-    """Module-level spelling of the conjugation."""
-    return x.conj()
-
-
-def arith(op: str, x: FieldElement, y: FieldElement | None = None) -> FieldElement:
-    """Dispatch one arithmetic operation by name.
-
-    ``op`` is one of add, sub, mul, div, neg, inv, conj; the unary ones
-    ignore ``y``.
-    """
-    unary = {"neg": lambda a: -a, "inv": lambda a: a.inv(), "conj": lambda a: a.conj()}
-    binary = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-              "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
-    if op in unary:
-        return unary[op](x)
-    if op in binary:
-        if y is None:
-            raise UsageError(f"operation {op!r} needs two operands")
-        return binary[op](x, y)
-    raise UsageError(f"unknown operation {op!r}")
-
-
 _FIELD_CACHE: dict[tuple[int, int, tuple[int, ...]], Field] = {}
 
 

@@ -30,7 +30,7 @@ def _signed_power(ctx: NegQContext, t: int, e: int) -> int:
     return (-(ctx.b ** t)) ** e
 
 
-def _check_phi(t: int, phi: int) -> None:
+def check_phi(t: int, phi: int) -> None:
     if not 0 <= phi <= t:
         raise IndexOutOfRange(f"need 0 <= phi <= t, got phi={phi} t={t}")
 
@@ -43,7 +43,7 @@ def moment_q(ctx: NegQContext, counts, dual_counts,
     failure shows both values.
     """
     from fractions import Fraction
-    _check_phi(t, phi)
+    check_phi(t, phi)
     _, dual_size = code_sizes
     lhs = sum(gauss(ctx, t - i, phi) * counts[i] for i in range(t - phi + 1))
     rhs = Fraction(_signed_power(ctx, t, t - phi), dual_size) * sum(
@@ -55,7 +55,7 @@ def moment_qinv(ctx: NegQContext, counts, dual_counts,
                 code_sizes: tuple[int, int], t: int, phi: int) -> dict:
     """Both sides of the phi-th moment identity in the reciprocal base."""
     from fractions import Fraction
-    _check_phi(t, phi)
+    check_phi(t, phi)
     _, dual_size = code_sizes
     b = ctx.b
     lhs = sum(b ** (phi * (t - i)) * gauss(ctx, i, phi) * counts[i]

@@ -1011,6 +1011,22 @@ def test_dual_single_phi(capsys, tmp_path, example_code):
     assert payload["moments"][0]["q_lhs"] == "3"
 
 
+@pytest.mark.parametrize("phi", ["99", "-1"])
+def test_dual_refuses_phi_before_counting(capsys, monkeypatch, tmp_path,
+                                          example_code, phi):
+    """A --phi outside 0..t is refused before either side is counted:
+    with counting made to fail, the one error: line is still phi's."""
+    def counting(*args, **kwargs):
+        raise AssertionError("a side was counted")
+
+    monkeypatch.setattr(codes, "weight_distribution", counting)
+    path = write_code_file(tmp_path, example_code)
+    rc, out, err = run(capsys, ["dual", "--input", path, "--phi", phi])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: need 0 <= phi <= t, got phi={phi} t=3\n"
+
+
 # Closed-form commands at q=2, t=5: what computes their output, the
 # payload key holding it, and its estimate: q^25 has at most
 # 25*20/64 + 1 = 8 digits (2^64 has 20), times (t+1)^2 eigenvalues or t+1

@@ -289,6 +289,47 @@ def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
             assert [sum(column) for column in zip(*parts)] == whole
 
 
+def test_a_cut_run_limit_bounds_every_list(monkeypatch):
+    """``_RUN_LIMIT`` is read on each count. The whole space at q=2, t=3
+    has 5 head generators, then 4 spanning K. At the default limit the
+    kernel is handed all 16 words of K, and one level down the 31 points
+    of the head generators are walked over a list of 16 of their span.
+    Cut to q, every list holds one generator's q words, whether handed
+    to ``count_ranks`` or built a level down, so the walk goes down one
+    level per generator. The counts are the same either way."""
+    field = make_field(2, 1)
+    space = dual_code(make_code(field, 3, []))
+    want = _space_counts(field, 3)
+    real_count, real_run = codes._Packing.count_ranks, codes._run
+    real_points = codes._points
+    handed, listed, walked = [], [], []
+
+    def count_ranks(self, runs):
+        runs = list(runs)
+        handed.extend(len(words) for _, words in runs)
+        return real_count(self, runs)
+
+    def run(scaled, add, limit):
+        n, words = real_run(scaled, add, limit)
+        listed.append(len(words))
+        return n, words
+
+    def points(scaled, lo, hi, add):
+        walked.append(len(scaled))
+        return real_points(scaled, lo, hi, add)
+
+    monkeypatch.setattr(codes._Packing, "count_ranks", count_ranks)
+    monkeypatch.setattr(codes, "_run", run)
+    monkeypatch.setattr(codes, "_points", points)
+    for limit, most, levels in ((codes._RUN_LIMIT, 16, [1, 5]),
+                                (2, 2, list(range(1, 9)))):
+        monkeypatch.setattr(codes, "_RUN_LIMIT", limit)
+        del handed[:], listed[:], walked[:]
+        assert rank_counts(space, 0, space.size) == want
+        assert max(handed) == max(listed) == most
+        assert sorted(set(walked)) == levels
+
+
 @pytest.mark.parametrize("p,m,t,dim_k", [(2, 1, 3, 0), (2, 1, 3, 2),
                                          (3, 1, 2, 0), (3, 1, 3, 2),
                                          (2, 2, 2, 0), (2, 2, 3, 2),

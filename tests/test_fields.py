@@ -18,8 +18,6 @@ from hrmc.fields import (
     _poly_mod,
     _poly_mul,
     _smallest_irreducible,
-    arith,
-    conj,
     field_from_jsonable,
     make_field,
 )
@@ -163,20 +161,25 @@ def test_element_coeffs_roundtrip():
     assert f.element([5, 4]).index == f.element([2, 1]).index  # reduced mod p
 
 
-def test_arith_dispatch():
-    f = make_field(2, 1)
-    x, y = f.from_index(2), f.from_index(3)
-    assert arith("add", x, y) == x + y
-    assert arith("sub", x, y) == x - y
-    assert arith("mul", x, y) == x * y
-    assert arith("div", x, y) == x / y
-    assert arith("neg", x) == -x
-    assert arith("inv", x) == x.inv()
-    assert arith("conj", x) == conj(x)
-    with pytest.raises(ValueError):
-        arith("xor", x, y)
-    with pytest.raises(ValueError):
-        arith("add", x)
+@pytest.mark.parametrize("p,m", SMALL)
+def test_element_operators_act_on_indices(p, m):
+    """Each FieldElement operator is the field's index arithmetic, for
+    every pair: + - * / and unary -, .inv() and .conj()."""
+    f = make_field(p, m)
+    for x in f.elements():
+        a = x.index
+        assert (-x).index == f.neg(a)
+        assert x.conj().index == f.conj_index(a)
+        if a:
+            assert x.inv().index == f.inv(a)
+        for y in f.elements():
+            b = y.index
+            assert (x + y).index == f.add(a, b)
+            assert (x - y).index == f.sub(a, b)
+            assert (x * y).index == f.mul(a, b)
+            if b:
+                assert (x / y).index == f.mul(a, f.inv(b))
+                assert (x / y) * y == x
 
 
 def test_field_mismatch():
