@@ -56,6 +56,12 @@ whole distribution.
 :func:`codeword_from_index` and :func:`enumerate_codewords` decode words
 to matrices from the basis coordinates with plain field arithmetic, so
 they share no code with the kernel.
+
+A code comes from matrix objects (:func:`make_code`) or from a code file
+(:func:`code_from_jsonable`), which is read straight to element indices,
+checking each JSON type, shape and digit on the way and naming the JSON
+path of a value it refuses. Both hand grids of element indices to
+``_span``, the one Hermitian check, which then vectorizes them.
 """
 
 from __future__ import annotations
@@ -66,13 +72,14 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
-from ._value import Value, json_int
+from ._value import Value, json_at, json_int, json_of
 from .errors import (
     CheckFailed,
     MixedDimensions,
     NotHermitian,
     UsageError,
     ZeroCode,
+    shown,
 )
 from .cost import check_guard
 from .fields import Field, field_from_jsonable
@@ -245,7 +252,7 @@ def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> Linear
     reduces their coordinates to its basis, whose generators with a
     nonzero head (top t // 2 rows) come first while the others span the
     zero-head subcode K."""
-    from .hermitian import HermitianMatrix, is_hermitian
+    from .hermitian import HermitianMatrix
     if t < 1:
         raise UsageError(f"matrix size must be positive, got t={t}")
     for g in generators:
@@ -253,12 +260,28 @@ def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> Linear
             raise NotHermitian(f"{g!r} is not a Hermitian matrix")
         if g.field != field or g.t != t:
             raise MixedDimensions("generator size or field does not match")
-        if not is_hermitian(g):
-            raise NotHermitian("generator differs from its conjugate transpose")
+    return _span(field, t, [[x.index for row in g.entries for x in row]
+                            for g in generators], "entries")
+
+
+def _span(field: Field, t: int, grids: list[list[int]],
+          rows: str) -> LinearCode:
+    """The code spanned by t x t matrices, each given as its element
+    indices, row-major. A matrix that differs from its conjugate transpose
+    is refused, naming the first cell that does as
+    ``generators[n].<rows>[i][j]``, on or below the diagonal."""
+    conj = field.conj_index
+    for n, grid in enumerate(grids):
+        for i in range(t):
+            for j in range(i + 1):
+                if grid[i * t + j] != conj(grid[j * t + i]):
+                    cell = f"generators[{n}].{rows}"
+                    raise NotHermitian(f"{cell}[{i}][{j}]: " + (
+                        f"not the conjugate of {cell}[{j}][{i}]" if i != j
+                        else "outside the conjugation-fixed subfield"))
     theta = _theta_index(field)
-    return LinearCode(field, t, [
-        vectorize(field, t, [x.index for row in g.entries for x in row], theta)
-        for g in generators])
+    return LinearCode(field, t, [vectorize(field, t, grid, theta)
+                                 for grid in grids])
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -743,12 +766,61 @@ def singleton_check(code: LinearCode, min_dist: int | None = None,
     return {"bound": bound, "is_mhrd": code.size == bound}
 
 
-def code_from_jsonable(obj: dict) -> LinearCode:
-    from .hermitian import matrix_from_jsonable
-    field = field_from_jsonable(obj["field"])
-    t = json_int(obj["t"], "code t")
-    gens = [matrix_from_jsonable(field, g) for g in obj["generators"]]
-    return make_code(field, t, gens)
+def code_from_jsonable(obj) -> LinearCode:
+    """The code a code file names, read straight to element indices: an
+    object of ``field`` (see :func:`~hrmc.fields.field_from_jsonable`), ``t``
+    and a list of ``generators``, each an object of its ``t``, equal to
+    the code's, and ``rows``: t lists of t cells, each a list of at most
+    2m base-p digits, little-endian, padded with zero digits. Integers are
+    read as :func:`~hrmc._value.json_int` reads them, other keys are
+    ignored, and every refusal names the JSON path of the bad value, for
+    example ``generators[3].rows[1][0][0]``."""
+    obj = json_of(obj, dict, "top level")
+    field = field_from_jsonable(json_at(obj, "field", dict))
+    t = json_at(obj, "t", int)
+    if t < 1:
+        raise UsageError(f"t: must be positive, got {shown(t)}")
+    p, width = field.p, 2 * field.m
+    grids = []
+    for n, gen in enumerate(json_at(obj, "generators", list)):
+        at = f"generators[{n}]"
+        gen = json_of(gen, dict, at)
+        gen_t = json_at(gen, "t", int, at)
+        if gen_t != t:
+            raise MixedDimensions(
+                f"{at}.t: {shown(gen_t)}, not the code's t = {shown(t)}")
+        rows = json_at(gen, "rows", list, at)
+        if len(rows) != t:
+            raise UsageError(
+                f"{at}.rows: {len(rows)} rows, not t = {shown(t)}")
+        grid = []
+        for i, row in enumerate(rows):
+            at_row = f"{at}.rows[{i}]"
+            if len(json_of(row, list, at_row)) != t:
+                raise UsageError(
+                    f"{at_row}: {len(row)} cells, not t = {shown(t)}")
+            grid += [_cell_index(cell, p, width, f"{at_row}[{j}]")
+                     for j, cell in enumerate(row)]
+        grids.append(grid)
+    return _span(field, t, grids, "rows")
+
+
+def _cell_index(cell, p: int, width: int, path: str) -> int:
+    """The element index of a cell at ``path``: a list of at most
+    ``width`` base-p digits, little-endian, padded with zero digits."""
+    if len(json_of(cell, list, path)) > width:
+        raise UsageError(f"{path}: {len(cell)} digits, more than 2m = "
+                         f"{width}")
+    index = 0
+    for d in reversed(range(len(cell))):
+        digit = cell[d]
+        if type(digit) is not int:  # build the path only where it may be named
+            digit = json_int(digit, f"{path}[{d}]")
+        if not 0 <= digit < p:
+            raise UsageError(f"{path}[{d}]: entry digit {shown(digit)} "
+                             f"outside 0..{p - 1}")
+        index = index * p + digit
+    return index
 
 
 def read_code(path: str) -> LinearCode:
@@ -759,6 +831,5 @@ def read_code(path: str) -> LinearCode:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         return code_from_jsonable(obj)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError,
-            RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read code from {path}: {exc}") from exc

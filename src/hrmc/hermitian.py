@@ -3,17 +3,16 @@
 A t x t matrix H is Hermitian when H equals its conjugate transpose:
 H[i][j] == conj(H[j][i]) for all i, j, which forces the diagonal into the
 conjugation-fixed subfield. This module holds what codes are built from:
-:class:`HermitianMatrix`, :func:`is_hermitian`, the reading of a matrix
-from JSON and :func:`zero_matrix`. The rank function, the canonical order
-of the whole space and its enumeration are in :mod:`hrmc.hermitian_space`,
-which only the object route (the tests, the acceptance checks and the
-public API) loads.
+:class:`HermitianMatrix`, :func:`is_hermitian` and :func:`zero_matrix`.
+The rank function, the canonical order of the whole space and its
+enumeration are in :mod:`hrmc.hermitian_space`, which only the object
+route (the tests, the acceptance checks and the public API) loads.
 """
 
 from __future__ import annotations
 
-from ._value import Value, json_int
-from .errors import DimensionMismatch, UsageError, shown
+from ._value import Value
+from .errors import DimensionMismatch, UsageError
 from .fields import Field, FieldElement
 
 
@@ -53,24 +52,6 @@ class HermitianMatrix(Value):
     def to_jsonable(self) -> dict:
         return {"t": self.t,
                 "rows": [[x.to_jsonable() for x in row] for row in self.entries]}
-
-
-def matrix_from_jsonable(field: Field, obj: dict) -> HermitianMatrix:
-    t = json_int(obj["t"], "matrix t")
-    rows = tuple(tuple(field.element([_digit(field.p, c) for c in cell])
-                       for cell in row)
-                 for row in obj["rows"])
-    return HermitianMatrix(field, t, rows)
-
-
-def _digit(p: int, value) -> int:
-    """A base-p digit of an entry read from JSON. One outside 0..p-1 is
-    refused: ``Field.element`` takes digits mod p, so it would load
-    another element than the file names."""
-    digit = json_int(value, "entry digit")
-    if not 0 <= digit < p:
-        raise UsageError(f"entry digit {shown(digit)} outside 0..{p - 1}")
-    return digit
 
 
 def zero_matrix(field: Field, t: int) -> HermitianMatrix:

@@ -20,7 +20,12 @@ from hrmc import cli, codes, eigen, negq, workers
 from hrmc.cli import _all_digits, emit, main
 from hrmc.codes import dual_code, rank_counts, weight_distribution
 from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
-from hrmc.errors import CheckFailed, EnumerationTooLarge, UsageError
+from hrmc.errors import (
+    CheckFailed,
+    EnumerationTooLarge,
+    UsageError,
+    shown,
+)
 from hrmc.eigen import EigenTable, full_space_distribution
 from hrmc.fields import make_field
 from hrmc.negq import NegQContext
@@ -341,7 +346,7 @@ def test_count_refuses_a_prime_power_with_a_long_root(capsys, monkeypatch):
                           "a prime power exceed the enumeration guard")
 
 
-@pytest.mark.parametrize("digit", [5, 2, -1, "-1", "7"])
+@pytest.mark.parametrize("digit", [5, 2, -1, "-1", "7", 2 ** 70])
 def test_wd_refuses_digits_outside_the_prime_field(capsys, tmp_path,
                                                    example_code, digit):
     """Over GF(4) the cells [5, 0] and [-1, 0] loaded as [1, 0], a code
@@ -351,7 +356,8 @@ def test_wd_refuses_digits_outside_the_prime_field(capsys, tmp_path,
     rc, out, err = run(capsys, ["wd", "--input", path])
     assert rc == 2
     assert_one_error_line(out, err)
-    assert f"entry digit {int(digit)} outside 0..1" in err
+    assert (f"generators[0].rows[0][0][0]: entry digit {shown(int(digit))} "
+            "outside 0..1") in err
 
 
 def test_wd_refuses_a_file_nested_too_deeply(capsys, tmp_path):
@@ -363,6 +369,84 @@ def test_wd_refuses_a_file_nested_too_deeply(capsys, tmp_path):
     assert rc == 2
     assert_one_error_line(out, err)
     assert "cannot read code from" in err
+
+
+def _drop(*path):
+    """Delete the key or entry at the path of the code file."""
+    def mutate(obj):
+        del _at(obj, path[:-1])[path[-1]]
+        return obj
+    return mutate
+
+
+def _unknown_keys(obj):
+    obj["note"] = obj["field"]["note"] = obj["generators"][0]["note"] = "x"
+    return obj
+
+
+_CELL = ("generators", 0, "rows", 0, 0)  # a diagonal cell, [1, 0]
+_ROWS = ("generators", 0, "rows")
+# (name, mutation of the example code, the JSON path its refusal names,
+# or None where the mutant loads the example code by a documented rule)
+_PROBES = [
+    ("generators-object", _with({}, "generators"), "generators"),
+    ("cell-object-0", _with({"0": 1}, *_CELL), "generators[0].rows[0][0]"),
+    ("cell-object-1", _with({"1": 0}, *_CELL), "generators[0].rows[0][0]"),
+    ("cell-string", _with("1", *_CELL), "generators[0].rows[0][0]"),
+    ("cell-null", _with(None, *_CELL), "generators[0].rows[0][0]"),
+    ("rows-object", lambda obj: _with(dict(zip("012", _at(obj, _ROWS))),
+                                      *_ROWS)(obj), "generators[0].rows"),
+    ("generator-without-t", _drop("generators", 0, "t"), "generators[0].t"),
+    ("generator-t-differs", _with(2, "generators", 0, "t"),
+     "generators[0].t"),
+    ("modulus-digit-p", _with([3, 1, 1], "field", "modulus_poly"),
+     "field.modulus_poly[0]"),
+    ("modulus-digit-negative", _with([1, -1, 1], "field", "modulus_poly"),
+     "field.modulus_poly[1]"),
+    ("modulus-string", _with("111", "field", "modulus_poly"),
+     "field.modulus_poly"),
+    ("field-list", _with([2, 1, [1, 1, 1]], "field"), "field"),
+    ("field-missing", _drop("field"), "field"),
+    ("field-not-prime", _with(4, "field", "p"), "field"),
+    ("t-string", _with("x", "t"), "t"),
+    ("t-zero", _with(0, "t"), "t"),
+    ("top-level-list", lambda obj: [obj], "top level"),
+    ("generator-list", _with([], "generators", 0), "generators[0]"),
+    ("rows-short", _drop(*_ROWS, 2), "generators[0].rows"),
+    ("row-short", _drop(*_ROWS, 0, 2), "generators[0].rows[0]"),
+    ("cell-long", _with([1, 0, 0], *_CELL), "generators[0].rows[0][0]"),
+    ("digit-string", _with("x", *_DIGIT), "generators[0].rows[0][0][0]"),
+    ("not-hermitian", _non_hermitian, "generators[0].rows[1][0]"),
+    ("diagonal-outside-subfield", _with([0, 1], *_CELL),
+     "generators[0].rows[0][0]"),
+    ("digit-decimal-string", _with("1", *_DIGIT), None),
+    ("t-decimal-string", _with("3", "t"), None),
+    ("cell-short", _with([1], *_CELL), None),
+    ("cell-empty", _with([], *_ROWS, 0, 2), None),
+    ("unknown-keys", _unknown_keys, None),
+]
+
+
+@pytest.mark.parametrize("mutate,path", [
+    pytest.param(mutate, path, id=name) for name, mutate, path in _PROBES])
+def test_code_file_mutants_load_by_rule_or_name_their_path(
+        capsys, tmp_path, example_code, mutate, path):
+    """Before the reader checked each type, shape and digit, the object
+    generators loaded as the zero code, the object cells loaded another
+    code, a string cell loaded and the modulus digits were taken mod p;
+    a null cell, rows written as an object and a generator without t
+    printed Python's own error text. Each mutant now either loads the
+    example code by a documented rule or makes wd exit 2 with one error
+    line naming the JSON path of the bad value."""
+    file = write_json(tmp_path, mutate(example_code.to_jsonable()))
+    rc, out, err = run(capsys, ["wd", "--input", file])
+    if path is None:
+        assert rc == 0 and codes.read_code(file) == example_code
+    else:
+        assert rc == 2
+        assert_one_error_line(out, err)
+        assert err.startswith(f"error: cannot read code from {file}: "
+                              f"{path}: "), err
 
 
 def _command(name, **flags):
@@ -446,13 +530,33 @@ def test_main_exits_0_or_2_with_one_error_line(case, example_code,
 
 def assert_exits_0_or_2(argv):
     """main(argv) exits 0, or exits 2 with one error line; run without
-    capsys, which hypothesis does not reset between examples."""
+    capsys, which hypothesis does not reset between examples. Returns the
+    exit code and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert rc in (0, 2), (argv, err.getvalue())
     if rc == 2:
         assert_one_error_line(out.getvalue(), err.getvalue())
+    return rc, err.getvalue()
+
+
+def _kind_at(path):
+    """The JSON type the code-file format names at a path: dict for an
+    object, list, or int for an integer (an int or a decimal string)."""
+    if path == ("field",) or path[0] == "generators" and len(path) == 2:
+        return dict
+    if path[-1] in ("modulus_poly", "generators", "rows"):
+        return list
+    if path[0] == "generators" and len(path) > 3:  # a row, cell or digit
+        return (list, list, int)[len(path) - 4]
+    return int
+
+
+def _json_path(path):
+    """A path as a refusal names it, for example generators[0].rows[1]."""
+    return "".join(f"[{k}]" if type(k) is int else f".{k}"
+                   for k in path)[1:]
 
 
 _RESIZE = ("shorten", "lengthen")
@@ -470,7 +574,8 @@ def test_code_files_round_trip_and_mutants_exit_0_or_2(
     value replaced by an out-of-range or negative int or a value of
     another type, one key or entry dropped, or one list shortened or
     lengthened by its last entry, makes ``wd`` exit 0 or exit 2 with one
-    error line."""
+    error line. A value of another JSON type than the format names there
+    makes it exit 2, naming the value's path."""
     code = random_code(make_field(*field), t, random.Random(seed))
     obj = code.to_jsonable()
     assert codes.read_code(write_json(scratch_dir, obj)) == code
@@ -488,7 +593,12 @@ def test_code_files_round_trip_and_mutants_exit_0_or_2(
         value = parent[path[-1]]
         parent[path[-1]] = (value[:-1] if op == "shorten"
                             else value + value[-1:])
-    assert_exits_0_or_2(["wd", "--input", write_json(scratch_dir, obj)])
+    file = write_json(scratch_dir, obj)
+    rc, err = assert_exits_0_or_2(["wd", "--input", file])
+    if op == "replace" and type(junk) is not _kind_at(path):
+        assert rc == 2 and err.startswith(
+            f"error: cannot read code from {file}: {_json_path(path)}: "
+            "must be "), err
 
 
 def test_eigen(capsys):
@@ -1471,7 +1581,6 @@ def _modules_at_exit(tmp_path, args):
 # hrmc.cmd_<name>, hrmc.cost and hrmc.errors.
 _FIELD = {"hrmc._value", "hrmc.fields"}
 _ENUMERATION = _FIELD | {"hrmc.codes"}
-_CODE_FILE = _ENUMERATION | {"hrmc.hermitian"}
 _NEGQ = {"hrmc._value", "hrmc.negq"}
 _TRANSFORM = _NEGQ | {"fractions", "hrmc.macwilliams", "hrmc.polynomials"}
 
@@ -1480,35 +1589,34 @@ def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
     """Start-up is most of a small command's time, and without a bytecode
     cache most of start-up is compiling, so each command loads only the
     modules on its route: the enumeration layers (fields, codes) and the
-    forked counting (workers) where it counts words, the matrices
-    (hermitian) where it reads a code file, the eigenvalue tables for
-    eigen, the moments for mhrd and dual, the two MacWilliams routes and
-    the polynomial algebra where it transforms, and the calculus and the
-    suites for verify. Only the commands that hold a value that is not
-    whole load fractions: count, eigen, mhrd and a wd that counts the code
-    itself do not, and that wd loads no negq either. Neither count nor
-    verify builds a matrix object, so neither loads hermitian; and no
-    command loads dataclasses, multiprocessing or the object route of
-    hermitian_space. The same holds through ``python -m hrmc.cli``, where
-    the module is __main__ and no command module imports hrmc.cli again;
-    and for the benchmark's set-up, which imports hrmc.cli and builds
-    fields."""
+    forked counting (workers) where it counts words, the eigenvalue
+    tables for eigen, the moments for mhrd and dual, the two MacWilliams
+    routes and the polynomial algebra where it transforms, and the
+    calculus and the suites for verify. Only the commands that hold a
+    value that is not whole load fractions: count, eigen, mhrd and a wd
+    that counts the code itself do not, and that wd loads no negq
+    either. No command builds a matrix object, since a code file is read
+    straight to coordinates, so none loads hermitian; and none loads
+    dataclasses, multiprocessing or the object route of hermitian_space.
+    The same holds through ``python -m hrmc.cli``, where the module is
+    __main__ and no command module imports hrmc.cli again; and for the
+    benchmark's set-up, which imports hrmc.cli and builds fields."""
     code = write_code_file(tmp_path, example_code)
     dual = write_code_file(tmp_path, dual_code(example_code), "dual.json")
     cases = [
         (["count", "--q", "2", "--t", "2"],
          _ENUMERATION | _NEGQ | {"hrmc.workers"}),
         (["wd", "--input", code],  # the smaller side: the code itself
-         _CODE_FILE | {"hrmc.workers"}),
+         _ENUMERATION | {"hrmc.workers"}),
         (["eigen", "--q", "2", "--t", "3"], _NEGQ | {"hrmc.eigen"}),
         (["mhrd", "--q", "2", "--t", "3", "--d", "3"],
          _NEGQ | {"hrmc.moments"}),
         (["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
           "--size", "8"], _TRANSFORM),
         (["wd", "--input", dual, "--workers", "2"],
-         _CODE_FILE | _TRANSFORM | {"hrmc.workers"}),
+         _ENUMERATION | _TRANSFORM | {"hrmc.workers"}),
         (["dual", "--input", code],
-         _CODE_FILE | _TRANSFORM | {"hrmc.moments"}),
+         _ENUMERATION | _TRANSFORM | {"hrmc.moments"}),
         (["verify", "--q", "2", "--t", "2", "--trials", "2"],
          _ENUMERATION | _TRANSFORM | {"hrmc.moments", "hrmc.eigen",
                                       "hrmc.calculus", "hrmc.verify"}),

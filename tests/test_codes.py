@@ -740,6 +740,47 @@ def test_weight_distribution_validation():
         WeightDistribution(2, 2, 1, (1, 1))      # wrong length
 
 
+def test_code_file_of_a_matrix_loads_its_span(fields, example_code,
+                                              monkeypatch):
+    """A code file whose generators are matrices' JSON loads the code
+    that make_code builds from them, and the reader builds no element or
+    matrix object on the way."""
+    f4 = fields[2]
+    m = hermitian_from_index(f4, 3, 123)
+    obj = {"field": f4.to_jsonable(), "t": 3, "generators": [m.to_jsonable()]}
+    expected = make_code(f4, 3, [m])
+    example = example_code.to_jsonable()  # which builds matrices
+
+    def refuse(*args):
+        raise AssertionError("an object was built")
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    monkeypatch.setattr(HermitianMatrix, "__init__", refuse)
+    assert code_from_jsonable(obj) == expected
+    assert code_from_jsonable(example) == example_code
+
+
+def test_make_code_and_the_reader_name_the_same_cell(fields):
+    """make_code and the code-file reader share one Hermitian check on
+    element indices, which names the first cell, on or below the
+    diagonal, that differs from its conjugate transpose."""
+    f4 = fields[2]
+    theta = codes._theta_index(f4)
+    for rows, cell, message in [
+            ([[0, 2], [2, 0]], "[1][0]", "not the conjugate of {}[0][1]"),
+            ([[1, 0], [0, theta]], "[1][1]",
+             "outside the conjugation-fixed subfield")]:
+        obj = {"field": f4.to_jsonable(), "t": 2, "generators": [
+            {"t": 2, "rows": [[f4.from_index(x).to_jsonable() for x in row]
+                              for row in rows]}]}
+        for build, at in ((lambda: make_code(f4, 2, [_mat(f4, rows)]),
+                           "generators[0].entries"),
+                          (lambda: code_from_jsonable(obj),
+                           "generators[0].rows")):
+            with pytest.raises(NotHermitian) as info:
+                build()
+            assert str(info.value) == f"{at}{cell}: " + message.format(at)
+
+
 def test_code_json_roundtrip(example_code):
     again = code_from_jsonable(example_code.to_jsonable())
     assert again == example_code

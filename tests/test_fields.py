@@ -12,6 +12,7 @@ from hrmc.errors import (
     NonPrimeModulus,
     ReducibleModulus,
     UnsupportedSize,
+    UsageError,
 )
 from hrmc.fields import (
     _int_to_poly,
@@ -227,6 +228,18 @@ def test_json_roundtrip():
     assert again is f  # cached
     # unpickling also goes through the cache
     assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_code_file_field_refuses_what_make_field_takes_mod_p():
+    """A code file's modulus coefficient outside 0..p-1 is refused at its
+    JSON path (tests/test_cli.py runs the other refusals through wd),
+    while make_field and Field.element, the library calls, still take
+    every digit mod p."""
+    with pytest.raises(UsageError, match=r"^field\.modulus_poly\[0\]: "):
+        field_from_jsonable({"p": 2, "m": 1, "modulus_poly": [3, 1, 1]})
+    f4 = make_field(2, 1)
+    assert make_field(2, 1, [3, 1, 1]) is make_field(2, 1, [1, -1, 1]) is f4
+    assert f4.element([5, 0]) == f4.element([1]) == f4.one()
 
 
 def test_pow_matches_repeated_multiplication():

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from hrmc.codes import _Packing, _theta_index, vectorize
 from hrmc.cost import check_guard, check_power_guard
-from hrmc.errors import DimensionMismatch, EnumerationTooLarge, UsageError
+from hrmc.errors import DimensionMismatch, EnumerationTooLarge
 from hrmc.fields import make_field
 from hrmc.eigen import full_space_distribution
 from hrmc.hermitian import (
     HermitianMatrix,
     is_hermitian,
-    matrix_from_jsonable,
     zero_matrix,
 )
 from hrmc.hermitian_space import (
@@ -233,25 +232,6 @@ def test_inner_product_dimension_mismatch(fields):
         inner_product(zero_matrix(fields[2], 2), zero_matrix(fields[2], 3))
     with pytest.raises(DimensionMismatch):
         inner_product(zero_matrix(fields[2], 2), zero_matrix(fields[3], 2))
-
-
-def test_matrix_json_roundtrip(fields):
-    f4 = fields[2]
-    m = hermitian_from_index(f4, 3, 123)
-    assert matrix_from_jsonable(f4, m.to_jsonable()) == m
-
-
-def test_matrix_json_refuses_digits_outside_the_prime_field(fields):
-    """The reader refuses a digit outside 0..p-1, which Field.element, a
-    library call, still takes mod p; a short cell is padded with zeros."""
-    f4 = fields[2]
-    for digit in (2, 5, -1, 2 ** 70):
-        obj = {"t": 1, "rows": [[[digit, 0]]]}
-        with pytest.raises(UsageError, match=r"entry digit .* outside 0\.\.1"):
-            matrix_from_jsonable(f4, obj)
-    assert f4.element([5, 0]) == f4.element([1]) == f4.one()
-    assert matrix_from_jsonable(f4, {"t": 1, "rows": [[["1"]]]}) == \
-        HermitianMatrix(f4, 1, ((f4.one(),),))
 
 
 def test_rejects_zero_size(fields):
