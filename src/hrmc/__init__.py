@@ -30,9 +30,10 @@ _MODULE_OF = {name: module for module, names in {
         "enumerate_hermitian", "hermitian_from_index", "inner_product",
         "rank", "total_hermitian"),
     "codes": (
-        "LinearCode", "WeightDistribution", "code_from_jsonable",
-        "dual_code", "enumerate_codewords", "make_code", "min_distance",
-        "rank_counts", "singleton_check", "weight_distribution"),
+        "LinearCode", "WeightDistribution", "dual_code",
+        "enumerate_codewords", "make_code", "min_distance", "rank_counts",
+        "singleton_check", "weight_distribution"),
+    "codefile": ("code_from_jsonable",),
     "negq": ("NegQContext", "gamma_fn", "gauss", "xi"),
     "eigen": (
         "EigenTable", "build_eigen_table", "build_eigen_table_C",

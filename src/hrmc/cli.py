@@ -108,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, seed=False, workers=False):
         p.add_argument("--guard", type=int, default=None,
                        help="cap on objects enumerated, cells per word, "
-                            "trial divisions, and estimated output digits "
-                            "and big-int words (default: HRMC_GUARD or 2^24)")
+                            "trial divisions, characters of a code file, "
+                            "and estimated output digits and big-int words "
+                            "(default: HRMC_GUARD or 2^24)")
         p.add_argument("--format", choices=("table", "json"), default="table")
         if workers:
             p.add_argument("--workers", type=int, default=1)

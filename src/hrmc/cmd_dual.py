@@ -4,13 +4,14 @@ route and by the transform route, and both moment identities."""
 from __future__ import annotations
 
 from . import codes, macwilliams, moments
+from .codefile import read_code
 from .cost import check_power_guard
 from .negq import NegQContext
 
 
 def run(args):
-    code = codes.read_code(args.input)
     guard = args.guard
+    code = read_code(args.input, guard)
     ctx = NegQContext(code.field.q)
     t = code.t
     # refuse before the dual's t^2 - k generators are built, not after

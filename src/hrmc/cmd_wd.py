@@ -4,11 +4,12 @@ whichever of the code and its trace dual has fewer words."""
 from __future__ import annotations
 
 from . import codes, workers
+from .codefile import read_code
 from .errors import CheckFailed, shown
 
 
 def run(args):
-    code = codes.read_code(args.input)
+    code = read_code(args.input, args.guard)
     count = _via_dual if code.t * code.t - code.k < code.k else _direct
     wd = count(code, args).to_jsonable()
     lines = [f"weight distribution, q={wd['q']} t={wd['t']} k={wd['k']}",

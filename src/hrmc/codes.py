@@ -58,9 +58,7 @@ to matrices from the basis coordinates with plain field arithmetic, so
 they share no code with the kernel.
 
 A code comes from matrix objects (:func:`make_code`) or from a code file
-(:func:`code_from_jsonable`), which is read straight to element indices,
-checking each JSON type, shape and digit on the way and naming the JSON
-path of a value it refuses. Both hand grids of element indices to
+(``codefile.code_from_jsonable``). Both hand grids of element indices to
 ``_span``, the one Hermitian check, which then vectorizes them.
 """
 
@@ -72,17 +70,16 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
-from ._value import Value, json_at, json_int, json_of
+from ._value import Value
 from .errors import (
     CheckFailed,
     MixedDimensions,
     NotHermitian,
     UsageError,
     ZeroCode,
-    shown,
 )
 from .cost import check_guard
-from .fields import Field, field_from_jsonable
+from .fields import Field
 
 if TYPE_CHECKING:  # hermitian is loaded only where matrices are built
     from .hermitian import HermitianMatrix
@@ -765,71 +762,3 @@ def singleton_check(code: LinearCode, min_dist: int | None = None,
             f"code of size {code.size} exceeds the bound {bound} for d={d}")
     return {"bound": bound, "is_mhrd": code.size == bound}
 
-
-def code_from_jsonable(obj) -> LinearCode:
-    """The code a code file names, read straight to element indices: an
-    object of ``field`` (see :func:`~hrmc.fields.field_from_jsonable`), ``t``
-    and a list of ``generators``, each an object of its ``t``, equal to
-    the code's, and ``rows``: t lists of t cells, each a list of at most
-    2m base-p digits, little-endian, padded with zero digits. Integers are
-    read as :func:`~hrmc._value.json_int` reads them, other keys are
-    ignored, and every refusal names the JSON path of the bad value, for
-    example ``generators[3].rows[1][0][0]``."""
-    obj = json_of(obj, dict, "top level")
-    field = field_from_jsonable(json_at(obj, "field", dict))
-    t = json_at(obj, "t", int)
-    if t < 1:
-        raise UsageError(f"t: must be positive, got {shown(t)}")
-    p, width = field.p, 2 * field.m
-    grids = []
-    for n, gen in enumerate(json_at(obj, "generators", list)):
-        at = f"generators[{n}]"
-        gen = json_of(gen, dict, at)
-        gen_t = json_at(gen, "t", int, at)
-        if gen_t != t:
-            raise MixedDimensions(
-                f"{at}.t: {shown(gen_t)}, not the code's t = {shown(t)}")
-        rows = json_at(gen, "rows", list, at)
-        if len(rows) != t:
-            raise UsageError(
-                f"{at}.rows: {len(rows)} rows, not t = {shown(t)}")
-        grid = []
-        for i, row in enumerate(rows):
-            at_row = f"{at}.rows[{i}]"
-            if len(json_of(row, list, at_row)) != t:
-                raise UsageError(
-                    f"{at_row}: {len(row)} cells, not t = {shown(t)}")
-            grid += [_cell_index(cell, p, width, f"{at_row}[{j}]")
-                     for j, cell in enumerate(row)]
-        grids.append(grid)
-    return _span(field, t, grids, "rows")
-
-
-def _cell_index(cell, p: int, width: int, path: str) -> int:
-    """The element index of a cell at ``path``: a list of at most
-    ``width`` base-p digits, little-endian, padded with zero digits."""
-    if len(json_of(cell, list, path)) > width:
-        raise UsageError(f"{path}: {len(cell)} digits, more than 2m = "
-                         f"{width}")
-    index = 0
-    for d in reversed(range(len(cell))):
-        digit = cell[d]
-        if type(digit) is not int:  # build the path only where it may be named
-            digit = json_int(digit, f"{path}[{d}]")
-        if not 0 <= digit < p:
-            raise UsageError(f"{path}[{d}]: entry digit {shown(digit)} "
-                             f"outside 0..{p - 1}")
-        index = index * p + digit
-    return index
-
-
-def read_code(path: str) -> LinearCode:
-    """The code in a JSON file; UsageError if it cannot be read or used,
-    nested too deeply to parse included."""
-    import json
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return code_from_jsonable(obj)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise UsageError(f"cannot read code from {path}: {exc}") from exc

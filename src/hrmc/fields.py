@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from ._value import Value, json_at, json_int, json_of
+from ._value import Value
 from .cost import prime_factors
 from .errors import (
     DivisionByZero,
@@ -31,7 +31,6 @@ from .errors import (
     ReducibleModulus,
     UnsupportedSize,
     UsageError,
-    shown,
 )
 
 MAX_EXTENSION_DEGREE = 8     # 2m may not exceed this
@@ -399,24 +398,3 @@ def make_field(p: int, m: int, modulus_poly: list[int] | tuple[int, ...] | None 
         _FIELD_CACHE[key] = Field(p, m, modulus)
     return _FIELD_CACHE[key]
 
-
-def field_from_jsonable(obj) -> Field:
-    """The field a code file's ``field`` object names. A refusal names the
-    JSON path of the bad value, for example ``field.modulus_poly[2]``; one
-    of :func:`make_field`'s is prefixed ``field:``. A modulus coefficient
-    outside 0..p-1 is refused, though :func:`make_field` takes it mod p,
-    since it would load another field than the file names."""
-    obj = json_of(obj, dict, "field")
-    p = json_at(obj, "p", int, "field")
-    m = json_at(obj, "m", int, "field")
-    modulus = []
-    for i, c in enumerate(json_at(obj, "modulus_poly", list, "field")):
-        c = json_int(c, f"field.modulus_poly[{i}]")
-        if not 0 <= c < p:
-            raise UsageError(f"field.modulus_poly[{i}]: modulus coefficient "
-                             f"{shown(c)} outside 0..{shown(p - 1)}")
-        modulus.append(c)
-    try:
-        return make_field(p, m, modulus)
-    except UsageError as exc:
-        raise type(exc)(f"field: {exc}") from exc

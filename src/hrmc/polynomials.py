@@ -118,22 +118,15 @@ class LambdaPoly:
     coefficient functions cannot be compared; ``verify.polys_equal``
     compares two over a window of lambdas."""
 
-    __slots__ = ("ctx", "degree", "_coeff", "_fill", "_rows")
+    __slots__ = ("ctx", "degree", "_fill", "_rows")
 
     def __init__(self, ctx: NegQContext, degree: int, coeff: CoeffFn) -> None:
         self.ctx = ctx
         self.degree = degree
-        self._coeff = coeff
         q = ctx.q
         self._fill = lambda lam: _scaled(q, tuple([coeff(i, lam)
                                                    for i in range(degree + 1)]))
         self._rows: dict[int, Scaled] = {}
-
-    @property
-    def coeff(self) -> CoeffFn:
-        """The function given to the constructor; ``coefficient`` for a
-        polynomial built by a combinator."""
-        return self.coefficient if self._coeff is None else self._coeff
 
     def row(self, lam: int) -> Row:
         """The degree + 1 coefficients at lam, each an int where it is
@@ -164,7 +157,6 @@ def _from_rows(ctx: NegQContext, degree: int,
     poly = LambdaPoly.__new__(LambdaPoly)
     poly.ctx = ctx
     poly.degree = degree
-    poly._coeff = None
     poly._fill = fill
     poly._rows = {}
     return poly

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrmc import cli, codes, eigen, negq, workers
+from hrmc import cli, codefile, codes, eigen, negq, workers
 from hrmc.cli import _all_digits, emit, main
-from hrmc.codes import dual_code, rank_counts, weight_distribution
+from hrmc.codes import LinearCode, dual_code, rank_counts, weight_distribution
 from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
 from hrmc.errors import (
     CheckFailed,
@@ -371,6 +371,52 @@ def test_wd_refuses_a_file_nested_too_deeply(capsys, tmp_path):
     assert "cannot read code from" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("command", ["wd", "dual"])
+def test_code_file_reading_stops_at_the_guard(command):
+    """An endless input was read until memory ran out, ending in a
+    MemoryError traceback; the reading now stops after guard + 1
+    characters and refuses the file."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrmc.cli", command, "--input", "/dev/zero",
+         "--guard", "1000"], capture_output=True, text=True,
+        env=_src_env(), timeout=60)
+    assert proc.returncode == 2
+    assert_one_error_line(proc.stdout, proc.stderr)
+    assert proc.stderr == ("error: cannot read code from /dev/zero: 1001 "
+                           "characters of a code file exceed the enumeration "
+                           "guard 1000\n")
+
+
+@pytest.mark.parametrize("limit", [None, 0])  # 0: no limit, as Python 3.10
+@pytest.mark.parametrize("quote", ["", '"'])
+@pytest.mark.parametrize("path", [("t",), _DIGIT])
+def test_code_file_integers_past_the_digit_limit_name_their_path(
+        capsys, tmp_path, example_code, path, quote, limit):
+    """A 5000-digit JSON number printed json.load's own text, without its
+    path, and the same digits as a string were called not a decimal
+    integer. Either is now refused at its path, whatever Python's own
+    int-conversion limit is, as converting it costs quadratic time."""
+    obj = _with("LONG", *path)(example_code.to_jsonable())
+    text = json.dumps(obj).replace('"LONG"', quote + "1" * 5000 + quote)
+    file = tmp_path / "long.json"
+    file.write_text(text)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is not None and get_limit is not None:
+        previous = get_limit()
+        sys.set_int_max_str_digits(limit)
+    try:
+        rc, out, err = run(capsys, ["wd", "--input", str(file)])
+    finally:
+        if limit is not None and get_limit is not None:
+            sys.set_int_max_str_digits(previous)
+    assert rc == 2
+    assert_one_error_line(out, err)
+    assert err == (f"error: cannot read code from {file}: "
+                   f"{_json_path(path)}: integer of 5000 digits, more than "
+                   "4300\n")
+
+
 def _drop(*path):
     """Delete the key or entry at the path of the code file."""
     def mutate(obj):
@@ -441,7 +487,7 @@ def test_code_file_mutants_load_by_rule_or_name_their_path(
     file = write_json(tmp_path, mutate(example_code.to_jsonable()))
     rc, out, err = run(capsys, ["wd", "--input", file])
     if path is None:
-        assert rc == 0 and codes.read_code(file) == example_code
+        assert rc == 0 and codefile.read_code(file) == example_code
     else:
         assert rc == 2
         assert_one_error_line(out, err)
@@ -578,7 +624,7 @@ def test_code_files_round_trip_and_mutants_exit_0_or_2(
     makes it exit 2, naming the value's path."""
     code = random_code(make_field(*field), t, random.Random(seed))
     obj = code.to_jsonable()
-    assert codes.read_code(write_json(scratch_dir, obj)) == code
+    assert codefile.read_code(write_json(scratch_dir, obj)) == code
     paths = list(_paths(obj))[1:]
     if op in _RESIZE:
         paths = [p for p in paths if isinstance(_at(obj, p), list)
@@ -677,22 +723,27 @@ def test_wd_equals_enumeration_on_both_sides(capsys, tmp_path, code_corpus):
     assert routes == {False, True}
 
 
-def test_wd_guard_applies_to_the_enumerated_side(capsys, tmp_path,
-                                                  example_code):
-    code = dual_code(example_code)  # 64 words whose dual has 8
-    guard = code.t * code.t  # no fewer than the cells of one word
-    assert _via_dual(code) and example_code.size <= guard < code.size
+def test_wd_guard_applies_to_the_enumerated_side(capsys, tmp_path, fields):
+    """The guard also caps the characters of the code file, so the code
+    is one whose file is shorter than its dual has words."""
+    units = [[int(i == j) for j in range(25)] for i in range(13)]
+    code = LinearCode(fields[2], 5, units)  # 2^13 words whose dual has 2^12
+    dual = dual_code(code)
     path = write_code_file(tmp_path, code)
+    guard = dual.size
+    assert _via_dual(code) and len(Path(path).read_text()) <= guard < code.size
     rc, out, _ = run(capsys, ["wd", "--input", path, "--format", "json",
                               "--guard", str(guard)])
     assert rc == 0
-    assert json.loads(out)["counts"] == ["1", "3", "24", "36"]
+    assert json.loads(out)["counts"] == [
+        str(c) for c in weight_distribution(code).counts]
     with pytest.raises(EnumerationTooLarge):
         weight_distribution(code, guard=guard)
     rc, out, err = run(capsys, ["wd", "--input", path,
-                                "--guard", str(example_code.size - 1)])
+                                "--guard", str(dual.size - 1)])
     assert rc == 2
     assert_one_error_line(out, err)
+    assert f"{dual.size} codewords exceed the enumeration guard" in err
 
 
 def _diagonal_off_subfield(obj):
@@ -1583,13 +1634,15 @@ _FIELD = {"hrmc._value", "hrmc.fields"}
 _ENUMERATION = _FIELD | {"hrmc.codes"}
 _NEGQ = {"hrmc._value", "hrmc.negq"}
 _TRANSFORM = _NEGQ | {"fractions", "hrmc.macwilliams", "hrmc.polynomials"}
+_CODE_FILE = _ENUMERATION | {"hrmc.codefile"}
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
     """Start-up is most of a small command's time, and without a bytecode
     cache most of start-up is compiling, so each command loads only the
     modules on its route: the enumeration layers (fields, codes) and the
-    forked counting (workers) where it counts words, the eigenvalue
+    forked counting (workers) where it counts words, the code-file reader
+    (codefile) only in wd and dual, which read a file, the eigenvalue
     tables for eigen, the moments for mhrd and dual, the two MacWilliams
     routes and the polynomial algebra where it transforms, and the
     calculus and the suites for verify. Only the commands that hold a
@@ -1607,16 +1660,16 @@ def test_each_command_loads_only_what_it_runs(tmp_path, example_code):
         (["count", "--q", "2", "--t", "2"],
          _ENUMERATION | _NEGQ | {"hrmc.workers"}),
         (["wd", "--input", code],  # the smaller side: the code itself
-         _ENUMERATION | {"hrmc.workers"}),
+         _CODE_FILE | {"hrmc.workers"}),
         (["eigen", "--q", "2", "--t", "3"], _NEGQ | {"hrmc.eigen"}),
         (["mhrd", "--q", "2", "--t", "3", "--d", "3"],
          _NEGQ | {"hrmc.moments"}),
         (["macwilliams", "--q", "2", "--t", "3", "--dist", "1,0,3,4",
           "--size", "8"], _TRANSFORM),
         (["wd", "--input", dual, "--workers", "2"],
-         _ENUMERATION | _TRANSFORM | {"hrmc.workers"}),
+         _CODE_FILE | _TRANSFORM | {"hrmc.workers"}),
         (["dual", "--input", code],
-         _ENUMERATION | _TRANSFORM | {"hrmc.moments"}),
+         _CODE_FILE | _TRANSFORM | {"hrmc.moments"}),
         (["verify", "--q", "2", "--t", "2", "--trials", "2"],
          _ENUMERATION | _TRANSFORM | {"hrmc.moments", "hrmc.eigen",
                                       "hrmc.calculus", "hrmc.verify"}),

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hrmc import codes
+from hrmc.codefile import code_from_jsonable
 from hrmc.codes import (
     WeightDistribution,
-    code_from_jsonable,
     codeword_from_index,
     dual_code,
     enumerate_codewords,

@@ -5,6 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hrmc.codefile import field_from_jsonable
 from hrmc.cost import prime_factors
 from hrmc.errors import (
     DivisionByZero,
@@ -19,7 +20,6 @@ from hrmc.fields import (
     _poly_mod,
     _poly_mul,
     _smallest_irreducible,
-    field_from_jsonable,
     make_field,
 )
 
