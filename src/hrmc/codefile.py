@@ -3,24 +3,25 @@ JSON path of a value it refuses, and the code a file names, read
 straight to element indices and handed to ``codes._span``.
 
 Only the commands that read a code file, ``wd`` and ``dual``, load this
-module. A file is read up to the guard's count of characters, and an
-integer is refused past ``MAX_DIGITS`` digits, naming its path.
+module. A file is read up to the larger of the guard and
+``DEFAULT_GUARD`` characters, and an integer is refused past
+``MAX_DIGITS`` characters, naming its path.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import sys
 
 from .codes import LinearCode, _span
-from .cost import check_guard, enumeration_guard
+from .cost import DEFAULT_GUARD, check_guard, enumeration_guard
 from .errors import MixedDimensions, UsageError, shown
 from .fields import Field, make_field
 
-# Python's default int-conversion limit, kept on every version: a longer
-# decimal costs quadratic time to convert.
+# Python's default int-conversion limit, kept on every version as a cap
+# on an integer's characters: a longer decimal costs quadratic time to
+# convert.
 MAX_DIGITS = 4300
-_DECIMAL = re.compile(r"\s*[+-]?(\d+(?:_\d+)*)\s*")
 
 
 class _LongInt(str):
@@ -35,17 +36,15 @@ def _parse_int(text: str):
 
 def json_int(value, path: str) -> int:
     """An integer read from JSON at ``path``: an int or a decimal string,
-    of at most ``MAX_DIGITS`` digits. Anything else is refused, a float
+    of at most ``MAX_DIGITS`` characters. Anything else is refused, a float
     or a bool too, since int() would truncate it or read it as 0 or 1 and
     so load a different code."""
     if type(value) is int:
         return value
     if isinstance(value, str):
-        decimal = _DECIMAL.fullmatch(value)
-        digits = len(decimal[1]) - decimal[1].count("_") if decimal else 0
-        if digits > MAX_DIGITS:
-            raise UsageError(f"{path}: integer of {digits} digits, more "
-                             f"than {MAX_DIGITS}")
+        if len(value) > MAX_DIGITS:
+            raise UsageError(f"{path}: integer of {len(value)} characters, "
+                             f"more than {MAX_DIGITS}")
         try:
             return int(value)
         except ValueError:
@@ -173,11 +172,13 @@ def _cell_index(cell, p: int, width: int, path: str) -> int:
 def read_code(path: str, guard: int | None = None) -> LinearCode:
     """The code in a JSON file; UsageError if it cannot be read or used,
     nested too deeply to parse included, or holds more characters than
-    the guard, which ends the reading of an endless file."""
-    limit = enumeration_guard(guard)
+    the guard or ``DEFAULT_GUARD``, whichever is larger: a guard small
+    enough for what a command enumerates still reads the file that names
+    the code, and the reading of an endless file ends."""
+    limit = max(enumeration_guard(guard), DEFAULT_GUARD)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read(limit + 1)
+            text = fh.read(min(limit, sys.maxsize - 1) + 1)
         check_guard(len(text), "characters of a code file", limit)
         return code_from_jsonable(json.loads(text, parse_int=_parse_int))
     except (OSError, ValueError, RecursionError) as exc:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from hrmc import cli, codefile, codes, eigen, negq, workers
 from hrmc.cli import _all_digits, emit, main
-from hrmc.codes import LinearCode, dual_code, rank_counts, weight_distribution
+from hrmc.codes import dual_code, rank_counts, weight_distribution
 from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
 from hrmc.errors import (
     CheckFailed,
@@ -375,17 +375,34 @@ def test_wd_refuses_a_file_nested_too_deeply(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["wd", "dual"])
 def test_code_file_reading_stops_at_the_guard(command):
     """An endless input was read until memory ran out, ending in a
-    MemoryError traceback; the reading now stops after guard + 1
-    characters and refuses the file."""
+    MemoryError traceback; the reading now stops one character past the
+    guard or DEFAULT_GUARD, whichever is larger, and refuses the file."""
     proc = subprocess.run(
         [sys.executable, "-m", "hrmc.cli", command, "--input", "/dev/zero",
          "--guard", "1000"], capture_output=True, text=True,
         env=_src_env(), timeout=60)
     assert proc.returncode == 2
     assert_one_error_line(proc.stdout, proc.stderr)
-    assert proc.stderr == ("error: cannot read code from /dev/zero: 1001 "
-                           "characters of a code file exceed the enumeration "
-                           "guard 1000\n")
+    assert proc.stderr == ("error: cannot read code from /dev/zero: "
+                           f"{DEFAULT_GUARD + 1} characters of a code file "
+                           f"exceed the enumeration guard {DEFAULT_GUARD}\n")
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("command", ["wd", "dual"])
+def test_code_file_reading_takes_a_guard_past_the_read_size(
+        capsys, monkeypatch, tmp_path, example_code, command, via_env):
+    """A guard of 2^63 or more, larger than a read size can be, reads
+    the file as the default guard does."""
+    path = write_code_file(tmp_path, example_code)
+    rc, expected, _ = run(capsys, [command, "--input", path])
+    assert rc == 0
+    guard = ["--guard", str(2 ** 70)]
+    if via_env:
+        monkeypatch.setenv("HRMC_GUARD", str(2 ** 63))
+        guard = []
+    rc, out, err = run(capsys, [command, "--input", path, *guard])
+    assert (rc, out, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize("limit", [None, 0])  # 0: no limit, as Python 3.10
@@ -413,8 +430,8 @@ def test_code_file_integers_past_the_digit_limit_name_their_path(
     assert rc == 2
     assert_one_error_line(out, err)
     assert err == (f"error: cannot read code from {file}: "
-                   f"{_json_path(path)}: integer of 5000 digits, more than "
-                   "4300\n")
+                   f"{_json_path(path)}: integer of 5000 characters, more "
+                   "than 4300\n")
 
 
 def _drop(*path):
@@ -723,27 +740,22 @@ def test_wd_equals_enumeration_on_both_sides(capsys, tmp_path, code_corpus):
     assert routes == {False, True}
 
 
-def test_wd_guard_applies_to_the_enumerated_side(capsys, tmp_path, fields):
-    """The guard also caps the characters of the code file, so the code
-    is one whose file is shorter than its dual has words."""
-    units = [[int(i == j) for j in range(25)] for i in range(13)]
-    code = LinearCode(fields[2], 5, units)  # 2^13 words whose dual has 2^12
-    dual = dual_code(code)
+def test_wd_guard_applies_to_the_enumerated_side(capsys, tmp_path,
+                                                  example_code):
+    code = dual_code(example_code)  # 64 words whose dual has 8
+    guard = code.t * code.t  # no fewer than the cells of one word
+    assert _via_dual(code) and example_code.size <= guard < code.size
     path = write_code_file(tmp_path, code)
-    guard = dual.size
-    assert _via_dual(code) and len(Path(path).read_text()) <= guard < code.size
     rc, out, _ = run(capsys, ["wd", "--input", path, "--format", "json",
                               "--guard", str(guard)])
     assert rc == 0
-    assert json.loads(out)["counts"] == [
-        str(c) for c in weight_distribution(code).counts]
+    assert json.loads(out)["counts"] == ["1", "3", "24", "36"]
     with pytest.raises(EnumerationTooLarge):
         weight_distribution(code, guard=guard)
     rc, out, err = run(capsys, ["wd", "--input", path,
-                                "--guard", str(dual.size - 1)])
+                                "--guard", str(example_code.size - 1)])
     assert rc == 2
     assert_one_error_line(out, err)
-    assert f"{dual.size} codewords exceed the enumeration guard" in err
 
 
 def _diagonal_off_subfield(obj):
