@@ -15,7 +15,7 @@ import sys
 
 from .codes import LinearCode, _span
 from .cost import DEFAULT_GUARD, check_guard, enumeration_guard
-from .errors import MixedDimensions, UsageError, shown
+from .errors import HrmcError, MixedDimensions, UsageError, shown
 from .fields import Field, make_field
 
 # Python's default int-conversion limit, kept on every version as a cap
@@ -170,16 +170,22 @@ def _cell_index(cell, p: int, width: int, path: str) -> int:
 
 
 def read_code(path: str, guard: int | None = None) -> LinearCode:
-    """The code in a JSON file; UsageError if it cannot be read or used,
-    nested too deeply to parse included, or holds more characters than
-    the guard or ``DEFAULT_GUARD``, whichever is larger: a guard small
-    enough for what a command enumerates still reads the file that names
-    the code, and the reading of an endless file ends."""
+    """The code in a JSON file. A refusal keeps the class it was raised
+    with (``NotHermitian``, ``EnumerationTooLarge``, ...) and its message
+    gains the path; a file that cannot be opened, decoded or parsed,
+    nested too deeply to parse included, is a UsageError. A file may hold
+    at most the guard or ``DEFAULT_GUARD`` characters, whichever is
+    larger: a guard small enough for what a command enumerates still
+    reads the file that names the code, and the reading of an endless
+    file ends."""
     limit = max(enumeration_guard(guard), DEFAULT_GUARD)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read(min(limit, sys.maxsize - 1) + 1)
         check_guard(len(text), "characters of a code file", limit)
         return code_from_jsonable(json.loads(text, parse_int=_parse_int))
+    except HrmcError as exc:  # before ValueError, which UsageError is
+        exc.args = (f"cannot read code from {path}: {exc}",)
+        raise
     except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read code from {path}: {exc}") from exc

@@ -31,25 +31,32 @@ base-q digits of the index, the first generator's digit most
 significant, each digit picking a subfield element in ascending index
 order. The points of a basis are its words whose first nonzero
 coefficient is 1. ``_point_runs`` walks any range of them as (prefix,
-words) pairs over L, a list of the span of the last few generators: each
+words) pairs over S, a list of the span of the last few generators: each
 point of the other generators, walked by the same function one level
-down, is summed once and serves the whole of L, and the points led by
-one of L's generators are that generator plus a leading slice of L.
+down, is summed once and serves the whole of S, and the points led by
+one of S's generators are that generator plus a leading slice of S.
 
-:func:`rank_counts` counts in the index order of the code's basis,
-whose trailing generators span K, with the packed elimination of
+:func:`rank_counts` counts in the index order of the enumeration basis
+(see ``_enumeration_basis``) with the packed elimination of
 ``_Packing``, written apart from ``hermitian_space.rank_of_rows``. It
-ranks only the words whose first nonzero coefficient is 1, reduces the
-head rows once per coset h + K, and, where the code holds E, the unit at
-the last diagonal cell, ranks q words per reduction of a word's last row
-(``_Packing.count_ranks`` states that rule and proves it).
+ranks only the words whose first nonzero coefficient is 1. Where the
+code holds E, the unit at the last diagonal cell, the enumeration basis
+ends with the rows that span W, the code's words on the last row and
+column, so each coset of W is a run of the order. The words of a coset
+share their top-left (t - 1)-block A, and one reduction of A, with an
+elimination over GF(p) that counts the coset's last columns in the
+column space of A, ranks all of them (``_Packing.count_cosets`` states
+that rule and proves it). Any other point, and every point of a code
+without E, is ranked by itself, the head rows reduced once per run of
+points of one coset h + K.
 
-An enumeration packs the q multiples of each generator from its basis
-row, and lists at most ``_RUN_LIMIT`` words of K (or q, if more), shared
-by every coset; a level down lists at most min(points it walks,
-``_RUN_LIMIT``) words of its own trailing span (or q, if more). The
-packing's memos fill as words need them and stay bounded (see
-``_Packing``). :func:`rank_counts` is what :func:`weight_distribution`,
+An enumeration packs each generator from its basis row once per code
+(see ``_Packing.enumeration``), and lists at most ``_RUN_LIMIT`` words
+of K (or q, if more), shared by every coset; a level down lists at most
+min(points it walks, ``_RUN_LIMIT``) words of its own trailing span (or
+q, if more). The packing's memos fill as words need them and stay
+bounded (see ``_Packing``). :func:`rank_counts` is what
+:func:`weight_distribution`,
 :func:`min_distance` and the CLI (census, ``wd`` and every ``--workers``
 process) count with, and ranges of [0, q^k) split anywhere add up to the
 whole distribution.
@@ -321,6 +328,48 @@ def dual_code(code: LinearCode) -> LinearCode:
     return dual
 
 
+def _enumeration_basis(field: Field, t: int,
+                       basis) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, w): the basis the kernel enumerates, and the dimension of
+    the span W of its last w rows.
+
+    For a code that holds E, the unit at the last diagonal cell, so that
+    its basis ends with E, W = C ∩ L, where L is the words supported on
+    the last column and the last diagonal cell (2t - 1 coordinates: the
+    last pair of each row above the last, and the last one); the rows
+    that span it end with E, and the others come first. Every other code
+    is enumerated on its basis as it stands, with w = 0.
+
+    The basis rows led in L that are zero off L lie in W already, E among
+    them. Only the other rows led in L are reduced again, with L's
+    coordinates last: those led in L after it join W, and the rest join
+    the rows led off L. So the full space, whose rows are unit vectors,
+    reduces nothing."""
+    n = t * t
+    if not basis or tuple(basis[-1]) != (0,) * (n - 1) + (1,):
+        return list(basis), 0
+    # the last pair of row i - 1 ends where row i's diagonal coordinate is
+    cut = {c for i in range(1, t) for c in (i * (2 * t - i) - 2,
+                                            i * (2 * t - i) - 1)} | {n - 1}
+    off = [c for c in range(n) if c not in cut]
+    front, inside, mixed = [], [], []
+    for row in basis:
+        if row.index(1) not in cut:  # each row leads with 1
+            front.append(tuple(row))
+        else:
+            (mixed if any(row[c] for c in off) else inside).append(tuple(row))
+    if mixed:
+        order = off + sorted(cut)
+        back = sorted(range(n), key=order.__getitem__)
+        reduced, pivots = _rref(field, [[row[c] for c in order]
+                                        for row in mixed])
+        rows = [tuple(row[b] for b in back) for row in reduced]
+        led_off = sum(c < len(off) for c in pivots)
+        front += rows[:led_off]
+        inside[:0] = rows[led_off:]
+    return front + inside, len(inside)
+
+
 # ---------------------------------------------------------- packed words
 
 _CACHE_LIMIT = 1 << 16  # entries a packing's memo holds before it starts over
@@ -337,7 +386,8 @@ class _Packing:
     words is ``^`` in characteristic 2 and otherwise one SWAR add: sum the
     lanes, then take p from every lane whose sum reached p, found as the
     top bit of the lane after adding 2^(w-1) - p. In characteristic 2 a
-    cell's lanes are its element index.
+    cell's lanes are its element index. The lanes of a word are its
+    coordinates over GF(p), so a GF(p)-multiple of a word is a few adds.
 
     :meth:`reduce` inserts rows into a basis keyed by lead column. A row
     is first scaled to lead 1; if that column already has a basis row, the
@@ -347,16 +397,20 @@ class _Packing:
     per row in a dict filled on first use, as are, for odd p, the
     conversions between a cell's lanes and its element index.
     :meth:`count_ranks` runs the same elimination inline over many words,
-    sums of what :meth:`generators` packs from basis rows. Nothing is
-    built up front. The lead memo starts over when it reaches
-    ``_CACHE_LIMIT`` entries. The two conversion memos need no cap: each
-    is keyed by element indices or by the lanes of one, every lane below
-    p, so it holds at most ``field.order`` entries, and no field is
-    larger than ``fields.MAX_FIELD_ORDER`` = 2^16. :func:`rank_counts`
-    keeps the packing of the last field and size it counted (see
-    :func:`_packing`), so consecutive enumerations over one field and size,
-    such as a code and its dual, share the memos; none is kept on the
-    field, so a pickled field carries none of it.
+    sums of what :meth:`generators` packs from basis rows, and
+    :meth:`count_cosets` over the top-left blocks of whole cosets of W
+    (see :func:`_enumeration_basis`). Nothing is built up front. The lead
+    memo starts over when it reaches ``_CACHE_LIMIT`` entries. The two
+    conversion memos need no cap: each is keyed by element indices or by
+    the lanes of one, every lane below p, so it holds at most
+    ``field.order`` entries, and no field is larger than
+    ``fields.MAX_FIELD_ORDER`` = 2^16. :meth:`enumeration` keeps what it
+    packed for the last basis it was given, and :func:`rank_counts` keeps
+    the packing of the last field and size it counted (see
+    :func:`_packing`), so consecutive enumerations over one field and
+    size, such as a code and its dual, share the memos, and the counts of
+    one code pack its basis once; none is kept on the field, so a pickled
+    field carries none of it.
     """
 
     def __init__(self, field: Field, t: int):
@@ -375,6 +429,8 @@ class _Packing:
         self._lanes: dict[int, int] = {}  # element index -> lanes, odd p
         self._indices: dict[int, int] = {}  # lanes -> element index, odd p
         self._lead: dict[int, tuple[int, int, int]] = {}
+        self._subfield = None  # see _subfield_basis
+        self._basis = self._enumeration = None  # see enumeration
 
     # -- cells and words --
 
@@ -425,22 +481,90 @@ class _Packing:
         # lanes p - d lie in 1..p, and the add takes p from those at p
         return a if self.p == 2 else self.add(self.lane_p - a, 0)
 
+    def times(self, a: int, c: int) -> int:
+        """c a, for c in GF(p): every lane times c, by doubling."""
+        add, total = self.add, 0
+        while c:
+            if c & 1:
+                total = add(total, a)
+            a = add(a, a)
+            c >>= 1
+        return total
+
+    def _combinations(self, words: list[int]) -> list[int]:
+        """Every GF(p)-combination of the words, the last word's
+        coefficient varying fastest: p - 1 adds per multiple and one add
+        per combination."""
+        add, total = self.add, [0]
+        for word in words:
+            multiples = [0, word]
+            for _ in range(self.p - 2):
+                multiples.append(add(multiples[-1], word))
+            total = [add(x, y) for y in total for x in multiples]
+        return total
+
+    def _subfield_basis(self) -> tuple[list[int], list[int]]:
+        """(betas, order): the first m subfield elements, in index order,
+        that are independent over GF(p), so a basis of GF(q) over it, and,
+        for the d-th subfield element, the place in
+        ``_combinations([cell(b) for b in betas])`` of its lanes. For prime
+        q the basis is the one and order is the identity."""
+        if self._subfield is None:
+            field, cell = self.field, self.cell
+            betas, spanned = [], {0}
+            for x in field.subfield_indices():
+                if cell(x) not in spanned:
+                    betas.append(x)
+                    spanned = set(self._combinations([cell(b) for b in betas]))
+            place = {self.index(lanes): i for i, lanes in
+                     enumerate(self._combinations([cell(b) for b in betas]))}
+            self._subfield = betas, [place[x]
+                                     for x in field.subfield_indices()]
+        return self._subfield
+
     def generators(self, basis) -> list[list[int]]:
         """scaled[j][d]: the word of basis row j (subfield coordinates, see
         :func:`vectorize`) times the d-th subfield element, in ascending
         index order, so scaled[j][0] is zero and scaled[j][1] the word
-        itself."""
+        itself. Each row is packed times each element of the subfield's
+        basis over GF(p) (just the one for prime q), and every multiple is
+        a GF(p)-combination of those words."""
         field, t, bits = self.field, self.t, self.cell_bits
         mul, cell, theta = field.mul, self.cell, _theta_index(field)
-        others = field.subfield_indices()[2:]
+        betas, order = self._subfield_basis()
         scaled = []
         for row in basis:
-            cells = [(pos * bits, x) for pos, x
-                     in enumerate(_grid(field, t, row, theta)) if x]
-            scaled.append([0, sum(cell(x) << shift for shift, x in cells),
-                           *(sum(cell(mul(s, x)) << shift for shift, x in cells)
-                             for s in others)])
+            words = [sum(cell(x) << pos * bits for pos, x in enumerate(
+                _grid(field, t, [mul(b, c) for c in row], theta)) if x)
+                for b in betas]
+            combinations = self._combinations(words)
+            scaled.append([combinations[i] for i in order])
         return scaled
+
+    def enumeration(self, basis):
+        """(scaled, n_head, w, lasts) for a code's basis, kept until
+        another basis is asked for: the enumeration basis's generators
+        (see :func:`_enumeration_basis` and :meth:`generators`), how many
+        of them lead up to the last with a nonzero top t // 2 rows (the
+        head), so the others span K, words of zero head, the dimension w
+        of W, the span of the last w, and the last rows (c*, 0) of a basis
+        over GF(p) of the words of W other than E's multiples: each of
+        W's generators but E times each subfield basis element."""
+        if basis != self._basis:
+            rows, w = _enumeration_basis(self.field, self.t, basis)
+            scaled = self.generators(rows)
+            t, bits = self.t, self.row_bits
+            head = (1 << (t // 2) * bits) - 1
+            n_head = max((j + 1 for j, multiples in enumerate(scaled)
+                          if multiples[1] & head), default=0)
+            block = (1 << (t - 1) * self.cell_bits) - 1
+            subfield = self.field.subfield_indices()
+            places = [subfield.index(b) for b in self._subfield_basis()[0]]
+            lasts = [(multiples[d] >> (t - 1) * bits) & block
+                     for multiples in scaled[len(scaled) - w:-1]
+                     for d in places]
+            self._basis, self._enumeration = basis, (scaled, n_head, w, lasts)
+        return self._enumeration
 
     # -- rank --
 
@@ -465,11 +589,13 @@ class _Packing:
         found = cache[row] = (col, scaled, self.neg(scaled))
         return found
 
-    def reduce(self, word: int, shifts, basis: list[int]) -> int:
-        """Insert the rows of a packed word at ``shifts`` into ``basis``
-        (basis[c]: minus the basis row with lead c, else 0) and return how
-        many joined it."""
-        row_mask = (1 << self.row_bits) - 1
+    def reduce(self, word: int, shifts, basis: list[int],
+               mask: int | None = None) -> int:
+        """Insert the rows of a packed word at ``shifts``, each cut to
+        ``mask`` (its first cells) if given, into ``basis`` (basis[c]:
+        minus the basis row with lead c, else 0) and return how many
+        joined it."""
+        row_mask = (1 << self.row_bits) - 1 if mask is None else mask
         add, leads, lead_of = self.add, self._lead, self._lead_of
         joined = 0
         for shift in shifts:
@@ -489,97 +615,157 @@ class _Packing:
         t, bits = self.t, self.row_bits
         return self.reduce(word, range(0, t * bits, bits), [0] * t)
 
+    def residue(self, row: int, basis: list[int]) -> int:
+        """The row minus the combination of the rows of ``basis`` (as
+        :meth:`reduce` leaves it) that clears each of their lead columns,
+        column by column from the first: zero exactly when the row lies in
+        their span, and linear in the row. Each step is :meth:`reduce`'s,
+        which divides the row by its lead, so ``s`` keeps the product of
+        those leads to scale what is left back."""
+        mul, index, cell = self.field.mul, self.index, self.cell
+        add, leads, lead_of = self.add, self._lead, self._lead_of
+        bits, mask = self.cell_bits, self.cell_mask
+        left, s = 0, 1
+        while row:
+            col, scaled, negated = leads.get(row) or lead_of(row)
+            shift = col * bits
+            lead = (row >> shift) & mask
+            b = basis[col]
+            if b:
+                s = mul(s, index(lead))
+                row = add(scaled, b)
+            else:  # a column no row of the basis leads stays
+                left |= cell(mul(s, index(lead))) << shift
+                row ^= lead << shift
+        return left
+
+    def join(self, v: int, spanned: dict[int, int]) -> bool:
+        """Insert a word into ``spanned``, a basis over GF(p) keyed by the
+        lowest nonzero lane of each element, held times -1 over that lane;
+        return whether it joined (False: it lies in their span)."""
+        add, p, w = self.add, self.p, self.w
+        lane = (1 << w) - 1
+        while v:
+            at = ((v & -v).bit_length() - 1) // w
+            digit = (v >> at * w) & lane
+            b = spanned.get(at)
+            if b is None:
+                spanned[at] = self.times(self.neg(v), pow(digit, -1, p))
+                return True
+            v = add(v, self.times(b, digit))
+        return False
+
     def count_ranks(self, runs) -> list[int]:
         """counts[r]: the words of rank r among add(prefix, w), for each
-        (prefix, words) of ``runs`` and each w of its words. The words must
-        be Hermitian, and every such w must have zero top t // 2 rows (the
-        head).
+        (prefix, words) of ``runs`` and each w of its words. Every such w
+        must have zero top t // 2 rows (the head).
 
         So a word's head is its prefix's: the head rows are reduced once
         for each run whose prefix's head differs from the run before, and
         each word reduces only its other rows, into a copy of that state.
         This is :meth:`reduce` in one loop, with the lead lookup and the
-        add inlined.
-
-        A run whose words start with the zero word and then E, the unit
-        at the last diagonal cell, lists the span of trailing generators
-        that ends with E, so its words come in groups of q that differ
-        only in E's coefficient; the words after its last whole group,
-        and those of every other run, are groups of one. Only a group's
-        first word M = [[A, c], [c*, d]] is reduced, and where its last
-        row (c*, d) stops counts the whole group. Where that row joins at
-        a column before the last, every word of the group gains one rank
-        on [A | c]. Otherwise (c*, d) is nu e_last modulo the rows of
-        [A | c], e_last the unit row of the last column; the group's last
-        rows are (c*, x) for x in d + GF(q) = GF(q), and the word of x =
-        d - nu keeps the rank of [A | c] while the others gain one (a
-        group of one keeps it exactly when nu = 0). That x lies in GF(q)
-        because the words are Hermitian: (c*, d - nu) = y [A | c] for
-        some y, so c* = yA, hence c = Ay* as A = A*, and d - nu = yc =
-        yAy*, a 1 x 1 Hermitian matrix, which conjugation fixes. Nor is
-        a row of [A | c]'s span led by the last column, where the last
-        row would reduce on to zero: such a row z [A | c] has zA = 0 and
-        zc != 0, yet zc = zAy* = 0. The words of a :class:`LinearCode`
-        are Hermitian, as its basis holds coordinates. The rule is
-        elimination on each group's own rows, not a closed form, so this
-        route stays apart from the eigenvalue and transform routes.
+        add inlined. Each word is ranked by itself: where a code holds E,
+        :func:`rank_counts` hands the whole cosets of W to
+        :meth:`count_cosets` and only the other points to this loop.
         """
         t, p, w1, carry, top = self.t, self.p, self.w - 1, self.carry, self.top
-        q = self.field.q
         bits = self.row_bits
         row_mask = (1 << bits) - 1
         half = t // 2
         head_mask = (1 << (half * bits)) - 1
         head_shifts = range(0, half * bits, bits)
         tail_shifts = tuple(range(half * bits, t * bits, bits))
-        first_of_group = [0, 1 << (t * t - 1) * self.cell_bits]  # 0, E
         leads, lead_of, reduce = self._lead, self._lead_of, self.reduce
         xor = p == 2
         counts = [0] * (t + 1)
-        last = state = joined = listed = groups = None
+        last = state = joined = None
         for prefix, words in runs:
             if prefix & head_mask != last:
                 last = prefix & head_mask
                 state = [0] * t
                 joined = reduce(prefix, head_shifts, state)
-            if words is not listed:  # most runs list the same words
-                listed = words
-                size = q if words[:2] == first_of_group else 1
-                whole = len(words) - len(words) % size
-                groups = ((words[:whole:size], size), (words[whole:], 1))
-            for group, g in groups:
-                for word in group:
-                    if xor:
-                        word ^= prefix
-                    else:
-                        s = prefix + word
-                        word = s - (((s + carry) & top) >> w1) * p
-                    basis = state[:]
-                    r = joined
-                    for shift in tail_shifts:
-                        row = (word >> shift) & row_mask
-                        while row:
-                            try:
-                                col, scaled, negated = leads[row]
-                            except KeyError:
-                                col, scaled, negated = lead_of(row)
-                            b = basis[col]
-                            if not b:
-                                basis[col] = negated
-                                r += 1
-                                break
-                            if xor:
-                                row = scaled ^ b
-                            else:
-                                s = scaled + b
-                                row = s - (((s + carry) & top) >> w1) * p
-                    # row and col: where the last row stopped
-                    if g > 1 and (not row or col == t - 1):  # nu e_last
-                        r -= row != 0  # the rank of the rows above
-                        counts[r] += 1  # the word of x = d - nu
-                        counts[r + 1] += g - 1
-                    else:
-                        counts[r] += g
+            for word in words:
+                if xor:
+                    word ^= prefix
+                else:
+                    s = prefix + word
+                    word = s - (((s + carry) & top) >> w1) * p
+                basis = state[:]
+                r = joined
+                for shift in tail_shifts:
+                    row = (word >> shift) & row_mask
+                    while row:
+                        try:
+                            col, scaled, negated = leads[row]
+                        except KeyError:
+                            col, scaled, negated = lead_of(row)
+                        b = basis[col]
+                        if not b:
+                            basis[col] = negated
+                            r += 1
+                            break
+                        if xor:
+                            row = scaled ^ b
+                        else:
+                            s = scaled + b
+                            row = s - (((s + carry) & top) >> w1) * p
+                counts[r] += 1
+        return counts
+
+    def count_cosets(self, words, lasts: list[int], w: int) -> list[int]:
+        """counts[r]: the words of rank r in the cosets M + W, for each word
+        M of ``words``, where W, of dimension w, holds E and lies in L (see
+        :func:`_enumeration_basis`), and ``lasts`` are the last rows of a
+        basis of W over GF(p) less E's multiples (see :meth:`enumeration`).
+
+        Write M = [[A, c0], [c0*, d0]], A the top-left (t - 1)-block. Every
+        word of M + W has the block A, its last column runs over c0 + V,
+        V the last columns of W, and each such c comes with all q corners
+        d, as W holds E. Let r = rank A. If c lies in the column space of
+        A, c = Ay, the word [[A, c], [c*, d]] has rank r for d = y*Ay and
+        r + 1 for the q - 1 other d. That one d lies in GF(q), since
+        y*Ay is a 1 x 1 Hermitian matrix (A = A*), and c* = y*A, so the
+        last row (c*, d) is a combination of the rows above it exactly for
+        that d. Otherwise the rows of [A | c] have rank r + 1, and the last
+        row is no combination of them, whatever d: (c*, d) = z [A | c]
+        would give c* = zA and c = Az*. So the q |V| words of the coset
+        hold n of rank r, n (q - 1) of rank r + 1 and (|V| - n) q of rank
+        r + 2, where n = |(c0 + V) ∩ col A|.
+
+        c lies in col A exactly when c* lies in A's row space, so when
+        :meth:`residue` takes c* to zero against A's reduced rows. The
+        residue is linear, so (c0 + V) ∩ col A is empty unless c0*'s
+        residue lies in the span of V*'s residues over GF(p), and is
+        otherwise a coset of V ∩ col A, the residues' kernel in V: n =
+        p^(dim V - rank of the residues), dimensions over GF(p). One
+        reduction of A decides the q |V| words. It is elimination on the
+        coset's own rows, not a closed form, so this route stays apart
+        from the eigenvalue and transform routes.
+        """
+        t, p, q = self.t, self.p, self.field.q
+        bits = self.row_bits
+        block = (1 << (t - 1) * self.cell_bits) - 1  # a row's first t - 1 cells
+        shifts = range(0, (t - 1) * bits, bits)
+        last = (t - 1) * bits
+        size = q ** (w - 1)  # |V|
+        reduce, residue, join = self.reduce, self.residue, self.join
+        counts = [0] * (t + 1)
+        for word in words:
+            basis = [0] * t
+            r = reduce(word, shifts, basis, block)
+            if r == t - 1:  # col A is everything
+                n = size
+            else:
+                spanned: dict[int, int] = {}
+                for v in lasts:
+                    join(residue(v, basis), spanned)
+                inside = not join(residue((word >> last) & block, basis),
+                                  spanned)
+                n = p ** (len(lasts) - len(spanned)) if inside else 0
+            counts[r] += n
+            counts[r + 1] += n * (q - 1)
+            if n < size:
+                counts[r + 2] += (size - n) * q
         return counts
 
 
@@ -613,10 +799,10 @@ def _point_runs(scaled: list[list[int]], lo: int, hi: int, add,
     (prefix, words) pairs: add(prefix, w) for each w of the words.
 
     ``scaled[j][d]`` is generator j times the d-th subfield element, and
-    ``run`` (see :func:`_run`) lists L, the span of the last n generators.
+    ``run`` (see :func:`_run`) lists S, the span of the last n generators.
     The points led by one of the others, the lead, are the lead's own
-    points in kernel order, each followed by every word of L. The points
-    led by one of the last n are that generator plus a leading slice of L,
+    points in kernel order, each followed by every word of S. The points
+    led by one of the last n are that generator plus a leading slice of S,
     the span of the generators after it.
     """
     n, listed = run
@@ -650,6 +836,22 @@ def _points(scaled: list[list[int]], lo: int, hi: int, add):
         for prefix, words in _point_runs(scaled, lo, hi, add, run))
 
 
+def _point(scaled: list[list[int]], point: int, add) -> int:
+    """The word of one point of ``scaled``, in kernel order: its lead plus
+    one multiple of each generator after it, the last one's multiple
+    picked by the lowest base-q digit of the point's place in its block."""
+    k, q = len(scaled), len(scaled[0])
+    j = 0
+    while point >= q ** (k - 1 - j):
+        point -= q ** (k - 1 - j)
+        j += 1
+    word = scaled[j][1]
+    for multiples in reversed(scaled[j + 1:]):
+        point, digit = divmod(point, q)
+        word = add(word, multiples[digit])
+    return word
+
+
 def _check_enumeration(code: LinearCode, guard: int | None) -> None:
     """Refuse before any word is built: more words than the guard, or
     words of more cells than the guard (a code file without generators
@@ -666,25 +868,36 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     The kernel order is the zero word, then every word whose first nonzero
     coefficient is 1 (a point) followed by its q - 2 other nonzero
     subfield multiples, in ascending subfield index order. The points are
-    word indices of the code's basis (see :func:`codeword_from_index`):
-    those whose first nonzero coefficient is the first generator's, in
-    index order, then those whose is the second's, and so on.
-    Scaling by GF(q)* keeps the rank, so each point is ranked once and
+    word indices of the enumeration basis (see :func:`_enumeration_basis`;
+    :func:`codeword_from_index` decodes those of the code's basis), which
+    is the code's basis unless the code holds E, the unit at the last
+    diagonal cell: those whose first nonzero coefficient is the first
+    generator's, in index order, then those whose is the second's, and so
+    on. Scaling by GF(q)* keeps the rank, so each point is ranked once and
     counts for the multiples the range holds. Each generator is packed
-    from its basis row with all q multiples. The generators with a
-    nonzero head lead that basis and the others span K, the words whose
-    top t // 2 rows are zero, so the points of each coset h + K are one
-    contiguous run of that order: their head rows are reduced once, and
-    each point reduces only its other rows. The walk lists L, the span of
-    K's last generators (at most ``_RUN_LIMIT`` words, or q if more),
-    once: each point of the generators before them is followed by every
-    word of L, and a point led by one of L's generators is that generator
-    plus a leading slice of L (see :func:`_point_runs`). Where the basis
-    ends with E, the unit at the last diagonal cell, one reduction of a
-    point's last row ranks the q consecutive points that differ only in
-    E's coefficient (the rule and its proof: :meth:`_Packing.count_ranks`).
-    The guard applies to the whole code, so every split of [0, q^k) into
-    ranges is refused or counted alike.
+    from its basis row with all q multiples, once per basis (see
+    :meth:`_Packing.enumeration`).
+
+    Where the code holds E, the last w generators span W, the words of the
+    code on the last column and the last diagonal cell, so the points of
+    each coset M + W outside W are q^w consecutive points, and the cosets'
+    first points M are the points of the generators before W. A coset the
+    range holds whole is counted by one reduction of its top-left block
+    (the rule and its proof: :meth:`_Packing.count_cosets`). The points of
+    a coset the range cuts, and those of W, are ranked one by one.
+
+    Those are ranked in runs: the generators after the last one with a
+    nonzero head (top t // 2 rows) span K, words of zero head, so the
+    points that differ only in K's coefficients are contiguous, their head
+    rows are reduced once, and each point reduces only its other rows.
+    In a code's basis the generators with a nonzero head lead, so for a
+    code without E, K is every zero-head word. The walk lists S, the span
+    of K's last generators (at most
+    ``_RUN_LIMIT`` words, or q if more), once: each point of the
+    generators before them is followed by every word of S, and a point led
+    by one of S's generators is that generator plus a leading slice of S
+    (see :func:`_point_runs`). The guard applies to the whole code, so
+    every split of [0, q^k) into ranges is refused or counted alike.
     """
     _check_enumeration(code, guard)
     if not 0 <= start <= stop <= code.size:
@@ -695,20 +908,27 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     if first >= stop:
         return [int(start == 0 < stop)] + [0] * t
     pk = _packing(code.field, t)
+    add = pk.add
+    scaled, n_head, w, lasts = pk.enumeration(code.basis)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
-    head = t * t - (t - t // 2) ** 2  # coordinates of the top t // 2 rows
-    n_head = sum(any(row[:head]) for row in code.basis)
-    scaled, add = pk.generators(code.basis), pk.add
+    size, outer = q ** w, len(scaled) - w
+    # the cosets of W outside W the range holds whole
+    a, b = -(-lo // size), min(hi // size, (q ** outer - 1) // m)
+    counts = [0] * (t + 1)
+    pieces = [(lo, hi)]
+    if w and a < b:
+        counts = pk.count_cosets(_points(scaled[:outer], a, b, add), lasts, w)
+        pieces = [(lo, a * size), (b * size, hi)]
     run = _run(scaled[n_head:], add, _RUN_LIMIT)  # words of K only
-    runs = _point_runs(scaled, lo, hi, add, run)
-    first_run = next(runs)  # its first word is point lo
-    counts = [n * m for n in pk.count_ranks(chain([first_run], runs))]
+    ranked = pk.count_ranks(chain.from_iterable(
+        _point_runs(scaled, x, y, add, run) for x, y in pieces if x < y))
+    counts = [(x + y) * m for x, y in zip(counts, ranked)]
     counts[0] += start == 0
     # the first and last points touched may have multiples outside the range
-    last_run = next(_point_runs(scaled, hi - 1, hi, add, run))
-    for (prefix, words), outside in ((first_run, first - 1 - lo * m),
-                                     (last_run, hi * m - (stop - 1))):
-        counts[pk.rank(add(prefix, words[0]))] -= outside
+    for point, outside in ((lo, first - 1 - lo * m),
+                           (hi - 1, hi * m - (stop - 1))):
+        if outside:
+            counts[pk.rank(_point(scaled, point, add))] -= outside
     return counts
 
 

@@ -21,14 +21,16 @@ from .errors import CheckFailed
 # Fewest words worth a process of their own. Making a pipe and forking
 # take about 0.3 ms in the parent, and a child that counts one word has
 # answered and been reaped about 2.3-3 ms after the fork (medians of 200;
-# 2 vCPU, Python 3.11). The kernel ranks 2.7-20 M words/s (q=2 t=4 to
-# q=13 t=2, full spaces, best of 9), so a child's start-up costs as much
-# as ranking 8,000-60,000 words. A range of 2^13 words (0.4-3.0 ms) no
-# longer pays for its child: it breaks even at the slowest rate only.
-# A range of 2^15 words (1.6-12 ms) pays wherever the kernel ranks fewer
-# than about 11 M words/s, as at q=2, t=4, whose census still splits in
-# two, and the q=3, t=3 and q=13, t=2 censuses, whose halves would take
-# 2.2 and 0.7 ms, stay in one process.
+# 2 vCPU, Python 3.11). A child starts with an empty lead memo, and so
+# started the kernel counts half a census at 3.1-15.6 M words/s (q=13
+# t=2 to q=2 t=4, each whole coset of W by one reduction, best of 5
+# processes); with a warm memo, 25-260 M words/s. So a child's start-up
+# costs as much as counting 7,000-47,000 words cold, and a range of 2^15
+# words (2.1-10.6 ms cold) barely pays for it: the q=2, t=4 census still
+# splits in two and now takes 74.6 ms with --workers 2 against 69.2 ms
+# with one (medians of 11 runs), while the q=3, t=3 and q=13, t=2
+# censuses stay in one process. The constant bounds words, not
+# reductions, and is kept.
 MIN_WORDS_PER_PROCESS = 2 ** 15
 
 

@@ -23,6 +23,7 @@ from hrmc.cost import DEFAULT_GUARD, check_guard, value_words
 from hrmc.errors import (
     CheckFailed,
     EnumerationTooLarge,
+    NotHermitian,
     UsageError,
     shown,
 )
@@ -130,17 +131,19 @@ def test_workers_split_the_coset_walk(capsys, tmp_path, two_cpus, q, t):
 
 @pytest.mark.parametrize("q,t", [(13, 2), (3, 3), (4, 2)])
 def test_workers_split_a_group(capsys, two_cpus, q, t):
-    """Two workers cut the census inside a group of q points that differ
-    only in the last diagonal entry, which the kernel counts at once: the
-    last point of the first range and the first point of the second lie
-    in one group of block 0, whose points are the word indices q^(k-1) +
-    i, i < q^(k-1), grouped by i // q. The output is the same bytes as
-    one worker's."""
-    m = q - 1
+    """Two workers cut the census inside a coset of W, the matrices on
+    the last row and column (2t - 1 dimensions), whose q^(2t-1) points
+    the kernel counts at once when a range holds them whole: the last
+    point of the first range and the first point of the second lie in
+    one such coset, and the cosets of W are the first points of the
+    kernel order, q^(2t-1) to each point of the (t-1)-blocks. The output
+    is the same bytes as one worker's."""
+    m, size = q - 1, q ** (2 * t - 1)
     total = q ** (t * t)
     (_, cut), _ = _index_ranges(total, 2)
     last, first = (cut - 2) // m, (cut - 1) // m  # points either side
-    assert last // q == first // q and first < q ** (t * t - 1)
+    cosets = (q ** ((t - 1) ** 2) - 1) // m
+    assert last // size == first // size and first < cosets * size
     argv = ["count", "--q", str(q), "--t", str(t), "--format", "json"]
     rc1, out1, _ = run(capsys, argv + ["--workers", "1"])
     rc2, out2, _ = run(capsys, argv + ["--workers", "2"])
@@ -386,6 +389,29 @@ def test_code_file_reading_stops_at_the_guard(command):
     assert proc.stderr == ("error: cannot read code from /dev/zero: "
                            f"{DEFAULT_GUARD + 1} characters of a code file "
                            f"exceed the enumeration guard {DEFAULT_GUARD}\n")
+
+
+def test_a_refused_code_file_keeps_its_error_class(monkeypatch, tmp_path):
+    """read_code names the file in a refusal but keeps the class it was
+    raised with, so a library caller can catch it by name: a cell that is
+    not the conjugate of its mirror is NotHermitian, and a file longer
+    than the read bound is EnumerationTooLarge."""
+    obj = dual_code(codes.LinearCode(make_field(2, 1), 2, [])).to_jsonable()
+    rows = obj["generators"][0]["rows"]
+    rows[0][1], rows[1][0] = [1, 0], [0, 1]
+    path = write_json(tmp_path, obj)
+    with pytest.raises(NotHermitian) as info:
+        codefile.read_code(path)
+    assert str(info.value) == (
+        f"cannot read code from {path}: generators[0].rows[1][0]: not the "
+        "conjugate of generators[0].rows[0][1]")
+    monkeypatch.setattr(codefile, "DEFAULT_GUARD", 100)
+    path = write_json(tmp_path, {"padding": " " * 100}, "long.json")
+    with pytest.raises(EnumerationTooLarge) as info:
+        codefile.read_code(path, 10)
+    assert str(info.value) == (
+        f"cannot read code from {path}: 101 characters of a code file "
+        "exceed the enumeration guard 100")
 
 
 @pytest.mark.parametrize("via_env", [False, True])
@@ -1759,7 +1785,7 @@ def test_a_signal_ends_a_forked_count_with_one_line(signum, code, message):
     is left once the parent has exited."""
     proc = subprocess.Popen(
         [sys.executable, "-c", _SIGNAL_DRIVER, "count", "--q", "2", "--t",
-         "5", "--guard", "40000000", "--workers", "2"],
+         "6", "--guard", "100000000000", "--workers", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=_src_env())
     child = None
@@ -1786,7 +1812,7 @@ def test_a_killed_child_ends_the_count_while_the_parent_counts():
     5 s, before it has counted its own range, and no process is left."""
     proc = subprocess.Popen(
         [sys.executable, "-c", _SIGNAL_DRIVER, "count", "--q", "2", "--t",
-         "5", "--guard", "40000000", "--workers", "2"],
+         "6", "--guard", "100000000000", "--workers", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=_src_env())
     child = None

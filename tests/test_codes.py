@@ -3,6 +3,7 @@
 import random
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,14 +219,31 @@ def _heads(code):
                for g in code.generators)
 
 
+def _w_dim(code):
+    """The dimension of W, the words of the code whose top-left (t - 1)
+    block is zero (so they lie on the last row and column), where the
+    code holds E, the unit at the last diagonal cell; 0 where it does not.
+    Counted word by word."""
+    t, q = code.t, code.field.q
+    inside = [word for word in enumerate_codewords(code)
+              if not any(x.index for row in word.entries[:t - 1]
+                         for x in row[:t - 1])]
+    if _unit_matrices(code.field, t)[-1] not in inside:
+        return 0
+    w = 0
+    while q ** w < len(inside):
+        w += 1
+    assert q ** w == len(inside)
+    return w
+
+
 def _coset_cuts(code):
-    """Kernel indices at every boundary of a coset of K (the points of a
-    block past the head generators count as one coset), one index either
-    side of it, one inside its first group of q - 1 multiples, and one in
-    the middle of the coset; and at every boundary of a group of q points
-    that differ only in the last generator's coefficient (the kernel's
-    groups, where that generator is the last diagonal unit E) and one
-    index either side of it."""
+    """Kernel indices at every boundary of a coset of K in the code's
+    basis (the points of a block past the head generators count as one
+    coset), one index either side of it, one inside its first group of
+    q - 1 multiples, and one in the middle of the coset; and, where the
+    code holds E, the same at every boundary of a coset M + W of W (see
+    :func:`_w_dim`), whose q^w points the kernel walks in a row."""
     q, k, m = code.field.q, code.k, code.field.q - 1
     heads = _heads(code)
     cuts, first = set(), 0
@@ -235,9 +253,12 @@ def _coset_cuts(code):
         for point in range(first, first + block, step):
             cuts.update(1 + point * m + d for d in (-1, 0, 1, m // 2))
             cuts.add(1 + (point + step // 2) * m)
-        for point in range(first, first + block, q):
-            cuts.update(1 + point * m + d for d in (-1, 0, 1))
         first += block
+    w = _w_dim(code)
+    if w:
+        cosets = (q ** (k - w) - 1) // m  # the points before W's own
+        for point in range(0, (cosets + 1) * q ** w, q ** w):
+            cuts.update(1 + point * m + d for d in (-1, 0, 1, m // 2))
     return sorted(a for a in cuts if 0 < a < code.size)
 
 
@@ -247,17 +268,17 @@ def _coset_cuts(code):
 def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
     """With a packing's lead memo starting over at 2 entries, and the
     listed span of K at the default ``_RUN_LIMIT`` or cut to one
-    generator (a single group of q words where that generator is E, the
-    unit at the last diagonal cell), rank_counts equals a count through
-    hermitian_space.rank, whole and as the sum of the ranges between all
-    the cuts of _coset_cuts, every group boundary among them. The codes:
-    one whose head map is injective (dim K = 0, for t >= 2), one whose K
-    has at least two dimensions where t >= 3, more words than the cut run
-    lists, and one of up to 256 words, whose cosets' prefixes are summed
-    over several generators; at t >= 2 also two of up to 256 words below
-    the whole space, one holding E, counted q words at a time, and one
-    without E, counted a word at a time; at t = 1 the head is empty and K
-    is the whole code."""
+    generator, rank_counts equals a count through hermitian_space.rank,
+    whole and as the sum of the ranges between all the cuts of
+    _coset_cuts. The codes: one whose head map is injective (dim K = 0,
+    for t >= 2), one whose K has at least two dimensions where t >= 3,
+    more words than the cut run lists, and one of up to 256 words, whose
+    cosets' prefixes are summed over several generators; at t >= 2 also
+    two of up to 256 words below the whole space, one holding E, the unit
+    at the last diagonal cell, whose whole cosets of W are counted by one
+    reduction of their top-left block each, and one without E, counted a
+    point at a time; at t = 1 the head is empty and K is the whole
+    code."""
     codes._packing.cache_clear()  # each memo starts empty, as it starts over
     monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
     field = make_field(p, m)
@@ -290,16 +311,19 @@ def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
 
 
 def test_a_cut_run_limit_bounds_every_list(monkeypatch):
-    """``_RUN_LIMIT`` is read on each count. The whole space at q=2, t=3
-    has 5 head generators, then 4 spanning K. At the default limit the
-    kernel is handed all 16 words of K, and one level down the 31 points
-    of the head generators are walked over a list of 16 of their span.
-    Cut to q, every list holds one generator's q words, whether handed
-    to ``count_ranks`` or built a level down, so the walk goes down one
-    level per generator. The counts are the same either way."""
+    """``_RUN_LIMIT`` is read on each count. The code of every matrix at
+    q=2, t=3 whose last diagonal cell is zero (so it lacks E, and is
+    counted point by point) has 5 head generators, then 3 spanning K. At
+    the default limit the kernel is handed all 8 words of K, and one
+    level down the 31 points of the head generators are walked over a
+    list of 16 of their span. Cut to q, every list holds one generator's
+    q words, whether handed to ``count_ranks`` or built a level down, so
+    the walk goes down one level per generator. The counts are the same
+    either way."""
     field = make_field(2, 1)
-    space = dual_code(make_code(field, 3, []))
-    want = _space_counts(field, 3)
+    code = codes.LinearCode(field, 3,
+                            dual_code(make_code(field, 3, [])).basis[:-1])
+    want = _counts_by_rank(code)
     real_count, real_run = codes._Packing.count_ranks, codes._run
     real_points = codes._points
     handed, listed, walked = [], [], []
@@ -321,49 +345,67 @@ def test_a_cut_run_limit_bounds_every_list(monkeypatch):
     monkeypatch.setattr(codes._Packing, "count_ranks", count_ranks)
     monkeypatch.setattr(codes, "_run", run)
     monkeypatch.setattr(codes, "_points", points)
-    for limit, most, levels in ((codes._RUN_LIMIT, 16, [1, 5]),
-                                (2, 2, list(range(1, 9)))):
+    for limit, most, levels in ((codes._RUN_LIMIT, (8, 16), [1, 5]),
+                                (2, (2, 2), list(range(1, 8)))):
         monkeypatch.setattr(codes, "_RUN_LIMIT", limit)
         del handed[:], listed[:], walked[:]
-        assert rank_counts(space, 0, space.size) == want
-        assert max(handed) == max(listed) == most
+        assert rank_counts(code, 0, code.size) == want
+        assert (max(handed), max(listed)) == most
         assert sorted(set(walked)) == levels
 
 
 @pytest.mark.parametrize("p,m,t,dim_k", [(2, 1, 3, 0), (2, 1, 3, 2),
                                          (3, 1, 2, 0), (3, 1, 3, 2),
                                          (2, 2, 2, 0), (2, 2, 3, 2),
-                                         (5, 1, 2, 0), (5, 1, 3, 2)])
+                                         (5, 1, 2, 0), (5, 1, 3, 2),
+                                         (2, 1, 3, None), (3, 1, 3, None),
+                                         (2, 2, 2, None), (5, 1, 2, None)])
 def test_kernel_order_walks_the_code_basis(p, m, t, dim_k):
     """Kernel index 0 is the zero word, and index 1 + P(q - 1) + d is the
-    d-th nonzero multiple of point P, as codeword_from_index decodes it.
-    The points are the codeword indices whose leading base-q digit is 1,
-    those of k digits first, then those of k - 1 digits and so on, each
-    length in ascending order. So each one-index range counts one word, at
-    the rank of its point. The codes: one whose K is zero, and one whose K
-    has at least two dimensions."""
+    d-th nonzero multiple of point P of the enumeration basis, decoded as
+    codeword_from_index decodes a code's basis. The points are the word
+    indices whose leading base-q digit is 1, those of k digits first, then
+    those of k - 1 digits and so on, each length in ascending order. So
+    each one-index range counts one word, at the rank of its point. The
+    enumeration basis is the code's basis, except where the code holds E
+    (dim_k None), the unit at the last diagonal cell: there it spans the
+    code and ends with the w rows that span W, the words on the last row
+    and column, E last. The codes: one whose K is zero, one whose K has
+    at least two dimensions, and one that holds E, with rows led on the
+    last column that go on off it at t = 3."""
     field = make_field(p, m)
     q = field.q
-    if dim_k:
-        code = _with_zero_head(field, t, dim_k, 1, seed=q)
+    if dim_k is None:
+        code = _code_with_v(field, t, 1, 0)
+        rows, w = codes._enumeration_basis(field, t, code.basis)
+        assert codes.LinearCode(field, t, rows) == code
+        assert w == _w_dim(code) and rows[-1] == code.basis[-1]
+        assert (rows != list(code.basis)) == (t == 3)
+        basis = SimpleNamespace(field=field, t=t, basis=rows, size=code.size)
+        assert all(not any(x.index for row in word.entries[:t - 1]
+                           for x in row[:t - 1])
+                   for word in enumerate_codewords(codes.LinearCode(
+                       field, t, rows[len(rows) - w:])))
+    elif dim_k:
+        code = basis = _with_zero_head(field, t, dim_k, 1, seed=q)
         assert code.k - _heads(code) >= dim_k
     else:
-        code = next(c for seed in range(20)
-                    if _heads(c := _random_code(field, t, 3, seed)) == 3)
+        code = basis = next(c for seed in range(20) if _heads(
+            c := _random_code(field, t, 3, seed)) == 3)
     points = [i for n in reversed(range(code.k))
               for i in range(q ** n, 2 * q ** n)]
     order = [0, *(point for point in points for _ in range(q - 1))]
     assert len(order) == code.size
     for a, index in enumerate(order):
         counts = [0] * (t + 1)
-        counts[rank(codeword_from_index(code, index))] = 1
+        counts[rank(codeword_from_index(basis, index))] = 1
         assert rank_counts(code, a, a + 1) == counts, a
 
 
 def _space_counts(field, t):
     """The ranks of every t x t Hermitian matrix, each built cell by cell
     and ranked by hermitian_space.rank_of_rows: no packing, no basis and
-    no groups."""
+    no cosets."""
     conj = [field.conj_index(x) for x in range(field.order)]
     upper = [(i, j) for i in range(t) for j in range(i + 1, t)]
     counts = [0] * (t + 1)
@@ -384,20 +426,80 @@ def _space_counts(field, t):
                                    (3, 2, 1), (3, 2, 2)])
 def test_full_space_groups_match_per_word_elimination(p, m, t):
     """The basis of the whole space ends with E, the unit at the last
-    diagonal cell, so the kernel counts it q words at a time; that count
-    equals the ranks of all q^(t^2) matrices by elimination. (At t = 3,
-    q = 4 has 2^18 matrices and q >= 5 at least 5^9, more than this
-    reference ranks in a second.)"""
+    diagonal cell, so the kernel counts each coset of W, the words on the
+    last row and column, by one reduction of its top-left block; that
+    count equals the ranks of all q^(t^2) matrices by elimination. (At
+    t = 3, q = 4 has 2^18 matrices and q >= 5 at least 5^9, more than
+    this reference ranks in a second.)"""
     field = make_field(p, m)
     space = dual_code(make_code(field, t, []))
     assert space.generators[-1] == _unit_matrices(field, t)[-1]
     assert rank_counts(space, 0, space.size) == _space_counts(field, t)
 
 
+def _code_with_v(field, t, dim_v, seed):
+    """A code that holds E, the unit at the last diagonal cell, whose V,
+    the last columns of its words on the last row and column, has dim_v
+    dimensions over GF(q): it holds dim_v units of the last column, or,
+    at t = 3 below the whole last column, dim_v - 1 of them and two
+    matrices, each a last-column unit plus the unit on the diagonal above
+    the last. Their basis rows lead on the last column and go on off it;
+    where dim_v is 1 the kernel reduces them again into one row off the
+    last column and one of W. A random matrix too, so that W has cosets
+    besides itself, where q < 4 and where those two matrices are not
+    there."""
+    units = _unit_matrices(field, t)
+    # row i's diagonal coordinate is i(2t - i); its last pair ends row i
+    column = [units[c] for i in range(t - 1)
+              for c in (i * (2 * t - i) + 2 * (t - 1 - i) - 1,
+                        i * (2 * t - i) + 2 * (t - 1 - i))]
+    start = [units[-1]]
+    if t == 3 and dim_v < 2 * (t - 1):
+        diagonal = units[(t - 2) * (t + 2)]
+        start += column[1:dim_v] + [column[0] + diagonal,
+                                    column[dim_v] + diagonal]
+    else:
+        start += column[:dim_v]
+    extra = int(field.q < 4 or t == 2 or dim_v == 2 * (t - 1))
+    return _random_code(field, t, make_code(field, t, start).k + extra, seed,
+                        start=start)
+
+
+@pytest.mark.parametrize("p,m,t", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3),
+                                   (2, 2, 2), (2, 2, 3), (5, 1, 2)])
+def test_the_last_row_and_column_rule_matches_elimination(monkeypatch, p, m,
+                                                          t):
+    """Codes that hold E whose V has each dimension from 0 to 2(t - 1):
+    rank_counts, which counts each whole coset of W by one reduction of
+    its top-left block, equals a count through enumerate_codewords and
+    hermitian_space.rank, whole and as the sum of the ranges between the
+    cuts of _coset_cuts (every boundary of a coset of W, one index either
+    side of it and one inside its first multiples), with the lead memo
+    starting over at 2 entries and the listed span of K at the default
+    ``_RUN_LIMIT`` or cut to q words."""
+    codes._packing.cache_clear()
+    monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
+    field = make_field(p, m)
+    for dim_v in range(2 * (t - 1) + 1):
+        code = next(c for seed in range(20)
+                    if _w_dim(c := _code_with_v(field, t, dim_v, seed))
+                    == dim_v + 1)
+        assert code.k > dim_v + 1  # some coset of W outside W
+        whole = _counts_by_rank(code)
+        cuts = [0, *_coset_cuts(code), code.size]
+        for limit in (codes._RUN_LIMIT, field.q):
+            monkeypatch.setattr(codes, "_RUN_LIMIT", limit)
+            assert rank_counts(code, 0, code.size) == whole, dim_v
+            parts = [rank_counts(code, a, b) for a, b in zip(cuts, cuts[1:])]
+            assert [sum(column) for column in zip(*parts)] == whole, dim_v
+
+
 def test_census_at_q13_t2_meets_few_new_leads(monkeypatch):
-    """Each group of 13 words reduces its last row once, so the q=13, t=2
-    census finds the lead of fewer than 1 000 new rows (2 508 when every
-    word reduces its own last row)."""
+    """The q=13, t=2 census decides the 26 364 words outside W, the words
+    on the last column and the last diagonal cell, by one reduction of
+    their 1 x 1 top-left block, and ranks W's 183 points one by one, so
+    it finds the lead of 196 new rows (504 when each group of 13 words
+    reduced its last row once, 2 508 when every word reduced its own)."""
     codes._packing.cache_clear()  # no lead known from an earlier count
     calls = []
     real_lead_of = codes._Packing._lead_of
@@ -405,7 +507,7 @@ def test_census_at_q13_t2_meets_few_new_leads(monkeypatch):
                         calls.append(row) or real_lead_of(self, row))
     space = dual_code(make_code(make_field(13, 1), 2, []))
     assert rank_counts(space, 0, space.size) == [1, 2040, 26520]
-    assert len(calls) < 1000
+    assert len(calls) == 196
 
 
 def test_consecutive_counts_share_the_lead_memo(monkeypatch):
@@ -429,14 +531,18 @@ def test_consecutive_counts_share_the_lead_memo(monkeypatch):
 
 
 def test_full_space_reduces_each_head_once(monkeypatch):
-    """The 65 536 matrices at q=2, t=4 fall into 4 096 cosets of their
-    zero-head subcode K: the basis has 12 generators with a nonzero cell
-    in the top two rows and, after them, 4 spanning K. So the kernel
-    reduces the top two rows 4 096 times, not once per word; only the
-    range's two end points reduce all four rows at once. It counts from
-    the code's basis as it stands, reducing no coordinates again, and
-    neither building the space nor counting it makes a field element or
-    a matrix object."""
+    """The 65 536 matrices at q=2, t=4: the whole space holds E, and W, its
+    words on the last column and the last diagonal cell, has 7
+    dimensions. So the 65 408 words outside W fall into 511 cosets of W
+    (one per point of the 9 generators before W), and the kernel reduces
+    the top-left 3 x 3 block once per coset, not once per word. The 127
+    points of W are ranked one by one: the last 3 generators of W (the
+    entry (2, 3) and E) have zero top two rows, so those two rows are
+    reduced 16 times, once per run of points that differ only there, and
+    the range has no edge point with multiples outside it to rank. It
+    counts from the code's basis as it stands, reducing no coordinates
+    again, and neither building the space nor counting it makes a field
+    element or a matrix object."""
     field = make_field(2, 1)
     zero = make_code(field, 4, [])
     for cls in (FieldElement, HermitianMatrix):
@@ -447,14 +553,14 @@ def test_full_space_reduces_each_head_once(monkeypatch):
     reduced = []
     real_reduce = codes._Packing.reduce
 
-    def recording(self, word, shifts, basis):
+    def recording(self, word, shifts, basis, mask=None):
         reduced.append(len(shifts))
-        return real_reduce(self, word, shifts, basis)
+        return real_reduce(self, word, shifts, basis, mask)
 
     monkeypatch.setattr(codes._Packing, "reduce", recording)
     assert rank_counts(space, 0, space.size) == [1, 85, 3570, 23800, 38080]
-    assert (reduced.count(2), reduced.count(4), len(reduced)) == (4096, 2,
-                                                                  4098)
+    assert (reduced.count(3), reduced.count(2), len(reduced)) == (511, 16,
+                                                                  527)
     monkeypatch.undo()
     assert _heads(space) == 12 and not any(
         x.index for g in space.generators[12:] for row in g.entries[:2]
