@@ -41,22 +41,21 @@ one of S's generators are that generator plus a leading slice of S.
 ``_Packing``, written apart from ``hermitian_space.rank_of_rows``. It
 ranks only the words whose first nonzero coefficient is 1. Where the
 code holds E, the unit at the last diagonal cell, the enumeration basis
-ends with the rows that span W, the code's words on the last row and
-column, so each coset of W is a run of the order. The words of a coset
-share their top-left (t - 1)-block A, and one reduction of A, with an
-elimination over GF(p) that counts the coset's last columns in the
+ends with the basis rows that lie on the last row and column, E last,
+which span W, so each coset of W is a run of the order. The words of a
+coset share their top-left (t - 1)-block A, and one reduction of A, with
+an elimination over GF(p) that counts the coset's last columns in the
 column space of A, ranks all of them (``_Packing.count_cosets`` states
 that rule and proves it). Any other point, and every point of a code
 without E, is ranked by itself, the head rows reduced once per run of
 points of one coset h + K.
 
-An enumeration packs each generator from its basis row once per code
-(see ``_Packing.enumeration``), and lists at most ``_RUN_LIMIT`` words
-of K (or q, if more), shared by every coset; a level down lists at most
-min(points it walks, ``_RUN_LIMIT``) words of its own trailing span (or
-q, if more). The packing's memos fill as words need them and stay
-bounded (see ``_Packing``). :func:`rank_counts` is what
-:func:`weight_distribution`,
+An enumeration packs the q multiples of each generator from its basis
+row, and lists at most ``_RUN_LIMIT`` words of K (or q, if more), shared
+by every coset; a level down lists at most min(points it walks,
+``_RUN_LIMIT``) words of its own trailing span (or q, if more). The
+packing's memos fill as words need them and stay bounded (see
+``_Packing``). :func:`rank_counts` is what :func:`weight_distribution`,
 :func:`min_distance` and the CLI (census, ``wd`` and every ``--workers``
 process) count with, and ranges of [0, q^k) split anywhere add up to the
 whole distribution.
@@ -328,23 +327,18 @@ def dual_code(code: LinearCode) -> LinearCode:
     return dual
 
 
-def _enumeration_basis(field: Field, t: int,
-                       basis) -> tuple[list[tuple[int, ...]], int]:
-    """(rows, w): the basis the kernel enumerates, and the dimension of
-    the span W of its last w rows.
+def _enumeration_basis(t: int, basis) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, w): the code's basis rows in the order the kernel enumerates
+    them, and the dimension of the span W of the last w.
 
     For a code that holds E, the unit at the last diagonal cell, so that
-    its basis ends with E, W = C ∩ L, where L is the words supported on
-    the last column and the last diagonal cell (2t - 1 coordinates: the
-    last pair of each row above the last, and the last one); the rows
-    that span it end with E, and the others come first. Every other code
-    is enumerated on its basis as it stands, with w = 0.
-
-    The basis rows led in L that are zero off L lie in W already, E among
-    them. Only the other rows led in L are reduced again, with L's
-    coordinates last: those led in L after it join W, and the rest join
-    the rows led off L. So the full space, whose rows are unit vectors,
-    reduces nothing."""
+    its basis ends with E, the last w rows are those zero off L, the words
+    supported on the last column and the last diagonal cell (2t - 1
+    coordinates: the last pair of each row above the last, and the last
+    one), in their order, so E is last; the others come first, in theirs.
+    W then holds E and lies in L, which is all the rule of
+    :meth:`_Packing.count_cosets` asks of it. Every other code is
+    enumerated on its basis as it stands, with w = 0."""
     n = t * t
     if not basis or tuple(basis[-1]) != (0,) * (n - 1) + (1,):
         return list(basis), 0
@@ -352,21 +346,9 @@ def _enumeration_basis(field: Field, t: int,
     cut = {c for i in range(1, t) for c in (i * (2 * t - i) - 2,
                                             i * (2 * t - i) - 1)} | {n - 1}
     off = [c for c in range(n) if c not in cut]
-    front, inside, mixed = [], [], []
+    front, inside = [], []
     for row in basis:
-        if row.index(1) not in cut:  # each row leads with 1
-            front.append(tuple(row))
-        else:
-            (mixed if any(row[c] for c in off) else inside).append(tuple(row))
-    if mixed:
-        order = off + sorted(cut)
-        back = sorted(range(n), key=order.__getitem__)
-        reduced, pivots = _rref(field, [[row[c] for c in order]
-                                        for row in mixed])
-        rows = [tuple(row[b] for b in back) for row in reduced]
-        led_off = sum(c < len(off) for c in pivots)
-        front += rows[:led_off]
-        inside[:0] = rows[led_off:]
+        (front if any(row[c] for c in off) else inside).append(tuple(row))
     return front + inside, len(inside)
 
 
@@ -404,13 +386,11 @@ class _Packing:
     conversion memos need no cap: each is keyed by element indices or by
     the lanes of one, every lane below p, so it holds at most
     ``field.order`` entries, and no field is larger than
-    ``fields.MAX_FIELD_ORDER`` = 2^16. :meth:`enumeration` keeps what it
-    packed for the last basis it was given, and :func:`rank_counts` keeps
-    the packing of the last field and size it counted (see
-    :func:`_packing`), so consecutive enumerations over one field and
-    size, such as a code and its dual, share the memos, and the counts of
-    one code pack its basis once; none is kept on the field, so a pickled
-    field carries none of it.
+    ``fields.MAX_FIELD_ORDER`` = 2^16. :func:`rank_counts` keeps the
+    packing of the last field and size it counted (see :func:`_packing`),
+    so consecutive enumerations over one field and size, such as a code
+    and its dual, share the memos; none is kept on the field, so a
+    pickled field carries none of it.
     """
 
     def __init__(self, field: Field, t: int):
@@ -429,8 +409,6 @@ class _Packing:
         self._lanes: dict[int, int] = {}  # element index -> lanes, odd p
         self._indices: dict[int, int] = {}  # lanes -> element index, odd p
         self._lead: dict[int, tuple[int, int, int]] = {}
-        self._subfield = None  # see _subfield_basis
-        self._basis = self._enumeration = None  # see enumeration
 
     # -- cells and words --
 
@@ -491,80 +469,45 @@ class _Packing:
             c >>= 1
         return total
 
-    def _combinations(self, words: list[int]) -> list[int]:
-        """Every GF(p)-combination of the words, the last word's
-        coefficient varying fastest: p - 1 adds per multiple and one add
-        per combination."""
-        add, total = self.add, [0]
-        for word in words:
-            multiples = [0, word]
-            for _ in range(self.p - 2):
-                multiples.append(add(multiples[-1], word))
-            total = [add(x, y) for y in total for x in multiples]
-        return total
-
-    def _subfield_basis(self) -> tuple[list[int], list[int]]:
-        """(betas, order): the first m subfield elements, in index order,
-        that are independent over GF(p), so a basis of GF(q) over it, and,
-        for the d-th subfield element, the place in
-        ``_combinations([cell(b) for b in betas])`` of its lanes. For prime
-        q the basis is the one and order is the identity."""
-        if self._subfield is None:
-            field, cell = self.field, self.cell
-            betas, spanned = [], {0}
-            for x in field.subfield_indices():
-                if cell(x) not in spanned:
-                    betas.append(x)
-                    spanned = set(self._combinations([cell(b) for b in betas]))
-            place = {self.index(lanes): i for i, lanes in
-                     enumerate(self._combinations([cell(b) for b in betas]))}
-            self._subfield = betas, [place[x]
-                                     for x in field.subfield_indices()]
-        return self._subfield
-
     def generators(self, basis) -> list[list[int]]:
         """scaled[j][d]: the word of basis row j (subfield coordinates, see
         :func:`vectorize`) times the d-th subfield element, in ascending
         index order, so scaled[j][0] is zero and scaled[j][1] the word
-        itself. Each row is packed times each element of the subfield's
-        basis over GF(p) (just the one for prime q), and every multiple is
-        a GF(p)-combination of those words."""
+        itself."""
         field, t, bits = self.field, self.t, self.cell_bits
         mul, cell, theta = field.mul, self.cell, _theta_index(field)
-        betas, order = self._subfield_basis()
+        others = field.subfield_indices()[2:]
         scaled = []
         for row in basis:
-            words = [sum(cell(x) << pos * bits for pos, x in enumerate(
-                _grid(field, t, [mul(b, c) for c in row], theta)) if x)
-                for b in betas]
-            combinations = self._combinations(words)
-            scaled.append([combinations[i] for i in order])
+            cells = [(pos * bits, x) for pos, x
+                     in enumerate(_grid(field, t, row, theta)) if x]
+            scaled.append([0, sum(cell(x) << shift for shift, x in cells),
+                           *(sum(cell(mul(s, x)) << shift for shift, x in cells)
+                             for s in others)])
         return scaled
 
     def enumeration(self, basis):
-        """(scaled, n_head, w, lasts) for a code's basis, kept until
-        another basis is asked for: the enumeration basis's generators
-        (see :func:`_enumeration_basis` and :meth:`generators`), how many
-        of them lead up to the last with a nonzero top t // 2 rows (the
-        head), so the others span K, words of zero head, the dimension w
-        of W, the span of the last w, and the last rows (c*, 0) of a basis
-        over GF(p) of the words of W other than E's multiples: each of
-        W's generators but E times each subfield basis element."""
-        if basis != self._basis:
-            rows, w = _enumeration_basis(self.field, self.t, basis)
-            scaled = self.generators(rows)
-            t, bits = self.t, self.row_bits
-            head = (1 << (t // 2) * bits) - 1
-            n_head = max((j + 1 for j, multiples in enumerate(scaled)
-                          if multiples[1] & head), default=0)
-            block = (1 << (t - 1) * self.cell_bits) - 1
-            subfield = self.field.subfield_indices()
-            places = [subfield.index(b) for b in self._subfield_basis()[0]]
-            lasts = [(multiples[d] >> (t - 1) * bits) & block
-                     for multiples in scaled[len(scaled) - w:-1]
-                     for d in places]
-            self._basis, self._enumeration = basis, (scaled, n_head, w, lasts)
-        return self._enumeration
+        """(scaled, n_head, w, lasts) for a code's basis: the enumeration
+        basis's generators (see :func:`_enumeration_basis` and
+        :meth:`generators`), how many of them lead up to the last with a
+        nonzero top t // 2 rows (the head), so the others span K, words of
+        zero head, the dimension w of W, the span of the last w, and the
+        last rows (c*, 0) of a basis over GF(p) of the words of W other
+        than E's multiples: each of W's generators but E times each
+        element of a basis of GF(q) over GF(p)."""
+        rows, w = _enumeration_basis(self.t, basis)
+        scaled = self.generators(rows)
+        t, bits = self.t, self.row_bits
+        head = (1 << (t // 2) * bits) - 1
+        n_head = max((j + 1 for j, multiples in enumerate(scaled)
+                      if multiples[1] & head), default=0)
+        block = (1 << (t - 1) * self.cell_bits) - 1
+        spanned: dict[int, int] = {}
+        places = [d for d, x in enumerate(self.field.subfield_indices())
+                  if self.join(self.cell(x), spanned)]
+        lasts = [(multiples[d] >> (t - 1) * bits) & block
+                 for multiples in scaled[len(scaled) - w:-1] for d in places]
+        return scaled, n_head, w, lasts
 
     # -- rank --
 
@@ -875,16 +818,16 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     generator's, in index order, then those whose is the second's, and so
     on. Scaling by GF(q)* keeps the rank, so each point is ranked once and
     counts for the multiples the range holds. Each generator is packed
-    from its basis row with all q multiples, once per basis (see
-    :meth:`_Packing.enumeration`).
+    from its basis row with all q multiples.
 
-    Where the code holds E, the last w generators span W, the words of the
-    code on the last column and the last diagonal cell, so the points of
-    each coset M + W outside W are q^w consecutive points, and the cosets'
-    first points M are the points of the generators before W. A coset the
-    range holds whole is counted by one reduction of its top-left block
-    (the rule and its proof: :meth:`_Packing.count_cosets`). The points of
-    a coset the range cuts, and those of W, are ranked one by one.
+    Where the code holds E, the last w generators are its basis rows on
+    the last column and the last diagonal cell, E last, and span W, so the
+    points of each coset M + W outside W are q^w consecutive points, and
+    the cosets' first points M are the points of the generators before W.
+    A coset the range holds whole is counted by one reduction of its
+    top-left block (the rule and its proof: :meth:`_Packing.count_cosets`).
+    The points of a coset the range cuts, and those of W, are ranked one
+    by one.
 
     Those are ranked in runs: the generators after the last one with a
     nonzero head (top t // 2 rows) span K, words of zero head, so the

@@ -242,8 +242,9 @@ def _coset_cuts(code):
     basis (the points of a block past the head generators count as one
     coset), one index either side of it, one inside its first group of
     q - 1 multiples, and one in the middle of the coset; and, where the
-    code holds E, the same at every boundary of a coset M + W of W (see
-    :func:`_w_dim`), whose q^w points the kernel walks in a row."""
+    code holds E, the same at every boundary of a coset M + W of W, the
+    span of the enumeration basis's last w rows, whose q^w points the
+    kernel walks in a row."""
     q, k, m = code.field.q, code.k, code.field.q - 1
     heads = _heads(code)
     cuts, first = set(), 0
@@ -254,7 +255,7 @@ def _coset_cuts(code):
             cuts.update(1 + point * m + d for d in (-1, 0, 1, m // 2))
             cuts.add(1 + (point + step // 2) * m)
         first += block
-    w = _w_dim(code)
+    w = codes._enumeration_basis(code.t, code.basis)[1]
     if w:
         cosets = (q ** (k - w) - 1) // m  # the points before W's own
         for point in range(0, (cosets + 1) * q ** w, q ** w):
@@ -368,19 +369,19 @@ def test_kernel_order_walks_the_code_basis(p, m, t, dim_k):
     those of k - 1 digits and so on, each length in ascending order. So
     each one-index range counts one word, at the rank of its point. The
     enumeration basis is the code's basis, except where the code holds E
-    (dim_k None), the unit at the last diagonal cell: there it spans the
-    code and ends with the w rows that span W, the words on the last row
-    and column, E last. The codes: one whose K is zero, one whose K has
-    at least two dimensions, and one that holds E, with rows led on the
-    last column that go on off it at t = 3."""
+    (dim_k None), the unit at the last diagonal cell: there its w rows on
+    the last row and column, which span W, go last in their order, E
+    last, and the others keep theirs. The codes: one whose K is zero, one
+    whose K has at least two dimensions, and one that holds E."""
     field = make_field(p, m)
     q = field.q
     if dim_k is None:
         code = _code_with_v(field, t, 1, 0)
-        rows, w = codes._enumeration_basis(field, t, code.basis)
-        assert codes.LinearCode(field, t, rows) == code
+        rows, w = codes._enumeration_basis(t, code.basis)
         assert w == _w_dim(code) and rows[-1] == code.basis[-1]
-        assert (rows != list(code.basis)) == (t == 3)
+        tail = rows[len(rows) - w:]
+        assert rows == [r for r in code.basis if r not in tail] + tail
+        assert tail == [r for r in code.basis if r in tail]
         basis = SimpleNamespace(field=field, t=t, basis=rows, size=code.size)
         assert all(not any(x.index for row in word.entries[:t - 1]
                            for x in row[:t - 1])
@@ -440,29 +441,15 @@ def test_full_space_groups_match_per_word_elimination(p, m, t):
 def _code_with_v(field, t, dim_v, seed):
     """A code that holds E, the unit at the last diagonal cell, whose V,
     the last columns of its words on the last row and column, has dim_v
-    dimensions over GF(q): it holds dim_v units of the last column, or,
-    at t = 3 below the whole last column, dim_v - 1 of them and two
-    matrices, each a last-column unit plus the unit on the diagonal above
-    the last. Their basis rows lead on the last column and go on off it;
-    where dim_v is 1 the kernel reduces them again into one row off the
-    last column and one of W. A random matrix too, so that W has cosets
-    besides itself, where q < 4 and where those two matrices are not
-    there."""
+    dimensions over GF(q): it holds dim_v units of the last column, and a
+    random matrix, so that W has cosets besides itself."""
     units = _unit_matrices(field, t)
     # row i's diagonal coordinate is i(2t - i); its last pair ends row i
     column = [units[c] for i in range(t - 1)
               for c in (i * (2 * t - i) + 2 * (t - 1 - i) - 1,
                         i * (2 * t - i) + 2 * (t - 1 - i))]
-    start = [units[-1]]
-    if t == 3 and dim_v < 2 * (t - 1):
-        diagonal = units[(t - 2) * (t + 2)]
-        start += column[1:dim_v] + [column[0] + diagonal,
-                                    column[dim_v] + diagonal]
-    else:
-        start += column[:dim_v]
-    extra = int(field.q < 4 or t == 2 or dim_v == 2 * (t - 1))
-    return _random_code(field, t, make_code(field, t, start).k + extra, seed,
-                        start=start)
+    start = [units[-1], *column[:dim_v]]
+    return _random_code(field, t, dim_v + 2, seed, start=start)
 
 
 @pytest.mark.parametrize("p,m,t", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3),
@@ -476,22 +463,35 @@ def test_the_last_row_and_column_rule_matches_elimination(monkeypatch, p, m,
     cuts of _coset_cuts (every boundary of a coset of W, one index either
     side of it and one inside its first multiples), with the lead memo
     starting over at 2 entries and the listed span of K at the default
-    ``_RUN_LIMIT`` or cut to q words."""
+    ``_RUN_LIMIT`` or cut to q words. At t = 3 also a code with two basis
+    rows led on the last column that go on off it: W is then E's
+    multiples alone, less than the code's words on the last row and
+    column, and the rule still holds."""
     codes._packing.cache_clear()
     monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
     field = make_field(p, m)
+    found = []
     for dim_v in range(2 * (t - 1) + 1):
         code = next(c for seed in range(20)
                     if _w_dim(c := _code_with_v(field, t, dim_v, seed))
                     == dim_v + 1)
+        assert codes._enumeration_basis(t, code.basis)[1] == dim_v + 1
         assert code.k > dim_v + 1  # some coset of W outside W
+        found.append(code)
+    if t == 3:  # units 3 and 4 lie on the last column, 5 on the diagonal
+        units = _unit_matrices(field, t)
+        code = make_code(field, t, [units[-1], units[3] + units[5],
+                                    units[4] + units[5]])
+        assert codes._enumeration_basis(t, code.basis)[1] == 1 < _w_dim(code)
+        found.append(code)
+    for code in found:
         whole = _counts_by_rank(code)
         cuts = [0, *_coset_cuts(code), code.size]
         for limit in (codes._RUN_LIMIT, field.q):
             monkeypatch.setattr(codes, "_RUN_LIMIT", limit)
-            assert rank_counts(code, 0, code.size) == whole, dim_v
+            assert rank_counts(code, 0, code.size) == whole, code.basis
             parts = [rank_counts(code, a, b) for a, b in zip(cuts, cuts[1:])]
-            assert [sum(column) for column in zip(*parts)] == whole, dim_v
+            assert [sum(column) for column in zip(*parts)] == whole, code.basis
 
 
 def test_census_at_q13_t2_meets_few_new_leads(monkeypatch):
