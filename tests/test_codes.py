@@ -441,15 +441,19 @@ def test_full_space_groups_match_per_word_elimination(p, m, t):
 def _code_with_v(field, t, dim_v, seed):
     """A code that holds E, the unit at the last diagonal cell, whose V,
     the last columns of its words on the last row and column, has dim_v
-    dimensions over GF(q): it holds dim_v units of the last column, and a
-    random matrix, so that W has cosets besides itself."""
+    dimensions over GF(q): it holds dim_v units of the last column, a
+    random matrix and, at t > 2, the unit at the first diagonal cell, so
+    that some cosets of W have a top-left block of rank 1 whose column
+    space meets V. (At t = 2 that unit would put every word in W.)"""
     units = _unit_matrices(field, t)
     # row i's diagonal coordinate is i(2t - i); its last pair ends row i
     column = [units[c] for i in range(t - 1)
               for c in (i * (2 * t - i) + 2 * (t - 1 - i) - 1,
                         i * (2 * t - i) + 2 * (t - 1 - i))]
     start = [units[-1], *column[:dim_v]]
-    return _random_code(field, t, dim_v + 2, seed, start=start)
+    if t > 2:
+        start.append(units[0])
+    return _random_code(field, t, len(start) + 1, seed, start=start)
 
 
 @pytest.mark.parametrize("p,m,t", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3),
