@@ -13,10 +13,7 @@ entry, then u and v of each of its upper entries. That gives a bijective
 vectorisation onto GF(q)^(t^2). A :class:`LinearCode` is held as the
 reduced row-echelon form of its words' coordinates, which its
 constructor computes from any rows, so two equal codes compare equal,
-and k and the generator matrices follow from it. Since the coordinates
-of the top t // 2 rows (the head) come first, that basis is head-first:
-its generators with a nonzero head lead, and the others span K, the
-words whose head is zero.
+and k and the generator matrices follow from it.
 
 The dual is taken with respect to the trace form <H, J> = Tr(H^dagger J):
 on coordinates it is x G y^T for an invertible block-diagonal G, so the
@@ -30,11 +27,11 @@ basis is the combination of its generators whose coefficients are the
 base-q digits of the index, the first generator's digit most
 significant, each digit picking a subfield element in ascending index
 order. The points of a basis are its words whose first nonzero
-coefficient is 1. ``_point_runs`` walks any range of them as (prefix,
-words) pairs over S, a list of the span of the last few generators: each
-point of the other generators, walked by the same function one level
-down, is summed once and serves the whole of S, and the points led by
-one of S's generators are that generator plus a leading slice of S.
+coefficient is 1. ``_points`` walks any range of them over S, a list of
+the span of the last few generators: each point of the other generators,
+walked by the same function one level down, is summed once with every
+word of S, and the points led by one of S's generators are that
+generator plus a leading slice of S.
 
 :func:`rank_counts` counts in the index order of the enumeration basis
 (see ``_enumeration_basis``) with the packed elimination of
@@ -47,13 +44,11 @@ coset share their top-left (t - 1)-block A, and one reduction of A, with
 an elimination over GF(p) that counts the coset's last columns in the
 column space of A, ranks all of them (``_Packing.count_cosets`` states
 that rule and proves it). Any other point, and every point of a code
-without E, is ranked by itself, the head rows reduced once per run of
-points of one coset h + K.
+without E, is ranked by itself, all its rows reduced.
 
 An enumeration packs the q multiples of each generator from its basis
-row, and lists at most ``_RUN_LIMIT`` words of K (or q, if more), shared
-by every coset; a level down lists at most min(points it walks,
-``_RUN_LIMIT``) words of its own trailing span (or q, if more). The
+row, and each level of the walk lists at most min(points it walks,
+``_RUN_LIMIT``) words of its trailing span (or q, if more). The
 packing's memos fill as words need them and stay bounded (see
 ``_Packing``). :func:`rank_counts` is what :func:`weight_distribution`,
 :func:`min_distance` and the CLI (census, ``wd`` and every ``--workers``
@@ -79,6 +74,7 @@ from typing import TYPE_CHECKING
 from ._value import Value
 from .errors import (
     CheckFailed,
+    IndexOutOfRange,
     MixedDimensions,
     NotHermitian,
     UsageError,
@@ -252,9 +248,7 @@ def _rref(field: Field,
 
 def make_code(field: Field, t: int, generators: list[HermitianMatrix]) -> LinearCode:
     """The code spanned by any Hermitian matrices: :class:`LinearCode`
-    reduces their coordinates to its basis, whose generators with a
-    nonzero head (top t // 2 rows) come first while the others span the
-    zero-head subcode K."""
+    reduces their coordinates to its basis."""
     from .hermitian import HermitianMatrix
     if t < 1:
         raise UsageError(f"matrix size must be positive, got t={t}")
@@ -487,27 +481,22 @@ class _Packing:
         return scaled
 
     def enumeration(self, basis):
-        """(scaled, n_head, w, lasts) for a code's basis: the enumeration
-        basis's generators (see :func:`_enumeration_basis` and
-        :meth:`generators`), how many of them lead up to the last with a
-        nonzero top t // 2 rows (the head), so the others span K, words of
-        zero head, the dimension w of W, the span of the last w, and the
-        last rows (c*, 0) of a basis over GF(p) of the words of W other
-        than E's multiples: each of W's generators but E times each
-        element of a basis of GF(q) over GF(p)."""
+        """(scaled, w, lasts) for a code's basis: the enumeration basis's
+        generators (see :func:`_enumeration_basis` and :meth:`generators`),
+        the dimension w of W, the span of the last w, and the last rows
+        (c*, 0) of a basis over GF(p) of the words of W other than E's
+        multiples: each of W's generators but E times each element of a
+        basis of GF(q) over GF(p)."""
         rows, w = _enumeration_basis(self.t, basis)
         scaled = self.generators(rows)
         t, bits = self.t, self.row_bits
-        head = (1 << (t // 2) * bits) - 1
-        n_head = max((j + 1 for j, multiples in enumerate(scaled)
-                      if multiples[1] & head), default=0)
         block = (1 << (t - 1) * self.cell_bits) - 1
         spanned: dict[int, int] = {}
         places = [d for d, x in enumerate(self.field.subfield_indices())
                   if self.join(self.cell(x), spanned)]
         lasts = [(multiples[d] >> (t - 1) * bits) & block
                  for multiples in scaled[len(scaled) - w:-1] for d in places]
-        return scaled, n_head, w, lasts
+        return scaled, w, lasts
 
     # -- rank --
 
@@ -598,61 +587,41 @@ class _Packing:
             v = add(v, self.times(b, digit))
         return False
 
-    def count_ranks(self, runs) -> list[int]:
-        """counts[r]: the words of rank r among add(prefix, w), for each
-        (prefix, words) of ``runs`` and each w of its words. Every such w
-        must have zero top t // 2 rows (the head).
-
-        So a word's head is its prefix's: the head rows are reduced once
-        for each run whose prefix's head differs from the run before, and
-        each word reduces only its other rows, into a copy of that state.
-        This is :meth:`reduce` in one loop, with the lead lookup and the
-        add inlined. Each word is ranked by itself: where a code holds E,
+    def count_ranks(self, words) -> list[int]:
+        """counts[r]: the words of rank r among ``words``. This is
+        :meth:`rank` in one loop, with the lead lookup and the add inlined.
+        Each word is ranked by itself: where a code holds E,
         :func:`rank_counts` hands the whole cosets of W to
         :meth:`count_cosets` and only the other points to this loop.
         """
         t, p, w1, carry, top = self.t, self.p, self.w - 1, self.carry, self.top
         bits = self.row_bits
         row_mask = (1 << bits) - 1
-        half = t // 2
-        head_mask = (1 << (half * bits)) - 1
-        head_shifts = range(0, half * bits, bits)
-        tail_shifts = tuple(range(half * bits, t * bits, bits))
-        leads, lead_of, reduce = self._lead, self._lead_of, self.reduce
+        shifts = tuple(range(0, t * bits, bits))
+        leads, lead_of = self._lead, self._lead_of
         xor = p == 2
         counts = [0] * (t + 1)
-        last = state = joined = None
-        for prefix, words in runs:
-            if prefix & head_mask != last:
-                last = prefix & head_mask
-                state = [0] * t
-                joined = reduce(prefix, head_shifts, state)
-            for word in words:
-                if xor:
-                    word ^= prefix
-                else:
-                    s = prefix + word
-                    word = s - (((s + carry) & top) >> w1) * p
-                basis = state[:]
-                r = joined
-                for shift in tail_shifts:
-                    row = (word >> shift) & row_mask
-                    while row:
-                        try:
-                            col, scaled, negated = leads[row]
-                        except KeyError:
-                            col, scaled, negated = lead_of(row)
-                        b = basis[col]
-                        if not b:
-                            basis[col] = negated
-                            r += 1
-                            break
-                        if xor:
-                            row = scaled ^ b
-                        else:
-                            s = scaled + b
-                            row = s - (((s + carry) & top) >> w1) * p
-                counts[r] += 1
+        for word in words:
+            basis = [0] * t
+            r = 0
+            for shift in shifts:
+                row = (word >> shift) & row_mask
+                while row:
+                    try:
+                        col, scaled, negated = leads[row]
+                    except KeyError:
+                        col, scaled, negated = lead_of(row)
+                    b = basis[col]
+                    if not b:
+                        basis[col] = negated
+                        r += 1
+                        break
+                    if xor:
+                        row = scaled ^ b
+                    else:
+                        s = scaled + b
+                        row = s - (((s + carry) & top) >> w1) * p
+            counts[r] += 1
         return counts
 
     def count_cosets(self, words, lasts: list[int], w: int) -> list[int]:
@@ -735,20 +704,20 @@ def _run(scaled: list[list[int]], add, limit: int) -> tuple[int, list[int]]:
     return n, words
 
 
-def _point_runs(scaled: list[list[int]], lo: int, hi: int, add,
-                run: tuple[int, list[int]]):
-    """Points lo..hi-1 of ``scaled``, the words whose first nonzero
-    coefficient is 1 in kernel order (see :func:`rank_counts`), as
-    (prefix, words) pairs: add(prefix, w) for each w of the words.
+def _points(scaled: list[list[int]], lo: int, hi: int, add):
+    """The words of points lo..hi-1 of ``scaled``, the words whose first
+    nonzero coefficient is 1 in kernel order (see :func:`rank_counts`).
 
-    ``scaled[j][d]`` is generator j times the d-th subfield element, and
-    ``run`` (see :func:`_run`) lists S, the span of the last n generators.
-    The points led by one of the others, the lead, are the lead's own
-    points in kernel order, each followed by every word of S. The points
-    led by one of the last n are that generator plus a leading slice of S,
-    the span of the generators after it.
+    ``scaled[j][d]`` is generator j times the d-th subfield element. The
+    walk lists S, the span of the last n generators, in at most min(hi -
+    lo, ``_RUN_LIMIT``) words (or q, if more; see :func:`_run`). The points
+    led by one of the others, the lead, are the lead's own points in
+    kernel order, walked by this function one level down, each followed
+    by its sum with every word of S. The points led by one of the last n
+    are that generator plus a leading slice of S, the span of the
+    generators after it.
     """
-    n, listed = run
+    n, listed = _run(scaled, add, min(hi - lo, _RUN_LIMIT))
     k, size = len(scaled), len(listed)
     q = len(scaled[0])
     start = size * (q ** (k - n) - 1) // (q - 1)  # points led by the lead
@@ -766,33 +735,8 @@ def _point_runs(scaled: list[list[int]], lo: int, hi: int, add,
             runs.append([(scaled[j][1],
                           listed[max(lo - start, 0):min(hi - start, block)])])
         start += block
-    return chain.from_iterable(runs)
-
-
-def _points(scaled: list[list[int]], lo: int, hi: int, add):
-    """The words of :func:`_point_runs` one by one, over a list of at most
-    min(hi - lo, ``_RUN_LIMIT``) words of the trailing span (or q, if
-    more)."""
-    run = _run(scaled, add, min(hi - lo, _RUN_LIMIT))
-    return chain.from_iterable(
-        map(add, repeat(prefix), words)
-        for prefix, words in _point_runs(scaled, lo, hi, add, run))
-
-
-def _point(scaled: list[list[int]], point: int, add) -> int:
-    """The word of one point of ``scaled``, in kernel order: its lead plus
-    one multiple of each generator after it, the last one's multiple
-    picked by the lowest base-q digit of the point's place in its block."""
-    k, q = len(scaled), len(scaled[0])
-    j = 0
-    while point >= q ** (k - 1 - j):
-        point -= q ** (k - 1 - j)
-        j += 1
-    word = scaled[j][1]
-    for multiples in reversed(scaled[j + 1:]):
-        point, digit = divmod(point, q)
-        word = add(word, multiples[digit])
-    return word
+    return chain.from_iterable(map(add, repeat(prefix), words)
+                               for prefix, words in chain.from_iterable(runs))
 
 
 def _check_enumeration(code: LinearCode, guard: int | None) -> None:
@@ -827,19 +771,10 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     A coset the range holds whole is counted by one reduction of its
     top-left block (the rule and its proof: :meth:`_Packing.count_cosets`).
     The points of a coset the range cuts, and those of W, are ranked one
-    by one.
-
-    Those are ranked in runs: the generators after the last one with a
-    nonzero head (top t // 2 rows) span K, words of zero head, so the
-    points that differ only in K's coefficients are contiguous, their head
-    rows are reduced once, and each point reduces only its other rows.
-    In a code's basis the generators with a nonzero head lead, so for a
-    code without E, K is every zero-head word. The walk lists S, the span
-    of K's last generators (at most
-    ``_RUN_LIMIT`` words, or q if more), once: each point of the
-    generators before them is followed by every word of S, and a point led
-    by one of S's generators is that generator plus a leading slice of S
-    (see :func:`_point_runs`). The guard applies to the whole code, so
+    by one, as one stream of words from :func:`_points`, which lists S, the
+    span of the last few generators (at most ``_RUN_LIMIT`` words, or q if
+    more), once: each point of the generators before them is followed by
+    its sum with every word of S. The guard applies to the whole code, so
     every split of [0, q^k) into ranges is refused or counted alike.
     """
     _check_enumeration(code, guard)
@@ -852,7 +787,7 @@ def rank_counts(code: LinearCode, start: int, stop: int,
         return [int(start == 0 < stop)] + [0] * t
     pk = _packing(code.field, t)
     add = pk.add
-    scaled, n_head, w, lasts = pk.enumeration(code.basis)
+    scaled, w, lasts = pk.enumeration(code.basis)
     lo, hi = (first - 1) // m, (stop - 2) // m + 1  # the points touched
     size, outer = q ** w, len(scaled) - w
     # the cosets of W outside W the range holds whole
@@ -862,16 +797,16 @@ def rank_counts(code: LinearCode, start: int, stop: int,
     if w and a < b:
         counts = pk.count_cosets(_points(scaled[:outer], a, b, add), lasts, w)
         pieces = [(lo, a * size), (b * size, hi)]
-    run = _run(scaled[n_head:], add, _RUN_LIMIT)  # words of K only
     ranked = pk.count_ranks(chain.from_iterable(
-        _point_runs(scaled, x, y, add, run) for x, y in pieces if x < y))
+        _points(scaled, x, y, add) for x, y in pieces if x < y))
     counts = [(x + y) * m for x, y in zip(counts, ranked)]
     counts[0] += start == 0
     # the first and last points touched may have multiples outside the range
     for point, outside in ((lo, first - 1 - lo * m),
                            (hi - 1, hi * m - (stop - 1))):
         if outside:
-            counts[pk.rank(_point(scaled, point, add))] -= outside
+            word = next(_points(scaled, point, point + 1, add))
+            counts[pk.rank(word)] -= outside
     return counts
 
 
@@ -914,11 +849,14 @@ def singleton_check(code: LinearCode, min_dist: int | None = None,
                     guard: int | None = None) -> dict:
     """Size bound q^(t(t-d+1)) for minimum distance d; flags extremal codes.
 
-    Returns {"bound": int, "is_mhrd": bool}. A size above the bound means a
-    bug somewhere upstream and raises CheckFailed.
+    Returns {"bound": int, "is_mhrd": bool}. A given d outside 1..t is
+    refused with IndexOutOfRange before any word is counted. A size above
+    the bound means a bug somewhere upstream and raises CheckFailed.
     """
-    d = min_distance(code, guard) if min_dist is None else min_dist
     q, t = code.field.q, code.t
+    if min_dist is not None and not 1 <= min_dist <= t:
+        raise IndexOutOfRange(f"need 1 <= d <= t, got d={min_dist} t={t}")
+    d = min_distance(code, guard) if min_dist is None else min_dist
     bound = q ** (t * (t - d + 1))
     if code.size > bound:
         raise CheckFailed(

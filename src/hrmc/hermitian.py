@@ -12,7 +12,7 @@ route (the tests, the acceptance checks and the public API) loads.
 from __future__ import annotations
 
 from ._value import Value
-from .errors import DimensionMismatch, UsageError
+from .errors import DimensionMismatch, NotHermitian, UsageError
 from .fields import Field, FieldElement
 
 
@@ -43,7 +43,14 @@ class HermitianMatrix(Value):
         return HermitianMatrix(self.field, self.t, rows)
 
     def scale(self, c: FieldElement) -> "HermitianMatrix":
+        """c times the matrix, for c in the conjugation-fixed subfield
+        GF(q); any other c is refused with NotHermitian, as c H is then
+        not Hermitian for H nonzero."""
         rows = tuple(tuple(c * a for a in r) for r in self.entries)
+        if c.conj() != c:
+            raise NotHermitian(f"cannot scale by {c!r}: it lies outside the "
+                               f"conjugation-fixed subfield "
+                               f"GF({self.field.q})")
         return HermitianMatrix(self.field, self.t, rows)
 
     def is_zero(self) -> bool:

@@ -103,9 +103,10 @@ def test_count_workers_split_projective_groups(capsys, two_cpus, q, t):
 
 @pytest.mark.parametrize("q,t", [(2, 3), (4, 2), (2, 4)])
 def test_workers_split_the_coset_walk(capsys, tmp_path, two_cpus, q, t):
-    """Two workers cut the kernel order inside the walk over cosets of the
-    zero-head subcode K: in the census, and in ``wd`` on a q=3, t=3 code
-    whose K has two dimensions. The output is the same bytes as one
+    """Two workers cut the kernel order in the middle of its walk: in the
+    census, and in ``wd`` on a q=3, t=3 code of four unit generators, two
+    with a nonzero first row and two, E among them, spanning K, its words
+    whose first row is zero. The output is the same bytes as one
     worker's."""
     argv = ["count", "--q", str(q), "--t", str(t), "--format", "json"]
     rc1, out1, _ = run(capsys, argv + ["--workers", "1"])

@@ -24,6 +24,7 @@ from hrmc.codes import (
 from hrmc.errors import (
     CheckFailed,
     EnumerationTooLarge,
+    IndexOutOfRange,
     MixedDimensions,
     NotHermitian,
     UsageError,
@@ -238,13 +239,14 @@ def _w_dim(code):
 
 
 def _coset_cuts(code):
-    """Kernel indices at every boundary of a coset of K in the code's
-    basis (the points of a block past the head generators count as one
-    coset), one index either side of it, one inside its first group of
-    q - 1 multiples, and one in the middle of the coset; and, where the
-    code holds E, the same at every boundary of a coset M + W of W, the
-    span of the enumeration basis's last w rows, whose q^w points the
-    kernel walks in a row."""
+    """Kernel indices at every boundary of a coset h + K in the code's
+    basis, K the span of its generators whose top t // 2 rows (the head)
+    are zero (the points of a block past the generators with a nonzero
+    head count as one coset), one index either side of it, one inside its
+    first group of q - 1 multiples, and one in the middle of the coset;
+    and, where the code holds E, the same at every boundary of a coset
+    M + W of W, the span of the enumeration basis's last w rows, whose
+    q^w points the kernel walks in a row."""
     q, k, m = code.field.q, code.k, code.field.q - 1
     heads = _heads(code)
     cuts, first = set(), 0
@@ -268,18 +270,19 @@ def _coset_cuts(code):
                                    (3, 2, 2), (5, 1, 2), (7, 1, 2)])
 def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
     """With a packing's lead memo starting over at 2 entries, and the
-    listed span of K at the default ``_RUN_LIMIT`` or cut to one
-    generator, rank_counts equals a count through hermitian_space.rank,
-    whole and as the sum of the ranges between all the cuts of
-    _coset_cuts. The codes: one whose head map is injective (dim K = 0,
-    for t >= 2), one whose K has at least two dimensions where t >= 3,
-    more words than the cut run lists, and one of up to 256 words, whose
-    cosets' prefixes are summed over several generators; at t >= 2 also
-    two of up to 256 words below the whole space, one holding E, the unit
-    at the last diagonal cell, whose whole cosets of W are counted by one
-    reduction of their top-left block each, and one without E, counted a
-    point at a time; at t = 1 the head is empty and K is the whole
-    code."""
+    walk's listed span of the trailing generators at the default
+    ``_RUN_LIMIT`` or cut to one generator, rank_counts equals a count
+    through hermitian_space.rank, whole and as the sum of the ranges
+    between all the cuts of _coset_cuts. The codes, described by K, their
+    words whose top t // 2 rows (the head) are zero: one whose head map
+    is injective (dim K = 0, for t >= 2), one whose K has at least two
+    dimensions where t >= 3, more words than the cut run lists, and one
+    of up to 256 words, whose points are walked several levels down; at
+    t >= 2 also two of up to 256 words below the whole space, one holding
+    E, the unit at the last diagonal cell, whose whole cosets of W are
+    counted by one reduction of their top-left block each, and one
+    without E, counted a point at a time; at t = 1 the head is empty and
+    K is the whole code."""
     codes._packing.cache_clear()  # each memo starts empty, as it starts over
     monkeypatch.setattr(codes, "_CACHE_LIMIT", 2)
     field = make_field(p, m)
@@ -314,13 +317,13 @@ def test_rank_counts_with_tiny_memos(monkeypatch, p, m, t):
 def test_a_cut_run_limit_bounds_every_list(monkeypatch):
     """``_RUN_LIMIT`` is read on each count. The code of every matrix at
     q=2, t=3 whose last diagonal cell is zero (so it lacks E, and is
-    counted point by point) has 5 head generators, then 3 spanning K. At
-    the default limit the kernel is handed all 8 words of K, and one
-    level down the 31 points of the head generators are walked over a
-    list of 16 of their span. Cut to q, every list holds one generator's
-    q words, whether handed to ``count_ranks`` or built a level down, so
-    the walk goes down one level per generator. The counts are the same
-    either way."""
+    counted point by point) has 8 generators and 255 points, each handed
+    to ``count_ranks`` once as a word. At the default limit the walk lists
+    the 128 words of the span of the last 7 generators, fewer than the
+    points it walks, and one level down the first generator's one point
+    is walked over a list of its q multiples. Cut to q, every list holds
+    one generator's q words, so the walk goes down one level per
+    generator. The counts are the same either way."""
     field = make_field(2, 1)
     code = codes.LinearCode(field, 3,
                             dual_code(make_code(field, 3, [])).basis[:-1])
@@ -329,10 +332,10 @@ def test_a_cut_run_limit_bounds_every_list(monkeypatch):
     real_points = codes._points
     handed, listed, walked = [], [], []
 
-    def count_ranks(self, runs):
-        runs = list(runs)
-        handed.extend(len(words) for _, words in runs)
-        return real_count(self, runs)
+    def count_ranks(self, words):
+        words = list(words)
+        handed.extend(words)
+        return real_count(self, words)
 
     def run(scaled, add, limit):
         n, words = real_run(scaled, add, limit)
@@ -346,12 +349,12 @@ def test_a_cut_run_limit_bounds_every_list(monkeypatch):
     monkeypatch.setattr(codes._Packing, "count_ranks", count_ranks)
     monkeypatch.setattr(codes, "_run", run)
     monkeypatch.setattr(codes, "_points", points)
-    for limit, most, levels in ((codes._RUN_LIMIT, (8, 16), [1, 5]),
-                                (2, (2, 2), list(range(1, 8)))):
+    for limit, most, levels in ((codes._RUN_LIMIT, (255, 128), [1, 8]),
+                                (2, (255, 2), list(range(1, 9)))):
         monkeypatch.setattr(codes, "_RUN_LIMIT", limit)
         del handed[:], listed[:], walked[:]
         assert rank_counts(code, 0, code.size) == want
-        assert (max(handed), max(listed)) == most
+        assert (len(handed), max(listed)) == most
         assert sorted(set(walked)) == levels
 
 
@@ -534,19 +537,19 @@ def test_consecutive_counts_share_the_lead_memo(monkeypatch):
             assert tuple(rank_counts(code, 0, code.size)) == counts
 
 
-def test_full_space_reduces_each_head_once(monkeypatch):
+def test_full_space_reduces_each_block_once(monkeypatch):
     """The 65 536 matrices at q=2, t=4: the whole space holds E, and W, its
     words on the last column and the last diagonal cell, has 7
     dimensions. So the 65 408 words outside W fall into 511 cosets of W
     (one per point of the 9 generators before W), and the kernel reduces
-    the top-left 3 x 3 block once per coset, not once per word. The 127
-    points of W are ranked one by one: the last 3 generators of W (the
-    entry (2, 3) and E) have zero top two rows, so those two rows are
-    reduced 16 times, once per run of points that differ only there, and
-    the range has no edge point with multiples outside it to rank. It
-    counts from the code's basis as it stands, reducing no coordinates
-    again, and neither building the space nor counting it makes a field
-    element or a matrix object."""
+    the top-left 3 x 3 block once per coset, not once per word, and
+    nothing else through ``reduce``. The 127 points of W are handed to
+    ``count_ranks`` as words, each ranked by itself, and the range has no
+    edge point with multiples outside it to rank. It counts from the
+    code's basis as it stands, reducing no coordinates again, and neither
+    building the space nor counting it makes a field element or a matrix
+    object. The basis lists first the 12 generators with a nonzero top
+    two rows, as ``_rref`` seeks pivots in column order."""
     field = make_field(2, 1)
     zero = make_code(field, 4, [])
     for cls in (FieldElement, HermitianMatrix):
@@ -554,17 +557,23 @@ def test_full_space_reduces_each_head_once(monkeypatch):
     space = dual_code(zero)
     for name in ("_rref", "vectorize"):
         monkeypatch.setattr(codes, name, _unreachable)
-    reduced = []
-    real_reduce = codes._Packing.reduce
+    reduced, handed = [], []
+    real_reduce, real_count = codes._Packing.reduce, codes._Packing.count_ranks
 
     def recording(self, word, shifts, basis, mask=None):
         reduced.append(len(shifts))
         return real_reduce(self, word, shifts, basis, mask)
 
+    def count_ranks(self, words):
+        words = list(words)
+        handed.extend(words)
+        return real_count(self, words)
+
     monkeypatch.setattr(codes._Packing, "reduce", recording)
+    monkeypatch.setattr(codes._Packing, "count_ranks", count_ranks)
     assert rank_counts(space, 0, space.size) == [1, 85, 3570, 23800, 38080]
-    assert (reduced.count(3), reduced.count(2), len(reduced)) == (511, 16,
-                                                                  527)
+    assert (reduced.count(3), len(reduced)) == (511, 511)
+    assert len(handed) == 127
     monkeypatch.undo()
     assert _heads(space) == 12 and not any(
         x.index for g in space.generators[12:] for row in g.entries[:2]
@@ -839,6 +848,21 @@ def test_min_distance_and_singleton(example_code, extremal_d3_code,
     assert min_distance(extremal_d2_code) == 2
     report = singleton_check(extremal_d2_code)
     assert report == {"bound": 4, "is_mhrd": True}
+
+
+@pytest.mark.parametrize("d", [-1, 0, 3, 5])
+def test_singleton_check_refuses_a_distance_outside_1_to_t(fields, d,
+                                                           monkeypatch):
+    """A given minimum distance outside 1..t has no bound: on the zero
+    t=2 code over GF(4) it is refused with IndexOutOfRange, a UsageError,
+    before any word is counted, not reported as a bound, a fraction or a
+    failed check."""
+    zero = make_code(fields[2], 2, [])
+    monkeypatch.setattr(codes, "rank_counts", _unreachable)
+    with pytest.raises(IndexOutOfRange, match=f"got d={d} t=2"):
+        singleton_check(zero, d)
+    assert issubclass(IndexOutOfRange, UsageError)
+    assert singleton_check(zero, 2) == {"bound": 2 ** 2, "is_mhrd": False}
 
 
 def test_weight_distribution_validation():

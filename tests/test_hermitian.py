@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hrmc.codes import _Packing, _theta_index, vectorize
 from hrmc.cost import check_guard, check_power_guard
-from hrmc.errors import DimensionMismatch, EnumerationTooLarge
+from hrmc.errors import DimensionMismatch, EnumerationTooLarge, NotHermitian
 from hrmc.fields import make_field
 from hrmc.eigen import full_space_distribution
 from hrmc.hermitian import (
@@ -225,6 +225,22 @@ def test_inner_product_properties(fields):
     assert inner_product(h + j, k) == inner_product(h, k) + inner_product(j, k)
     for s in f4.subfield_elements():
         assert inner_product(h.scale(s), j) == s * inner_product(h, j)
+
+
+def test_scale_refuses_a_scalar_outside_the_subfield(fields):
+    """Scaling by an element that conjugation moves would leave a nonzero
+    matrix non-Hermitian (here diagonal entry 2, outside GF(2)), so it is
+    refused with NotHermitian, naming the scalar; every subfield scalar
+    scales."""
+    f4 = fields[2]
+    h = hermitian_from_index(f4, 2, 5)
+    for index in range(f4.order):
+        c = f4.from_index(index)
+        if index in f4.subfield_indices():
+            assert is_hermitian(h.scale(c))
+        else:
+            with pytest.raises(NotHermitian, match=f"{index} of GF\\(4\\)"):
+                h.scale(c)
 
 
 def test_inner_product_dimension_mismatch(fields):
